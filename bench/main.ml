@@ -577,7 +577,7 @@ let perf_serve () =
     (String.length line) (String.length site.Gen.page)
     (List.length site.Gen.resources);
   let report = Wr_support.Json.Obj [ ("races", Wr_support.Json.Int 3) ] in
-  let warm = Cache.create ~cap:8 () in
+  let warm = Cache.create ~cap:8 in
   Cache.store warm (Cache.key params) report;
   let tests =
     [
@@ -657,38 +657,32 @@ let perf_static () =
   | None -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Perf-7: sharded serve loops under concurrent load                   *)
+(* Perf-7: the serve event loop under concurrent load                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Boot an in-process daemon (TCP, kernel-chosen port), blast it with
-   the barrier-synchronized load generator, and compare 1 event-loop
-   shard against N. With one shard every response serializes through a
-   single domain; per-shard accept paths and connection tables let
-   cache hits scale until the hardware runs out. Absolute numbers are
-   machine-bound: the trend gate reads the recorded shard4_speedup and
-   p999 tails, and hardware_domains to know whether this runner can
-   physically show a speedup at all (below 4 hardware threads the
-   shard loops just time-slice one core). *)
-let perf_shards () =
-  section "Perf-7 — sharded serve: cache-hit throughput and overload tails";
+(* Boot an in-process daemon (TCP, kernel-chosen port) and blast it with
+   the barrier-synchronized load generator in two phases. Cache hits
+   never touch a worker, so the hit phase measures the event loop alone;
+   the overload phase sheds most requests inline and its p999 is the
+   responsiveness of a deliberately saturated daemon. The trend gate
+   reads cachehit_rps and the p999 tails. *)
+let perf_serve_loop () =
+  section "Perf-7 — serve event loop: cache-hit throughput and overload tails";
   let module Daemon = Wr_serve.Daemon in
   let module Request = Wr_serve.Request in
   let module L = Wr_serve.Loadgen in
   let module H = Wr_support.Stats.Histo in
-  let hw = Wr_support.Pool.hardware_domains () in
-  record_result "perf7" "hardware_domains" (Wr_support.Json.Int hw);
   let tiny_page =
     "<html><body><script>var x = 1; x = x + 1;</script></body></html>"
   in
   let analyze_verb = Request.analyze (Request.analyze_params ~page:tiny_page ()) in
-  let with_daemon ~shards ~queue_cap ~cache_cap f =
+  let with_daemon ~queue_cap ~cache_cap f =
     let stop = Atomic.make false in
     let addr = Atomic.make None in
     let cfg =
       {
         (Daemon.default_config (Daemon.Tcp 0)) with
         Daemon.jobs = 2;
-        shards;
         queue_cap;
         cache_cap;
         wall_limit = 30.;
@@ -730,73 +724,41 @@ let perf_shards () =
       }
   in
   let p999_ms r = 1000. *. H.percentile r.L.latency 99.9 in
-  let rows =
-    List.map
-      (fun shards ->
-        (* Cache-hit phase: warm once, then every request replays the
-           cached document — pure event-loop work, the thing sharding
-           is supposed to scale. *)
-        let hit =
-          with_daemon ~shards ~queue_cap:64 ~cache_cap:8 (fun addr ->
-              let c = Wr_serve.Client.connect ~retry_for:5. addr in
-              (match
-                 Wr_serve.Client.request c
-                   (Request.make ~id:(Wr_support.Json.Int 0) analyze_verb)
-               with
-              | Ok _ -> ()
-              | Error msg -> failwith ("perf7 warmup: " ^ msg));
-              Wr_serve.Client.close c;
-              blast addr ~pipeline:8 ~duration:1.0)
-        in
-        record_float "perf7"
-          (Printf.sprintf "cachehit_shards%d_rps" shards)
-          hit.L.throughput_rps;
-        record_float "perf7"
-          (Printf.sprintf "cachehit_shards%d_p999" shards)
-          (p999_ms hit);
-        (* Overload phase: no cache, a tiny queue — most requests shed
-           with an inline overload error. The tail measures how
-           responsive the loops stay while deliberately saturated. *)
-        let ovl =
-          with_daemon ~shards ~queue_cap:2 ~cache_cap:0 (fun addr ->
-              blast addr ~pipeline:16 ~duration:1.0)
-        in
-        let shed =
-          Option.value ~default:0 (List.assoc_opt "overload" ovl.L.classes)
-        in
-        record_float "perf7"
-          (Printf.sprintf "overload_shards%d_p999" shards)
-          (p999_ms ovl);
-        record_result "perf7"
-          (Printf.sprintf "overload_shards%d_shed" shards)
-          (Wr_support.Json.Int shed);
-        (shards, hit, ovl, shed))
-      [ 1; 4 ]
+  (* Cache-hit phase: warm once, then every request replays the cached
+     document. *)
+  let hit =
+    with_daemon ~queue_cap:64 ~cache_cap:8 (fun addr ->
+        let c = Wr_serve.Client.connect ~retry_for:5. addr in
+        (match
+           Wr_serve.Client.request c
+             (Request.make ~id:(Wr_support.Json.Int 0) analyze_verb)
+         with
+        | Ok _ -> ()
+        | Error msg -> failwith ("perf7 warmup: " ^ msg));
+        Wr_serve.Client.close c;
+        blast addr ~pipeline:8 ~duration:1.0)
   in
-  (match rows with
-  | [ (_, hit1, _, _); (_, hit4, _, _) ] when hit1.L.throughput_rps > 0. ->
-      record_float "perf7" "shard4_speedup"
-        (hit4.L.throughput_rps /. hit1.L.throughput_rps)
-  | _ -> ());
+  record_float "perf7" "cachehit_rps" hit.L.throughput_rps;
+  record_float "perf7" "cachehit_p999" (p999_ms hit);
+  (* Overload phase: no cache, a tiny queue — most requests shed with an
+     inline overload error. *)
+  let ovl =
+    with_daemon ~queue_cap:2 ~cache_cap:0 (fun addr ->
+        blast addr ~pipeline:16 ~duration:1.0)
+  in
+  let shed = Option.value ~default:0 (List.assoc_opt "overload" ovl.L.classes) in
+  record_float "perf7" "overload_p999" (p999_ms ovl);
+  record_result "perf7" "overload_shed" (Wr_support.Json.Int shed);
   Table.print
-    ~header:
-      [ "shards"; "cache-hit rps"; "hit p999"; "overload p999"; "shed" ]
-    (List.map
-       (fun (shards, hit, ovl, shed) ->
-         [
-           string_of_int shards;
-           Printf.sprintf "%.0f" hit.L.throughput_rps;
-           Printf.sprintf "%.2f ms" (p999_ms hit);
-           Printf.sprintf "%.2f ms" (p999_ms ovl);
-           string_of_int shed;
-         ])
-       rows);
-  print_endline
-    "\n(Cache hits never touch a worker: with one shard they serialize\n\
-     through a single event loop, with N shards the kernel spreads\n\
-     connections over N loops (SO_REUSEPORT). The overload phase sheds\n\
-     most requests inline; its p999 is the responsiveness of a\n\
-     saturated daemon, which sharding must not regress.)"
+    ~header:[ "cache-hit rps"; "hit p999"; "overload p999"; "shed" ]
+    [
+      [
+        Printf.sprintf "%.0f" hit.L.throughput_rps;
+        Printf.sprintf "%.2f ms" (p999_ms hit);
+        Printf.sprintf "%.2f ms" (p999_ms ovl);
+        string_of_int shed;
+      ];
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Perf-8: prediction-guided triage vs blind schedule enumeration      *)
@@ -1053,7 +1015,7 @@ let () =
   perf_parallel ();
   perf_serve ();
   perf_static ();
-  perf_shards ();
+  perf_serve_loop ();
   perf_triage ();
   ablation_hb ();
   ablation_detector ();

@@ -1083,15 +1083,14 @@ let serve_cmd =
           ~doc:"Worker domains analyzing requests (0 = one per hardware thread); the \
                 accept loop runs besides them.")
   in
+  (* Accepted so existing scripts keep working; the daemon has one
+     event loop whatever the value. *)
   let shards =
     Arg.(
       value & opt int 1
       & info [ "shards" ] ~docv:"N"
-          ~doc:"Event-loop shards, each on its own domain with its own accept path \
-                (TCP uses $(b,SO_REUSEPORT) when available; Unix sockets hand \
-                accepted connections off round-robin). 1 keeps the classic single \
-                loop; like $(b,-j), past the hardware thread count shards only \
-                contend.")
+          ~deprecated:"the daemon runs one event loop; --shards is ignored"
+          ~doc:"Ignored: the daemon runs one event loop.")
   in
   let queue =
     Arg.(
@@ -1153,7 +1152,7 @@ let serve_cmd =
                 lifetime: per-domain pause histograms in $(b,watch) snapshots, GC \
                 slices in $(b,--trace-out) output.")
   in
-  let action address jobs shards queue cache wall_limit max_vtime trace_out
+  let action address jobs (_ : int) queue cache wall_limit max_vtime trace_out
       metrics_out postmortem_dir gc_trace log_out =
     setup_event_log log_out;
     let jobs = if jobs = 0 then Wr_support.Pool.default_jobs () else max 1 jobs in
@@ -1161,7 +1160,6 @@ let serve_cmd =
       {
         Wr_serve.Daemon.address;
         jobs;
-        shards = max 1 shards;
         queue_cap = max 1 queue;
         cache_cap = max 0 cache;
         wall_limit;
@@ -1178,9 +1176,9 @@ let serve_cmd =
       (Sys.Signal_handle (fun _ -> Atomic.set dump_requested true));
     let on_ready addr =
       Printf.eprintf
-        "webracer serve: listening on %s (jobs %d, shards %d, queue %d, cache %d)\n%!"
-        (address_string addr) jobs cfg.Wr_serve.Daemon.shards
-        cfg.Wr_serve.Daemon.queue_cap cfg.Wr_serve.Daemon.cache_cap
+        "webracer serve: listening on %s (jobs %d, queue %d, cache %d)\n%!"
+        (address_string addr) jobs cfg.Wr_serve.Daemon.queue_cap
+        cfg.Wr_serve.Daemon.cache_cap
     in
     let tm = Telemetry.create () in
     (* Before [Daemon.run] creates the pool, so every worker domain
@@ -1347,8 +1345,7 @@ let call_cmd =
       value & opt int 1
       & info [ "schema" ] ~docv:"V"
           ~doc:"Wire schema generation to request (1 or 2). v2 responses carry \
-                the answering shard and HTTP-parity error objects; v1 is the \
-                byte-stable default.")
+                HTTP-parity error objects; v1 is the byte-stable default.")
   in
   let trace_id =
     Arg.(

@@ -1,68 +1,22 @@
 module Json = Wr_support.Json
 module Lru = Wr_support.Lru
 
-type shard = {
-  lock : Mutex.t;
-  lru : Json.t Lru.t;
-  mutable s_hits : int;
-  mutable s_misses : int;
-}
+type t = { lru : Json.t Lru.t; mutable hits : int; mutable misses : int }
 
-type t = { sh : shard array }
-
-let create ?(shards = 1) ~cap () =
-  let n = max 1 shards in
-  (* Split the budget so the totals add up to (at least) [cap]; a
-     disabled cache (cap = 0) stays disabled on every shard. *)
-  let per = if cap <= 0 then 0 else (cap + n - 1) / n in
-  {
-    sh =
-      Array.init n (fun _ ->
-          { lock = Mutex.create (); lru = Lru.create ~cap:per;
-            s_hits = 0; s_misses = 0 });
-  }
-
+let create ~cap = { lru = Lru.create ~cap:(max 0 cap); hits = 0; misses = 0 }
 let key p = Wr_support.Hash.hex (Json.to_string (Request.analyze_params_to_json p))
 
-let shards t = Array.length t.sh
-let shard_of t k = Hashtbl.hash k mod Array.length t.sh
-
-let with_shard t k f =
-  let s = t.sh.(shard_of t k) in
-  Mutex.lock s.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) (fun () -> f s)
-
 let find t k =
-  with_shard t k (fun s ->
-      match Lru.find s.lru k with
-      | Some _ as hit ->
-          s.s_hits <- s.s_hits + 1;
-          hit
-      | None ->
-          s.s_misses <- s.s_misses + 1;
-          None)
+  match Lru.find t.lru k with
+  | Some _ as hit ->
+      t.hits <- t.hits + 1;
+      hit
+  | None ->
+      t.misses <- t.misses + 1;
+      None
 
-let store t k v = with_shard t k (fun s -> Lru.add s.lru k v)
-
-let sum f t =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.lock;
-      let v = f s in
-      Mutex.unlock s.lock;
-      acc + v)
-    0 t.sh
-
-let hits t = sum (fun s -> s.s_hits) t
-let misses t = sum (fun s -> s.s_misses) t
-let length t = sum (fun s -> Lru.length s.lru) t
-let cap t = Array.fold_left (fun acc s -> acc + Lru.cap s.lru) 0 t.sh
-
-let shard_stats t =
-  Array.map
-    (fun s ->
-      Mutex.lock s.lock;
-      let v = (s.s_hits, s.s_misses, Lru.length s.lru) in
-      Mutex.unlock s.lock;
-      v)
-    t.sh
+let store t k v = Lru.add t.lru k v
+let hits t = t.hits
+let misses t = t.misses
+let length t = Lru.length t.lru
+let cap t = Lru.cap t.lru

@@ -1,4 +1,4 @@
-(** The daemon's sharded LRU result cache.
+(** The daemon's LRU result cache.
 
     Keyed by a content hash of the canonical analyze params — page,
     resources and every config knob that can change the report — so two
@@ -9,41 +9,22 @@
     fresh-looking timer). Analyze results only: explain and replay are
     rare, and their documents dominate the memory a slot is worth.
 
-    The store is an array of [Wr_support.Lru] shards behind a key-hash
-    selector, one mutex per shard: daemon shards on different domains
-    only contend when they hash to the same cache shard, never on one
-    global lock. Hit/miss counters live with their shard (updated under
-    its lock) and are merged exactly by the read accessors. *)
+    Not thread-safe: the daemon's event loop is its only user. *)
 
 type t
 
-(** [create ?shards ~cap ()] splits a total budget of [cap] entries over
-    [shards] LRU shards (default 1; per-shard capacity is rounded up, so
-    the merged {!cap} may slightly exceed the request). [cap <= 0]
-    disables caching entirely. *)
-val create : ?shards:int -> cap:int -> unit -> t
+(** [create ~cap] holds at most [cap] entries; [cap <= 0] disables
+    caching entirely. *)
+val create : cap:int -> t
 
 (** [key p] — 32 hex chars over the canonical params JSON. *)
 val key : Request.analyze_params -> string
 
-(** [find t k] bumps the hit or miss counter on [k]'s shard. *)
+(** [find t k] bumps the hit or miss counter. *)
 val find : t -> string -> Wr_support.Json.t option
 
 val store : t -> string -> Wr_support.Json.t -> unit
-
-(** Number of LRU shards. *)
-val shards : t -> int
-
-(** [shard_of t k] — which shard holds [k] (test hook for distribution
-    checks). *)
-val shard_of : t -> string -> int
-
-(** Merged counters, summed exactly across shards under their locks. *)
 val hits : t -> int
-
 val misses : t -> int
 val length : t -> int
 val cap : t -> int
-
-(** Per-shard [(hits, misses, length)] snapshots, in shard order. *)
-val shard_stats : t -> (int * int * int) array

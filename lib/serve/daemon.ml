@@ -13,7 +13,6 @@ type address = Unix_socket of string | Tcp of int
 type config = {
   address : address;
   jobs : int;
-  shards : int;  (** event-loop shards; 1 = the classic single loop *)
   queue_cap : int;
   cache_cap : int;
   wall_limit : float;
@@ -26,7 +25,6 @@ let default_config address =
   {
     address;
     jobs = 4;
-    shards = 1;
     queue_cap = 128;
     cache_cap = 64;
     wall_limit = 60.;
@@ -85,57 +83,36 @@ type watcher = {
   mutable w_seq : int;
 }
 
-(* Fixed counter slots: plain int arrays with a single writer (the
-   owning shard's loop); other shards read them racily when merging a
-   stats/metrics view, which is memory-safe in OCaml and exact whenever
-   one shard runs. *)
-let verb_slots =
-  [| "ping"; "stats"; "metrics"; "watch"; "analyze"; "explain"; "predict";
-     "triage"; "replay"; "invalid" |]
-
-let resp_slots = [| "ok"; "bad_request"; "timeout"; "overload"; "internal" |]
-
-let slot_of slots name =
-  let rec go i =
-    if i >= Array.length slots then invalid_arg ("unknown counter " ^ name)
-    else if slots.(i) = name then i
-    else go (i + 1)
-  in
-  go 0
-
-(* One event-loop shard: a full copy of the old daemon's accept-loop
-   state. Everything here is owned by the shard's domain; the only
-   cross-domain traffic is (a) workers pushing completions under
-   [completions_lock], (b) shard 0 handing accepted fds over under
-   [intake_lock] when SO_REUSEPORT is unavailable, (c) [jobs_lock]-
-   guarded mutation of [jobs_live] so postmortems can snapshot every
-   shard's in-flight requests, and (d) racy read-only counter/histogram
-   merges for stats views. *)
-type shard = {
-  sid : int;
-  stride : int;  (** = shard count; cid/jid/trace ids step by it *)
-  mutable listen : Unix.file_descr option;
+(* The daemon's state. The event loop is its only reader and writer;
+   the sole cross-domain traffic is workers pushing completions under
+   [completions_lock] and waking the loop through the self-pipe. *)
+type state = {
+  cfg : config;
+  cache : Cache.t;
+  pool : Pool.t;
+  tm : Telemetry.t;
+  started : float;
+  listen : Unix.file_descr;
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
-  intake : Unix.file_descr Queue.t;
-  intake_lock : Mutex.t;
   conns : (int, conn) Hashtbl.t;
   jobs_live : (int, job) Hashtbl.t;
-  jobs_lock : Mutex.t;
   (* (jid, response, worker start, worker end) *)
   completions : (int * Response.t * float * float) Queue.t;
   completions_lock : Mutex.t;
-  mutable next_cid : int;  (** strides by the shard count: globally unique *)
+  mutable next_cid : int;
   mutable next_jid : int;
   mutable next_trace : int;
-  req_counts : int array;  (** indexed by [verb_slots] *)
-  resp_counts : int array;  (** indexed by [resp_slots] *)
+  requests : (string, int) Hashtbl.t;  (** per verb, plus ["invalid"] *)
+  responses : (string, int) Hashtbl.t;  (** ["ok"] or an error code name *)
   mutable analyses_run : int;
   mutable timeouts : int;
+  mutable in_flight : int;  (** admitted jobs not yet completed *)
+  mutable queue_hwm : int;
+  mutable pm_seq : int;
   mutable watchers : watcher list;
-  (* per-stage latency histograms, shard-loop-only writers: workers ship
-     raw timestamps with each completion and the owning loop records
-     them; merged views read across shards *)
+  (* per-stage latency histograms; workers ship raw timestamps with each
+     completion and the loop records them *)
   lat_decode : Histo.t;
   lat_queue : Histo.t;
   lat_run : Histo.t;
@@ -143,77 +120,29 @@ type shard = {
   lat_total : Histo.t;
 }
 
-type state = {
-  cfg : config;
-  nshards : int;
-  fanout : bool;  (** shard 0 accepts and round-robins fds to the others *)
-  cache : Cache.t;
-  pool : Pool.t;
-  tm : Telemetry.t;
-  started : float;
-  shards : shard array;
-  stopping : bool Atomic.t;
-  in_flight : int Atomic.t;  (** global admission gauge across shards *)
-  queue_hwm : int Atomic.t;
-  pm_seq : int Atomic.t;
-  mutable handoff_rr : int;  (** fanout cursor; shard 0 only *)
-  stop_fn : unit -> bool;  (** polled by shard 0 only *)
-  dump_fn : unit -> bool;  (** polled by shard 0 only *)
-}
-
-let mint_trace sh =
-  let n = sh.next_trace in
-  sh.next_trace <- n + sh.stride;
+let mint_trace st =
+  let n = st.next_trace in
+  st.next_trace <- n + 1;
   Printf.sprintf "t-%d" n
 
-let bump_verb sh name =
-  let i = slot_of verb_slots name in
-  sh.req_counts.(i) <- sh.req_counts.(i) + 1
+let count tbl name = Option.value ~default:0 (Hashtbl.find_opt tbl name)
+let bump tbl name = Hashtbl.replace tbl name (count tbl name + 1)
 
-let bump_resp sh name =
-  let i = slot_of resp_slots name in
-  sh.resp_counts.(i) <- sh.resp_counts.(i) + 1
+(* A counter table as (name, count) pairs, sorted by name. *)
+let sorted_counts tbl =
+  List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
 
 let resp_outcome = function
   | Response.Ok _ -> "ok"
   | Response.Error { code; _ } -> Response.code_name code
 
-(* Merged (cross-shard) readings. Remote shards' counters are read
-   without synchronization: each slot is a single machine word with a
-   single writer, so the merge is approximate under concurrency and
-   exact with one shard (or a quiesced daemon). *)
-let sum_slot st counts slot =
-  let i = slot_of counts slot in
-  Array.fold_left
-    (fun acc sh ->
-      acc + (if counts == verb_slots then sh.req_counts.(i) else sh.resp_counts.(i)))
-    0 st.shards
-
-let req_count st name = sum_slot st verb_slots name
-let resp_count st name = sum_slot st resp_slots name
-
-let requests_total st =
-  Array.fold_left
-    (fun acc sh -> Array.fold_left ( + ) acc sh.req_counts)
-    0 st.shards
-
-let analyses_run st =
-  Array.fold_left (fun acc sh -> acc + sh.analyses_run) 0 st.shards
-
-let timeouts st = Array.fold_left (fun acc sh -> acc + sh.timeouts) 0 st.shards
-
-let merged_histo st f =
-  let into = Histo.create () in
-  Array.iter (fun sh -> Histo.merge_into ~into (f sh)) st.shards;
-  into
-
 let latency_stages st =
   [
-    ("decode", merged_histo st (fun sh -> sh.lat_decode));
-    ("queue", merged_histo st (fun sh -> sh.lat_queue));
-    ("run", merged_histo st (fun sh -> sh.lat_run));
-    ("encode", merged_histo st (fun sh -> sh.lat_encode));
-    ("total", merged_histo st (fun sh -> sh.lat_total));
+    ("decode", st.lat_decode);
+    ("queue", st.lat_queue);
+    ("run", st.lat_run);
+    ("encode", st.lat_encode);
+    ("total", st.lat_total);
   ]
 
 let sync_telemetry st =
@@ -222,57 +151,67 @@ let sync_telemetry st =
     Telemetry.set_counter tm "serve.cache.hits" (Cache.hits st.cache);
     Telemetry.set_counter tm "serve.cache.misses" (Cache.misses st.cache);
     Telemetry.set_counter tm "serve.cache.entries" (Cache.length st.cache);
-    Telemetry.set_counter tm "serve.analyses" (analyses_run st);
-    Telemetry.set_counter tm "serve.timeouts" (timeouts st);
-    Telemetry.set_counter tm "serve.in_flight" (Atomic.get st.in_flight);
-    Array.iter
-      (fun verb ->
-        let n = req_count st verb in
-        if n > 0 then Telemetry.set_counter tm ("serve.requests." ^ verb) n)
-      verb_slots;
-    Array.iter
-      (fun code ->
-        let n = resp_count st code in
-        if n > 0 then Telemetry.set_counter tm ("serve.responses." ^ code) n)
-      resp_slots
+    Telemetry.set_counter tm "serve.analyses" st.analyses_run;
+    Telemetry.set_counter tm "serve.timeouts" st.timeouts;
+    Telemetry.set_counter tm "serve.in_flight" st.in_flight;
+    Hashtbl.iter (fun verb n -> Telemetry.set_counter tm ("serve.requests." ^ verb) n)
+      st.requests;
+    Hashtbl.iter (fun code n -> Telemetry.set_counter tm ("serve.responses." ^ code) n)
+      st.responses
   end
 
 let cache_hit_ratio st =
   let hits = Cache.hits st.cache and misses = Cache.misses st.cache in
   if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses)
 
+let queue_json st =
+  Json.Obj
+    [
+      ("depth", Json.Int st.in_flight);
+      ("high_water", Json.Int st.queue_hwm);
+      ("cap", Json.Int st.cfg.queue_cap);
+    ]
+
+let cache_json st =
+  Json.Obj
+    [
+      ("hit_ratio", Json.Float (cache_hit_ratio st));
+      ("hits", Json.Int (Cache.hits st.cache));
+      ("misses", Json.Int (Cache.misses st.cache));
+      ("entries", Json.Int (Cache.length st.cache));
+    ]
+
+let latency_json st =
+  Json.Obj
+    (List.map (fun (stage, h) -> (stage, Histo.summary_json h)) (latency_stages st))
+
 let stats_json st =
   let verbs =
     [ "ping"; "stats"; "metrics"; "watch"; "analyze"; "explain"; "predict";
       "triage"; "replay" ]
   in
-  let total = List.fold_left (fun acc v -> acc + req_count st v) 0 verbs in
+  let total = List.fold_left (fun acc v -> acc + count st.requests v) 0 verbs in
   Json.Obj
     [
       Schema.tag;
       ("uptime_s", Json.Float (Clock.now () -. st.started));
       ("jobs", Json.Int st.cfg.jobs);
-      ("shards", Json.Int st.nshards);
       ( "queue",
         Json.Obj
           [
             ("cap", Json.Int st.cfg.queue_cap);
-            ("in_flight", Json.Int (Atomic.get st.in_flight));
-            ("high_water", Json.Int (Atomic.get st.queue_hwm));
+            ("in_flight", Json.Int st.in_flight);
+            ("high_water", Json.Int st.queue_hwm);
           ] );
       ( "requests",
         Json.Obj
           (("total", Json.Int total)
-          :: List.map (fun v -> (v, Json.Int (req_count st v))) verbs) );
+          :: List.map (fun v -> (v, Json.Int (count st.requests v))) verbs) );
       ( "responses",
         Json.Obj
-          (("ok", Json.Int (resp_count st "ok"))
-          :: List.map
-               (fun c ->
-                 let name = Response.code_name c in
-                 (name, Json.Int (resp_count st name)))
-               [ Response.Bad_request; Response.Timeout; Response.Overload;
-                 Response.Internal ]) );
+          (List.map
+             (fun name -> (name, Json.Int (count st.responses name)))
+             ("ok" :: List.map Response.code_name Response.codes)) );
       ( "cache",
         Json.Obj
           [
@@ -282,8 +221,8 @@ let stats_json st =
             ("misses", Json.Int (Cache.misses st.cache));
             ("hit_ratio", Json.Float (cache_hit_ratio st));
           ] );
-      ("analyses_run", Json.Int (analyses_run st));
-      ("timeouts", Json.Int (timeouts st));
+      ("analyses_run", Json.Int st.analyses_run);
+      ("timeouts", Json.Int st.timeouts);
       ( "telemetry",
         Json.Obj
           (List.map (fun (k, v) -> (k, Json.Int v)) (Telemetry.counters st.tm)) );
@@ -293,34 +232,25 @@ let stats_json st =
 
 (* Prometheus text exposition: one flat document scrapeable by anything
    that speaks the format; quantiles are the HDR-histogram readings at
-   export time, merged across shards. *)
+   export time. *)
 let prometheus_text st =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   let typ name kind = line "# TYPE %s %s" name kind in
   typ "webracer_uptime_seconds" "gauge";
   line "webracer_uptime_seconds %.3f" (Clock.now () -. st.started);
-  typ "webracer_shards" "gauge";
-  line "webracer_shards %d" st.nshards;
   typ "webracer_requests_total" "counter";
-  Array.to_list verb_slots
-  |> List.filter_map (fun v ->
-         let n = req_count st v in
-         if n > 0 then Some (v, n) else None)
-  |> List.sort compare
-  |> List.iter (fun (verb, n) -> line "webracer_requests_total{verb=%S} %d" verb n);
+  List.iter
+    (fun (verb, n) -> line "webracer_requests_total{verb=%S} %d" verb n)
+    (sorted_counts st.requests);
   typ "webracer_responses_total" "counter";
-  Array.to_list resp_slots
-  |> List.filter_map (fun c ->
-         let n = resp_count st c in
-         if n > 0 then Some (c, n) else None)
-  |> List.sort compare
-  |> List.iter (fun (code, n) ->
-         line "webracer_responses_total{outcome=%S} %d" code n);
+  List.iter
+    (fun (code, n) -> line "webracer_responses_total{outcome=%S} %d" code n)
+    (sorted_counts st.responses);
   typ "webracer_queue_depth" "gauge";
-  line "webracer_queue_depth %d" (Atomic.get st.in_flight);
+  line "webracer_queue_depth %d" st.in_flight;
   typ "webracer_queue_depth_high_water" "gauge";
-  line "webracer_queue_depth_high_water %d" (Atomic.get st.queue_hwm);
+  line "webracer_queue_depth_high_water %d" st.queue_hwm;
   typ "webracer_queue_cap" "gauge";
   line "webracer_queue_cap %d" st.cfg.queue_cap;
   typ "webracer_cache_hit_ratio" "gauge";
@@ -328,11 +258,11 @@ let prometheus_text st =
   typ "webracer_cache_entries" "gauge";
   line "webracer_cache_entries %d" (Cache.length st.cache);
   typ "webracer_analyses_total" "counter";
-  line "webracer_analyses_total %d" (analyses_run st);
+  line "webracer_analyses_total %d" st.analyses_run;
   typ "webracer_timeouts_total" "counter";
-  line "webracer_timeouts_total %d" (timeouts st);
+  line "webracer_timeouts_total %d" st.timeouts;
   typ "webracer_shed_total" "counter";
-  line "webracer_shed_total %d" (resp_count st "overload");
+  line "webracer_shed_total %d" (count st.responses "overload");
   typ "webracer_request_latency_seconds" "summary";
   List.iter
     (fun (stage, h) ->
@@ -359,29 +289,13 @@ let watch_snapshot st seq =
       ("seq", Json.Int seq);
       ("ts", Json.Float now);
       ("uptime_s", Json.Float (now -. st.started));
-      ("requests_total", Json.Int (requests_total st));
-      ( "queue",
-        Json.Obj
-          [
-            ("depth", Json.Int (Atomic.get st.in_flight));
-            ("high_water", Json.Int (Atomic.get st.queue_hwm));
-            ("cap", Json.Int st.cfg.queue_cap);
-          ] );
-      ( "cache",
-        Json.Obj
-          [
-            ("hit_ratio", Json.Float (cache_hit_ratio st));
-            ("hits", Json.Int (Cache.hits st.cache));
-            ("misses", Json.Int (Cache.misses st.cache));
-            ("entries", Json.Int (Cache.length st.cache));
-          ] );
-      ( "latency",
-        Json.Obj
-          (List.map (fun (stage, h) -> (stage, Histo.summary_json h))
-             (latency_stages st)) );
-      ("timeouts", Json.Int (timeouts st));
-      ("shed", Json.Int (resp_count st "overload"));
-      ("analyses_run", Json.Int (analyses_run st));
+      ("requests_total", Json.Int (Hashtbl.fold (fun _ n acc -> acc + n) st.requests 0));
+      ("queue", queue_json st);
+      ("cache", cache_json st);
+      ("latency", latency_json st);
+      ("timeouts", Json.Int st.timeouts);
+      ("shed", Json.Int (count st.responses "overload"));
+      ("analyses_run", Json.Int st.analyses_run);
       ("fleet", Pool.stats_json (Pool.stats st.pool));
       ( "gc",
         match Runtime_probe.current () with
@@ -389,49 +303,17 @@ let watch_snapshot st seq =
         | None -> Json.Null );
     ]
 
-let per_shard_json st =
-  Json.List
-    (Array.to_list
-       (Array.map
-          (fun sh ->
-            Json.Obj
-              [
-                ("shard", Json.Int sh.sid);
-                ("requests_total", Json.Int (Array.fold_left ( + ) 0 sh.req_counts));
-                ("responses_total", Json.Int (Array.fold_left ( + ) 0 sh.resp_counts));
-                ("analyses_run", Json.Int sh.analyses_run);
-              ])
-          st.shards))
-
 let metrics_json st =
   Json.Obj
     [
       Schema.tag;
       ("uptime_s", Json.Float (Clock.now () -. st.started));
-      ("shards", Json.Int st.nshards);
-      ( "latency",
-        Json.Obj
-          (List.map (fun (stage, h) -> (stage, Histo.summary_json h))
-             (latency_stages st)) );
-      ( "queue",
-        Json.Obj
-          [
-            ("depth", Json.Int (Atomic.get st.in_flight));
-            ("high_water", Json.Int (Atomic.get st.queue_hwm));
-            ("cap", Json.Int st.cfg.queue_cap);
-          ] );
-      ( "cache",
-        Json.Obj
-          [
-            ("hit_ratio", Json.Float (cache_hit_ratio st));
-            ("hits", Json.Int (Cache.hits st.cache));
-            ("misses", Json.Int (Cache.misses st.cache));
-            ("entries", Json.Int (Cache.length st.cache));
-          ] );
-      ("timeouts", Json.Int (timeouts st));
-      ("shed", Json.Int (resp_count st "overload"));
-      ("analyses_run", Json.Int (analyses_run st));
-      ("per_shard", per_shard_json st);
+      ("latency", latency_json st);
+      ("queue", queue_json st);
+      ("cache", cache_json st);
+      ("timeouts", Json.Int st.timeouts);
+      ("shed", Json.Int (count st.responses "overload"));
+      ("analyses_run", Json.Int st.analyses_run);
       ("prometheus", Json.String (prometheus_text st));
     ]
 
@@ -445,15 +327,16 @@ let rec mkdir_p dir =
   end
 
 (* Dump the flight recorder: a JSONL file (header object — reason,
-   uptime, the in-flight requests of EVERY shard with their trace ids —
-   then one line per retained event) plus a mini Chrome trace of the
-   same events. Best effort by design: a postmortem failing must not
-   take the daemon with it. *)
+   uptime, the in-flight requests with their trace ids — then one line
+   per retained event) plus a mini Chrome trace of the same events.
+   Best effort by design: a postmortem failing must not take the daemon
+   with it. *)
 let write_postmortem st ~reason =
   match st.cfg.postmortem_dir with
   | None -> ()
   | Some dir -> (
-      let seq = Atomic.fetch_and_add st.pm_seq 1 in
+      let seq = st.pm_seq in
+      st.pm_seq <- seq + 1;
       let base =
         Filename.concat dir (Printf.sprintf "postmortem-%d-%s" seq reason)
       in
@@ -462,26 +345,17 @@ let write_postmortem st ~reason =
         let now = Clock.now () in
         let events = Flight.snapshot () in
         let in_flight =
-          Array.fold_left
-            (fun acc sh ->
-              Mutex.lock sh.jobs_lock;
-              let acc =
-                Hashtbl.fold
-                  (fun _ job acc ->
-                    Json.Obj
-                      [
-                        ("jid", Json.Int job.jid);
-                        ("shard", Json.Int sh.sid);
-                        ("verb", Json.String job.verb);
-                        ("trace_id", Json.String job.trace);
-                        ("age_s", Json.Float (now -. job.t_admit));
-                      ]
-                    :: acc)
-                  sh.jobs_live acc
-              in
-              Mutex.unlock sh.jobs_lock;
-              acc)
-            [] st.shards
+          Hashtbl.fold
+            (fun _ job acc ->
+              Json.Obj
+                [
+                  ("jid", Json.Int job.jid);
+                  ("verb", Json.String job.verb);
+                  ("trace_id", Json.String job.trace);
+                  ("age_s", Json.Float (now -. job.t_admit));
+                ]
+              :: acc)
+            st.jobs_live []
         in
         let header =
           Json.Obj
@@ -519,50 +393,50 @@ let write_postmortem st ~reason =
 (* The single respond choke point for both surfaces. [http_status]
    overrides the response-derived status for HTTP routing errors
    (404/405) that have no slot in the closed taxonomy. *)
-let respond ?http_status st sh conn (resp : Response.t) =
-  bump_resp sh (resp_outcome resp);
+let respond ?http_status st conn (resp : Response.t) =
+  bump st.responses (resp_outcome resp);
   if conn.alive then begin
     let t0 = Clock.now () in
+    let body = Response.to_line resp in
     (match conn.proto with
     | P_http ->
-        let body = Response.to_line resp in
         let status = Option.value ~default:(Response.status resp) http_status in
         Buffer.add_string conn.out (Http.response ~status ~body);
         conn.http_busy <- false
     | P_line | P_unknown ->
-        let line = Response.to_line resp in
-        Buffer.add_string conn.out line;
+        Buffer.add_string conn.out body;
         Buffer.add_char conn.out '\n');
-    Histo.add sh.lat_encode (Clock.now () -. t0)
+    Histo.add st.lat_encode (Clock.now () -. t0)
   end;
   sync_telemetry st
 
-let respond_cid st sh cid resp =
-  match Hashtbl.find_opt sh.conns cid with
-  | Some conn -> respond st sh conn resp
+let respond_cid st cid resp =
+  match Hashtbl.find_opt st.conns cid with
+  | Some conn -> respond st conn resp
   | None ->
       (* The client vanished before its answer; still tally the outcome. *)
-      bump_resp sh (resp_outcome resp)
+      bump st.responses (resp_outcome resp)
 
 (* --- job submission ---------------------------------------------------- *)
 
-let bump_hwm st cur =
-  let rec go () =
-    let old = Atomic.get st.queue_hwm in
-    if cur > old && not (Atomic.compare_and_set st.queue_hwm old cur) then go ()
-  in
-  go ()
+(* Wake the loop; EAGAIN just means it is already awake, and EBADF/EPIPE
+   that the daemon is already past draining. *)
+let wake st =
+  try ignore (Unix.write st.pipe_w (Bytes.make 1 '!') 0 1)
+  with
+  | Unix.Unix_error
+      ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE | Unix.EBADF), _, _)
+  -> ()
 
-let submit_job st sh conn ~verb ~trace ~wire_trace ~schema ~cache_key
+let submit_job st conn ~verb ~trace ~wire_trace ~schema ~cache_key
     (work : unit -> Response.t) =
-  let jid = sh.next_jid in
-  sh.next_jid <- jid + sh.stride;
+  let jid = st.next_jid in
+  st.next_jid <- jid + 1;
   let t_admit = Clock.now () in
   let deadline =
     if st.cfg.wall_limit > 0. then Some (t_admit +. st.cfg.wall_limit) else None
   in
-  Mutex.lock sh.jobs_lock;
-  Hashtbl.replace sh.jobs_live jid
+  Hashtbl.replace st.jobs_live jid
     {
       jid;
       job_cid = conn.cid;
@@ -575,8 +449,8 @@ let submit_job st sh conn ~verb ~trace ~wire_trace ~schema ~cache_key
       deadline;
       answered = false;
     };
-  Mutex.unlock sh.jobs_lock;
-  bump_hwm st (Atomic.fetch_and_add st.in_flight 1 + 1);
+  st.in_flight <- st.in_flight + 1;
+  st.queue_hwm <- max st.queue_hwm st.in_flight;
   let tm = st.tm in
   (* Test hook: [WEBRACER_FAULT_INJECT=<verb>] makes matching requests
      blow up inside the worker — the way to rehearse a worker crash
@@ -610,28 +484,22 @@ let submit_job st sh conn ~verb ~trace ~wire_trace ~schema ~cache_key
       Flight.record ~kind:"request.end" ~trace
         [ ("jid", Json.Int jid); ("outcome", Json.String (resp_outcome resp)) ];
       let t_end = Clock.now () in
-      Mutex.lock sh.completions_lock;
-      Queue.push (jid, resp, t_start, t_end) sh.completions;
-      Mutex.unlock sh.completions_lock;
-      (* Wake the owning shard; EAGAIN just means it is already awake,
-         and EBADF/EPIPE that the daemon is already past draining. *)
-      try ignore (Unix.write sh.pipe_w (Bytes.make 1 '!') 0 1)
-      with
-      | Unix.Unix_error
-          ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE | Unix.EBADF), _, _)
-      -> ())
+      Mutex.lock st.completions_lock;
+      Queue.push (jid, resp, t_start, t_end) st.completions;
+      Mutex.unlock st.completions_lock;
+      wake st)
 
-let drain_completions st sh =
+let drain_completions st =
   let batch =
-    Mutex.lock sh.completions_lock;
-    let xs = List.of_seq (Queue.to_seq sh.completions) in
-    Queue.clear sh.completions;
-    Mutex.unlock sh.completions_lock;
+    Mutex.lock st.completions_lock;
+    let xs = List.of_seq (Queue.to_seq st.completions) in
+    Queue.clear st.completions;
+    Mutex.unlock st.completions_lock;
     xs
   in
   List.iter
     (fun (jid, resp, t_start, t_end) ->
-      match Hashtbl.find_opt sh.jobs_live jid with
+      match Hashtbl.find_opt st.jobs_live jid with
       | None -> ()
       | Some job ->
           (match resp with
@@ -643,18 +511,14 @@ let drain_completions st sh =
                 [ ("jid", Json.Int jid); ("verb", Json.String job.verb) ];
               write_postmortem st ~reason:"worker-crash"
           | _ -> ());
-          Mutex.lock sh.jobs_lock;
-          Hashtbl.remove sh.jobs_live jid;
-          Mutex.unlock sh.jobs_lock;
-          Atomic.decr st.in_flight;
-          (* Stage latencies: the worker ships raw timestamps so only the
-             owning loop ever touches the histograms (single writer). *)
+          Hashtbl.remove st.jobs_live jid;
+          st.in_flight <- st.in_flight - 1;
           let queue_wait = t_start -. job.t_admit in
           let run_time = t_end -. t_start in
           let total = Clock.now () -. job.t_admit in
-          Histo.add sh.lat_queue queue_wait;
-          Histo.add sh.lat_run run_time;
-          Histo.add sh.lat_total total;
+          Histo.add st.lat_queue queue_wait;
+          Histo.add st.lat_run run_time;
+          Histo.add st.lat_total total;
           if Log.enabled Log.Debug then
             Log.with_trace ~trace_id:job.trace ~span_id:(string_of_int jid)
               (fun () ->
@@ -667,46 +531,46 @@ let drain_completions st sh =
                   ]);
           (match (job.cache_key, resp) with
           | Some key, Response.Ok { result; _ } ->
-              sh.analyses_run <- sh.analyses_run + 1;
+              st.analyses_run <- st.analyses_run + 1;
               Cache.store st.cache key result
           | Some _, Response.Error _ | None, _ -> ());
-          let resp = Response.stamp ~schema:job.schema ~shard:sh.sid resp in
-          if not job.answered then respond_cid st sh job.job_cid resp
+          let resp = Response.stamp ~schema:job.schema resp in
+          if not job.answered then respond_cid st job.job_cid resp
           else sync_telemetry st)
     batch
 
-let sweep_deadlines st sh now =
+let sweep_deadlines st now =
   Hashtbl.iter
     (fun _ job ->
       match job.deadline with
       | Some d when (not job.answered) && d <= now ->
           job.answered <- true;
-          sh.timeouts <- sh.timeouts + 1;
+          st.timeouts <- st.timeouts + 1;
           Flight.record ~kind:"request.deadline" ~trace:job.trace
             [ ("jid", Json.Int job.jid); ("verb", Json.String job.verb) ];
           write_postmortem st ~reason:"deadline";
-          respond_cid st sh job.job_cid
-            (Response.stamp ~schema:job.schema ~shard:sh.sid
+          respond_cid st job.job_cid
+            (Response.stamp ~schema:job.schema
                (Response.error ?trace:job.wire_trace ~id:Json.Null
                   Response.Timeout
                   (Printf.sprintf "request exceeded the %.0f s wall-clock limit"
                      st.cfg.wall_limit)))
       | _ -> ())
-    sh.jobs_live
+    st.jobs_live
 
 (* Emit due watch snapshots; drop subscriptions whose connection died or
    whose count ran out. *)
-let tick_watchers st sh now =
-  sh.watchers <-
+let tick_watchers st now =
+  st.watchers <-
     List.filter
       (fun w ->
-        match Hashtbl.find_opt sh.conns w.w_cid with
+        match Hashtbl.find_opt st.conns w.w_cid with
         | None -> false
         | Some conn when not conn.alive -> false
         | Some conn ->
             if w.w_next <= now then begin
-              respond st sh conn
-                (Response.stamp ~schema:w.w_schema ~shard:sh.sid
+              respond st conn
+                (Response.stamp ~schema:w.w_schema
                    (Response.ok ?trace:w.w_trace ~id:w.w_id
                       (watch_snapshot st w.w_seq)));
               w.w_seq <- w.w_seq + 1;
@@ -716,37 +580,37 @@ let tick_watchers st sh now =
               | None -> ()
             end;
             (match w.w_left with Some n when n <= 0 -> false | _ -> true))
-      sh.watchers
+      st.watchers
 
 (* --- request handling -------------------------------------------------- *)
 
 let clamp_target st (p : Request.analyze_params) =
   { p with Request.time_limit = Float.min p.Request.time_limit st.cfg.max_time_limit }
 
-let handle_request st sh conn (req : Request.t) =
+let handle_request st conn (req : Request.t) =
   let id = req.Request.id in
-  bump_verb sh (Request.verb_name req.Request.verb);
+  bump st.requests (Request.verb_name req.Request.verb);
   (* [wire_trace] is echoed on the wire iff the client supplied one;
      [trace] (supplied or minted) tags logs, spans and debug output
      either way, so every request is traceable server-side. *)
   let wire_trace = req.Request.trace in
   let schema = req.Request.schema in
   let trace =
-    match wire_trace with Some t -> t | None -> mint_trace sh
+    match wire_trace with Some t -> t | None -> mint_trace st
   in
   (* Every inline answer leaves through [reply], which stamps the
-     negotiated generation and this shard's id (v2+ only) on the way
-     out; worker completions get the same stamp in [drain_completions]. *)
-  let reply resp = respond st sh conn (Response.stamp ~schema ~shard:sh.sid resp) in
+     negotiated generation on the way out; worker completions get the
+     same stamp in [drain_completions]. *)
+  let reply resp = respond st conn (Response.stamp ~schema resp) in
   let admit ~verb ~cache_key work =
     Flight.record ~kind:"request.admit" ~trace
       [ ("verb", Json.String verb); ("conn", Json.Int conn.cid) ];
-    if Atomic.get st.in_flight >= st.cfg.queue_cap then
+    if st.in_flight >= st.cfg.queue_cap then
       reply
         (Response.error ?trace:wire_trace ~id Response.Overload
            (Printf.sprintf "queue full (%d requests in flight); retry later"
               st.cfg.queue_cap))
-    else submit_job st sh conn ~verb ~trace ~wire_trace ~schema ~cache_key work
+    else submit_job st conn ~verb ~trace ~wire_trace ~schema ~cache_key work
   in
   match req.Request.verb with
   | Request.Ping -> reply (Response.ok ?trace:wire_trace ~id Api.ping_result)
@@ -756,7 +620,7 @@ let handle_request st sh conn (req : Request.t) =
   | Request.Watch { interval_s; count } ->
       (* Subscribe; the first snapshot goes out on the next loop pass
          (immediately), then every [interval_s]. No response here. *)
-      sh.watchers <-
+      st.watchers <-
         {
           w_cid = conn.cid;
           w_id = id;
@@ -767,7 +631,7 @@ let handle_request st sh conn (req : Request.t) =
           w_next = Clock.now ();
           w_seq = 0;
         }
-        :: sh.watchers
+        :: st.watchers
   | Request.Analyze p -> (
       let p = clamp_target st p in
       let key = Cache.key p in
@@ -809,62 +673,62 @@ let handle_request st sh conn (req : Request.t) =
       admit ~verb:"triage" ~cache_key:None (fun () ->
           Api.dispatch { req with Request.verb = Request.Triage t })
 
-let handle_line st sh conn line =
+let handle_line st conn line =
   if String.trim line <> "" then begin
     if Log.enabled Log.Debug then
       Log.debug "serve.request"
         [ ("conn", Json.Int conn.cid); ("bytes", Json.Int (String.length line)) ];
     let t0 = Clock.now () in
     let decoded = Request.of_line line in
-    Histo.add sh.lat_decode (Clock.now () -. t0);
+    Histo.add st.lat_decode (Clock.now () -. t0);
     match decoded with
-    | Ok req -> handle_request st sh conn req
+    | Ok req -> handle_request st conn req
     | Error (id, msg) ->
-        bump_verb sh "invalid";
-        respond st sh conn (Response.error ~id Response.Bad_request msg)
+        bump st.requests "invalid";
+        respond st conn (Response.error ~id Response.Bad_request msg)
   end
 
-let handle_http st sh conn (r : Http.req) =
+(* A v2 bad_request for the HTTP surface, which is v2-native. *)
+let http_bad_request ?http_status st conn ~id msg =
+  bump st.requests "invalid";
+  respond ?http_status st conn
+    (Response.stamp ~schema:Schema.v2 (Response.error ~id Response.Bad_request msg))
+
+let handle_http st conn (r : Http.req) =
   let t0 = Clock.now () in
   match Http.route r with
   | Error (status, msg) ->
-      Histo.add sh.lat_decode (Clock.now () -. t0);
-      bump_verb sh "invalid";
-      respond ~http_status:status st sh conn
-        (Response.error ~schema:Schema.v2 ~shard:sh.sid ~id:Json.Null
-           Response.Bad_request msg)
+      Histo.add st.lat_decode (Clock.now () -. t0);
+      http_bad_request ~http_status:status st conn ~id:Json.Null msg
   | Ok wire -> (
       let decoded = Request.of_json wire in
-      Histo.add sh.lat_decode (Clock.now () -. t0);
+      Histo.add st.lat_decode (Clock.now () -. t0);
       match decoded with
-      | Error (id, msg) ->
-          bump_verb sh "invalid";
-          respond st sh conn
-            (Response.error ~schema:Schema.v2 ~shard:sh.sid ~id
-               Response.Bad_request msg)
+      | Error (id, msg) -> http_bad_request st conn ~id msg
       | Ok req ->
-          (* The HTTP surface is v2-native: responses carry the shard id
-             and HTTP-parity error objects even for untagged bodies. *)
+          (* The HTTP surface is v2-native: responses carry the v2
+             envelope and HTTP-parity error objects even for untagged
+             bodies. *)
           let req =
             { req with Request.schema = max req.Request.schema Schema.v2 }
           in
-          handle_request st sh conn req)
+          handle_request st conn req)
 
 (* Split complete requests out of the connection's input buffer. The
    first bytes decide the protocol; HTTP connections parse at most one
    request ahead of the unanswered one (responses are serialized), and
-   the shard loop re-enters here when an async answer unblocks them. *)
-let rec process_input st sh conn =
+   the loop re-enters here when an async answer unblocks them. *)
+let rec process_input st conn =
   match conn.proto with
   | P_unknown -> (
       match Http.sniff (Buffer.contents conn.inbuf) with
       | `Undecided -> ()  (* a prefix of an HTTP method; need more bytes *)
       | `Http ->
           conn.proto <- P_http;
-          process_input st sh conn
+          process_input st conn
       | `Line ->
           conn.proto <- P_line;
-          process_input st sh conn)
+          process_input st conn)
   | P_line ->
       let data = Buffer.contents conn.inbuf in
       let n = String.length data in
@@ -873,7 +737,7 @@ let rec process_input st sh conn =
          while !pos < n do
            match String.index_from data !pos '\n' with
            | nl ->
-               handle_line st sh conn (String.sub data !pos (nl - !pos));
+               handle_line st conn (String.sub data !pos (nl - !pos));
                pos := nl + 1
            | exception Not_found -> raise Exit
          done
@@ -881,7 +745,7 @@ let rec process_input st sh conn =
       Buffer.clear conn.inbuf;
       Buffer.add_substring conn.inbuf data !pos (n - !pos);
       if Buffer.length conn.inbuf > max_request_bytes then begin
-        respond st sh conn
+        respond st conn
           (Response.error ~id:Json.Null Response.Bad_request
              (Printf.sprintf "request line exceeds %d bytes" max_request_bytes));
         conn.alive <- false;
@@ -896,10 +760,7 @@ let rec process_input st sh conn =
         match Http.parse ~max_body:max_request_bytes data ~pos:!pos with
         | `More -> parsing := false
         | `Bad msg ->
-            bump_verb sh "invalid";
-            respond ~http_status:400 st sh conn
-              (Response.error ~schema:Schema.v2 ~shard:sh.sid ~id:Json.Null
-                 Response.Bad_request msg);
+            http_bad_request ~http_status:400 st conn ~id:Json.Null msg;
             conn.alive <- false;
             pos := n
         | `Req (r, pos') ->
@@ -908,7 +769,7 @@ let rec process_input st sh conn =
             (* An inline answer clears [http_busy] via [respond], letting
                the loop continue with the next pipelined request; an
                admitted job leaves it set and parsing pauses here. *)
-            handle_http st sh conn r
+            handle_http st conn r
       done;
       Buffer.clear conn.inbuf;
       Buffer.add_substring conn.inbuf data !pos (n - !pos)
@@ -937,112 +798,33 @@ let listen_on address =
       in
       (fd, bound)
 
-(* The per-shard accept paths. TCP with [SO_REUSEPORT]: every shard
-   binds its own listening socket to the one port and the kernel spreads
-   connections across them — no accept lock, no hand-off. Unix sockets
-   (no port to share) and platforms without the option fall back to
-   fan-out: shard 0 owns the single listening socket and round-robins
-   accepted fds to its peers, which also keeps request decode off the
-   accept path. *)
-let bind_shards address nshards =
-  let fanout_single () =
-    let fd, bound = listen_on address in
-    let listens = Array.make nshards None in
-    listens.(0) <- Some fd;
-    (listens, bound, nshards > 1)
-  in
-  match address with
-  | Unix_socket _ -> fanout_single ()
-  | Tcp _ when nshards = 1 -> fanout_single ()
-  | Tcp port -> (
-      let listens = Array.make nshards None in
-      let mk p =
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try
-           Unix.setsockopt fd Unix.SO_REUSEADDR true;
-           Unix.setsockopt fd Unix.SO_REUSEPORT true;
-           Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, p));
-           Unix.listen fd 64
-         with e ->
-           close_quietly fd;
-           raise e);
-        fd
-      in
-      try
-        let fd0 = mk port in
-        listens.(0) <- Some fd0;
-        let bound_port =
-          match Unix.getsockname fd0 with
-          | Unix.ADDR_INET (_, p) -> p
-          | _ -> port
-        in
-        for i = 1 to nshards - 1 do
-          listens.(i) <- Some (mk bound_port)
-        done;
-        (listens, Tcp bound_port, false)
-      with Unix.Unix_error _ | Invalid_argument _ ->
-        Array.iter (Option.iter close_quietly) listens;
-        Array.fill listens 0 nshards None;
-        fanout_single ())
-
-let add_conn sh fd =
-  Unix.set_nonblock fd;
-  let cid = sh.next_cid in
-  sh.next_cid <- cid + sh.stride;
-  Hashtbl.replace sh.conns cid
-    {
-      cid;
-      fd;
-      inbuf = Buffer.create 1024;
-      out = Buffer.create 1024;
-      out_ofs = 0;
-      alive = true;
-      proto = P_unknown;
-      http_busy = false;
-    }
-
-let wake sh =
-  try ignore (Unix.write sh.pipe_w (Bytes.make 1 '!') 0 1)
-  with
-  | Unix.Unix_error
-      ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE | Unix.EBADF), _, _)
-  -> ()
-
-let accept_conn st sh listen_fd =
-  match Unix.accept listen_fd with
+let accept_conn st =
+  match Unix.accept st.listen with
   | fd, _ ->
-      if st.fanout then begin
-        let target = st.handoff_rr mod st.nshards in
-        st.handoff_rr <- st.handoff_rr + 1;
-        if target = sh.sid then add_conn sh fd
-        else begin
-          let peer = st.shards.(target) in
-          Mutex.lock peer.intake_lock;
-          Queue.push fd peer.intake;
-          Mutex.unlock peer.intake_lock;
-          wake peer
-        end
-      end
-      else add_conn sh fd
+      Unix.set_nonblock fd;
+      let cid = st.next_cid in
+      st.next_cid <- cid + 1;
+      Hashtbl.replace st.conns cid
+        {
+          cid;
+          fd;
+          inbuf = Buffer.create 1024;
+          out = Buffer.create 1024;
+          out_ofs = 0;
+          alive = true;
+          proto = P_unknown;
+          http_busy = false;
+        }
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
       ()
 
-(* Adopt fds handed over by shard 0 (fan-out mode). During drain no new
-   connections are welcome on any shard; close them instead. *)
-let adopt_intake sh ~draining =
-  Mutex.lock sh.intake_lock;
-  let fds = List.of_seq (Queue.to_seq sh.intake) in
-  Queue.clear sh.intake;
-  Mutex.unlock sh.intake_lock;
-  List.iter (fun fd -> if draining then close_quietly fd else add_conn sh fd) fds
-
-let read_conn st sh conn =
+let read_conn st conn =
   let chunk = Bytes.create 65536 in
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | 0 -> conn.alive <- false
   | n ->
       Buffer.add_subbytes conn.inbuf chunk 0 n;
-      process_input st sh conn
+      process_input st conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
       ()
   | exception Unix.Unix_error _ -> conn.alive <- false
@@ -1070,40 +852,34 @@ let flush_conn conn =
 
 let has_output conn = Buffer.length conn.out - conn.out_ofs > 0
 
-(* --- the shard loop ---------------------------------------------------- *)
+(* --- the event loop ---------------------------------------------------- *)
 
-(* One shard's event loop: the old daemon's accept loop, N of which now
-   run on their own domains against per-shard connection tables. Shard 0
-   additionally polls the user's [stop]/[dump] hooks (they are plain
-   closures, not necessarily domain-safe) and, in fan-out mode, owns the
-   accept path. *)
-let shard_loop st sh =
+(* One [select] multiplexer on the calling domain: it accepts, reads,
+   decodes, answers inline verbs and cache hits, admits jobs to the
+   pool, collects their completions, and polls the user's [stop]/[dump]
+   hooks. *)
+let event_loop st ~stop ~dump =
   let draining = ref false in
   let drain_started = ref 0. in
   let running = ref true in
   while !running do
-    if sh.sid = 0 && (not (Atomic.get st.stopping)) && st.stop_fn () then begin
-      (* Graceful shutdown: no new connections or requests anywhere;
-         in-flight jobs finish and their responses flush before exit. *)
-      Atomic.set st.stopping true;
-      Array.iter wake st.shards
-    end;
-    if (not !draining) && Atomic.get st.stopping then begin
+    if (not !draining) && stop () then begin
+      (* Graceful shutdown: no new connections or requests; in-flight
+         jobs finish and their responses flush before exit. *)
       draining := true;
       drain_started := Clock.now ();
-      (match sh.listen with Some fd -> close_quietly fd | None -> ());
-      sh.listen <- None
+      close_quietly st.listen;
+      (* Return from this pass's [select] at once: with nothing in
+         flight the drain can finish without waiting out the timeout. *)
+      wake st
     end;
     let now = Clock.now () in
-    let conns = Hashtbl.fold (fun _ c acc -> c :: acc) sh.conns [] in
-    let listen_fds =
-      if !draining then []
-      else match sh.listen with Some fd -> [ fd ] | None -> []
-    in
+    let conns = Hashtbl.fold (fun _ c acc -> c :: acc) st.conns [] in
     let read_fds =
-      (sh.pipe_r :: listen_fds)
-      @ (if !draining then []
-         else List.filter_map (fun c -> if c.alive then Some c.fd else None) conns)
+      if !draining then [ st.pipe_r ]
+      else
+        st.pipe_r :: st.listen
+        :: List.filter_map (fun c -> if c.alive then Some c.fd else None) conns
     in
     let write_fds = List.filter_map (fun c -> if has_output c then Some c.fd else None) conns in
     let timeout =
@@ -1112,35 +888,29 @@ let shard_loop st sh =
           match job.deadline with
           | Some d when not job.answered -> Float.min acc (Float.max 0.01 (d -. now))
           | _ -> acc)
-        sh.jobs_live 0.25
+        st.jobs_live 0.25
     in
     (* Watch ticks also bound the sleep, so snapshots go out on time. *)
     let timeout =
       List.fold_left
         (fun acc w -> Float.min acc (Float.max 0.01 (w.w_next -. now)))
-        timeout sh.watchers
+        timeout st.watchers
     in
     (match Unix.select read_fds write_fds [] timeout with
     | readable, writable, _ ->
-        if List.mem sh.pipe_r readable then begin
+        if List.mem st.pipe_r readable then begin
           let buf = Bytes.create 512 in
           try
-            while Unix.read sh.pipe_r buf 0 512 > 0 do
+            while Unix.read st.pipe_r buf 0 512 > 0 do
               ()
             done
-          with
-          | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-          | Unix.Unix_error _ -> ()
+          with Unix.Unix_error _ -> ()
         end;
-        adopt_intake sh ~draining:!draining;
-        (match sh.listen with
-        | Some fd when (not !draining) && List.mem fd readable ->
-            accept_conn st sh fd
-        | _ -> ());
+        if (not !draining) && List.mem st.listen readable then accept_conn st;
         List.iter
-          (fun c -> if c.alive && List.mem c.fd readable then read_conn st sh c)
+          (fun c -> if c.alive && List.mem c.fd readable then read_conn st c)
           conns;
-        drain_completions st sh;
+        drain_completions st;
         (* An async answer may have unblocked an HTTP connection with
            pipelined requests already buffered; resume parsing them. *)
         Hashtbl.iter
@@ -1148,30 +918,30 @@ let shard_loop st sh =
             if
               c.alive && c.proto = P_http && (not c.http_busy)
               && Buffer.length c.inbuf > 0
-            then process_input st sh c)
-          sh.conns;
-        sweep_deadlines st sh (Clock.now ());
-        tick_watchers st sh (Clock.now ());
+            then process_input st c)
+          st.conns;
+        sweep_deadlines st (Clock.now ());
+        tick_watchers st (Clock.now ());
         List.iter (fun c -> if List.mem c.fd writable then flush_conn c) conns
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     (* Operator-requested dump (the CLI wires SIGUSR2 here). *)
-    if sh.sid = 0 && st.dump_fn () then write_postmortem st ~reason:"signal";
+    if dump () then write_postmortem st ~reason:"signal";
     (* Reap connections that are gone and fully flushed. *)
-    Hashtbl.iter
-      (fun _ c ->
-        if (not c.alive) && not (has_output c) then close_quietly c.fd)
-      sh.conns;
     Hashtbl.filter_map_inplace
-      (fun _ c -> if (not c.alive) && not (has_output c) then None else Some c)
-      sh.conns;
+      (fun _ c ->
+        if (not c.alive) && not (has_output c) then begin
+          close_quietly c.fd;
+          None
+        end
+        else Some c)
+      st.conns;
     if !draining then begin
-      adopt_intake sh ~draining:true;
-      drain_completions st sh;
-      if Hashtbl.length sh.jobs_live = 0 then begin
+      drain_completions st;
+      if Hashtbl.length st.jobs_live = 0 then begin
         (* Give the flushed responses one last write pass, then stop. *)
-        Hashtbl.iter (fun _ c -> flush_conn c) sh.conns;
+        Hashtbl.iter (fun _ c -> flush_conn c) st.conns;
         let unflushed =
-          Hashtbl.fold (fun _ c acc -> acc || has_output c) sh.conns false
+          Hashtbl.fold (fun _ c acc -> acc || has_output c) st.conns false
         in
         (* A peer that stopped reading must not wedge shutdown: give the
            flush five seconds, then abandon its bytes. *)
@@ -1180,46 +950,13 @@ let shard_loop st sh =
       end
     end
   done;
-  Hashtbl.iter (fun _ c -> close_quietly c.fd) sh.conns
+  Hashtbl.iter (fun _ c -> close_quietly c.fd) st.conns
 
 (* --- assembly ---------------------------------------------------------- *)
-
-let make_shard ~nshards ~listen sid =
-  let pipe_r, pipe_w = Unix.pipe () in
-  Unix.set_nonblock pipe_r;
-  Unix.set_nonblock pipe_w;
-  {
-    sid;
-    stride = nshards;
-    listen;
-    pipe_r;
-    pipe_w;
-    intake = Queue.create ();
-    intake_lock = Mutex.create ();
-    conns = Hashtbl.create 16;
-    jobs_live = Hashtbl.create 64;
-    jobs_lock = Mutex.create ();
-    completions = Queue.create ();
-    completions_lock = Mutex.create ();
-    next_cid = sid;
-    next_jid = sid;
-    next_trace = sid;
-    req_counts = Array.make (Array.length verb_slots) 0;
-    resp_counts = Array.make (Array.length resp_slots) 0;
-    analyses_run = 0;
-    timeouts = 0;
-    watchers = [];
-    lat_decode = Histo.create ();
-    lat_queue = Histo.create ();
-    lat_run = Histo.create ();
-    lat_encode = Histo.create ();
-    lat_total = Histo.create ();
-  }
 
 let run ?(stop = fun () -> false) ?(dump = fun () -> false) ?on_ready ?on_stop
     ?(telemetry = Telemetry.disabled) cfg =
   let jobs = max 1 cfg.jobs in
-  let nshards = max 1 cfg.shards in
   (* A postmortem dir arms the flight recorder for the daemon's
      lifetime; every request milestone and teed log line lands in the
      per-domain rings from here on. *)
@@ -1227,35 +964,47 @@ let run ?(stop = fun () -> false) ?(dump = fun () -> false) ?on_ready ?on_stop
     Flight.configure ();
     Flight.set_enabled true
   end;
-  (* [jobs + 1] because the shard loops never help the pool: the +1
+  (* [jobs + 1] because the event loop never helps the pool: the +1
      "submitter slot" stays idle, leaving [jobs] worker domains.
      [min_workers] overrides the hardware cap — [submit] tasks only run
      on spawned workers, so the daemon must keep at least [jobs] of them
-     even on small machines. The shard loops are additional domains on
-     top; they only block in [select], so oversubscription is benign. *)
+     even on small machines. *)
   let pool = Pool.create ~min_workers:jobs ~jobs:(jobs + 1) () in
-  let listens, bound, fanout = bind_shards cfg.address nshards in
+  let listen, bound = listen_on cfg.address in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let shards =
-    Array.init nshards (fun sid -> make_shard ~nshards ~listen:listens.(sid) sid)
-  in
+  let pipe_r, pipe_w = Unix.pipe () in
+  Unix.set_nonblock pipe_r;
+  Unix.set_nonblock pipe_w;
   let st =
     {
-      cfg = { cfg with jobs; shards = nshards };
-      nshards;
-      fanout;
-      cache = Cache.create ~shards:nshards ~cap:cfg.cache_cap ();
+      cfg = { cfg with jobs };
+      cache = Cache.create ~cap:cfg.cache_cap;
       pool;
       tm = telemetry;
       started = Clock.now ();
-      shards;
-      stopping = Atomic.make false;
-      in_flight = Atomic.make 0;
-      queue_hwm = Atomic.make 0;
-      pm_seq = Atomic.make 0;
-      handoff_rr = 0;
-      stop_fn = stop;
-      dump_fn = dump;
+      listen;
+      pipe_r;
+      pipe_w;
+      conns = Hashtbl.create 16;
+      jobs_live = Hashtbl.create 64;
+      completions = Queue.create ();
+      completions_lock = Mutex.create ();
+      next_cid = 0;
+      next_jid = 0;
+      next_trace = 0;
+      requests = Hashtbl.create 16;
+      responses = Hashtbl.create 8;
+      analyses_run = 0;
+      timeouts = 0;
+      in_flight = 0;
+      queue_hwm = 0;
+      pm_seq = 0;
+      watchers = [];
+      lat_decode = Histo.create ();
+      lat_queue = Histo.create ();
+      lat_run = Histo.create ();
+      lat_encode = Histo.create ();
+      lat_total = Histo.create ();
     }
   in
   (match on_ready with Some f -> f bound | None -> ());
@@ -1268,28 +1017,16 @@ let run ?(stop = fun () -> false) ?(dump = fun () -> false) ?on_ready ?on_stop
             | Unix_socket p -> "unix:" ^ p
             | Tcp p -> Printf.sprintf "tcp:127.0.0.1:%d" p) );
         ("jobs", Json.Int jobs);
-        ("shards", Json.Int nshards);
-        ( "accept",
-          Json.String (if fanout && nshards > 1 then "fanout" else "per-shard") );
         ("queue_cap", Json.Int cfg.queue_cap);
       ];
-  let peers =
-    Array.init (nshards - 1) (fun i ->
-        Domain.spawn (fun () -> shard_loop st st.shards.(i + 1)))
-  in
-  shard_loop st st.shards.(0);
-  Array.iter Domain.join peers;
-  (* Join the fleet BEFORE closing the wake pipes: a worker's completion
+  event_loop st ~stop ~dump;
+  (* Join the fleet BEFORE closing the wake pipe: a worker's completion
      becomes visible (and lets the drain loop exit) just before its
      wake-up write, so closing [pipe_w] first raced that write into
      EBADF, killing the worker and surfacing at [Pool.close]'s join. *)
   Pool.close pool;
-  Array.iter
-    (fun sh ->
-      close_quietly sh.pipe_r;
-      close_quietly sh.pipe_w;
-      match sh.listen with Some fd -> close_quietly fd | None -> ())
-    st.shards;
+  close_quietly pipe_r;
+  close_quietly pipe_w;
   (match bound with
   | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
   | Tcp _ -> ());

@@ -1,21 +1,11 @@
-(** The [webracer serve] daemon: a long-lived, sharded analysis
-    service.
+(** The [webracer serve] daemon: a long-lived analysis service.
 
-    The event loop is sharded across [shards] domains. Each shard runs
-    the classic accept loop — [select] over its own connection table —
-    and owns its requests end to end: decode, admission, caching,
-    watch subscriptions, latency histograms. With one shard (the
-    default) the daemon behaves exactly as it always has, on the
-    calling domain.
-
-    Two accept paths feed the shards:
-
-    - TCP with [SO_REUSEPORT]: every shard binds its own listening
-      socket to the one port and the kernel spreads connections across
-      them — no accept lock, no hand-off;
-    - Unix sockets (and platforms without the option): shard 0 owns the
-      single listening socket and round-robins accepted fds to its
-      peers, keeping request decode off the accept path.
+    One event loop on the calling domain — a [select] multiplexer over
+    the listening socket, every connection and a wake-up pipe — owns
+    every request end to end: accept, decode, admission, caching, watch
+    subscriptions, latency histograms and encoding. Workers hand their
+    results back through a mutex'd completion queue and a byte on the
+    pipe; nothing else crosses domains.
 
     Each connection speaks one of two surfaces, decided by sniffing its
     first bytes: the newline-delimited JSON line protocol ({!Request}
@@ -23,20 +13,18 @@
     minimal HTTP/1.1 ({!Http}) mapping [GET /v1/ping|stats|metrics] and
     [POST /v1/analyze|explain|replay|predict] onto the same dispatch,
     with the error taxonomy as status codes (400/429/504/500). HTTP
-    responses are always schema v2 (they carry the answering shard and
-    HTTP-parity error objects); line-protocol responses speak the
-    generation the request negotiated (v1 default, byte-stable).
+    responses are always schema v2 (HTTP-parity error objects);
+    line-protocol responses speak the generation the request negotiated
+    (v1 default, byte-stable).
 
-    Work is fed to one shared {!Wr_support.Pool} of worker domains
-    through a bounded global admission queue:
+    Work is fed to one {!Wr_support.Pool} of worker domains through a
+    bounded admission queue:
 
-    - [ping], [stats] and [metrics] answer inline from the shard loop
-      (stats and metrics merge counters and histograms across shards);
-    - [analyze] first consults the sharded LRU result {!Cache} — a hit
-      answers without touching a worker — then claims a queue slot;
-    - a request arriving while [queue_cap] jobs are in flight across
-      all shards gets an [overload] error immediately (backpressure,
-      never a crash);
+    - [ping], [stats] and [metrics] answer inline from the loop;
+    - [analyze] first consults the LRU result {!Cache} — a hit answers
+      without touching a worker — then claims a queue slot;
+    - a request arriving while [queue_cap] jobs are in flight gets an
+      [overload] error immediately (backpressure, never a crash);
     - a job still unfinished [wall_limit] seconds after admission is
       answered with a [timeout] error; its worker keeps the slot until
       the analysis actually returns, so abandoned work still counts
@@ -47,29 +35,27 @@
     - [watch] subscribes the connection to a periodic metrics-snapshot
       stream (one [ok] response per tick: queue, cache, per-stage
       latency, fleet profile and GC rows) — what [webracer top]
-      renders. Snapshots are merged views; the subscription lives on
-      the shard that owns the connection.
+      renders.
 
     With [postmortem_dir] set, the {!Wr_support.Flight} recorder is
     armed for the daemon's lifetime: request milestones and teed log
     lines accumulate in per-domain rings, and a worker crash, a blown
     deadline, or [dump] reading true (the CLI wires SIGUSR2 to it)
     dumps the rings as [postmortem-<n>-<reason>.jsonl] (header line
-    with every shard's in-flight requests and their trace ids, then one
-    line per event) plus a [.trace.json] mini Chrome trace.
+    with the in-flight requests and their trace ids, then one line per
+    event) plus a [.trace.json] mini Chrome trace.
 
     Shutdown is graceful: once [stop] reads true (the CLI wires
-    SIGINT/SIGTERM to it, polled by shard 0) every shard stops
-    accepting and reading, drains its in-flight jobs, flushes every
-    pending response; the daemon then joins the shards and the fleet,
-    closes and returns its final stats document. *)
+    SIGINT/SIGTERM to it) the loop stops accepting and reading, drains
+    its in-flight jobs and flushes every pending response; the daemon
+    then joins the fleet, closes and returns its final stats
+    document. *)
 
 type address = Unix_socket of string | Tcp of int
 
 type config = {
   address : address;
-  jobs : int;  (** worker domains (the shard loops are extra) *)
-  shards : int;  (** event-loop shards; 1 = the classic single loop *)
+  jobs : int;  (** worker domains (the event loop is extra) *)
   queue_cap : int;  (** max in-flight jobs before [overload] *)
   cache_cap : int;  (** LRU entries; 0 disables the result cache *)
   wall_limit : float;  (** seconds per request; 0 = unlimited *)
@@ -78,30 +64,24 @@ type config = {
       (** arm the flight recorder; dump postmortems here *)
 }
 
-(** jobs 4, shards 1, queue 128, cache 64, wall limit 60 s, virtual
+(** jobs 4, queue 128, cache 64, wall limit 60 s, virtual
     clamp 600 000 ms, no postmortem dir. *)
 val default_config : address -> config
 
 (** [run config] blocks until [stop] reads true, then drains and
     returns the final [stats] document. [stop] is polled at least every
     0.25 s. [on_ready] fires once listening, with the bound address
-    ([Tcp 0] resolves to the kernel-chosen port; all shards share it).
-    [on_stop] fires after the drain with the final [metrics] document
-    (per-stage latency histograms, queue high-water, cache hit ratio,
-    per-shard rows, Prometheus text) — the CLI's [--metrics-out] hook.
+    ([Tcp 0] resolves to the kernel-chosen port). [on_stop] fires after
+    the drain with the final [metrics] document (per-stage latency
+    histograms, queue high-water, cache hit ratio, Prometheus text) —
+    the CLI's [--metrics-out] hook.
     [telemetry] receives the serve counters ([serve.requests],
     [serve.cache.hits], ...); they are also embedded in every [stats]
     response.
 
-    Merged multi-shard counter and histogram views are approximate
-    while shards are actively mutating them (single-writer cells read
-    without synchronization — memory-safe, possibly a tick stale) and
-    exact with one shard or a quiesced daemon.
-
     Every request is traced: a client-supplied ["trace"] id is echoed
     on the response and used verbatim; otherwise a [t-<n>] id is
-    minted (ids stride by the shard count, so they are globally unique
-    and dense at one shard). Either way the id tags the request's JSONL
+    minted, counting up from [t-0]. Either way the id tags the request's JSONL
     log lines (via {!Wr_support.Log.with_trace}) and its telemetry
     span, so one id follows a request across the wire, the logs and the
     Chrome trace. SIGPIPE is ignored for the process (clients may

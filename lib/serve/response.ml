@@ -27,7 +27,6 @@ type t =
       trace : string option;
       result : Json.t;
       schema : int;
-      shard : int option;
     }
   | Error of {
       id : Json.t;
@@ -35,33 +34,28 @@ type t =
       code : code;
       message : string;
       schema : int;
-      shard : int option;
     }
 
-let ok ?(schema = Schema.version) ?shard ?trace ~id result =
-  Ok { id; trace; result; schema; shard }
+let ok ?(schema = Schema.version) ?trace ~id result = Ok { id; trace; result; schema }
 
-let error ?(schema = Schema.version) ?shard ?trace ~id code message =
-  Error { id; trace; code; message; schema; shard }
+let error ?(schema = Schema.version) ?trace ~id code message =
+  Error { id; trace; code; message; schema }
 
 let is_ok = function Ok _ -> true | Error _ -> false
 let id = function Ok { id; _ } | Error { id; _ } -> id
 let trace = function Ok { trace; _ } | Error { trace; _ } -> trace
 let schema = function Ok { schema; _ } | Error { schema; _ } -> schema
-let shard = function Ok { shard; _ } | Error { shard; _ } -> shard
 
 let status = function
   | Ok _ -> 200
   | Error { code; _ } -> http_status code
 
-(* The daemon stamps the negotiated generation (and, from v2 on, the
-   answering shard) at the single respond choke point, so inline answers,
-   worker completions and timeout errors all agree. *)
-let stamp ~schema ~shard t =
-  let shard = if schema >= Schema.v2 then Some shard else None in
-  match t with
-  | Ok r -> Ok { r with schema; shard }
-  | Error r -> Error { r with schema; shard }
+(* The daemon stamps the negotiated generation at the single respond
+   choke point, so inline answers, worker completions and timeout errors
+   all agree. *)
+let stamp ~schema = function
+  | Ok r -> Ok { r with schema }
+  | Error r -> Error { r with schema }
 
 (* The "trace" field appears on the wire only when the request carried
    one, so untraced traffic is byte-identical to the pre-tracing
@@ -70,9 +64,8 @@ let trace_field = function
   | None -> []
   | Some tr -> [ ("trace", Json.String tr) ]
 
-let shard_field schema = function
-  | Some s when schema >= Schema.v2 -> [ ("shard", Json.Int s) ]
-  | _ -> []
+(* The daemon runs one event loop, so a v2 envelope always names loop 0. *)
+let shard_field schema = if schema >= Schema.v2 then [ ("shard", Json.Int 0) ] else []
 
 let error_obj ~schema code message =
   let http =
@@ -86,15 +79,15 @@ let error_obj ~schema code message =
     @ [ ("message", Json.String message) ])
 
 let to_json = function
-  | Ok { id; trace; result; schema; shard } ->
+  | Ok { id; trace; result; schema } ->
       Json.Obj
         ((Schema.tag_of schema :: ("id", id) :: trace_field trace)
-        @ shard_field schema shard
+        @ shard_field schema
         @ [ ("ok", Json.Bool true); ("result", result) ])
-  | Error { id; trace; code; message; schema; shard } ->
+  | Error { id; trace; code; message; schema } ->
       Json.Obj
         ((Schema.tag_of schema :: ("id", id) :: trace_field trace)
-        @ shard_field schema shard
+        @ shard_field schema
         @ [ ("ok", Json.Bool false); ("error", error_obj ~schema code message) ])
 
 let to_line t = Json.to_string (to_json t)
@@ -113,15 +106,10 @@ let of_json j =
         | Some (Json.Int v) -> v
         | _ -> Schema.version
       in
-      let shard =
-        match List.assoc_opt "shard" fields with
-        | Some (Json.Int s) -> Some s
-        | _ -> None
-      in
       match List.assoc_opt "ok" fields with
       | Some (Json.Bool true) -> (
           match List.assoc_opt "result" fields with
-          | Some result -> Stdlib.Ok (ok ~schema ?shard ~id ?trace result)
+          | Some result -> Stdlib.Ok (ok ~schema ~id ?trace result)
           | None -> Stdlib.Error "ok response without \"result\"")
       | Some (Json.Bool false) -> (
           match List.assoc_opt "error" fields with
@@ -135,7 +123,7 @@ let of_json j =
               | Some (Json.String c) -> (
                   match code_of_name c with
                   | Some code ->
-                      Stdlib.Ok (error ~schema ?shard ~id ?trace code message)
+                      Stdlib.Ok (error ~schema ~id ?trace code message)
                   | None -> Stdlib.Error (Printf.sprintf "unknown error code %S" c))
               | _ -> Stdlib.Error "error response without a string \"code\"")
           | _ -> Stdlib.Error "error response without an \"error\" object")

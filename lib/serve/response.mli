@@ -14,6 +14,10 @@
      "error":{"code":"overload", "http_status":429, "message":"..."}}
     v}
 
+    The v2 ["shard"] field names the event loop that answered. The
+    daemon runs one loop, so it is always [0]; it stays on the envelope
+    so v2 clients keep decoding the same bytes.
+
     The error taxonomy is closed and machine-readable: clients dispatch
     on ["error"]["code"] (or, over HTTP, the status line — the mapping is
     fixed), never on the human-oriented message. *)
@@ -29,6 +33,10 @@
 type code = Bad_request | Timeout | Overload | Internal
 
 val code_name : code -> string
+
+(** Every code, in the order above. *)
+val codes : code list
+
 val code_of_name : string -> code option
 
 (** The fixed taxonomy-to-HTTP mapping: 400 / 504 / 429 / 500. *)
@@ -40,7 +48,6 @@ type t =
       trace : string option;
       result : Wr_support.Json.t;
       schema : int;
-      shard : int option;
     }
   | Error of {
       id : Wr_support.Json.t;
@@ -48,15 +55,14 @@ type t =
       code : code;
       message : string;
       schema : int;
-      shard : int option;
     }
 
 val ok :
-  ?schema:int -> ?shard:int -> ?trace:string -> id:Wr_support.Json.t ->
+  ?schema:int -> ?trace:string -> id:Wr_support.Json.t ->
   Wr_support.Json.t -> t
 
 val error :
-  ?schema:int -> ?shard:int -> ?trace:string -> id:Wr_support.Json.t ->
+  ?schema:int -> ?trace:string -> id:Wr_support.Json.t ->
   code -> string -> t
 
 val is_ok : t -> bool
@@ -70,17 +76,13 @@ val trace : t -> string option
 (** The wire generation this response is encoded at. *)
 val schema : t -> int
 
-(** The shard that answered, when the response speaks v2 or later. *)
-val shard : t -> int option
-
 (** [status t] is the HTTP status line for [t]: 200 for [Ok], the
     {!http_status} of the code otherwise. *)
 val status : t -> int
 
-(** [stamp ~schema ~shard t] rewrites the envelope metadata to the
-    request's negotiated generation; the shard id is kept only from v2
-    on, so v1 responses stay byte-identical. *)
-val stamp : schema:int -> shard:int -> t -> t
+(** [stamp ~schema t] re-encodes [t] at the request's negotiated
+    generation; v1 responses stay byte-identical. *)
+val stamp : schema:int -> t -> t
 
 val to_json : t -> Wr_support.Json.t
 

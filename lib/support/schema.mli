@@ -17,8 +17,9 @@
 (** The default wire generation (1): what untagged requests speak. *)
 val version : int
 
-(** The v2 wire generation: v1 plus the answering shard id and
-    ["http_status"] inside error objects. *)
+(** The v2 wire generation: v1 plus a ["shard"] field (always [0]: the
+    daemon has one event loop) and ["http_status"] inside error
+    objects. *)
 val v2 : int
 
 (** Every generation this build speaks, oldest first. *)

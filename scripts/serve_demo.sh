@@ -43,7 +43,7 @@ echo "== stats (queue depth, per-verb totals, cache hit/miss counters) =="
 $W call --socket "$SOCK" stats
 
 echo
-echo "== schema v2 is per-request opt-in: the envelope names its shard =="
+echo "== schema v2 is per-request opt-in =="
 $W call --socket "$SOCK" ping --schema 2
 
 echo

@@ -165,7 +165,7 @@ let test_cache_key () =
     different
 
 let test_cache_lru () =
-  let c = Cache.create ~cap:2 () in
+  let c = Cache.create ~cap:2 in
   Cache.store c "a" (Json.Int 1);
   Cache.store c "b" (Json.Int 2);
   check bool_c "a hit" true (Cache.find c "a" = Some (Json.Int 1));
@@ -225,7 +225,7 @@ let test_dispatch_stats_default () =
 
 (* --- the daemon, end to end -------------------------------------------- *)
 
-let spawn_daemon ?(jobs = 2) ?(shards = 1) ?(queue_cap = 4) ?(cache_cap = 8)
+let spawn_daemon ?(jobs = 2) ?(queue_cap = 4) ?(cache_cap = 8)
     ?(address = Daemon.Tcp 0) ?postmortem_dir ?(dump = fun () -> false) () =
   let stop = Atomic.make false in
   let ready : Daemon.address option Atomic.t = Atomic.make None in
@@ -233,7 +233,6 @@ let spawn_daemon ?(jobs = 2) ?(shards = 1) ?(queue_cap = 4) ?(cache_cap = 8)
     {
       (Daemon.default_config address) with
       jobs;
-      shards;
       queue_cap;
       cache_cap;
       postmortem_dir;
@@ -679,7 +678,7 @@ let suite =
         test_daemon_dump_hook_postmortem;
     ]
 
-(* --- schema v2, the sharded cache, HTTP and multi-shard serving --------- *)
+(* --- schema v2, HTTP and concurrent connections ------------------------- *)
 
 module Http = Wr_serve.Http
 module Schema = Wr_support.Schema
@@ -705,10 +704,11 @@ let test_response_v2_envelope () =
   let v1_line = Response.to_line ok in
   (* Stamping at v1 is a byte-level no-op: the pinned wire never moves. *)
   check string_c "v1 stamp is the identity" v1_line
-    (Response.to_line (Response.stamp ~schema:Schema.version ~shard:3 ok));
+    (Response.to_line (Response.stamp ~schema:Schema.version ok));
   check bool_c "v1 carries no shard" false (mentions "shard" v1_line);
-  let v2_line = Response.to_line (Response.stamp ~schema:Schema.v2 ~shard:3 ok) in
-  check bool_c "v2 names its shard" true (mentions {|"shard":3|} v2_line);
+  let v2_line = Response.to_line (Response.stamp ~schema:Schema.v2 ok) in
+  (* One event loop: the v2 envelope always names loop 0. *)
+  check bool_c "v2 names loop 0" true (mentions {|"shard":0,|} v2_line);
   check bool_c "v2 tags its generation" true
     (mentions {|"schema_version":2|} v2_line);
   (* v2 error objects carry the HTTP-parity status; v1 ones must not. *)
@@ -717,7 +717,7 @@ let test_response_v2_envelope () =
     (mentions "http_status" (Response.to_line overload));
   check bool_c "v2 error carries http_status" true
     (mentions {|"http_status":429|}
-       (Response.to_line (Response.stamp ~schema:Schema.v2 ~shard:0 overload)));
+       (Response.to_line (Response.stamp ~schema:Schema.v2 overload)));
   (* The taxonomy-to-status mapping is fixed. *)
   List.iter
     (fun (code, status) ->
@@ -732,42 +732,8 @@ let test_response_v2_envelope () =
   match Response.of_line v2_line with
   | Ok resp ->
       check int_c "decoded generation" Schema.v2 (Response.schema resp);
-      check bool_c "decoded shard" true (Response.shard resp = Some 3)
+      check string_c "re-encodes byte-identically" v2_line (Response.to_line resp)
   | Error e -> Alcotest.failf "v2 decode failed: %s" e
-
-let test_cache_sharded () =
-  let c = Cache.create ~shards:4 ~cap:256 () in
-  check int_c "shard count" 4 (Cache.shards c);
-  let keys =
-    List.init 64 (fun i ->
-        Cache.key (Request.analyze_params ~page:(Printf.sprintf "<p>%d</p>" i) ()))
-  in
-  List.iter (fun k -> Cache.store c k (Json.String k)) keys;
-  (* The key hash spreads entries over more than one shard. *)
-  let seen = Array.make 4 0 in
-  List.iter (fun k -> seen.(Cache.shard_of c k) <- seen.(Cache.shard_of c k) + 1) keys;
-  check bool_c "keys spread across shards" true
-    (Array.to_list seen |> List.filter (fun n -> n > 0) |> List.length >= 2);
-  check int_c "every key lands in a shard" 64 (Array.fold_left ( + ) 0 seen);
-  (* Hits and misses accrue on the key's shard; the merged counters are
-     exact sums, not approximations. *)
-  List.iter
-    (fun k -> check bool_c "stored key found" true (Cache.find c k <> None))
-    keys;
-  (match Cache.find c "0000000000000000ffffffffffffffff" with
-  | None -> ()
-  | Some _ -> Alcotest.fail "absent key must miss");
-  check int_c "merged hits" 64 (Cache.hits c);
-  check int_c "merged misses" 1 (Cache.misses c);
-  check int_c "merged length" 64 (Cache.length c);
-  let h, m, l =
-    Array.fold_left
-      (fun (h, m, l) (sh, sm, sl) -> (h + sh, m + sm, l + sl))
-      (0, 0, 0) (Cache.shard_stats c)
-  in
-  check int_c "shard_stats hits sum to the merge" (Cache.hits c) h;
-  check int_c "shard_stats misses sum to the merge" (Cache.misses c) m;
-  check int_c "shard_stats lengths sum to the merge" (Cache.length c) l
 
 let test_http_parser () =
   check bool_c "GET sniffs as http" true
@@ -851,7 +817,7 @@ let test_daemon_http_surface () =
       (match Client.http_request c ~meth:"GET" ~path:"/v1/ping" () with
       | Ok (200, body) -> (
           match Response.of_line body with
-          | Ok (Response.Ok { schema; shard = Some _; result; _ }) ->
+          | Ok (Response.Ok { schema; result; _ }) ->
               check int_c "http answers v2" Schema.v2 schema;
               check bool_c "pong" true (Json.member "pong" result = Json.Bool true)
           | _ -> Alcotest.fail "http ping body must be a v2 ok")
@@ -883,16 +849,18 @@ let test_daemon_http_surface () =
       (* The connection survives error responses; keep-alive holds. *)
       (match Client.http_request c ~meth:"GET" ~path:"/v1/stats" () with
       | Ok (200, b) ->
-          check bool_c "stats names the shard count" true (mentions {|"shards"|} b)
+          check bool_c "stats reports the cache" true (mentions {|"cache"|} b)
       | _ -> Alcotest.fail "stats after errors must still answer");
       Client.close c;
       (* A raw connection to the same listener still speaks v1. *)
       let raw = Client.connect ~retry_for:5. addr in
-      (match Client.request raw (Request.make ~id:(Json.Int 7) Request.Ping) with
-      | Ok (Response.Ok { schema; shard; _ }) ->
-          check int_c "raw default stays v1" Schema.version schema;
-          check bool_c "raw v1 has no shard" true (shard = None)
-      | _ -> Alcotest.fail "raw ping beside http");
+      Client.send raw (Request.make ~id:(Json.Int 7) Request.Ping);
+      (match Client.recv_line raw with
+      | Some line ->
+          check bool_c "raw default stays v1" true
+            (mentions {|"schema_version":1,|} line);
+          check bool_c "raw v1 has no shard" false (mentions "shard" line)
+      | None -> Alcotest.fail "raw ping beside http");
       Client.close raw)
 
 (* Backpressure maps onto 429 on the HTTP surface: with a zero-capacity
@@ -922,14 +890,14 @@ let test_daemon_http_overload () =
       | _ -> Alcotest.fail "ping must bypass the queue");
       Client.close c)
 
-(* Four event-loop shards behind one Unix socket (fanout accept hands
-   connections out round-robin, so coverage is deterministic): every
-   shard answers, v2 names the answering shard, and the shared cache
-   makes the analyze results byte-identical wherever they ran. *)
-let test_daemon_multi_shard () =
-  let dir = fresh_tmp_dir "shards" in
+(* Eight connections open at once on one Unix socket, requests
+   interleaved across them: the one event loop answers every
+   connection, the v2 envelope names loop 0, and the cache makes the
+   analyze results byte-identical wherever they ran. *)
+let test_daemon_many_connections () =
+  let dir = fresh_tmp_dir "conns" in
   let d, stop, addr =
-    spawn_daemon ~shards:4 ~queue_cap:16
+    spawn_daemon ~queue_cap:16
       ~address:(Daemon.Unix_socket (Filename.concat dir "d.sock"))
       ()
   in
@@ -942,34 +910,35 @@ let test_daemon_multi_shard () =
         Request.analyze_params ~page:{|<script>var x = 1;</script>|} ~seed:5 ()
       in
       let baseline = ref None in
-      let shards_seen = Hashtbl.create 4 in
-      for i = 0 to 7 do
-        (* One fresh connection per request: the fanout round-robins
-           connections, so eight requests visit each shard twice. *)
-        let c = Client.connect ~retry_for:5. addr in
-        (match
-           Client.request c
-             (Request.make ~schema:Schema.v2 ~id:(Json.Int i)
-                (Request.analyze params))
-         with
-        | Ok (Response.Ok { shard = Some s; result; schema; _ }) ->
-            check int_c "v2 envelope" Schema.v2 schema;
-            Hashtbl.replace shards_seen s ();
-            let body = Json.to_string result in
-            (match !baseline with
-            | None -> baseline := Some body
-            | Some b -> check string_c "byte-identical across shards" b body)
-        | Ok _ -> Alcotest.fail "expected a v2 ok naming its shard"
-        | Error e -> Alcotest.failf "transport failed: %s" e);
-        Client.close c
-      done;
-      check int_c "every shard answered" 4 (Hashtbl.length shards_seen);
-      (* The shared cache served 7 of the 8 requests; its counters are
-         lock-protected, so the merged stats are exact. *)
+      let conns = List.init 8 (fun _ -> Client.connect ~retry_for:5. addr) in
+      (* The first request runs the analysis; the other seven, each on
+         its own connection and all sent before any is read, hit the
+         cache. *)
+      let send i c =
+        Client.send c
+          (Request.make ~schema:Schema.v2 ~id:(Json.Int i) (Request.analyze params))
+      in
+      let recv i c =
+        match Client.recv_line c with
+        | Some line -> (
+            check bool_c "v2 envelope names loop 0" true (mentions {|"shard":0,|} line);
+            match Response.of_line line with
+            | Ok (Response.Ok { id; result; _ }) ->
+                check bool_c "id echoed on its own connection" true (id = Json.Int i);
+                let body = Json.to_string result in
+                (match !baseline with
+                | None -> baseline := Some body
+                | Some b -> check string_c "byte-identical on every connection" b body)
+            | _ -> Alcotest.fail "expected an ok")
+        | None -> Alcotest.fail "connection closed without an answer"
+      in
+      send 0 (List.hd conns);
+      recv 0 (List.hd conns);
+      List.iteri (fun i c -> if i > 0 then send i c) conns;
+      List.iteri (fun i c -> if i > 0 then recv i c) conns;
+      List.iter Client.close conns;
       let c = Client.connect ~retry_for:5. addr in
       let stats = request_ok c (Request.make ~id:Json.Null Request.Stats) in
-      check bool_c "stats surface the shard count" true
-        (Json.member "shards" stats = Json.Int 4);
       (match Json.member "cache" stats with
       | Json.Obj cache ->
           check bool_c "seven cache hits" true
@@ -983,14 +952,12 @@ let suite =
       Alcotest.test_case "schema: v2 negotiation" `Quick test_schema_negotiation;
       Alcotest.test_case "response: v2 envelope + status map" `Quick
         test_response_v2_envelope;
-      Alcotest.test_case "cache: sharded counters merge exactly" `Quick
-        test_cache_sharded;
       Alcotest.test_case "http: parser + sniffing" `Quick test_http_parser;
       Alcotest.test_case "http: routing table" `Quick test_http_route;
       Alcotest.test_case "daemon: http surface end to end" `Quick
         test_daemon_http_surface;
       Alcotest.test_case "daemon: http overload is 429" `Quick
         test_daemon_http_overload;
-      Alcotest.test_case "daemon: four shards, one socket" `Quick
-        test_daemon_multi_shard;
+      Alcotest.test_case "daemon: many conns, one loop" `Quick
+        test_daemon_many_connections;
     ]
