@@ -5,15 +5,23 @@
    webracer explain PAGE.html  show checkable witnesses for each race
    webracer predict PAGE.html  static race prediction, no execution
    webracer triage PAGE.html   confirm or refute predictions with guided schedules
+   webracer replay PAGE.html   re-run a page under alternative schedules
+   webracer profile PAGE.html  per-phase wall-clock breakdown of one analysis
+   webracer offline TRACE      replay a recorded trace through a detector
    webracer corpus             regenerate the paper's evaluation tables
    webracer sitegen NAME DIR   write a synthetic corpus site to disk
    webracer serve              long-lived analysis daemon (socket/TCP)
    webracer call VERB          client for a running serve daemon
+   webracer bench-serve        sustained load against a running daemon
+   webracer top                live view of a running daemon
 
-   The page-analyzing subcommands all construct [Wr_serve.Request]
-   values and go through [Wr_serve.Api], the same decode/dispatch path
-   the daemon uses — `run --json` output and a served `analyze` result
-   are byte-identical (modulo wall_clock_s). *)
+   Each flag has one definition below, shared by every subcommand that
+   takes it. The page-analyzing subcommands (run, batch, explain,
+   profile, predict, triage, replay, call) build their request as a
+   [Wr_serve.Request.analyze_params] from the same PAGE and analysis
+   flags; all but triage go through [Wr_serve.Api], the dispatch path
+   the daemon uses, so `run --json` output and a served `analyze`
+   result are byte-identical (modulo wall_clock_s). *)
 
 open Cmdliner
 module Telemetry = Wr_telemetry.Telemetry
@@ -33,7 +41,10 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-(* Resources for [run]: every other regular file in the page's directory is
+let write_trace tm file =
+  write_file file (Wr_support.Json.to_string (Telemetry.to_chrome_trace tm))
+
+(* Resources for PAGE: every other regular file in the page's directory is
    fetchable under its relative name, so `webracer run dir/page.html` works
    on a directory of page + scripts + frames. *)
 let resources_around page_path =
@@ -47,97 +58,45 @@ let resources_around page_path =
       |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
   | exception Sys_error _ -> []
 
-(* [--log-out FILE] routes the structured event log to a JSONL file; if
-   WEBRACER_LOG did not already pick a level, recording everything is the
-   useful default for an explicitly requested log file. *)
-let setup_event_log log_out =
-  match log_out with
-  | None -> ()
-  | Some file ->
-      Log.open_sink_file file;
-      if Log.current_level () = None then Log.set_level (Some Log.Debug)
+(* [with_page ~params path] is the request [params] describe, aimed at
+   PAGE [path]: the only place a PAGE is read. *)
+let with_page ?(params = Request.analyze_params ~page:"" ()) path =
+  { params with Request.page = read_file path; resources = resources_around path }
 
-let log_out_arg =
+(* --- shared flags ------------------------------------------------------- *)
+
+let page_arg ?(nth = 0) doc = Arg.(pos nth (some file) None & info [] ~docv:"PAGE" ~doc)
+
+let seed_arg ?(default = 0) ?(doc = "Seed for network latencies and Math.random.") () =
+  Arg.(value & opt int default & info [ "seed" ] ~doc)
+
+let detector_arg =
   Arg.(
-    value & opt (some string) None
-    & info [ "log-out" ] ~docv:"FILE"
-        ~doc:"Write the structured pipeline event log as JSONL to $(docv) (level \
-              $(b,debug) unless $(b,WEBRACER_LOG) says otherwise).")
+    value
+    & opt (enum Request.detector_names) Webracer.Config.Last_access
+    & info [ "detector" ]
+        ~doc:("Race detector: " ^ doc_alts_enum Request.detector_names
+              ^ " ($(b,last-access) is the paper's)."))
 
-(* --- run -------------------------------------------------------------- *)
+let hb_arg =
+  Arg.(
+    value & opt (enum Request.hb_names) Wr_hb.Graph.Closure
+    & info [ "hb" ]
+        ~doc:("Happens-before queries: " ^ doc_alts_enum Request.hb_names
+              ^ " ($(b,dfs) is the paper's)."))
 
-let detector_conv =
-  Arg.enum
-    [
-      ("last-access", Webracer.Config.Last_access);
-      ("full-track", Webracer.Config.Full_track);
-    ]
-
-let hb_conv =
-  Arg.enum
-    [ ("closure", Wr_hb.Graph.Closure); ("dfs", Wr_hb.Graph.Dfs);
-      ("chain-vc", Wr_hb.Graph.Chain_vc) ]
-
-let run_cmd =
-  let page =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"PAGE" ~doc:"HTML page to analyze.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Seed for network latencies and Math.random.")
-  in
-  let explore =
+(* The analysis flags of [Request.analyze_params]: the term yields the
+   request with an empty page, which [with_page] aims at each PAGE. *)
+let target_term ?(seed = seed_arg ()) () =
+  let no_explore =
     Arg.(
       value & flag
       & info [ "no-explore" ] ~doc:"Disable automatic exploration of user events (§5.2.2).")
-  in
-  let raw =
-    Arg.(
-      value & flag
-      & info [ "raw" ] ~doc:"Report unfiltered races instead of applying the §5.3 filters.")
-  in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the full report as JSON.") in
-  let detector =
-    Arg.(
-      value
-      & opt detector_conv Webracer.Config.Last_access
-      & info [ "detector" ] ~doc:"Race detector: $(b,last-access) (paper) or $(b,full-track).")
-  in
-  let hb =
-    Arg.(
-      value & opt hb_conv Wr_hb.Graph.Closure
-      & info [ "hb" ] ~doc:"Happens-before queries: $(b,closure), $(b,chain-vc) or $(b,dfs) (paper).")
   in
   let time_limit =
     Arg.(
       value & opt float 60_000.
       & info [ "time-limit" ] ~doc:"Virtual-time horizon in milliseconds.")
-  in
-  let dump_hb =
-    Arg.(
-      value & opt (some string) None
-      & info [ "dump-hb" ] ~docv:"FILE"
-          ~doc:"Write the happens-before graph as Graphviz DOT, with the first reported                 race's operations highlighted.")
-  in
-  let dump_trace =
-    Arg.(
-      value & opt (some string) None
-      & info [ "dump-trace" ] ~docv:"FILE"
-          ~doc:"Record the execution trace (operations, edges, accesses) as JSON for \
-                offline analysis with $(b,webracer offline).")
-  in
-  let trace_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Write a Chrome trace_event JSON profile of the run (open in \
-                chrome://tracing or Perfetto).")
-  in
-  let metrics =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:"Collect telemetry during the run and print a metrics summary (also \
-                embedded under $(b,telemetry) with $(b,--json)).")
   in
   let no_dedup =
     Arg.(
@@ -146,19 +105,125 @@ let run_cmd =
           ~doc:"Disable the per-operation access-dedup front-end, feeding the detector \
                 every raw access (slower; race results are identical either way).")
   in
-  let action page seed no_explore raw json detector hb time_limit dump_hb dump_trace
-      trace_out metrics no_dedup log_out =
-    setup_event_log log_out;
+  let params seed no_explore detector hb time_limit no_dedup =
+    Request.analyze_params ~page:"" ~seed ~explore:(not no_explore) ~detector ~hb
+      ~time_limit ~dedup:(not no_dedup) ()
+  in
+  Term.(const params $ seed $ no_explore $ detector_arg $ hb_arg $ time_limit $ no_dedup)
+
+let jobs_arg ?(default = 1) doc =
+  let jobs n = if n = 0 then Wr_support.Pool.default_jobs () else max 1 n in
+  Term.(
+    const jobs
+    $ Arg.(
+        value & opt int default
+        & info [ "j"; "jobs" ] ~docv:"N"
+            ~doc:(doc ^ " $(b,0) means one per hardware thread.")))
+
+let limit_arg =
+  Arg.(
+    value & opt (some int) None
+    & info [ "limit" ] ~docv:"N" ~doc:"Only the first $(docv) corpus sites.")
+
+let gc_trace_arg =
+  Arg.(
+    value & flag
+    & info [ "gc-trace" ]
+        ~doc:"Observe the runtime's GC through Runtime_events: per-domain pause \
+              histograms, and GC slices on each domain's track in $(b,--trace-out) \
+              output.")
+
+let trace_out_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "trace-out" ] ~docv:"FILE"
+        ~doc:"Write a Chrome trace_event JSON profile to $(docv) (open in \
+              chrome://tracing or Perfetto), one track per domain.")
+
+let connect_timeout_arg =
+  Arg.(
+    value & opt float 10.
+    & info [ "connect-timeout" ] ~docv:"SECONDS"
+        ~doc:"Keep retrying the connection this long (covers a daemon still \
+              starting up).")
+
+(* [schema_arg cmd] is the wire schema generation, checked against what
+   this client speaks before [cmd] does anything else. *)
+let schema_arg cmd =
+  let checked schema =
+    if not (Wr_support.Schema.is_supported schema) then begin
+      Printf.eprintf "%s: unsupported --schema %d (this client speaks %s)\n" cmd
+        schema (Wr_support.Schema.supported_names ());
+      exit 1
+    end;
+    schema
+  in
+  Term.(
+    const checked
+    $ Arg.(
+        value & opt int 1
+        & info [ "schema" ] ~docv:"V"
+            ~doc:"Wire schema generation to request (1 or 2). v2 responses carry \
+                  HTTP-parity error objects; v1 is the byte-stable default."))
+
+(* [--log-out FILE] routes the structured event log to a JSONL file; if
+   WEBRACER_LOG did not already pick a level, recording everything is the
+   useful default for an explicitly requested log file. The sink is
+   flushed and closed at exit, whichever way the subcommand exits. *)
+let log_out =
+  let setup log_out =
+    at_exit Log.close_sink;
+    match log_out with
+    | None -> ()
+    | Some file ->
+        Log.open_sink_file file;
+        if Log.current_level () = None then Log.set_level (Some Log.Debug)
+  in
+  Term.(
+    const setup
+    $ Arg.(
+        value & opt (some string) None
+        & info [ "log-out" ] ~docv:"FILE"
+            ~doc:"Write the structured pipeline event log as JSONL to $(docv) (level \
+                  $(b,debug) unless $(b,WEBRACER_LOG) says otherwise)."))
+
+(* --- run -------------------------------------------------------------- *)
+
+let run_cmd =
+  let page = Arg.(required & page_arg "HTML page to analyze.") in
+  let raw =
+    Arg.(
+      value & flag
+      & info [ "raw" ] ~doc:"Report unfiltered races instead of applying the §5.3 filters.")
+  in
+  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the full report as JSON.") in
+  let dump_hb =
+    Arg.(
+      value & opt (some string) None
+      & info [ "dump-hb" ] ~docv:"FILE"
+          ~doc:"Write the happens-before graph as Graphviz DOT, with the first reported \
+                race's operations highlighted.")
+  in
+  let dump_trace =
+    Arg.(
+      value & opt (some string) None
+      & info [ "dump-trace" ] ~docv:"FILE"
+          ~doc:"Record the execution trace (operations, edges, accesses) as JSON for \
+                offline analysis with $(b,webracer offline).")
+  in
+  let metrics =
+    Arg.(
+      value & flag
+      & info [ "metrics" ]
+          ~doc:"Collect telemetry during the run and print a metrics summary (also \
+                embedded under $(b,telemetry) with $(b,--json)).")
+  in
+  let action page target raw json dump_hb dump_trace trace_out metrics () =
     let tm = if trace_out <> None || metrics then Telemetry.create () else Telemetry.disabled in
-    let params =
-      Request.analyze_params ~page:(read_file page) ~resources:(resources_around page)
-        ~seed ~explore:(not no_explore) ~detector ~hb ~time_limit
-        ~dedup:(not no_dedup) ()
+    let report =
+      Api.analyze ~trace:(dump_trace <> None) ~telemetry:tm (with_page ~params:target page)
     in
-    let report = Api.analyze ~trace:(dump_trace <> None) ~telemetry:tm params in
-    (match trace_out with
-    | Some file -> write_file file (Wr_support.Json.to_string (Telemetry.to_chrome_trace tm))
-    | None -> ());
+    Option.iter (write_trace tm) trace_out;
     (match dump_trace, report.Webracer.trace with
     | Some file, Some trace -> Wr_detect.Trace.save trace file
     | _ -> ());
@@ -200,7 +265,6 @@ let run_cmd =
       if metrics then
         print_endline (Wr_support.Json.to_string (Telemetry.metrics_json tm))
     end;
-    Log.close_sink ();
     (* CI-gate contract: exit 2 iff a likely-harmful race survives the
        filters, so `webracer run` can guard a pipeline (README: exit codes). *)
     if List.exists Wr_detect.Race.heuristic_harmful report.Webracer.filtered then exit 2
@@ -209,8 +273,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc)
     Term.(
-      const action $ page $ seed $ explore $ raw $ json $ detector $ hb $ time_limit
-      $ dump_hb $ dump_trace $ trace_out $ metrics $ no_dedup $ log_out_arg)
+      const action $ page $ target_term () $ raw $ json $ dump_hb $ dump_trace
+      $ trace_out_arg $ metrics $ log_out)
 
 (* --- batch -------------------------------------------------------------- *)
 
@@ -222,39 +286,16 @@ let batch_cmd =
                                     files as fetchable resources).")
   in
   let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Analyze up to $(docv) pages concurrently on an OCaml-domain worker pool \
-                (0 = one per hardware thread). Results are aggregated in input order, so \
-                the report is identical whatever $(docv) is.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Seed for network latencies and Math.random.")
-  in
-  let no_explore =
-    Arg.(
-      value & flag
-      & info [ "no-explore" ] ~doc:"Disable automatic exploration of user events (§5.2.2).")
-  in
-  let no_dedup =
-    Arg.(
-      value & flag
-      & info [ "no-dedup" ] ~doc:"Disable the per-operation access-dedup front-end.")
+    jobs_arg
+      "Analyze up to $(docv) pages concurrently on an OCaml-domain worker pool. \
+       Results are aggregated in input order, so the report is identical whatever \
+       $(docv) is."
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the aggregated report as JSON.") in
-  let action pages jobs seed no_explore no_dedup json log_out =
-    setup_event_log log_out;
-    let jobs = if jobs = 0 then Wr_support.Pool.default_jobs () else max 1 jobs in
+  let action pages target jobs json () =
     let started = Wr_support.Clock.now () in
-    let cfgs =
-      List.map
-        (fun page ->
-          Webracer.config ~page:(read_file page) ~resources:(resources_around page) ~seed
-            ~explore:(not no_explore) ~dedup:(not no_dedup) ())
-        pages
-    in
-    let reports = Webracer.analyze_batch ~jobs cfgs in
+    let params = List.map (with_page ~params:target) pages in
+    let reports = Wr_support.Pool.map_jobs ~jobs Api.analyze params in
     let rows = List.combine pages reports in
     if json then
       print_endline
@@ -293,7 +334,6 @@ let batch_cmd =
         (sum harmful);
       Printf.printf "wall clock: %.3f s (%d jobs)\n" (Wr_support.Clock.now () -. started) jobs
     end;
-    Log.close_sink ();
     (* Same CI-gate contract as `run`: exit 2 iff any page keeps a
        likely-harmful race after filtering. *)
     if
@@ -309,24 +349,12 @@ let batch_cmd =
   in
   Cmd.v
     (Cmd.info "batch" ~doc)
-    Term.(const action $ pages $ jobs $ seed $ no_explore $ no_dedup $ json $ log_out_arg)
+    Term.(const action $ pages $ target_term () $ jobs $ json $ log_out)
 
 (* --- explain ------------------------------------------------------------ *)
 
 let explain_cmd =
-  let page =
-    Arg.(
-      required & pos 0 (some file) None
-      & info [] ~docv:"PAGE" ~doc:"HTML page whose races should be explained.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Seed for network latencies and Math.random.")
-  in
-  let no_explore =
-    Arg.(
-      value & flag
-      & info [ "no-explore" ] ~doc:"Disable automatic exploration of user events (§5.2.2).")
-  in
+  let page = Arg.(required & page_arg "HTML page whose races should be explained.") in
   let race_n =
     Arg.(
       value & opt (some int) None
@@ -345,13 +373,8 @@ let explain_cmd =
       value & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Write the selected witnesses as JSON to $(docv).")
   in
-  let action page seed no_explore race_n dot_out json_out log_out =
-    setup_event_log log_out;
-    let params =
-      Request.analyze_params ~page:(read_file page) ~resources:(resources_around page)
-        ~seed ~explore:(not no_explore) ()
-    in
-    let report = Api.analyze params in
+  let action page target race_n dot_out json_out () =
+    let report = Api.analyze (with_page ~params:target page) in
     let g = report.Webracer.hb_graph in
     let races = report.Webracer.races in
     let witnesses =
@@ -384,7 +407,6 @@ let explain_cmd =
         write_file file (Wr_support.Json.to_string (Api.explain_json report witnesses));
         Printf.printf "witnesses written to %s\n" file
     | None -> ());
-    Log.close_sink ();
     if List.exists (fun (_, _, w) -> not (Wr_explain.verify g w)) witnesses then begin
       prerr_endline "explain: internal error: a witness failed its own certificate";
       exit 3
@@ -398,15 +420,13 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain" ~doc)
     Term.(
-      const action $ page $ seed $ no_explore $ race_n $ dot_out $ json_out $ log_out_arg)
+      const action $ page $ target_term () $ race_n $ dot_out $ json_out $ log_out)
 
 (* --- predict ----------------------------------------------------------- *)
 
 let predict_cmd =
   let page =
-    Arg.(
-      value & pos 0 (some file) None
-      & info [] ~docv:"PAGE" ~doc:"HTML page to predict races for (omit with $(b,--corpus)).")
+    Arg.(value & page_arg "HTML page to predict races for (omit with $(b,--corpus)).")
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the prediction document as JSON.") in
   let lint =
@@ -430,31 +450,28 @@ let predict_cmd =
           ~doc:"Validate over the synthetic corpus instead of one page: predict and \
                 $(b,--compare) every site, aggregate recall/precision.")
   in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Seed for the dynamic comparison run.")
-  in
-  let limit =
-    Arg.(
-      value & opt (some int) None
-      & info [ "limit" ] ~docv:"N" ~doc:"(corpus) only the first $(docv) sites.")
+  let target =
+    target_term
+      ~seed:
+        (seed_arg ~default:42
+           ~doc:"Seed for the dynamic comparison run (and the corpus sites)." ())
+      ()
   in
   let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"(corpus) validate up to $(docv) sites concurrently (0 = one per \
-                hardware thread); per-site seeds are position-fixed.")
+    jobs_arg
+      "(corpus) validate up to $(docv) sites concurrently; per-site seeds are \
+       position-fixed."
   in
   let metrics =
     Arg.(
       value & flag
       & info [ "metrics" ] ~doc:"Collect telemetry and print a metrics summary.")
   in
-  let action page json lint compare corpus seed limit jobs metrics log_out =
-    setup_event_log log_out;
+  let action page json lint compare corpus target limit jobs metrics () =
     if corpus then begin
-      let jobs = if jobs = 0 then Wr_support.Pool.default_jobs () else max 1 jobs in
-      let outcomes = Wr_sitegen.Eval.predict_corpus ~seed ?limit ~jobs () in
+      let outcomes =
+        Wr_sitegen.Eval.predict_corpus ~seed:target.Request.seed ?limit ~jobs ()
+      in
       print_string (Wr_sitegen.Eval.render_predict outcomes);
       let missed =
         List.fold_left
@@ -462,7 +479,6 @@ let predict_cmd =
             acc + List.length o.Wr_sitegen.Eval.comparison.Wr_static.Compare.missed)
           0 outcomes
       in
-      Log.close_sink ();
       (* CI-gate contract: a dynamically detected race the static side
          missed is a soundness regression. *)
       if missed > 0 then exit 2
@@ -476,11 +492,7 @@ let predict_cmd =
             exit 1
       in
       let tm = if metrics then Telemetry.create () else Telemetry.disabled in
-      let target =
-        Request.analyze_params ~page:(read_file page)
-          ~resources:(resources_around page) ~seed ()
-      in
-      let params = { Request.target; compare; lint } in
+      let params = { Request.target = with_page ~params:target page; compare; lint } in
       let doc = Api.predict_json ~telemetry:tm params in
       if json || lint then
         print_endline (Wr_support.Json.to_string doc)
@@ -538,8 +550,7 @@ let predict_cmd =
         | None -> ());
         if metrics then
           print_endline (Wr_support.Json.to_string (Telemetry.metrics_json tm))
-      end;
-      Log.close_sink ()
+      end
     end
   in
   let doc =
@@ -549,24 +560,20 @@ let predict_cmd =
   Cmd.v
     (Cmd.info "predict" ~doc)
     Term.(
-      const action $ page $ json $ lint $ compare $ corpus $ seed $ limit $ jobs
-      $ metrics $ log_out_arg)
+      const action $ page $ json $ lint $ compare $ corpus $ target $ limit_arg $ jobs
+      $ metrics $ log_out)
 
 (* --- triage ------------------------------------------------------------ *)
 
 let triage_cmd =
-  let page =
-    Arg.(
-      value & pos 0 (some file) None
-      & info [] ~docv:"PAGE" ~doc:"HTML page to triage (omit with $(b,--corpus)).")
-  in
+  let page = Arg.(value & page_arg "HTML page to triage (omit with $(b,--corpus)).") in
   let corpus =
     Arg.(
       value & flag
       & info [ "corpus" ]
-          ~doc:"Triage the synthetic corpus plus the adversarial pack instead of \
-                one page; exits 2 if any site surfaces a dynamic race outside its \
-                prediction set.")
+          ~doc:"Triage the synthetic corpus plus the adversarial pack (which \
+                $(b,--limit) never cuts) instead of one page; exits 2 if any site \
+                surfaces a dynamic race outside its prediction set.")
   in
   let budget =
     Arg.(
@@ -590,30 +597,16 @@ let triage_cmd =
           ~doc:"Also report how many schedules blind seed enumeration needs to \
                 confirm everything the guided search confirmed (capped at 64).")
   in
-  let seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Base seed for the schedules.")
-  in
-  let limit =
-    Arg.(
-      value & opt (some int) None
-      & info [ "limit" ] ~docv:"N"
-          ~doc:"(corpus) only the first $(docv) sites (the adversarial pack \
-                always rides along).")
-  in
+  let seed = seed_arg ~default:42 ~doc:"Base seed for the schedules." () in
   let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Schedule (or, with $(b,--corpus), site) parallelism (0 = one per \
-                hardware thread); the reports are identical whatever $(docv) is.")
+    jobs_arg
+      "Schedule (or, with $(b,--corpus), site) parallelism; the reports are \
+       identical whatever $(docv) is."
   in
-  let action page corpus budget json blind seed limit jobs log_out =
-    setup_event_log log_out;
-    let jobs = if jobs = 0 then Wr_support.Pool.default_jobs () else max 1 jobs in
+  let action page corpus budget json blind seed limit jobs () =
     if corpus then begin
       let outcomes = Wr_sitegen.Eval.triage_corpus ~seed ?limit ~jobs ~budget () in
       print_string (Wr_sitegen.Eval.render_triage outcomes);
-      Log.close_sink ();
       (* CI-gate contract: a dynamic race the prediction set does not
          cover is a soundness regression. *)
       if not (Wr_sitegen.Eval.triage_sound outcomes) then exit 2
@@ -626,7 +619,7 @@ let triage_cmd =
             prerr_endline "triage: PAGE argument required (or use --corpus)";
             exit 1
       in
-      let page_html = read_file page and resources = resources_around page in
+      let { Request.page = page_html; resources; _ } = with_page page in
       let t =
         Wr_static.Triage.run ~seed ~jobs ~budget ~page:page_html ~resources ()
       in
@@ -645,7 +638,6 @@ let triage_cmd =
              else " (cap hit before matching)")
         end
       end;
-      Log.close_sink ();
       if not (Wr_static.Triage.sound t) then exit 2
     end
   in
@@ -659,32 +651,26 @@ let triage_cmd =
   Cmd.v
     (Cmd.info "triage" ~doc)
     Term.(
-      const action $ page $ corpus $ budget $ json $ blind $ seed $ limit $ jobs
-      $ log_out_arg)
+      const action $ page $ corpus $ budget $ json $ blind $ seed $ limit_arg $ jobs
+      $ log_out)
 
 (* --- corpus ------------------------------------------------------------ *)
 
 let corpus_cmd =
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Corpus analysis seed.") in
-  let limit =
-    Arg.(
-      value & opt (some int) None
-      & info [ "limit" ] ~doc:"Only analyze the first $(docv) sites." ~docv:"N")
-  in
+  let seed = seed_arg ~default:42 ~doc:"Corpus analysis seed." () in
   let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Analyze up to $(docv) sites concurrently (0 = one per hardware thread); \
-                per-site seeds are position-fixed so the tables do not depend on $(docv).")
+    jobs_arg
+      "Analyze up to $(docv) sites concurrently; per-site seeds are position-fixed \
+       so the tables do not depend on $(docv)."
   in
   let profile =
     Arg.(
       value & flag
       & info [ "profile" ]
           ~doc:"Also print the fleet profile: per-domain queue-wait / run / idle / GC \
-                breakdown, lock contention, and the cross-domain telemetry phase \
-                table — the figures behind any parallel speedup (or its absence).")
+                breakdown (implies $(b,--gc-trace)), lock contention, and the \
+                cross-domain telemetry phase table — the figures behind any parallel \
+                speedup (or its absence).")
   in
   let json =
     Arg.(
@@ -694,23 +680,7 @@ let corpus_cmd =
                 (pool, GC, regex-cache and telemetry sections — the same fields \
                 as the rendered tables) instead of text.")
   in
-  let gc_trace =
-    Arg.(
-      value & flag
-      & info [ "gc-trace" ]
-          ~doc:"Observe the runtime's GC through Runtime_events even without \
-                $(b,--profile) (implied by it): per-domain pause histograms, and \
-                GC slices on each domain's track in $(b,--trace-out) output.")
-  in
-  let trace_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Write the run's Chrome trace_event JSON: analysis spans per domain, \
-                interleaved with GC slices when the probe is on.")
-  in
   let action seed limit jobs profile json gc_trace trace_out =
-    let jobs = if jobs = 0 then Wr_support.Pool.default_jobs () else max 1 jobs in
     let observing = profile || gc_trace || trace_out <> None in
     let tm = if observing then Telemetry.create () else Telemetry.disabled in
     (* Start before the pool exists so every fleet domain announces its
@@ -784,16 +754,17 @@ let corpus_cmd =
             print_string (Wr_telemetry.Runtime_probe.render_stats p)
         | None -> ()
     end;
-    match trace_out with
-    | Some file ->
-        write_file file (Wr_support.Json.to_string (Telemetry.to_chrome_trace tm));
-        if not json then Printf.printf "\ntrace written to %s\n" file
-    | None -> ()
+    Option.iter
+      (fun file ->
+        write_trace tm file;
+        if not json then Printf.printf "\ntrace written to %s\n" file)
+      trace_out
   in
   let doc = "Regenerate the paper's evaluation tables over the synthetic corpus." in
   Cmd.v (Cmd.info "corpus" ~doc)
     Term.(
-      const action $ seed $ limit $ jobs $ profile $ json $ gc_trace $ trace_out)
+      const action $ seed $ limit_arg $ jobs $ profile $ json $ gc_trace_arg
+      $ trace_out_arg)
 
 (* --- offline ------------------------------------------------------------ *)
 
@@ -802,17 +773,6 @@ let offline_cmd =
     Arg.(
       required & pos 0 (some file) None
       & info [] ~docv:"TRACE" ~doc:"Trace recorded with $(b,webracer run --dump-trace).")
-  in
-  let detector =
-    Arg.(
-      value
-      & opt detector_conv Webracer.Config.Last_access
-      & info [ "detector" ] ~doc:"Detector to replay the trace through.")
-  in
-  let hb =
-    Arg.(
-      value & opt hb_conv Wr_hb.Graph.Closure
-      & info [ "hb" ] ~doc:"Happens-before strategy for the replayed graph.")
   in
   let atomicity =
     Arg.(
@@ -846,16 +806,13 @@ let offline_cmd =
     end
   in
   let doc = "Replay a recorded trace through a detector (and optionally the atomicity checker)." in
-  Cmd.v (Cmd.info "offline" ~doc) Term.(const action $ trace_file $ detector $ hb $ atomicity)
+  Cmd.v (Cmd.info "offline" ~doc)
+    Term.(const action $ trace_file $ detector_arg $ hb_arg $ atomicity)
 
 (* --- replay ------------------------------------------------------------ *)
 
 let replay_cmd =
-  let page =
-    Arg.(
-      required & pos 0 (some file) None
-      & info [] ~docv:"PAGE" ~doc:"HTML page whose races should be made to manifest.")
-  in
+  let page = Arg.(required & page_arg "HTML page whose races should be made to manifest.") in
   let schedules =
     Arg.(
       value & opt int 25
@@ -869,19 +826,15 @@ let replay_cmd =
                 parsing.")
   in
   let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Try up to $(docv) schedules concurrently (0 = one per hardware \
-                thread); the verdict stays seed-ordered whatever $(docv) is.")
+    jobs_arg
+      "Try up to $(docv) schedules concurrently; the verdict stays seed-ordered \
+       whatever $(docv) is."
   in
   let action page schedules parse_delay jobs =
-    let jobs = if jobs = 0 then Wr_support.Pool.default_jobs () else max 1 jobs in
     let params =
       {
         Request.target =
-          Request.analyze_params ~page:(read_file page)
-            ~resources:(resources_around page) ~explore:false ();
+          with_page ~params:(Request.analyze_params ~page:"" ~explore:false ()) page;
         schedules;
         parse_delay;
         jobs;
@@ -900,26 +853,7 @@ let replay_cmd =
 (* --- profile ------------------------------------------------------------ *)
 
 let profile_cmd =
-  let page =
-    Arg.(
-      required & pos 0 (some file) None
-      & info [] ~docv:"PAGE" ~doc:"HTML page to profile.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Seed for network latencies and Math.random.")
-  in
-  let no_explore =
-    Arg.(
-      value & flag
-      & info [ "no-explore" ] ~doc:"Disable automatic exploration of user events (§5.2.2).")
-  in
-  let trace_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Also write the Chrome trace_event JSON profile (open in chrome://tracing \
-                or Perfetto).")
-  in
+  let page = Arg.(required & page_arg "HTML page to profile.") in
   let json =
     Arg.(
       value & flag
@@ -927,24 +861,13 @@ let profile_cmd =
           ~doc:"Emit the profile as one JSON object (telemetry phases, counters, \
                 histograms, race counts, GC when $(b,--gc-trace)) instead of text.")
   in
-  let gc_trace =
-    Arg.(
-      value & flag
-      & info [ "gc-trace" ]
-          ~doc:"Also observe the runtime's GC through Runtime_events: pause \
-                histogram plus GC slices in $(b,--trace-out) output.")
-  in
-  let action page seed no_explore trace_out json gc_trace =
+  let action page target trace_out json gc_trace =
     let tm = Telemetry.create () in
     let probe =
       if gc_trace then Some (Wr_telemetry.Runtime_probe.start ~telemetry:tm ())
       else None
     in
-    let cfg =
-      Webracer.config ~page:(read_file page) ~resources:(resources_around page) ~seed
-        ~explore:(not no_explore) ~telemetry:tm ()
-    in
-    let report = Webracer.analyze cfg in
+    let report = Api.analyze ~telemetry:tm (with_page ~params:target page) in
     Option.iter Wr_telemetry.Runtime_probe.stop probe;
     if json then begin
       let fields =
@@ -963,46 +886,42 @@ let profile_cmd =
         | Some p -> [ ("gc", Wr_telemetry.Runtime_probe.stats_json p) ]
         | None -> []
       in
-      print_endline (Wr_support.Json.to_string (Wr_support.Json.Obj fields));
-      match trace_out with
-      | Some file ->
-          write_file file (Wr_support.Json.to_string (Telemetry.to_chrome_trace tm))
-      | None -> ()
+      print_endline (Wr_support.Json.to_string (Wr_support.Json.Obj fields))
     end
     else begin
-    print_string (Telemetry.phase_table tm);
-    Printf.printf "\nspans: %d  domains: %d  races: %d raw, %d after filters\n"
-      (Telemetry.n_spans tm) (Telemetry.domains tm)
-      (List.length report.Webracer.races)
-      (List.length report.Webracer.filtered);
-    (match Telemetry.counters tm with
-    | [] -> ()
-    | counters ->
-        print_newline ();
-        print_endline "counters:";
-        List.iter (fun (k, v) -> Printf.printf "  %-30s %d\n" k v) counters);
-    (match Telemetry.histograms tm with
-    | [] -> ()
-    | hs ->
-        print_newline ();
-        print_endline "histograms:                       count      mean       p50       p95       max";
-        List.iter
-          (fun (name, h) ->
-            Printf.printf "  %-30s %6d %9.3f %9.3f %9.3f %9.3f\n" name
-              h.Telemetry.count h.Telemetry.mean h.Telemetry.p50
-              h.Telemetry.p95 h.Telemetry.max)
-          hs);
-    (match probe with
-    | Some p ->
-        Printf.printf "\nGC (runtime events):\n\n";
-        print_string (Wr_telemetry.Runtime_probe.render_stats p)
-    | None -> ());
-    match trace_out with
-    | Some file ->
-        write_file file (Wr_support.Json.to_string (Telemetry.to_chrome_trace tm));
-        Printf.printf "\ntrace written to %s\n" file
-    | None -> ()
-    end
+      print_string (Telemetry.phase_table tm);
+      Printf.printf "\nspans: %d  domains: %d  races: %d raw, %d after filters\n"
+        (Telemetry.n_spans tm) (Telemetry.domains tm)
+        (List.length report.Webracer.races)
+        (List.length report.Webracer.filtered);
+      (match Telemetry.counters tm with
+      | [] -> ()
+      | counters ->
+          print_newline ();
+          print_endline "counters:";
+          List.iter (fun (k, v) -> Printf.printf "  %-30s %d\n" k v) counters);
+      (match Telemetry.histograms tm with
+      | [] -> ()
+      | hs ->
+          print_newline ();
+          print_endline "histograms:                       count      mean       p50       p95       max";
+          List.iter
+            (fun (name, h) ->
+              Printf.printf "  %-30s %6d %9.3f %9.3f %9.3f %9.3f\n" name
+                h.Telemetry.count h.Telemetry.mean h.Telemetry.p50
+                h.Telemetry.p95 h.Telemetry.max)
+            hs);
+      match probe with
+      | Some p ->
+          Printf.printf "\nGC (runtime events):\n\n";
+          print_string (Wr_telemetry.Runtime_probe.render_stats p)
+      | None -> ()
+    end;
+    Option.iter
+      (fun file ->
+        write_trace tm file;
+        if not json then Printf.printf "\ntrace written to %s\n" file)
+      trace_out
   in
   let doc =
     "Analyze a page with telemetry enabled and print the per-phase wall-clock breakdown \
@@ -1010,7 +929,8 @@ let profile_cmd =
   in
   Cmd.v
     (Cmd.info "profile" ~doc)
-    Term.(const action $ page $ seed $ no_explore $ trace_out $ json $ gc_trace)
+    Term.(
+      const action $ page $ target_term () $ trace_out_arg $ json $ gc_trace_arg)
 
 (* --- sitegen ------------------------------------------------------------ *)
 
@@ -1075,13 +995,19 @@ let address_string = function
   | Wr_serve.Daemon.Unix_socket p -> "unix:" ^ p
   | Wr_serve.Daemon.Tcp p -> Printf.sprintf "tcp:127.0.0.1:%d" p
 
+(* [connect cmd ~retry_for address] — or exit 3, the daemon-unreachable
+   code of [cmd]. *)
+let connect cmd ~retry_for address =
+  try Wr_serve.Client.connect ~retry_for address
+  with Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "%s: cannot connect to %s: %s\n" cmd (address_string address)
+      (Unix.error_message e);
+    exit 3
+
 let serve_cmd =
   let jobs =
-    Arg.(
-      value & opt int 4
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains analyzing requests (0 = one per hardware thread); the \
-                accept loop runs besides them.")
+    jobs_arg ~default:4
+      "Worker domains analyzing requests; the accept loop runs besides them."
   in
   (* Accepted so existing scripts keep working; the daemon has one
      event loop whatever the value. *)
@@ -1119,14 +1045,6 @@ let serve_cmd =
       & info [ "max-time-limit" ] ~docv:"MS"
           ~doc:"Clamp on the virtual-time horizon a request may ask for.")
   in
-  let trace_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"On shutdown, write the daemon's Chrome trace_event JSON profile — \
-                one named thread row per worker domain, spans tagged with request \
-                trace ids — to $(docv).")
-  in
   let metrics_out =
     Arg.(
       value & opt (some string) None
@@ -1144,18 +1062,8 @@ let serve_cmd =
                 $(b,postmortem-<n>-<reason>.jsonl) (+ a mini Chrome trace) on a \
                 worker crash, a blown request deadline, or SIGUSR2.")
   in
-  let gc_trace =
-    Arg.(
-      value & flag
-      & info [ "gc-trace" ]
-          ~doc:"Observe the runtime's GC through Runtime_events for the daemon's \
-                lifetime: per-domain pause histograms in $(b,watch) snapshots, GC \
-                slices in $(b,--trace-out) output.")
-  in
   let action address jobs (_ : int) queue cache wall_limit max_vtime trace_out
-      metrics_out postmortem_dir gc_trace log_out =
-    setup_event_log log_out;
-    let jobs = if jobs = 0 then Wr_support.Pool.default_jobs () else max 1 jobs in
+      metrics_out postmortem_dir gc_trace () =
     let cfg =
       {
         Wr_serve.Daemon.address;
@@ -1193,11 +1101,11 @@ let serve_cmd =
           write_file file (Wr_support.Json.to_string metrics);
           Printf.eprintf "webracer serve: metrics written to %s\n%!" file
       | None -> ());
-      match trace_out with
-      | Some file ->
-          write_file file (Wr_support.Json.to_string (Telemetry.to_chrome_trace tm));
-          Printf.eprintf "webracer serve: trace written to %s\n%!" file
-      | None -> ()
+      Option.iter
+        (fun file ->
+          write_trace tm file;
+          Printf.eprintf "webracer serve: trace written to %s\n%!" file)
+        trace_out
     in
     let final =
       Wr_serve.Daemon.run
@@ -1207,8 +1115,7 @@ let serve_cmd =
     in
     Option.iter Wr_telemetry.Runtime_probe.stop probe;
     Printf.eprintf "webracer serve: drained and stopped\n%s\n%!"
-      (Wr_support.Json.to_string final);
-    Log.close_sink ()
+      (Wr_support.Json.to_string final)
   in
   let doc =
     "Run the long-lived analysis daemon: newline-delimited JSON requests \
@@ -1216,15 +1123,16 @@ let serve_cmd =
      $(b,explain), $(b,predict), $(b,triage), $(b,replay)) over a Unix socket \
      or TCP, dispatched to a \
      domain worker pool behind a bounded queue with an LRU result cache. \
-     SIGINT/SIGTERM drain in-flight work before exit; SIGUSR2 dumps a \
+     SIGINT/SIGTERM drain in-flight work, then write $(b,--trace-out) and \
+     $(b,--metrics-out), before exit; SIGUSR2 dumps a \
      postmortem when $(b,--postmortem-dir) is set."
   in
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
       const action $ address_term $ jobs $ shards $ queue $ cache $ wall_limit
-      $ max_vtime $ trace_out $ metrics_out $ postmortem_dir $ gc_trace
-      $ log_out_arg)
+      $ max_vtime $ trace_out_arg $ metrics_out $ postmortem_dir $ gc_trace_arg
+      $ log_out)
 
 let call_cmd =
   let verb =
@@ -1243,9 +1151,7 @@ let call_cmd =
                 $(b,replay), or $(b,raw) (send stdin lines verbatim).")
   in
   let page =
-    Arg.(
-      value & pos 1 (some file) None
-      & info [] ~docv:"PAGE" ~doc:"HTML page (analyze/explain/predict/triage/replay).")
+    Arg.(value & page_arg ~nth:1 "HTML page (analyze/explain/predict/triage/replay).")
   in
   let repeat =
     Arg.(
@@ -1253,31 +1159,6 @@ let call_cmd =
       & info [ "repeat" ] ~docv:"N"
           ~doc:"Pipeline $(docv) copies of the request (ids 1..$(docv)) over one \
                 connection; responses print in arrival order.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Seed for network latencies and Math.random.")
-  in
-  let no_explore =
-    Arg.(value & flag & info [ "no-explore" ] ~doc:"Disable automatic exploration (§5.2.2).")
-  in
-  let no_dedup =
-    Arg.(value & flag & info [ "no-dedup" ] ~doc:"Disable the access-dedup front-end.")
-  in
-  let detector =
-    Arg.(
-      value
-      & opt detector_conv Webracer.Config.Last_access
-      & info [ "detector" ] ~doc:"Race detector: $(b,last-access) or $(b,full-track).")
-  in
-  let hb =
-    Arg.(
-      value & opt hb_conv Wr_hb.Graph.Closure
-      & info [ "hb" ] ~doc:"Happens-before queries: $(b,closure), $(b,chain-vc) or $(b,dfs).")
-  in
-  let time_limit =
-    Arg.(
-      value & opt float 60_000.
-      & info [ "time-limit" ] ~doc:"Virtual-time horizon in milliseconds.")
   in
   let race_n =
     Arg.(
@@ -1308,12 +1189,7 @@ let call_cmd =
       & opt int Wr_static.Triage.default_budget
       & info [ "budget" ] ~docv:"N" ~doc:"(triage) schedule budget per page.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"(replay/triage) server-side schedule parallelism.")
-  in
+  let jobs = jobs_arg "(replay/triage) server-side schedule parallelism." in
   let watch_interval =
     Arg.(
       value & opt float 1.
@@ -1325,13 +1201,6 @@ let call_cmd =
       value & opt int 1
       & info [ "count" ] ~docv:"N" ~doc:"(watch) snapshots to request.")
   in
-  let connect_timeout =
-    Arg.(
-      value & opt float 10.
-      & info [ "connect-timeout" ] ~docv:"SECONDS"
-          ~doc:"Keep retrying the connection this long (covers a daemon still \
-                starting up).")
-  in
   let http =
     Arg.(
       value & flag
@@ -1339,13 +1208,6 @@ let call_cmd =
           ~doc:"Speak the daemon's HTTP/1.1 surface instead of the raw line \
                 protocol (same connection retry logic; responses are always \
                 schema v2). Not available for $(b,watch) and $(b,raw).")
-  in
-  let schema =
-    Arg.(
-      value & opt int 1
-      & info [ "schema" ] ~docv:"V"
-          ~doc:"Wire schema generation to request (1 or 2). v2 responses carry \
-                HTTP-parity error objects; v1 is the byte-stable default.")
   in
   let trace_id =
     Arg.(
@@ -1361,31 +1223,17 @@ let call_cmd =
           ~doc:"Print each response's trace id on stderr (minting a client-side \
                 trace id when $(b,--trace-id) is not given).")
   in
-  let action verb page address repeat seed no_explore no_dedup detector hb time_limit
-      race_n compare lint schedules parse_delay budget jobs watch_interval
-      watch_count connect_timeout http schema trace_id verbose =
-    if not (Wr_support.Schema.is_supported schema) then begin
-      Printf.eprintf "call: unsupported --schema %d (this client speaks %s)\n"
-        schema (Wr_support.Schema.supported_names ());
-      exit 1
-    end;
+  let action verb page address repeat params race_n compare lint schedules
+      parse_delay budget jobs watch_interval watch_count connect_timeout http schema
+      trace_id verbose =
     if http && (verb = `Watch || verb = `Raw) then begin
       prerr_endline "call: --http does not support the watch and raw verbs";
       exit 1
     end;
-    let client =
-      try Wr_serve.Client.connect ~retry_for:connect_timeout address
-      with Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "call: cannot connect to %s: %s\n" (address_string address)
-          (Unix.error_message e);
-        exit 3
-    in
+    let client = connect "call" ~retry_for:connect_timeout address in
     let target () =
       match page with
-      | Some p ->
-          Request.analyze_params ~page:(read_file p) ~resources:(resources_around p)
-            ~seed ~explore:(not no_explore) ~detector ~hb ~time_limit
-            ~dedup:(not no_dedup) ()
+      | Some p -> with_page ~params p
       | None ->
           prerr_endline "call: this verb needs a PAGE argument";
           exit 1
@@ -1440,10 +1288,8 @@ let call_cmd =
               | `Analyze -> Request.analyze (target ())
               | `Explain -> Request.explain ?race:race_n (target ())
               | `Predict -> Request.predict ~compare ~lint (target ())
-              | `Triage -> Request.triage ~budget ~jobs:(max 1 jobs) (target ())
-              | `Replay ->
-                  Request.replay ~schedules ~parse_delay ~jobs:(max 1 jobs)
-                    (target ())
+              | `Triage -> Request.triage ~budget ~jobs (target ())
+              | `Replay -> Request.replay ~schedules ~parse_delay ~jobs (target ())
             with Invalid_argument msg ->
               Printf.eprintf "call: %s\n" msg;
               exit 1
@@ -1510,10 +1356,10 @@ let call_cmd =
   Cmd.v
     (Cmd.info "call" ~doc)
     Term.(
-      const action $ verb $ page $ address_term $ repeat $ seed $ no_explore $ no_dedup
-      $ detector $ hb $ time_limit $ race_n $ compare $ lint $ schedules $ parse_delay
-      $ budget $ jobs $ watch_interval $ watch_count $ connect_timeout $ http $ schema
-      $ trace_id $ verbose)
+      const action $ verb $ page $ address_term $ repeat $ target_term () $ race_n
+      $ compare $ lint $ schedules $ parse_delay $ budget $ jobs $ watch_interval
+      $ watch_count $ connect_timeout_arg $ http $ schema_arg "call" $ trace_id
+      $ verbose)
 
 (* --- bench-serve -------------------------------------------------------- *)
 
@@ -1546,22 +1392,12 @@ let bench_serve_cmd =
           ~doc:"Request to blast: $(b,ping) or $(b,analyze) (needs PAGE; identical \
                 requests hit the daemon's result cache after the first).")
   in
-  let page =
-    Arg.(
-      value & pos 0 (some file) None
-      & info [] ~docv:"PAGE" ~doc:"HTML page for $(b,--verb analyze).")
-  in
+  let page = Arg.(value & page_arg "HTML page for $(b,--verb analyze).") in
   let http =
     Arg.(
       value & flag
       & info [ "http" ]
           ~doc:"Blast the HTTP/1.1 surface instead of the raw line protocol.")
-  in
-  let schema =
-    Arg.(
-      value & opt int 1
-      & info [ "schema" ] ~docv:"V"
-          ~doc:"Wire schema generation for raw requests (1 or 2).")
   in
   let json_out =
     Arg.(
@@ -1573,20 +1409,12 @@ let bench_serve_cmd =
   let action address conns pipeline duration verb page http schema json_out =
     let module L = Wr_serve.Loadgen in
     let module H = Wr_support.Stats.Histo in
-    if not (Wr_support.Schema.is_supported schema) then begin
-      Printf.eprintf "bench-serve: unsupported --schema %d (this client speaks %s)\n"
-        schema (Wr_support.Schema.supported_names ());
-      exit 1
-    end;
     let rverb =
       match verb with
       | `Ping -> Request.Ping
       | `Analyze -> (
           match page with
-          | Some p ->
-              Request.analyze
-                (Request.analyze_params ~page:(read_file p)
-                   ~resources:(resources_around p) ())
+          | Some p -> Request.analyze (with_page p)
           | None ->
               prerr_endline "bench-serve: --verb analyze needs a PAGE argument";
               exit 1)
@@ -1632,7 +1460,7 @@ let bench_serve_cmd =
     (Cmd.info "bench-serve" ~doc)
     Term.(
       const action $ address_term $ conns $ pipeline $ duration $ verb $ page
-      $ http $ schema $ json_out)
+      $ http $ schema_arg "bench-serve" $ json_out)
 
 (* --- top ---------------------------------------------------------------- *)
 
@@ -1665,12 +1493,6 @@ let top_cmd =
       value & opt (some int) None
       & info [ "count" ] ~docv:"N"
           ~doc:"Render $(docv) frames then exit (default: stream until Ctrl-C).")
-  in
-  let connect_timeout =
-    Arg.(
-      value & opt float 10.
-      & info [ "connect-timeout" ] ~docv:"SECONDS"
-          ~doc:"Keep retrying the connection this long.")
   in
   (* One frame: rates come from the delta against the previous snapshot,
      so the first frame shows only gauges. *)
@@ -1765,13 +1587,7 @@ let top_cmd =
     Buffer.contents b
   in
   let action address interval count connect_timeout =
-    let client =
-      try Wr_serve.Client.connect ~retry_for:connect_timeout address
-      with Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "top: cannot connect to %s: %s\n" (address_string address)
-          (Unix.error_message e);
-        exit 3
-    in
+    let client = connect "top" ~retry_for:connect_timeout address in
     (* Ctrl-C ends the display, not the daemon: the connection drops and
        the daemon reaps the watch subscription on its side. *)
     Sys.set_signal Sys.sigint
@@ -1812,7 +1628,7 @@ let top_cmd =
   in
   Cmd.v
     (Cmd.info "top" ~doc)
-    Term.(const action $ address_term $ interval $ count $ connect_timeout)
+    Term.(const action $ address_term $ interval $ count $ connect_timeout_arg)
 
 let () =
   let doc = "dynamic race detection for (simulated) web applications" in

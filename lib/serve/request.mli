@@ -136,6 +136,12 @@ val watch : ?interval_s:float -> ?count:int -> unit -> verb
 
 val verb_name : verb -> string
 
+(** The wire names of the [detector] and [hb] fields, in the order the
+    CLI lists them. *)
+val detector_names : (string * Config.detector_kind) list
+
+val hb_names : (string * Wr_hb.Graph.strategy) list
+
 (** Canonical JSON of the params (every field explicit, fixed order) —
     the wire encoding, and the [Cache] key material. *)
 val analyze_params_to_json : analyze_params -> Wr_support.Json.t

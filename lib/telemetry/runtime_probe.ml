@@ -20,10 +20,10 @@
    Two bookkeeping problems are solved with custom user events (which
    travel through the same ring, stamped by the same clock):
 
-   - {e clock calibration}: event timestamps are monotonic nanoseconds,
-     telemetry runs on wall-clock seconds. At [start] we write a sync
-     event bracketed by [Unix.gettimeofday]; observing it fixes the
-     offset.
+   - {e clock calibration}: event timestamps are the runtime's own
+     monotonic nanoseconds, telemetry runs on [Wr_support.Clock] seconds
+     (its default clock). At [start] we write a sync event bracketed by
+     [Clock.now]; observing it fixes the offset.
    - {e ring -> domain identity}: callbacks report a ring index, and
      rings are recycled as domains come and go, so ring index is not a
      domain id. Every domain joining a [Wr_support.Pool] fleet (and the
@@ -67,8 +67,8 @@ type t = {
   interval : float;
   lock : Mutex.t;  (* guards rings/offset/lost: poller vs. readers *)
   rings : (int, ring_state) Hashtbl.t;
-  mutable offset_s : float;  (* wall = mono + offset; nan until synced *)
-  mutable sync_wall : float;  (* wall-clock instant of the sync write *)
+  mutable offset_s : float;  (* clock = mono + offset; nan until synced *)
+  mutable sync_clock : float;  (* [Clock.now] instant of the sync write *)
   mutable lost : int;
   started_at : float;
   mutable stopped_at : float option;
@@ -186,7 +186,7 @@ let make_callbacks t =
          | Probe_announce -> (ring_state t ring).dom <- v
          | Probe_sync ->
              if Float.is_nan t.offset_s then
-               t.offset_s <- t.sync_wall -. mono_s ts
+               t.offset_s <- t.sync_clock -. mono_s ts
          | _ -> ())
 
 (* --- lifecycle --------------------------------------------------------- *)
@@ -210,10 +210,10 @@ let inert tm =
     lock = Mutex.create ();
     rings = Hashtbl.create 1;
     offset_s = Float.nan;
-    sync_wall = 0.;
+    sync_clock = 0.;
     lost = 0;
-    started_at = Unix.gettimeofday ();
-    stopped_at = Some (Unix.gettimeofday ());
+    started_at = Wr_support.Clock.now ();
+    stopped_at = Some (Wr_support.Clock.now ());
     cursor = None;
     callbacks = None;
     poller = None;
@@ -256,9 +256,9 @@ let start ?(telemetry = Telemetry.disabled) ?(interval_s = 0.02)
               lock = Mutex.create ();
               rings = Hashtbl.create 8;
               offset_s = Float.nan;
-              sync_wall = 0.;
+              sync_clock = 0.;
               lost = 0;
-              started_at = Unix.gettimeofday ();
+              started_at = Wr_support.Clock.now ();
               stopped_at = None;
               cursor = Some cursor;
               callbacks = None;
@@ -267,11 +267,11 @@ let start ?(telemetry = Telemetry.disabled) ?(interval_s = 0.02)
           in
           t.callbacks <- Some (make_callbacks t);
           (* Calibrate: the sync event's ring timestamp equals (up to the
-             write latency) this wall-clock instant. *)
-          let w0 = Unix.gettimeofday () in
+             write latency) this [Clock.now] instant. *)
+          let w0 = Wr_support.Clock.now () in
           RE.User.write (Lazy.force sync_ev) 0;
-          let w1 = Unix.gettimeofday () in
-          t.sync_wall <- (w0 +. w1) /. 2.;
+          let w1 = Wr_support.Clock.now () in
+          t.sync_clock <- (w0 +. w1) /. 2.;
           current_probe := Some t;
           Wr_support.Pool.set_worker_hook announce;
           announce ();
@@ -305,7 +305,7 @@ let stop t =
     t.cursor <- None;
     Mutex.unlock t.lock;
     (try RE.pause () with _ -> ());
-    t.stopped_at <- Some (Unix.gettimeofday ());
+    t.stopped_at <- Some (Wr_support.Clock.now ());
     Wr_support.Pool.set_worker_hook (fun () -> ());
     (match !current_probe with Some p when p == t -> current_probe := None | _ -> ())
   end;
@@ -317,7 +317,7 @@ let current () =
 (* --- readings ---------------------------------------------------------- *)
 
 let elapsed_s t =
-  (match t.stopped_at with Some s -> s | None -> Unix.gettimeofday ())
+  (match t.stopped_at with Some s -> s | None -> Wr_support.Clock.now ())
   -. t.started_at
 
 let lost_events t = t.lost

@@ -60,7 +60,7 @@ let make ~enabled ~clock =
 
 let disabled = make ~enabled:false ~clock:(fun () -> 0.)
 
-let create ?(clock = Unix.gettimeofday) () = make ~enabled:true ~clock
+let create ?(clock = Wr_support.Clock.now) () = make ~enabled:true ~clock
 
 let enabled t = t.enabled
 

@@ -36,8 +36,9 @@ type t
     it is a cheap guard-and-return. *)
 val disabled : t
 
-(** [create ?clock ()] builds an enabled context. [clock] returns wall
-    seconds (default [Unix.gettimeofday]); tests inject a fake clock. *)
+(** [create ?clock ()] builds an enabled context. [clock] returns
+    seconds (default the monotonic [Wr_support.Clock.now]; only
+    differences between readings are used); tests inject a fake clock. *)
 val create : ?clock:(unit -> float) -> unit -> t
 
 val enabled : t -> bool
@@ -64,8 +65,8 @@ val mark : t -> cat:string -> string -> unit
 (** [inject_span t ~dom ~cat ~name ~start_s ~dur_s] records an
     already-completed span observed from outside the recording domain —
     the GC runtime probe ({!Runtime_probe}) turning [Runtime_events]
-    phase events into trace slices. [start_s] is absolute wall-clock
-    seconds on the context's clock timeline; [dom] is the domain the
+    phase events into trace slices. [start_s] is in seconds on the
+    context's clock timeline; [dom] is the domain the
     span belongs to (its Chrome-trace tid). Injected spans sit at depth
     1 (outside [total_wall]'s depth-0 denominator, since GC time elapses
     inside the analysis spans it interrupts) and contribute to [cat]'s
