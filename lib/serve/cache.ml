@@ -1,7 +1,7 @@
 module Json = Wr_support.Json
 module Lru = Wr_support.Lru
 
-type t = { lru : Json.t Lru.t; mutable hits : int; mutable misses : int }
+type t = { lru : string Lru.t; mutable hits : int; mutable misses : int }
 
 let create ~cap = { lru = Lru.create ~cap:(max 0 cap); hits = 0; misses = 0 }
 let key p = Wr_support.Hash.hex (Json.to_string (Request.analyze_params_to_json p))

@@ -3,10 +3,14 @@
     Keyed by a content hash of the canonical analyze params — page,
     resources and every config knob that can change the report — so two
     requests share an entry iff they would run the identical analysis.
-    Values are the full report documents ([Webracer.report_to_json]); a
-    hit replays the original run's JSON verbatim, including its
-    [wall_clock_s] (byte-identical output matters more than a
-    fresh-looking timer). Analyze results only: explain and replay are
+    Values are the full report documents ([Webracer.report_to_json]),
+    held encoded: the worker that ran the analysis serialised it once,
+    and a hit splices those bytes into the response envelope
+    ([Json.Raw]) without re-encoding. A hit therefore replays the
+    original run's JSON verbatim, including its [wall_clock_s]
+    (byte-identical output matters more than a fresh-looking timer),
+    and an entry costs its encoded size rather than a JSON tree several
+    times larger. Analyze results only: explain and replay are
     rare, and their documents dominate the memory a slot is worth.
 
     Not thread-safe: the daemon's event loop is its only user. *)
@@ -21,9 +25,10 @@ val create : cap:int -> t
 val key : Request.analyze_params -> string
 
 (** [find t k] bumps the hit or miss counter. *)
-val find : t -> string -> Wr_support.Json.t option
+val find : t -> string -> string option
 
-val store : t -> string -> Wr_support.Json.t -> unit
+(** [store t k bytes] keeps the encoded report [bytes]. *)
+val store : t -> string -> string -> unit
 val hits : t -> int
 val misses : t -> int
 val length : t -> int

@@ -46,9 +46,13 @@ type proto = P_unknown | P_line | P_http
 type conn = {
   cid : int;
   fd : Unix.file_descr;
-  inbuf : Buffer.t;
-  out : Buffer.t;  (** bytes not yet written; [out_ofs] already sent *)
-  mutable out_ofs : int;
+  mutable inbuf : Bytes.t;  (** bytes [0, in_len) are received, not yet handled *)
+  mutable in_len : int;
+  mutable in_scanned : int;
+      (** line protocol: no newline before this offset, so each read
+          scans only the bytes it added *)
+  out : string Queue.t;  (** chunks not yet written, oldest first *)
+  mutable out_ofs : int;  (** bytes of the head chunk already written *)
   mutable alive : bool;  (** peer still readable; dead conns drop replies *)
   mutable proto : proto;
   mutable http_busy : bool;
@@ -67,6 +71,16 @@ type job = {
   cache_key : string option;
   deadline : float option;
   mutable answered : bool;  (** timeout already replied; drop the result *)
+}
+
+(* What a worker hands back to the loop. An ok result arrives already
+   encoded ([Json.Raw]); [encode_s] is what that encoding cost. *)
+type completion = {
+  c_jid : int;
+  resp : Response.t;
+  t_start : float;  (** the worker picked the job up *)
+  t_end : float;  (** the work finished, before encoding *)
+  encode_s : float;
 }
 
 (* One streaming [watch] subscription: the daemon answers with a
@@ -97,8 +111,7 @@ type state = {
   pipe_w : Unix.file_descr;
   conns : (int, conn) Hashtbl.t;
   jobs_live : (int, job) Hashtbl.t;
-  (* (jid, response, worker start, worker end) *)
-  completions : (int * Response.t * float * float) Queue.t;
+  completions : completion Queue.t;
   completions_lock : Mutex.t;
   mutable next_cid : int;
   mutable next_jid : int;
@@ -392,8 +405,12 @@ let write_postmortem st ~reason =
 
 (* The single respond choke point for both surfaces. [http_status]
    overrides the response-derived status for HTTP routing errors
-   (404/405) that have no slot in the closed taxonomy. *)
-let respond ?http_status st conn (resp : Response.t) =
+   (404/405) that have no slot in the closed taxonomy. An ok result from
+   a worker or the cache is already encoded, so the loop only builds the
+   envelope around it; [encode_s] is the worker's share of the encode
+   stage. The envelope and its framing are queued as separate chunks:
+   nothing is copied to be sent. *)
+let respond ?http_status ?(encode_s = 0.) st conn (resp : Response.t) =
   bump st.responses (resp_outcome resp);
   if conn.alive then begin
     let t0 = Clock.now () in
@@ -401,18 +418,19 @@ let respond ?http_status st conn (resp : Response.t) =
     (match conn.proto with
     | P_http ->
         let status = Option.value ~default:(Response.status resp) http_status in
-        Buffer.add_string conn.out (Http.response ~status ~body);
+        Queue.push (Http.head ~status ~content_length:(String.length body)) conn.out;
+        Queue.push body conn.out;
         conn.http_busy <- false
     | P_line | P_unknown ->
-        Buffer.add_string conn.out body;
-        Buffer.add_char conn.out '\n');
-    Histo.add st.lat_encode (Clock.now () -. t0)
+        Queue.push body conn.out;
+        Queue.push "\n" conn.out);
+    Histo.add st.lat_encode (encode_s +. Clock.now () -. t0)
   end;
   sync_telemetry st
 
-let respond_cid st cid resp =
+let respond_cid ?encode_s st cid resp =
   match Hashtbl.find_opt st.conns cid with
-  | Some conn -> respond st conn resp
+  | Some conn -> respond ?encode_s st conn resp
   | None ->
       (* The client vanished before its answer; still tally the outcome. *)
       bump st.responses (resp_outcome resp)
@@ -484,8 +502,18 @@ let submit_job st conn ~verb ~trace ~wire_trace ~schema ~cache_key
       Flight.record ~kind:"request.end" ~trace
         [ ("jid", Json.Int jid); ("outcome", Json.String (resp_outcome resp)) ];
       let t_end = Clock.now () in
+      (* Serialise the result here, off the loop, exactly once: the loop
+         splices these bytes into the envelope and the cache keeps them
+         as they are. *)
+      let resp =
+        match resp with
+        | Response.Ok r ->
+            Response.Ok { r with result = Json.Raw (Json.to_string r.result) }
+        | Response.Error _ -> resp
+      in
+      let encode_s = Clock.now () -. t_end in
       Mutex.lock st.completions_lock;
-      Queue.push (jid, resp, t_start, t_end) st.completions;
+      Queue.push { c_jid = jid; resp; t_start; t_end; encode_s } st.completions;
       Mutex.unlock st.completions_lock;
       wake st)
 
@@ -498,7 +526,7 @@ let drain_completions st =
     xs
   in
   List.iter
-    (fun (jid, resp, t_start, t_end) ->
+    (fun { c_jid = jid; resp; t_start; t_end; encode_s } ->
       match Hashtbl.find_opt st.jobs_live jid with
       | None -> ()
       | Some job ->
@@ -530,12 +558,12 @@ let drain_completions st =
                     ("total_s", Json.Float total);
                   ]);
           (match (job.cache_key, resp) with
-          | Some key, Response.Ok { result; _ } ->
+          | Some key, Response.Ok { result = Json.Raw bytes; _ } ->
               st.analyses_run <- st.analyses_run + 1;
-              Cache.store st.cache key result
-          | Some _, Response.Error _ | None, _ -> ());
+              Cache.store st.cache key bytes
+          | _ -> ());
           let resp = Response.stamp ~schema:job.schema resp in
-          if not job.answered then respond_cid st job.job_cid resp
+          if not job.answered then respond_cid ~encode_s st job.job_cid resp
           else sync_telemetry st)
     batch
 
@@ -636,7 +664,7 @@ let handle_request st conn (req : Request.t) =
       let p = clamp_target st p in
       let key = Cache.key p in
       match Cache.find st.cache key with
-      | Some result -> reply (Response.ok ?trace:wire_trace ~id result)
+      | Some bytes -> reply (Response.ok ?trace:wire_trace ~id (Json.Raw bytes))
       | None ->
           admit ~verb:"analyze" ~cache_key:(Some key) (fun () ->
               Api.dispatch { req with Request.verb = Request.Analyze p }))
@@ -714,14 +742,37 @@ let handle_http st conn (r : Http.req) =
           in
           handle_request st conn req)
 
+(* The connection's input buffer: [read_conn] reads straight into its
+   tail, and handled requests are dropped from its head. *)
+let read_size = 65536
+
+let reserve conn =
+  let cap = Bytes.length conn.inbuf in
+  if cap - conn.in_len < read_size then begin
+    let grown = Bytes.create (max (2 * cap) (conn.in_len + read_size)) in
+    Bytes.blit conn.inbuf 0 grown 0 conn.in_len;
+    conn.inbuf <- grown
+  end
+
+(* Drop the first [n] bytes, which have been handled. *)
+let consume conn n =
+  if n > 0 then begin
+    Bytes.blit conn.inbuf n conn.inbuf 0 (conn.in_len - n);
+    conn.in_len <- conn.in_len - n;
+    conn.in_scanned <- max 0 (conn.in_scanned - n)
+  end
+
 (* Split complete requests out of the connection's input buffer. The
    first bytes decide the protocol; HTTP connections parse at most one
    request ahead of the unanswered one (responses are serialized), and
-   the loop re-enters here when an async answer unblocks them. *)
+   the loop re-enters here when an async answer unblocks them. Only
+   complete requests are copied out, and the newline scan resumes where
+   the last read left it, so a request arriving in many reads costs
+   time linear in its size. *)
 let rec process_input st conn =
   match conn.proto with
   | P_unknown -> (
-      match Http.sniff (Buffer.contents conn.inbuf) with
+      match Http.sniff (Bytes.sub_string conn.inbuf 0 conn.in_len) with
       | `Undecided -> ()  (* a prefix of an HTTP method; need more bytes *)
       | `Http ->
           conn.proto <- P_http;
@@ -730,39 +781,34 @@ let rec process_input st conn =
           conn.proto <- P_line;
           process_input st conn)
   | P_line ->
-      let data = Buffer.contents conn.inbuf in
-      let n = String.length data in
-      let pos = ref 0 in
-      (try
-         while !pos < n do
-           match String.index_from data !pos '\n' with
-           | nl ->
-               handle_line st conn (String.sub data !pos (nl - !pos));
-               pos := nl + 1
-           | exception Not_found -> raise Exit
-         done
-       with Exit -> ());
-      Buffer.clear conn.inbuf;
-      Buffer.add_substring conn.inbuf data !pos (n - !pos);
-      if Buffer.length conn.inbuf > max_request_bytes then begin
+      let start = ref 0 in
+      for i = conn.in_scanned to conn.in_len - 1 do
+        if Bytes.get conn.inbuf i = '\n' then begin
+          handle_line st conn (Bytes.sub_string conn.inbuf !start (i - !start));
+          start := i + 1
+        end
+      done;
+      conn.in_scanned <- conn.in_len;
+      consume conn !start;
+      if conn.in_len > max_request_bytes then begin
         respond st conn
           (Response.error ~id:Json.Null Response.Bad_request
              (Printf.sprintf "request line exceeds %d bytes" max_request_bytes));
         conn.alive <- false;
-        Buffer.clear conn.inbuf
+        consume conn conn.in_len
       end
   | P_http ->
-      let data = Buffer.contents conn.inbuf in
-      let n = String.length data in
       let pos = ref 0 in
       let parsing = ref true in
-      while !parsing && (not conn.http_busy) && conn.alive && !pos < n do
-        match Http.parse ~max_body:max_request_bytes data ~pos:!pos with
+      while !parsing && (not conn.http_busy) && conn.alive && !pos < conn.in_len do
+        match
+          Http.parse ~max_body:max_request_bytes ~len:conn.in_len conn.inbuf ~pos:!pos
+        with
         | `More -> parsing := false
         | `Bad msg ->
             http_bad_request ~http_status:400 st conn ~id:Json.Null msg;
             conn.alive <- false;
-            pos := n
+            pos := conn.in_len
         | `Req (r, pos') ->
             pos := pos';
             conn.http_busy <- true;
@@ -771,8 +817,7 @@ let rec process_input st conn =
                admitted job leaves it set and parsing pauses here. *)
             handle_http st conn r
       done;
-      Buffer.clear conn.inbuf;
-      Buffer.add_substring conn.inbuf data !pos (n - !pos)
+      consume conn !pos
 
 (* --- sockets ----------------------------------------------------------- *)
 
@@ -802,14 +847,22 @@ let accept_conn st =
   match Unix.accept st.listen with
   | fd, _ ->
       Unix.set_nonblock fd;
+      (* A response leaves as several writes (HTTP head, body, line
+         terminator); without NODELAY the kernel would hold a short
+         trailing one until the peer's delayed ACK. *)
+      (match st.cfg.address with
+      | Tcp _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
+      | Unix_socket _ -> ());
       let cid = st.next_cid in
       st.next_cid <- cid + 1;
       Hashtbl.replace st.conns cid
         {
           cid;
           fd;
-          inbuf = Buffer.create 1024;
-          out = Buffer.create 1024;
+          inbuf = Bytes.create read_size;
+          in_len = 0;
+          in_scanned = 0;
+          out = Queue.create ();
           out_ofs = 0;
           alive = true;
           proto = P_unknown;
@@ -819,38 +872,38 @@ let accept_conn st =
       ()
 
 let read_conn st conn =
-  let chunk = Bytes.create 65536 in
-  match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+  reserve conn;
+  match Unix.read conn.fd conn.inbuf conn.in_len read_size with
   | 0 -> conn.alive <- false
   | n ->
-      Buffer.add_subbytes conn.inbuf chunk 0 n;
+      conn.in_len <- conn.in_len + n;
       process_input st conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
       ()
   | exception Unix.Unix_error _ -> conn.alive <- false
 
-let flush_conn conn =
-  let pending = Buffer.length conn.out - conn.out_ofs in
-  if pending > 0 then begin
-    match
-      Unix.write_substring conn.fd (Buffer.contents conn.out) conn.out_ofs pending
-    with
-    | n ->
-        conn.out_ofs <- conn.out_ofs + n;
-        if conn.out_ofs = Buffer.length conn.out then begin
-          Buffer.clear conn.out;
-          conn.out_ofs <- 0
-        end
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-    | exception Unix.Unix_error _ ->
-        conn.alive <- false;
-        Buffer.clear conn.out;
-        conn.out_ofs <- 0
-  end
+(* Write queued chunks in order, straight from the strings the responses
+   were built in, until the socket stops taking bytes. *)
+let rec flush_conn conn =
+  match Queue.peek_opt conn.out with
+  | None -> ()
+  | Some chunk -> (
+      let len = String.length chunk in
+      match Unix.write_substring conn.fd chunk conn.out_ofs (len - conn.out_ofs) with
+      | n when conn.out_ofs + n = len ->
+          ignore (Queue.pop conn.out);
+          conn.out_ofs <- 0;
+          flush_conn conn
+      | n -> conn.out_ofs <- conn.out_ofs + n
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+        ->
+          ()
+      | exception Unix.Unix_error _ ->
+          conn.alive <- false;
+          Queue.clear conn.out;
+          conn.out_ofs <- 0)
 
-let has_output conn = Buffer.length conn.out - conn.out_ofs > 0
+let has_output conn = not (Queue.is_empty conn.out)
 
 (* --- the event loop ---------------------------------------------------- *)
 
@@ -916,8 +969,7 @@ let event_loop st ~stop ~dump =
         Hashtbl.iter
           (fun _ c ->
             if
-              c.alive && c.proto = P_http && (not c.http_busy)
-              && Buffer.length c.inbuf > 0
+              c.alive && c.proto = P_http && (not c.http_busy) && c.in_len > 0
             then process_input st c)
           st.conns;
         sweep_deadlines st (Clock.now ());

@@ -28,11 +28,16 @@ let sniff data =
 
 let max_head_bytes = 64 * 1024
 
-let find_sub data ~pos ~sub =
-  let n = String.length data and k = String.length sub in
+(* The first CRLFCRLF of [data] in [pos, len): where the head ends. *)
+let find_head_end data ~pos ~len =
   let rec go i =
-    if i + k > n then None
-    else if String.sub data i k = sub then Some i
+    if i + 4 > len then None
+    else if
+      Bytes.get data i = '\r'
+      && Bytes.get data (i + 1) = '\n'
+      && Bytes.get data (i + 2) = '\r'
+      && Bytes.get data (i + 3) = '\n'
+    then Some i
     else go (i + 1)
   in
   go pos
@@ -56,14 +61,15 @@ let parse_headers block =
 
 let header name r = List.assoc_opt (String.lowercase_ascii name) r.headers
 
-let parse ?(max_body = 16 * 1024 * 1024) data ~pos =
-  match find_sub data ~pos ~sub:"\r\n\r\n" with
+let parse ?(max_body = 16 * 1024 * 1024) ?len data ~pos =
+  let len = Option.value ~default:(Bytes.length data) len in
+  match find_head_end data ~pos ~len with
   | None ->
-      if String.length data - pos > max_head_bytes then
+      if len - pos > max_head_bytes then
         `Bad "request headers exceed 64 KiB"
       else `More
   | Some head_end -> (
-      let head = String.sub data pos (head_end - pos) in
+      let head = Bytes.sub_string data pos (head_end - pos) in
       let req_line, header_block =
         match String.index_opt head '\n' with
         | None -> (head, "")
@@ -87,10 +93,10 @@ let parse ?(max_body = 16 * 1024 * 1024) data ~pos =
               `Bad (Printf.sprintf "request body exceeds %d bytes" max_body)
           | Some n ->
               let body_start = head_end + 4 in
-              if String.length data - body_start < n then `More
+              if len - body_start < n then `More
               else
                 `Req
-                  ( { meth; path; headers; body = String.sub data body_start n },
+                  ( { meth; path; headers; body = Bytes.sub_string data body_start n },
                     body_start + n ))
       | _ -> `Bad (Printf.sprintf "malformed HTTP request line %S" req_line))
 
@@ -104,11 +110,11 @@ let status_reason = function
   | 504 -> "Gateway Timeout"
   | _ -> "Status"
 
-let response ~status ~body =
+let head ~status ~content_length =
   Printf.sprintf
     "HTTP/1.1 %d %s\r\nContent-Type: application/json\r\nContent-Length: \
-     %d\r\nConnection: keep-alive\r\n\r\n%s"
-    status (status_reason status) (String.length body) body
+     %d\r\nConnection: keep-alive\r\n\r\n"
+    status (status_reason status) content_length
 
 (* --- routing ----------------------------------------------------------- *)
 

@@ -36,20 +36,26 @@ type req = {
     [data] is still a proper prefix of one, [`Line] otherwise. *)
 val sniff : string -> [ `Http | `Line | `Undecided ]
 
-(** [parse data ~pos] parses one request starting at byte [pos]:
-    [`Req (r, pos')] consumes up to [pos'], [`More] needs more bytes,
-    [`Bad] is a protocol error (the connection should be closed after
-    answering 400). [max_body] bounds the declared [Content-Length]
-    (default 16 MiB, matching the line protocol's request cap). *)
+(** [parse data ~pos] parses one request from the bytes [pos, len) of
+    [data] ([len] defaults to all of it), so a connection's input
+    buffer is parsed in place: [`Req (r, pos')] consumes up to [pos'],
+    [`More] needs more bytes, [`Bad] is a protocol error (the connection
+    should be closed after answering 400). Only the head and the body
+    of a complete request are copied out. [max_body] bounds the
+    declared [Content-Length] (default 16 MiB, matching the line
+    protocol's request cap). *)
 val parse :
-  ?max_body:int -> string -> pos:int -> [ `Req of req * int | `More | `Bad of string ]
+  ?max_body:int -> ?len:int -> Bytes.t -> pos:int ->
+  [ `Req of req * int | `More | `Bad of string ]
 
 val header : string -> req -> string option
 val status_reason : int -> string
 
-(** [response ~status ~body] is a complete keep-alive HTTP/1.1 response
-    with a JSON content type. *)
-val response : status:int -> body:string -> string
+(** [head ~status ~content_length] is the head of a keep-alive HTTP/1.1
+    response with a JSON content type, up to and including the blank
+    line. The body follows it on the wire as a separate write, so it is
+    never copied to be framed. *)
+val head : status:int -> content_length:int -> string
 
 (** [route r] is the wire-protocol document for [r], or
     [Error (status, message)] — 404 for unknown paths, 405 for a method

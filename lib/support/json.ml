@@ -6,6 +6,7 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
 
 let escape_string buf s =
   Buffer.add_char buf '"';
@@ -32,6 +33,7 @@ let rec emit buf = function
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f -> Buffer.add_string buf (float_repr f)
   | String s -> escape_string buf s
+  | Raw s -> Buffer.add_string buf s
   | List items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -241,6 +243,7 @@ let rec pp ppf = function
       let buf = Buffer.create (String.length s + 2) in
       escape_string buf s;
       Format.pp_print_string ppf (Buffer.contents buf)
+  | Raw s -> Format.pp_print_string ppf s
   | List [] -> Format.pp_print_string ppf "[]"
   | List items ->
       Format.fprintf ppf "@[<v 2>[@,%a@]@,]"

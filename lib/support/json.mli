@@ -10,6 +10,12 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** an already-encoded JSON value, emitted verbatim. The producer
+          guarantees it is valid compact JSON (typically the output of
+          {!to_string}), so an encoded document can be wrapped in an
+          envelope without re-encoding it. {!of_string} never returns
+          it. *)
 
 (** [to_string t] renders compact JSON with correct string escaping. *)
 val to_string : t -> string

@@ -166,13 +166,13 @@ let test_cache_key () =
 
 let test_cache_lru () =
   let c = Cache.create ~cap:2 in
-  Cache.store c "a" (Json.Int 1);
-  Cache.store c "b" (Json.Int 2);
-  check bool_c "a hit" true (Cache.find c "a" = Some (Json.Int 1));
+  Cache.store c "a" {|{"r":1}|};
+  Cache.store c "b" {|{"r":2}|};
+  check bool_c "a hit" true (Cache.find c "a" = Some {|{"r":1}|});
   (* "b" is now least recently used; storing "c" evicts it. *)
-  Cache.store c "c" (Json.Int 3);
+  Cache.store c "c" {|{"r":3}|};
   check bool_c "b evicted" true (Cache.find c "b" = None);
-  check bool_c "a kept" true (Cache.find c "a" = Some (Json.Int 1));
+  check bool_c "a kept" true (Cache.find c "a" = Some {|{"r":1}|});
   check int_c "hits" 2 (Cache.hits c);
   check int_c "misses" 1 (Cache.misses c);
   check int_c "length" 2 (Cache.length c)
@@ -741,7 +741,8 @@ let test_http_parser () =
   check bool_c "method prefix stays undecided" true (Http.sniff "PO" = `Undecided);
   check bool_c "json sniffs as line protocol" true (Http.sniff {|{"id":1}|} = `Line);
   let data = "GET /v1/ping HTTP/1.1\r\nHost: x\r\nX-Webracer-Trace: t1\r\n\r\n" in
-  (match Http.parse data ~pos:0 with
+  let parse ?max_body ?len s = Http.parse ?max_body ?len (Bytes.of_string s) ~pos:0 in
+  (match parse data with
   | `Req (r, pos) ->
       check string_c "method" "GET" r.Http.meth;
       check string_c "path" "/v1/ping" r.Http.path;
@@ -749,19 +750,18 @@ let test_http_parser () =
         (Http.header "x-webracer-trace" r = Some "t1");
       check int_c "whole request consumed" (String.length data) pos
   | _ -> Alcotest.fail "well-formed GET must parse");
-  (match
-     Http.parse "POST /v1/analyze HTTP/1.1\r\nContent-Length: 5\r\n\r\n12" ~pos:0
-   with
+  (* Bytes past [len] are not yet received: the head is incomplete. *)
+  (match parse ~len:(String.length data - 1) data with
+  | `More -> ()
+  | _ -> Alcotest.fail "parsing must stop at len");
+  (match parse "POST /v1/analyze HTTP/1.1\r\nContent-Length: 5\r\n\r\n12" with
   | `More -> ()
   | _ -> Alcotest.fail "a short body must wait for more bytes");
-  (match Http.parse "NONSENSE\r\n\r\n" ~pos:0 with
+  (match parse "NONSENSE\r\n\r\n" with
   | `Bad _ -> ()
   | _ -> Alcotest.fail "garbage must be a protocol error");
   (* Declared bodies above the cap are refused, not buffered. *)
-  match
-    Http.parse ~max_body:10
-      "POST /v1/analyze HTTP/1.1\r\nContent-Length: 11\r\n\r\n" ~pos:0
-  with
+  match parse ~max_body:10 "POST /v1/analyze HTTP/1.1\r\nContent-Length: 11\r\n\r\n" with
   | `Bad _ -> ()
   | _ -> Alcotest.fail "oversized Content-Length must be refused"
 
@@ -946,6 +946,240 @@ let test_daemon_many_connections () =
       | _ -> Alcotest.fail "stats lacks cache");
       Client.close c)
 
+(* --- one result's bytes, from worker to socket ------------------------- *)
+
+(* A client that reads a few hundred bytes at a time: a multi-MB
+   response then arrives in thousands of slices, and the daemon meets a
+   full socket buffer in the middle of a chunk many times over. *)
+type sliced = { sfd : Unix.file_descr; mutable rest : string }
+
+let slice_bytes = 997
+
+let read_slice r =
+  let b = Bytes.create slice_bytes in
+  match Unix.read r.sfd b 0 slice_bytes with
+  | 0 -> Alcotest.fail "the daemon closed the connection"
+  | n -> Bytes.sub_string b 0 n
+
+(* The bytes up to a cut that [find chunk taken] picks in the next
+   chunk, dropping [skip] bytes after it; the rest waits for the next
+   call. *)
+let take r find =
+  let acc = Buffer.create 4096 in
+  let rec go chunk =
+    match find chunk (Buffer.length acc) with
+    | Some (cut, skip) ->
+        Buffer.add_string acc (String.sub chunk 0 cut);
+        r.rest <- String.sub chunk (cut + skip) (String.length chunk - cut - skip);
+        Buffer.contents acc
+    | None ->
+        Buffer.add_string acc chunk;
+        go (read_slice r)
+  in
+  let first = r.rest in
+  r.rest <- "";
+  go first
+
+let sliced_line r =
+  take r (fun chunk _ -> Option.map (fun i -> (i, 1)) (String.index_opt chunk '\n'))
+
+let sliced_exact r n =
+  take r (fun chunk taken ->
+      if taken + String.length chunk >= n then Some (n - taken, 0) else None)
+
+(* One HTTP response: the status, then Content-Length body bytes. *)
+let sliced_http r =
+  let status =
+    match String.split_on_char ' ' (sliced_line r) with
+    | _ :: code :: _ -> int_of_string code
+    | _ -> Alcotest.fail "malformed status line"
+  in
+  let rec headers len =
+    match String.trim (sliced_line r) with
+    | "" -> len
+    | h -> (
+        match String.index_opt h ':' with
+        | Some i when String.lowercase_ascii (String.sub h 0 i) = "content-length" ->
+            headers
+              (int_of_string (String.trim (String.sub h (i + 1) (String.length h - i - 1))))
+        | _ -> headers len)
+  in
+  let len = headers 0 in
+  (status, sliced_exact r len)
+
+let rec write_all fd s ofs =
+  if ofs < String.length s then
+    write_all fd s (ofs + Unix.write_substring fd s ofs (String.length s - ofs))
+
+(* A lost answer fails the read after 30 s rather than hanging the suite. *)
+let connect_unix path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+  fd
+
+(* [wall_clock_s] is the one field two runs of the same analysis
+   disagree on; pin it so a daemon answer compares with a one-shot
+   dispatch byte for byte. *)
+let mask_wall_clock line =
+  let key = {|"wall_clock_s":|} in
+  let n = String.length line and k = String.length key in
+  let is_num c = match c with '0' .. '9' | '.' | 'e' | 'E' | '-' | '+' -> true | _ -> false in
+  let b = Buffer.create n in
+  let rec go i j =
+    if j + k > n then Buffer.add_substring b line i (n - i)
+    else if line.[j] = '"' && String.sub line j k = key then begin
+      Buffer.add_substring b line i (j + k - i);
+      Buffer.add_char b '0';
+      let e = ref (j + k) in
+      while !e < n && is_num line.[!e] do incr e done;
+      go !e !e
+    end
+    else go i (j + 1)
+  in
+  go 0 0;
+  Buffer.contents b
+
+(* The largest corpus report (Company57, about 3.4 MB encoded), asked
+   as a miss and then as hits under v1, v2 and with a trace id, on the
+   line protocol and on HTTP: every answer is the bytes a one-shot
+   dispatch would print, and a hit replays the miss's bytes exactly. *)
+let test_daemon_large_report_bytes () =
+  let profile =
+    List.find
+      (fun p -> p.Wr_sitegen.Profile.name = "Company57")
+      (Wr_sitegen.Profile.corpus ())
+  in
+  let site = Wr_sitegen.Gen.generate profile in
+  let params =
+    Request.analyze_params ~page:site.Wr_sitegen.Gen.page
+      ~resources:site.Wr_sitegen.Gen.resources ()
+  in
+  let v1 = Request.make ~id:(Json.Int 1) (Request.analyze params) in
+  let v2 = Request.make ~schema:Schema.v2 ~id:(Json.Int 2) (Request.analyze params) in
+  let traced =
+    Request.make ~schema:Schema.v2 ~trace:"big-report" ~id:(Json.String "t")
+      (Request.analyze params)
+  in
+  let expect what (req : Request.t) line =
+    check string_c what
+      (mask_wall_clock (Response.to_line (Api.dispatch req)))
+      (mask_wall_clock line)
+  in
+  let with_daemon name f =
+    let dir = fresh_tmp_dir name in
+    let path = Filename.concat dir "d.sock" in
+    let d, stop, _ = spawn_daemon ~address:(Daemon.Unix_socket path) () in
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        ignore (Domain.join d))
+      (fun () ->
+        let fd = connect_unix path in
+        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> f { sfd = fd; rest = "" }))
+  in
+  with_daemon "big-line" (fun r ->
+      let ask req =
+        write_all r.sfd (Request.to_line req ^ "\n") 0;
+        sliced_line r
+      in
+      let miss = ask v1 in
+      check bool_c "a multi-MB report" true (String.length miss > 3_000_000);
+      expect "line v1 miss = dispatch" v1 miss;
+      check string_c "line v1 hit replays the miss" miss (ask v1);
+      expect "line v2 hit = dispatch" v2 (ask v2);
+      expect "line traced hit = dispatch" traced (ask traced));
+  with_daemon "big-http" (fun r ->
+      let post (req : Request.t) =
+        let body = Request.to_line req in
+        write_all r.sfd
+          (Printf.sprintf "POST /v1/analyze HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+             (String.length body) body)
+          0;
+        match sliced_http r with
+        | 200, b -> b
+        | s, _ -> Alcotest.failf "http analyze answered %d" s
+      in
+      let miss = post v2 in
+      expect "http miss = dispatch" v2 miss;
+      check string_c "http hit replays the miss" miss (post v2);
+      expect "http traced hit = dispatch" traced (post traced))
+
+(* A multi-MB analyze line written 4 KB at a time is one request: the
+   daemon answers it exactly once and the connection carries on. *)
+let test_daemon_line_in_pieces () =
+  let dir = fresh_tmp_dir "pieces" in
+  let path = Filename.concat dir "d.sock" in
+  let d, stop, _ = spawn_daemon ~address:(Daemon.Unix_socket path) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      ignore (Domain.join d))
+    (fun () ->
+      let bulk = "/*" ^ String.make (3 * 1024 * 1024) 'x' ^ "*/" in
+      let params =
+        Request.analyze_params ~page:{|<script>var x = 1;</script>|}
+          ~resources:[ ("unused.js", bulk) ] ()
+      in
+      let line = Request.to_line (Request.make ~id:(Json.Int 1) (Request.analyze params)) in
+      let fd = connect_unix path in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let r = { sfd = fd; rest = "" } in
+          let piece = 4096 in
+          let wire = line ^ "\n" in
+          let rec send ofs =
+            if ofs < String.length wire then begin
+              let n = min piece (String.length wire - ofs) in
+              write_all fd (String.sub wire ofs n) 0;
+              send (ofs + n)
+            end
+          in
+          send 0;
+          (match Response.of_line (sliced_line r) with
+          | Ok (Response.Ok { id; _ }) ->
+              check bool_c "the big request answered" true (id = Json.Int 1)
+          | Ok (Response.Error { message; _ }) ->
+              Alcotest.failf "big request failed: %s" message
+          | Error e -> Alcotest.failf "undecodable answer: %s" e);
+          (* Nothing else was queued for the big line: the next answer
+             is the ping's. *)
+          write_all fd (Request.to_line (Request.make ~id:(Json.Int 2) Request.Ping) ^ "\n") 0;
+          match Response.of_line (sliced_line r) with
+          | Ok (Response.Ok { id; _ }) ->
+              check bool_c "exactly one response" true (id = Json.Int 2)
+          | _ -> Alcotest.fail "ping after the big request"))
+
+(* A response leaves in several writes (the line and its terminator; the
+   HTTP head and body). Over TCP the kernel would hold each trailing
+   write until the client's delayed ACK, about 40 ms a request on Linux,
+   unless the daemon sets TCP_NODELAY. A fresh connection ACKs at once
+   for its first dozen or so segments, so it takes a few dozen round
+   trips to show: eighty take over a second with the stall, and tens of
+   milliseconds without it. *)
+let test_daemon_tcp_no_write_stall () =
+  let d, stop, addr = spawn_daemon () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      ignore (Domain.join d))
+    (fun () ->
+      let line = Client.connect ~retry_for:5. addr in
+      let http = Client.connect ~retry_for:5. addr in
+      let t0 = Unix.gettimeofday () in
+      for i = 1 to 40 do
+        ignore (request_ok line (Request.make ~id:(Json.Int i) Request.Ping));
+        match Client.http_request http ~meth:"GET" ~path:"/v1/ping" () with
+        | Ok (200, _) -> ()
+        | _ -> Alcotest.fail "http ping"
+      done;
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Client.close line;
+      Client.close http;
+      if elapsed > 0.5 then
+        Alcotest.failf "80 TCP round trips took %.3f s: writes are stalling" elapsed)
+
 let suite =
   suite
   @ [
@@ -960,4 +1194,10 @@ let suite =
         test_daemon_http_overload;
       Alcotest.test_case "daemon: many conns, one loop" `Quick
         test_daemon_many_connections;
+      Alcotest.test_case "daemon: large report bytes, line + http" `Quick
+        test_daemon_large_report_bytes;
+      Alcotest.test_case "daemon: request line in 4 KB pieces" `Quick
+        test_daemon_line_in_pieces;
+      Alcotest.test_case "daemon: no TCP write stall" `Quick
+        test_daemon_tcp_no_write_stall;
     ]
