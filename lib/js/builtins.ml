@@ -343,9 +343,11 @@ let install_array_proto vm =
   let proto = vm.array_proto in
   method_ vm proto "push" (fun vm ~this args ->
       let o = this_obj vm this in
-      let len = ref (List.length (array_elements o)) in
-      (* Use the stored length, not the dense scan, to respect sparse arrays. *)
-      (match get_prop_raw o "length" with Some (Number n) -> len := int_of_float n | _ -> ());
+      (* Append at the stored length, as [pop] reads it: constant time per
+         element, and a sparse array keeps its holes. *)
+      let len =
+        ref (match get_prop_raw o "length" with Some (Number n) -> int_of_float n | _ -> 0)
+      in
       List.iter
         (fun v ->
           set_prop_raw o (string_of_int !len) v;

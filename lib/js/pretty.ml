@@ -1,7 +1,11 @@
 open Ast
 
 let number_to_string n =
-  if Float.is_nan n then "NaN"
+  if Float.is_integer n && Float.abs n < 1e15 && not (Float.sign_bit n && n = 0.) then
+    (* Array indices and counters: exact in an int, no format string. -0.
+       takes the general path, which renders it "-0". *)
+    string_of_int (int_of_float n)
+  else if Float.is_nan n then "NaN"
   else if n = Float.infinity then "Infinity"
   else if n = Float.neg_infinity then "-Infinity"
   else if Float.is_integer n && Float.abs n < 1e21 then Printf.sprintf "%.0f" n
