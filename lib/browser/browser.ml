@@ -445,11 +445,7 @@ let compile_handler_code t ~code ~label =
   | exception _ ->
       record_crash t (Printf.sprintf "bad handler code on %s" label);
       None
-  | body ->
-      let closure =
-        { Value.params = [ "event" ]; body; env = t.vm.Value.global; func_name = label }
-      in
-      Some (Value.Object (Value.new_closure t.vm closure))
+  | body -> Some (Interp.global_function t.vm ~name:label ~params:[ "event" ] body)
 
 let register_handler_attrs t (node : Dom.node) =
   Hashtbl.iter

@@ -1,11 +1,20 @@
-(** The MiniJS tree-walking interpreter, instrumented for race detection.
+(** The MiniJS interpreter, instrumented for race detection.
+
+    Code runs compiled: each function body is translated once, on its
+    first call, into OCaml closures, and a script's top level when it is
+    run. The compiler resolves every variable to a slot in an array-backed
+    frame ([Value.env]) at a static depth, or to the global table, and
+    collects hoisted declarations then, so a call allocates one frame and
+    does no name lookups. MiniJS has no [with] and no dynamic [eval], so
+    the resolution is exact. A function builds its [arguments] object only
+    if its own body reads [arguments].
 
     Every variable and property access is routed through the VM's sink as a
     logical access on a [Wr_mem.Location.Js_var] cell (paper §4.1):
 
-    - variable reads/writes resolve through the scope chain and report the
-      cell of the binding's owner scope, so closure-shared locals get one
-      stable identity across operations;
+    - variable reads/writes report the cell of the binding's owner frame
+      (interned on first access and cached in the frame), so
+      closure-shared locals get one stable identity across operations;
     - property reads report the cell of the prototype-chain owner; misses
       report the base object's cell with [Observed_miss], so a read of a
       not-yet-created property races with its later creation;
@@ -34,6 +43,12 @@ val refuel : Value.vm -> unit
     global scope and executes it (the execution of a script element's
     source). May raise [Value.Js_throw] / [Value.Fuel_exhausted]. *)
 val run_in_global : Value.vm -> Ast.program -> unit
+
+(** [global_function vm ~name ~params body] is a function object over the
+    global scope with the given parameters and body — how the browser turns
+    an [onclick="..."] attribute into a handler. *)
+val global_function :
+  Value.vm -> name:string -> params:string list -> Ast.program -> Value.t
 
 (** [call vm f ~this args] invokes a function value, raising a [TypeError]
     ([Value.Js_throw]) if [f] is not callable. *)

@@ -19,9 +19,13 @@ and callable =
   | Closure of closure
   | Builtin of string * (vm -> this:t -> t list -> t)
 
-and closure = { params : string list; body : Ast.stmt list; env : env; func_name : string }
+and closure = { params : string list; env : env; func_name : string; code : code }
 
-and env = { env_id : int; vars : (string, t ref) Hashtbl.t; parent : env option }
+and code = { mutable enter : env -> this:t -> t list -> t }
+
+and env = { slots : t array; cells : int array; this : t; parent : env option }
+
+and global_scope = { scope_id : int; vars : (string, t ref) Hashtbl.t }
 
 and host = {
   host_id : int;
@@ -40,7 +44,7 @@ and vm = {
   rng : Wr_support.Rng.t;
   cell_ids : (int * string, int) Hashtbl.t;
   mutable next_id : int;
-  global : env;
+  global : global_scope;
   object_proto : obj;
   array_proto : obj;
   function_proto : obj;
@@ -85,7 +89,7 @@ let create_vm ?(seed = 0) ?(fuel = 50_000_000) ~sink () =
   let array_proto = mk_obj ~oid:(next ()) ~proto:object_proto () in
   let function_proto = mk_obj ~oid:(next ()) ~proto:object_proto () in
   let error_proto = mk_obj ~oid:(next ()) ~proto:object_proto ~class_name:"Error" () in
-  let global = { env_id = next (); vars = Hashtbl.create 64; parent = None } in
+  let global = { scope_id = next (); vars = Hashtbl.create 64 } in
   {
     sink;
     instrument = true;
