@@ -102,5 +102,24 @@ val pp : Graph.t -> Format.formatter -> witness -> unit
 
 (** [to_json g w] includes the witness fields plus [certified], the
     result of {!verify} at export time, under a top-level
-    ["schema_version"] ({!Wr_support.Schema.version}). *)
+    ["schema_version"] ({!Wr_support.Schema.version}). It encodes [w]
+    exactly as given, forged or not. *)
 val to_json : Graph.t -> witness -> Wr_support.Json.t
+
+(** [encoder g] is the per-report witness encoder: [encoder g race] is
+    [to_json g (of_race g race)], byte for byte, but each op object is
+    encoded once, each provenance chain once per endpoint op, and the
+    whole witness once per distinct racing pair — the witness JSON holds
+    no field of the race beyond its two ops, so races sharing a pair get
+    the same (physically shared) value, still certified by {!verify}.
+
+    The encoder derives every witness itself from the race; it never
+    takes a caller's witness. That is what makes caching a chain by its
+    endpoint sound: a cached chain can only have come from
+    {!provenance}. To encode a hand-built or forged witness use
+    {!to_json}, which shares the op and chain encoding but no cache.
+
+    Use one encoder per report (its caches hold encoded bytes for [g]'s
+    ops); they are allocated on the first race, so race-free reports pay
+    nothing. Not safe to share between domains. *)
+val encoder : Graph.t -> Race.t -> Wr_support.Json.t

@@ -11,25 +11,19 @@ let config_of_params ?(trace = false) ?telemetry (p : Request.analyze_params) =
 let analyze ?trace ?telemetry p =
   Webracer.analyze (config_of_params ?trace ?telemetry p)
 
-let select_witnesses (report : Webracer.report) ~race =
+let select_races (report : Webracer.report) ~race =
   let races = report.Webracer.races in
   match race with
-  | None ->
-      Ok
-        (List.mapi
-           (fun i r -> (i + 1, r, Wr_explain.of_race report.Webracer.hb_graph r))
-           races)
+  | None -> Ok (List.mapi (fun i r -> (i + 1, r)) races)
   | Some n ->
       if n < 1 || n > List.length races then
         Error
           (Printf.sprintf "race %d out of range (page has %d races)" n
              (List.length races))
-      else
-        let r = List.nth races (n - 1) in
-        Ok [ (n, r, Wr_explain.of_race report.Webracer.hb_graph r) ]
+      else Ok [ (n, List.nth races (n - 1)) ]
 
 let explain_json (report : Webracer.report) selection =
-  let g = report.Webracer.hb_graph in
+  let witness = Wr_explain.encoder report.Webracer.hb_graph in
   Json.Obj
     [
       Schema.tag;
@@ -38,13 +32,11 @@ let explain_json (report : Webracer.report) selection =
       ( "witnesses",
         Json.List
           (List.map
-             (fun (i, race, w) ->
+             (fun (i, race) ->
                Json.Obj
                  [
                    ("index", Json.Int i);
-                   ( "race",
-                     Race.to_json ~extra:[ ("witness", Wr_explain.to_json g w) ] race
-                   );
+                   ("race", Race.to_json ~extra:[ ("witness", witness race) ] race);
                  ])
              selection) );
     ]
@@ -112,7 +104,7 @@ let dispatch ?(stats = no_stats) ?(metrics = no_metrics) (req : Request.t) =
     | Request.Analyze p -> ok (Webracer.report_to_json (analyze p))
     | Request.Explain { target; race } -> (
         let report = analyze target in
-        match select_witnesses report ~race with
+        match select_races report ~race with
         | Ok selection -> ok (explain_json report selection)
         | Error msg -> Response.error ~schema ~id ?trace Response.Bad_request msg)
     | Request.Replay p -> ok (Webracer.Replay.verdict_to_json (replay p))

@@ -22,19 +22,17 @@ val analyze :
   Request.analyze_params ->
   Webracer.report
 
-(** [select_witnesses report ~race] builds the explain selection:
-    every race, or the 1-based [race] only. [Error] is the out-of-range
-    message (a bad request, not an internal error). *)
-val select_witnesses :
-  Webracer.report ->
-  race:int option ->
-  ((int * Race.t * Wr_explain.witness) list, string) result
+(** [select_races report ~race] builds the explain selection: every
+    race, or the 1-based [race] only, each paired with its 1-based
+    index. [Error] is the out-of-range message (a bad request, not an
+    internal error). *)
+val select_races : Webracer.report -> race:int option -> ((int * Race.t) list, string) result
 
 (** [explain_json report selection] — the explain document:
-    [{"schema_version":1, "races":n, "filtered":n, "witnesses":[...]}];
-    [webracer explain --json] writes exactly this. *)
-val explain_json :
-  Webracer.report -> (int * Race.t * Wr_explain.witness) list -> Wr_support.Json.t
+    [{"schema_version":1, "races":n, "filtered":n, "witnesses":[...]}],
+    each witness derived and encoded by one {!Wr_explain.encoder} for the
+    report. [webracer explain --json] writes exactly this. *)
+val explain_json : Webracer.report -> (int * Race.t) list -> Wr_support.Json.t
 
 val replay : Request.replay_params -> Webracer.Replay.verdict
 

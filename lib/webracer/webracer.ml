@@ -362,11 +362,10 @@ let by_type_json races =
 let report_to_json r =
   let open Wr_support.Json in
   (* Every race ships with its checkable witness (provenance chains,
-     nearest common HB ancestor, no-path frontier, certificate result). *)
-  let race_json race =
-    let w = Wr_explain.of_race r.hb_graph race in
-    Race.to_json ~extra:[ ("witness", Wr_explain.to_json r.hb_graph w) ] race
-  in
+     nearest common HB ancestor, no-path frontier, certificate result),
+     encoded once per racing pair across both lists. *)
+  let witness = Wr_explain.encoder r.hb_graph in
+  let race_json race = Race.to_json ~extra:[ ("witness", witness race) ] race in
   let suppressed_json (filter, race) =
     Obj [ ("filter", String filter); ("race", Race.to_json race) ]
   in
