@@ -23,8 +23,10 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+(* JSON has no infinity or NaN; like [JSON.stringify], write them as null. *)
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.12g" f
 
 let rec emit buf = function

@@ -17,7 +17,9 @@ type t =
           envelope without re-encoding it. {!of_string} never returns
           it. *)
 
-(** [to_string t] renders compact JSON with correct string escaping. *)
+(** [to_string t] renders compact JSON with correct string escaping. A
+    non-finite [Float] (infinity, NaN) renders as [null], as
+    [JSON.stringify] does, so the output always parses. *)
 val to_string : t -> string
 
 exception Parse_error of string

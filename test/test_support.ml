@@ -789,3 +789,33 @@ let suite = suite @ flight_suite
 
 (* Appended last so the numbering of the cases above stays stable. *)
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_json_raw ]
+
+(* JSON has no literal for infinity or NaN: they encode as [null], like
+   [JSON.stringify], so every encoded float parses back. *)
+let prop_json_float_parses =
+  let special =
+    QCheck.Gen.oneofl
+      [ Float.nan; Float.infinity; Float.neg_infinity; 0.; -0.; Float.max_float;
+        Float.min_float; Float.epsilon; 1e15; -1e21; 5e-324 ]
+  in
+  QCheck.Test.make ~name:"json: of_string accepts to_string (Float f)" ~count:500
+    (QCheck.make ~print:string_of_float QCheck.Gen.(oneof [ float; special ]))
+    (fun f ->
+      match Json.of_string (Json.to_string (Json.Float f)) with
+      | Json.Null -> not (Float.is_finite f)
+      | Json.Int _ | Json.Float _ -> Float.is_finite f
+      | _ -> false)
+
+let test_json_non_finite () =
+  List.iter
+    (fun f -> Alcotest.(check string) (string_of_float f) "null" (Json.to_string (Json.Float f)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  Alcotest.(check string) "inside a document" {|{"t":null,"n":1.5}|}
+    (Json.to_string (Json.Obj [ ("t", Json.Float Float.infinity); ("n", Json.Float 1.5) ]))
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_json_float_parses;
+      Alcotest.test_case "json: non-finite floats encode as null" `Quick test_json_non_finite;
+    ]
