@@ -47,8 +47,13 @@ exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
+(* [nan <= 0.] is false, so the sign test alone would let NaN through;
+   neither NaN nor infinity ever ends the event loop. *)
+let valid_time_limit ms = Float.is_finite ms && ms > 0.
+
 let check_analyze p =
-  if p.time_limit <= 0. then bad "\"time_limit\" must be positive";
+  if not (valid_time_limit p.time_limit) then
+    bad "\"time_limit\" must be a positive finite number";
   p
 
 let check_watch w =

@@ -110,6 +110,10 @@ val make : ?schema:int -> ?trace:string -> id:Wr_support.Json.t -> verb -> t
     same validation the daemon applies when decoding, raising
     [Invalid_argument] where the decoder would answer [bad_request]. *)
 
+(** [valid_time_limit ms] — the check every [time_limit] passes: finite
+    and positive. Infinity or NaN would never end the event loop. *)
+val valid_time_limit : float -> bool
+
 (** [analyze_params ~page ()] with the same defaults as
     [Webracer.config]. *)
 val analyze_params :
