@@ -80,10 +80,10 @@ let detector_arg =
 
 let hb_arg =
   Arg.(
-    value & opt (enum Request.hb_names) Wr_hb.Graph.Closure
+    value & opt (enum Request.hb_names) Wr_hb.Graph.default_strategy
     & info [ "hb" ]
         ~doc:("Happens-before queries: " ^ doc_alts_enum Request.hb_names
-              ^ " ($(b,dfs) is the paper's)."))
+              ^ " ($(b,dfs) is the paper's; $(b,chain-vc) is the default)."))
 
 (* The analysis flags of [Request.analyze_params]: the term yields the
    request with an empty page, which [with_page] aims at each PAGE. *)

@@ -1043,7 +1043,7 @@ and query_select t w ~under selector =
     in
     let has_class n c =
       match Dom.get_attr n "class" with
-      | Some classes -> List.mem c (String.split_on_char ' ' classes)
+      | Some classes -> List.mem c (Dom.class_list classes)
       | None -> false
     in
     let matches (n : Dom.node) =
@@ -1553,20 +1553,20 @@ let create (config : Config.t) =
       ~mean_latency:config.Config.mean_latency ~tm ()
   in
   let graph = Graph.create ~strategy:config.Config.hb_strategy () in
-  let det =
-    match config.Config.detector with
-    | Config.Last_access -> Wr_detect.Last_access.create graph
-    | Config.Full_track -> Wr_detect.Full_track.create graph
-    | Config.No_detector -> Detector.null
-  in
-  (* Wrapper order matters: the dedup cache sits closest to the detector so
-     the trace recorder still captures the raw access stream (offline replay
-     must see what the page did, not what the cache forwarded). *)
+  (* Dedup lives inside the detector, so the trace recorder below still
+     captures the raw access stream (offline replay must see what the page
+     did, not what the detector forwarded). *)
   let det, dedup_stats =
-    if config.Config.dedup && config.Config.detector <> Config.No_detector then
-      let det, stats = Wr_detect.Dedup.wrap det in
+    let deduped create =
+      let det, stats = create graph in
       (det, Some stats)
-    else (det, None)
+    in
+    match config.Config.detector with
+    | Config.Last_access when config.Config.dedup -> deduped Wr_detect.Last_access.create_dedup
+    | Config.Full_track when config.Config.dedup -> deduped Wr_detect.Full_track.create_dedup
+    | Config.Last_access -> (Wr_detect.Last_access.create graph, None)
+    | Config.Full_track -> (Wr_detect.Full_track.create graph, None)
+    | Config.No_detector -> (Detector.null, None)
   in
   let det, recorded_accesses =
     if config.Config.trace then

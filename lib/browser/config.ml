@@ -24,7 +24,7 @@ let default ~page () =
     resources = [];
     time_limit = 60_000.;
     detector = Last_access;
-    hb_strategy = Wr_hb.Graph.Closure;
+    hb_strategy = Wr_hb.Graph.default_strategy;
     fuel = 5_000_000;
     mean_latency = 20.;
     parse_delay = 0.;

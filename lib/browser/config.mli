@@ -36,5 +36,5 @@ type t = {
 }
 
 (** [default ~page ()] — seed 0, no extra resources, 60 s virtual horizon,
-    the paper's detector, closure reachability, exploration on. *)
+    the paper's detector, chain vector-clock reachability, exploration on. *)
 val default : page:string -> unit -> t

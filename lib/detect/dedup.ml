@@ -12,25 +12,13 @@ let ratio s = if s.forwarded = 0 then 1.0 else float_of_int s.seen /. float_of_i
    only invalidates the locations it actually touches) and make the
    duplicate test cheap — a cache hit already proves same location, same
    kind slot and same operation, leaving flags and context. *)
-type slots = {
+type slot = {
   mutable epoch : Wr_hb.Op.id;
   mutable read : Access.t option;
   mutable wrote : Access.t option;
 }
 
-type state = {
-  cache : slots Location.Tbl.t;
-  mutable seen : int;
-  mutable forwarded : int;
-}
-
-let slots_for st loc =
-  match Location.Tbl.find_opt st.cache loc with
-  | Some s -> s
-  | None ->
-      let s = { epoch = -1; read = None; wrote = None } in
-      Location.Tbl.add st.cache loc s;
-      s
+let slot () = { epoch = -1; read = None; wrote = None }
 
 (* [p] comes from the same epoch (same op) and the same location/kind slot
    as [a], so only flags and context can distinguish them. Context strings
@@ -40,57 +28,51 @@ let same_record (p : Access.t) (a : Access.t) =
   p.Access.flags = a.Access.flags
   && (p.Access.context == a.Access.context || String.equal p.Access.context a.Access.context)
 
-let record st (inner : Detector.t) (a : Access.t) =
-  st.seen <- st.seen + 1;
-  let s = slots_for st a.Access.loc in
+let duplicate s (a : Access.t) =
   if s.epoch <> a.Access.op then begin
     s.epoch <- a.Access.op;
     s.read <- None;
     s.wrote <- None
   end;
-  let duplicate =
-    match a.Access.kind with
-    | `Read -> (
-        (* A read arms the Checked_read_first transition for the op's next
-           write, so the cached write is no longer a faithful duplicate. *)
-        s.wrote <- None;
-        match s.read with
-        | Some p when same_record p a -> true
-        | Some _ | None ->
-            s.read <- Some a;
-            false)
-    | `Write -> (
-        match s.wrote with
-        | Some p when same_record p a -> true
-        | Some _ | None ->
-            s.wrote <- Some a;
-            false)
-  in
-  if not duplicate then begin
-    st.forwarded <- st.forwarded + 1;
-    inner.Detector.record a
-  end
-
-(* Domain-local high-water mark for the location-cache size: sites on one
-   corpus domain are alike, so pre-sizing each wrap's table to the largest
-   seen on this domain avoids the rehash-and-copy churn of growing from
-   256 on every site — minor-GC pressure that is pure waste on the fleet
-   hot path. A size *hint* is deliberately all we share: reusing the
-   table itself across wraps could alias stale epoch slots into the next
-   site's detector, and no verdict is worth that risk. *)
-let cache_size_hint : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 256)
+  match a.Access.kind with
+  | `Read -> (
+      (* A read arms the Checked_read_first transition for the op's next
+         write, so the cached write is no longer a faithful duplicate. *)
+      s.wrote <- None;
+      match s.read with
+      | Some p when same_record p a -> true
+      | Some _ | None ->
+          s.read <- Some a;
+          false)
+  | `Write -> (
+      match s.wrote with
+      | Some p when same_record p a -> true
+      | Some _ | None ->
+          s.wrote <- Some a;
+          false)
 
 let wrap (inner : Detector.t) =
-  let hint = Domain.DLS.get cache_size_hint in
-  let st = { cache = Location.Tbl.create !hint; seen = 0; forwarded = 0 } in
+  let cache = Location.Tbl.create 256 in
+  let seen = ref 0 and forwarded = ref 0 in
+  let record (a : Access.t) =
+    incr seen;
+    let s =
+      match Location.Tbl.find_opt cache a.Access.loc with
+      | Some s -> s
+      | None ->
+          let s = slot () in
+          Location.Tbl.add cache a.Access.loc s;
+          s
+    in
+    if not (duplicate s a) then begin
+      incr forwarded;
+      inner.Detector.record a
+    end
+  in
   ( {
       inner with
       Detector.name = inner.Detector.name ^ "+dedup";
-      record = record st inner;
-      accesses_seen = (fun () -> st.seen);
+      record;
+      accesses_seen = (fun () -> !seen);
     },
-    fun () ->
-      (* Reading the stats marks the end of a site's useful life, so fold
-         the observed table size into this domain's hint. *)
-      hint := max !hint (Location.Tbl.length st.cache);
-      { seen = st.seen; forwarded = st.forwarded } )
+    fun () -> { seen = !seen; forwarded = !forwarded } )

@@ -24,3 +24,9 @@
 (** [create graph] returns a fresh detector wired to [graph]'s
     happens-before relation. *)
 val create : Wr_hb.Graph.t -> Detector.t
+
+(** [create_dedup graph] is [create graph] with {!Dedup}'s per-operation
+    rule applied in each location's own slot pair, so an access costs one
+    location lookup. Races and stats equal those of
+    [Dedup.wrap (create graph)]. *)
+val create_dedup : Wr_hb.Graph.t -> Detector.t * (unit -> Dedup.stats)

@@ -42,8 +42,8 @@ let recorder (inner : Detector.t) =
   in
   (d, fun () -> List.rev !log)
 
-let rebuild_graph ?(strategy = Graph.Closure) t =
-  let g = Graph.create ~strategy () in
+let rebuild_graph ?strategy t =
+  let g = Graph.create ?strategy () in
   List.iter
     (fun { op_id; kind; label } ->
       let id = Graph.fresh g Op.Script ~label:(Printf.sprintf "%s: %s" kind label) in

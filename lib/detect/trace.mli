@@ -28,7 +28,8 @@ val capture : Wr_hb.Graph.t -> accesses:Wr_mem.Access.t list -> t
 val recorder : Detector.t -> Detector.t * (unit -> Wr_mem.Access.t list)
 
 (** [rebuild_graph ?strategy trace] reconstructs the happens-before graph
-    (ids match the trace's). *)
+    (ids match the trace's; [strategy] defaults to
+    {!Wr_hb.Graph.default_strategy}). *)
 val rebuild_graph : ?strategy:Wr_hb.Graph.strategy -> t -> Wr_hb.Graph.t
 
 (** [replay ?strategy trace ~detector] rebuilds the graph, feeds the access

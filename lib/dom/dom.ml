@@ -29,6 +29,12 @@ let id_location doc id = Location.Html_elem (Location.Id { doc = doc.duid; id })
 let collection_location doc name =
   Location.Html_elem (Location.Collection { doc = doc.duid; name })
 
+(* HTML splits class lists on ASCII whitespace, not only on spaces. *)
+let class_list value =
+  String.map (function '\t' | '\n' | '\012' | '\r' -> ' ' | c -> c) value
+  |> String.split_on_char ' '
+  |> List.filter (fun c -> c <> "")
+
 (* Which named collections a tag belongs to: per-tag, the document.* named
    collections, and one per CSS class (class-based queries read these). *)
 let collections_of_tag tag attrs =
@@ -44,10 +50,7 @@ let collections_of_tag tag attrs =
   in
   let classes =
     match List.assoc_opt "class" attrs with
-    | Some cs ->
-        List.filter_map
-          (fun c -> if c = "" then None else Some ("class:" ^ c))
-          (String.split_on_char ' ' cs)
+    | Some cs -> List.map (fun c -> "class:" ^ c) (class_list cs)
     | None -> []
   in
   (("tag:" ^ tag) :: named) @ classes
@@ -261,13 +264,10 @@ let set_attr doc node name v =
     end
   end;
   if name = "class" && is_root_reachable doc node then begin
-    let classes_of value =
-      List.filter (fun c -> c <> "") (String.split_on_char ' ' value)
-    in
-    let old_classes = match get_attr node "class" with Some v -> classes_of v | None -> [] in
+    let old_classes = match get_attr node "class" with Some v -> class_list v | None -> [] in
     List.iter
       (fun c -> emit doc (collection_location doc ("class:" ^ c)) `Write)
-      (List.sort_uniq compare (old_classes @ classes_of v))
+      (List.sort_uniq compare (old_classes @ class_list v))
   end;
   Hashtbl.replace node.attrs name v;
   emit doc (prop_cell doc ~owner:node.uid name) `Write

@@ -86,6 +86,11 @@ val set_attr : document -> node -> string -> string -> unit
     (markup inspection, not a §4 logical access). *)
 val get_attr : node -> string -> string option
 
+(** [class_list value] splits a [class] attribute value into its class
+    names, on ASCII whitespace (space, tab, LF, FF, CR) as HTML does;
+    empty tokens are dropped. *)
+val class_list : string -> string list
+
 (** [set_idl doc node ?flags name v] / [get_idl doc node ?flags name]
     access IDL state like an input's [value] — the form-field locations of
     Fig. 2. Flags let the browser mark user-input writes. *)

@@ -6,7 +6,7 @@ type node = {
   mutable succs : Op.id list;
   mutable last_succ : Op.id;  (* most recently added successor; -1 if none *)
   ancestors : Wr_support.Bitset.t option;  (* Some iff strategy = Closure *)
-  mutable vc : int array;  (* Chain_vc: chain -> highest reaching index + 1 *)
+  mutable vc : int array;  (* Chain_vc: sorted (chain, highest reaching index + 1) pairs *)
   mutable chain : int;  (* Chain_vc: -1 while unassigned *)
   mutable chain_idx : int;
 }
@@ -21,7 +21,9 @@ type t = {
   mutable chain_count : int;
 }
 
-let create ?(strategy = Closure) () =
+let default_strategy = Chain_vc
+
+let create ?(strategy = default_strategy) () =
   {
     strategy;
     nodes = [||];
@@ -92,9 +94,15 @@ let rec propagate t a anc_a n =
    operation joins the chain of one of its predecessors when that
    predecessor is still the chain's last element, else starts a new chain.
    An operation's clock maps each chain to the highest position on it that
-   happens-before the operation, so a reachability query is one array
-   lookup. Event-driven pages decompose into few chains (the parse chain,
-   one per timer/fetch chain), keeping clocks short. *)
+   happens-before the operation, so a reachability query is one lookup.
+
+   Clocks are sparse: [vc] holds only the chains that reach the operation,
+   as (chain, bound) pairs flattened into [|c0; b0; c1; b1; ...|] and
+   sorted by chain. A page that explores many handlers has many chains,
+   but each operation is reached by few of them, so a dense clock indexed
+   by chain id would be mostly zeros. Clock arrays are never mutated once
+   installed, so an operation whose clock equals its predecessor's shares
+   the array. *)
 
 let ensure_chain t x =
   let nx = t.nodes.(x) in
@@ -110,28 +118,81 @@ let ensure_chain t x =
     t.chain_count <- t.chain_count + 1
   end
 
+(* [vc_find vc chain] is [chain]'s bound in [vc], 0 when absent. *)
+let vc_find vc chain =
+  let rec search lo hi =
+    if lo >= hi then 0
+    else
+      let mid = (lo + hi) lsr 1 in
+      let c = vc.(2 * mid) in
+      if c = chain then vc.((2 * mid) + 1)
+      else if c < chain then search (mid + 1) hi
+      else search lo mid
+  in
+  search 0 (Array.length vc / 2)
+
+(* Pointwise max of two sparse clocks. Returns [a] itself when [b] adds
+   nothing and [b] itself when [b] covers [a], so callers detect "no
+   change" by physical equality and share arrays instead of copying. *)
+let vc_join a b =
+  let la = Array.length a and lb = Array.length b in
+  let i = ref 0 and j = ref 0 and n = ref 0 in
+  let b_grows = ref false and a_exceeds = ref false in
+  while !i < la || !j < lb do
+    incr n;
+    if !j >= lb || (!i < la && a.(!i) < b.(!j)) then begin
+      a_exceeds := true;
+      i := !i + 2
+    end
+    else if !i >= la || b.(!j) < a.(!i) then begin
+      b_grows := true;
+      j := !j + 2
+    end
+    else begin
+      let va = a.(!i + 1) and vb = b.(!j + 1) in
+      if vb > va then b_grows := true else if va > vb then a_exceeds := true;
+      i := !i + 2;
+      j := !j + 2
+    end
+  done;
+  if not !b_grows then a
+  else if not !a_exceeds then b
+  else begin
+    let out = Array.make (2 * !n) 0 in
+    let emit k c v =
+      out.(k) <- c;
+      out.(k + 1) <- v
+    in
+    i := 0;
+    j := 0;
+    for k = 0 to !n - 1 do
+      if !j >= lb || (!i < la && a.(!i) < b.(!j)) then begin
+        emit (2 * k) a.(!i) a.(!i + 1);
+        i := !i + 2
+      end
+      else if !i >= la || b.(!j) < a.(!i) then begin
+        emit (2 * k) b.(!j) b.(!j + 1);
+        j := !j + 2
+      end
+      else begin
+        emit (2 * k) a.(!i) (max a.(!i + 1) b.(!j + 1));
+        i := !i + 2;
+        j := !j + 2
+      end
+    done;
+    out
+  end
+
 (* Pointwise max of [src] plus the single entry (chain, bound) into
    [dst.vc]; returns true when anything grew. *)
 let merge_vc dst src ~chain ~bound =
-  let needed = max (Array.length src) (chain + 1) in
-  if Array.length dst.vc < needed then begin
-    let vc = Array.make needed 0 in
-    Array.blit dst.vc 0 vc 0 (Array.length dst.vc);
-    dst.vc <- vc
-  end;
-  let changed = ref false in
-  Array.iteri
-    (fun i v ->
-      if v > dst.vc.(i) then begin
-        dst.vc.(i) <- v;
-        changed := true
-      end)
-    src;
-  if chain >= 0 && bound > dst.vc.(chain) then begin
-    dst.vc.(chain) <- bound;
-    changed := true
-  end;
-  !changed
+  let vc = vc_join dst.vc src in
+  let vc = if chain >= 0 then vc_join vc [| chain; bound |] else vc in
+  if vc == dst.vc then false
+  else begin
+    dst.vc <- vc;
+    true
+  end
 
 let rec vc_propagate t src ~chain ~bound n =
   let nn = t.nodes.(n) in
@@ -203,10 +264,7 @@ let happens_before t a b =
         match nb.ancestors with
         | Some anc -> Wr_support.Bitset.mem anc a
         | None -> false)
-    | Chain_vc ->
-        na.chain >= 0
-        && Array.length nb.vc > na.chain
-        && nb.vc.(na.chain) >= na.chain_idx + 1
+    | Chain_vc -> na.chain >= 0 && vc_find nb.vc na.chain >= na.chain_idx + 1
     | Dfs -> happens_before_dfs t a b
   end
 

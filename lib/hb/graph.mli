@@ -12,12 +12,15 @@
       the high overhead", §5.2.1);
     - {!Closure} maintains an incremental transitive-closure bitset per
       operation: constant-time queries, quadratic bits of memory;
-    - {!Chain_vc} is the "more efficient vector-clock representation" the
-      paper plans (§5.2.1): operations are decomposed online into chains
-      (greedily extending a predecessor's chain), and each operation keeps
-      a clock mapping chains to the highest position that happens-before
-      it. Queries are one array lookup; memory is #ops x #chains, and
-      event-driven pages decompose into few chains.
+    - {!Chain_vc} (the default) is the "more efficient vector-clock
+      representation" the paper plans (§5.2.1): operations are decomposed
+      online into chains (greedily extending a predecessor's chain), and
+      each operation keeps a clock mapping chains to the highest position
+      that happens-before it. Clocks are sparse — sorted (chain, bound)
+      pairs holding only the chains that reach the operation — so a query
+      is a binary search and memory grows with the chains that reach each
+      operation, not with every chain the page created (a page exploring
+      thousands of handlers has thousands of chains).
 
     All strategies are exact (a qcheck property asserts they agree); the
     benchmark suite compares their cost.
@@ -31,7 +34,11 @@ type t
 
 type strategy = Dfs | Closure | Chain_vc
 
-(** [create ~strategy ()] returns an empty graph. *)
+(** [Chain_vc]: the strategy every default in the pipeline uses. *)
+val default_strategy : strategy
+
+(** [create ~strategy ()] returns an empty graph ([strategy] defaults to
+    {!default_strategy}). *)
 val create : ?strategy:strategy -> unit -> t
 
 val strategy : t -> strategy

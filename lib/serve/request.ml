@@ -96,7 +96,7 @@ let make ?(schema = Schema.version) ?trace ~id verb =
 let building check v = try check v with Bad m -> invalid_arg m
 
 let analyze_params ~page ?(resources = []) ?(seed = 0) ?(explore = true)
-    ?(detector = Config.Last_access) ?(hb = Wr_hb.Graph.Closure)
+    ?(detector = Config.Last_access) ?(hb = Wr_hb.Graph.default_strategy)
     ?(time_limit = 60_000.) ?(dedup = true) () =
   building check_analyze
     { page; resources; seed; explore; detector; hb; time_limit; dedup }
@@ -297,7 +297,7 @@ let decode_analyze fields =
       seed = get_int "seed" fields ~default:0;
       explore = get_bool "explore" fields ~default:true;
       detector = get_enum "detector" detector_names fields ~default:Config.Last_access;
-      hb = get_enum "hb" hb_names fields ~default:Wr_hb.Graph.Closure;
+      hb = get_enum "hb" hb_names fields ~default:Wr_hb.Graph.default_strategy;
       time_limit = get_float "time_limit" fields ~default:60_000.;
       dedup = get_bool "dedup" fields ~default:true;
     }

@@ -84,7 +84,7 @@ type selem = {
 let classes_of attrs =
   match List.assoc_opt "class" attrs with
   | None -> []
-  | Some v -> String.split_on_char ' ' v |> List.filter (fun c -> c <> "")
+  | Some v -> Wr_dom.Dom.class_list v
 
 (* Document-level named collections an element joins on insertion;
    mirrors the dynamic DOM's collection bookkeeping. *)

@@ -29,7 +29,7 @@ type report = {
 }
 
 let config ~page ?(resources = []) ?(seed = 0) ?(explore = true)
-    ?(detector = Config.Last_access) ?(hb_strategy = Wr_hb.Graph.Closure)
+    ?(detector = Config.Last_access) ?(hb_strategy = Wr_hb.Graph.default_strategy)
     ?(time_limit = 60_000.) ?(mean_latency = 20.) ?(parse_delay = 0.) ?(trace = false)
     ?(dedup = true) ?(bias = Wr_scheduler.Event_loop.neutral)
     ?(telemetry = Telemetry.disabled) () =

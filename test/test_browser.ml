@@ -369,6 +369,22 @@ let test_hb_strategies_agree_end_to_end () =
   Alcotest.(check bool) "dfs = chain-vc" true
     (run Wr_hb.Graph.Dfs = run Wr_hb.Graph.Chain_vc)
 
+let test_class_list_whitespace () =
+  (* HTML splits class lists on any ASCII whitespace, not only spaces. *)
+  let page =
+    "<div id=\"d\" class=\"card\twide\nhero\"></div>\n\
+     <script>\n\
+     var names = [\".card\", \".wide\", \".hero\", \"div.wide\", \".car\"];\n\
+     for (var i = 0; i < names.length; i++) {\n\
+     \  var e = document.querySelector(names[i]);\n\
+     \  console.log(names[i] + \" \" + (e === null ? \"null\" : e.id));\n\
+     }\n\
+     </script>"
+  in
+  Alcotest.(check (list string)) "every class found"
+    [ ".card d"; ".wide d"; ".hero d"; "div.wide d"; ".car null" ]
+    (analyze page).Webracer.console
+
 let suite =
   [
     Alcotest.test_case "fig1: iframe variable race" `Quick test_fig1_variable_race;
@@ -396,4 +412,5 @@ let suite =
     Alcotest.test_case "detectors agree" `Quick test_detectors_agree_on_figures;
     Alcotest.test_case "script-inserted external" `Quick test_script_inserted_external;
     Alcotest.test_case "hb strategies agree" `Quick test_hb_strategies_agree_end_to_end;
+    Alcotest.test_case "class list splits on whitespace" `Quick test_class_list_whitespace;
   ]

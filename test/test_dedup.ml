@@ -181,6 +181,66 @@ let test_same_shape () =
   Alcotest.(check bool) "flags differ" false
     (Access.same_shape a (access ~flags:[ Access.User_input ] (var 1) `Read 7))
 
+(* --- fused dedup equals the wrapper --------------------------------- *)
+
+(* A small location pool with repeats: plain variables, the two locations
+   an event handler collapses into one report key, and a collection whose
+   write-write pairs are exempt. *)
+let pool =
+  [|
+    var 0;
+    var 1;
+    var 2;
+    Location.Event_handler { target = 1; event = "click"; slot = Location.Attr };
+    Location.Event_handler { target = 1; event = "click"; slot = Location.Container };
+    Location.Html_elem (Location.Collection { doc = 0; name = "tag:div" });
+  |]
+
+(* The third context equals the first but is a distinct string, so the
+   dedup rule's physical shortcut does not decide it. *)
+let contexts = [| "a"; "b"; String.concat "" [ "a" ] |]
+
+let flag_sets = [| []; [ Access.Observed_miss ]; [ Access.Form_field ] |]
+
+(* Bursts of accesses by one op, bursts from different ops interleaved.
+   Flags and contexts mostly take their first value, so repeats are
+   common. *)
+let stream_gen n =
+  QCheck.Gen.(
+    let mostly_first = frequencyl [ (6, 0); (1, 1); (1, 2) ] in
+    list_size (int_range 1 40)
+      (pair (int_bound (n - 1))
+         (list_size (int_range 1 8)
+            (quad (int_bound (Array.length pool - 1)) bool mostly_first mostly_first))))
+
+let run_stream stream (det, stats) =
+  List.iter
+    (fun (op, burst) ->
+      List.iter
+        (fun (l, write, f, c) ->
+          det.Detector.record
+            (Access.make ~flags:flag_sets.(f) ~context:contexts.(c) pool.(l)
+               (if write then `Write else `Read)
+               op))
+        burst)
+    stream;
+  let s = stats () in
+  (det.Detector.races (), det.Detector.accesses_seen (), s.Dedup.seen, s.Dedup.forwarded)
+
+let prop_fused_equals_wrap =
+  let gen =
+    QCheck.Gen.(Test_hb.random_dag_gen >>= fun dag -> pair (return dag) (stream_gen (fst dag)))
+  in
+  QCheck.Test.make ~name:"fused dedup equals Dedup.wrap" ~count:300 (QCheck.make gen)
+    (fun (dag, stream) ->
+      let agree create create_dedup =
+        let wrapped = run_stream stream (Dedup.wrap (create (Test_hb.build Graph.Closure dag))) in
+        let fused = run_stream stream (create_dedup (Test_hb.build Graph.Closure dag)) in
+        wrapped = fused
+      in
+      agree Last_access.create Last_access.create_dedup
+      && agree Full_track.create Full_track.create_dedup)
+
 let suite =
   [
     Alcotest.test_case "duplicate read swallowed" `Quick test_duplicate_read_swallowed;
@@ -202,4 +262,5 @@ let suite =
       test_race_still_detected_through_dedup;
     Alcotest.test_case "full-track equivalence" `Quick test_full_track_equivalence;
     Alcotest.test_case "Access.same_shape" `Quick test_same_shape;
+    QCheck_alcotest.to_alcotest prop_fused_equals_wrap;
   ]

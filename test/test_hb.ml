@@ -97,23 +97,25 @@ let build strategy (n, edges) =
   List.iter (fun (a, b) -> Graph.add_edge g a b) edges;
   g
 
+let strategies_agree (n, edges) =
+  let dfs = build Graph.Dfs (n, edges) in
+  let closure = build Graph.Closure (n, edges) in
+  let chain_vc = build Graph.Chain_vc (n, edges) in
+  let ok = ref true in
+  for a = 0 to n - 1 do
+    for b = 0 to n - 1 do
+      let reference = Graph.happens_before dfs a b in
+      if Graph.happens_before closure a b <> reference then ok := false;
+      if Graph.happens_before chain_vc a b <> reference then ok := false;
+      if Graph.chc closure a b <> Graph.chc dfs a b then ok := false;
+      if Graph.chc chain_vc a b <> Graph.chc dfs a b then ok := false
+    done
+  done;
+  !ok
+
 let prop_strategies_agree =
   QCheck.Test.make ~name:"dfs, closure and chain-vc strategies agree" ~count:100
-    (QCheck.make random_dag_gen) (fun (n, edges) ->
-      let dfs = build Graph.Dfs (n, edges) in
-      let closure = build Graph.Closure (n, edges) in
-      let chain_vc = build Graph.Chain_vc (n, edges) in
-      let ok = ref true in
-      for a = 0 to n - 1 do
-        for b = 0 to n - 1 do
-          let reference = Graph.happens_before dfs a b in
-          if Graph.happens_before closure a b <> reference then ok := false;
-          if Graph.happens_before chain_vc a b <> reference then ok := false;
-          if Graph.chc closure a b <> Graph.chc dfs a b then ok := false;
-          if Graph.chc chain_vc a b <> Graph.chc dfs a b then ok := false
-        done
-      done;
-      !ok)
+    (QCheck.make random_dag_gen) strategies_agree
 
 let prop_chc_symmetric =
   QCheck.Test.make ~name:"chc is symmetric and irreflexive" ~count:100
@@ -203,4 +205,97 @@ let test_to_dot () =
      in
      go 0)
 
-let suite = suite @ [ Alcotest.test_case "to_dot rendering" `Quick test_to_dot ]
+(* The shape where sparse and dense clocks differ: one long chain (a big
+   page's parse chain) with many short branches hanging off its middle
+   ops (handlers that exploration fires), some joining the chain again
+   later. Each branch starts a chain, so chain ids grow large while each
+   op is reached by few chains. *)
+let fan_gen =
+  QCheck.Gen.(
+    int_range 20 150 >>= fun n ->
+    list_repeat (n - 1) (triple (int_bound 99) nat nat) >>= fun steps ->
+    let chain = Array.make n 0 and len = ref 1 and branch_ops = ref [] and edges = ref [] in
+    List.iteri
+      (fun i (roll, x, y) ->
+        let id = i + 1 in
+        if roll < 50 then begin
+          edges := (chain.(!len - 1), id) :: !edges;
+          (match !branch_ops with
+          | _ :: _ as bs when roll < 12 -> edges := (List.nth bs (x mod List.length bs), id) :: !edges
+          | _ -> ());
+          chain.(!len) <- id;
+          incr len
+        end
+        else begin
+          let from =
+            match !branch_ops with
+            | newest :: _ when roll >= 85 -> newest
+            | _ -> chain.((!len / 4) + (y mod max 1 (!len / 2)))
+          in
+          edges := (from, id) :: !edges;
+          branch_ops := id :: !branch_ops
+        end)
+      steps;
+    return (n, List.rev !edges))
+
+let prop_strategies_agree_on_fans =
+  QCheck.Test.make ~name:"dfs, closure and chain-vc strategies agree on fans" ~count:100
+    (QCheck.make fan_gen) strategies_agree
+
+(* Whole reports, not just HB queries: the example pages and the ten
+   corpus sites with the most races give the same report bytes under
+   every strategy. *)
+let test_reports_agree () =
+  let report hb (page, resources) =
+    let r = Webracer.analyze (Webracer.config ~page ~resources ~seed:0 ~hb_strategy:hb ()) in
+    let without_wall_clock = function
+      | Wr_support.Json.Obj fields ->
+          Wr_support.Json.Obj (List.remove_assoc "wall_clock_s" fields)
+      | j -> j
+    in
+    (List.length r.Webracer.races, Wr_support.Json.to_string (without_wall_clock (Webracer.report_to_json r)))
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  (* [dune test] runs in the build's test directory, [dune exec] in the
+     project root. *)
+  let examples_dir =
+    if Sys.file_exists "../examples/pages" then "../examples/pages" else "examples/pages"
+  in
+  let examples =
+    Sys.readdir examples_dir |> Array.to_list |> List.sort compare
+    |> List.map (fun d ->
+           let dir = Filename.concat examples_dir d in
+           let files = Sys.readdir dir |> Array.to_list |> List.sort compare in
+           ( "example/" ^ d,
+             ( read (Filename.concat dir "page.html"),
+               List.filter_map
+                 (fun f -> if f = "page.html" then None else Some (f, read (Filename.concat dir f)))
+                 files ) ))
+  in
+  let corpus =
+    List.mapi
+      (fun i (p : Wr_sitegen.Profile.t) ->
+        let site = Wr_sitegen.Gen.generate p in
+        let input = (site.Wr_sitegen.Gen.page, site.Wr_sitegen.Gen.resources) in
+        (fst (report Graph.default_strategy input), i, p.Wr_sitegen.Profile.name, input))
+      (Wr_sitegen.Profile.corpus ())
+    |> List.sort (fun (ra, ia, _, _) (rb, ib, _, _) -> compare (rb, ia) (ra, ib))
+    |> List.filteri (fun k _ -> k < 10)
+    |> List.map (fun (_, _, name, input) -> ("corpus/" ^ name, input))
+  in
+  Alcotest.(check int) "four example pages" 4 (List.length examples);
+  List.iter
+    (fun (name, input) ->
+      let closure = snd (report Graph.Closure input) in
+      Alcotest.(check string) (name ^ ": chain-vc = closure") closure
+        (snd (report Graph.Chain_vc input));
+      Alcotest.(check string) (name ^ ": dfs = closure") closure (snd (report Graph.Dfs input)))
+    (examples @ corpus)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "to_dot rendering" `Quick test_to_dot;
+      QCheck_alcotest.to_alcotest prop_strategies_agree_on_fans;
+      Alcotest.test_case "reports agree across strategies" `Quick test_reports_agree;
+    ]
