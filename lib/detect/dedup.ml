@@ -51,8 +51,17 @@ let duplicate s (a : Access.t) =
           s.wrote <- Some a;
           false)
 
+(* Domain-local high-water mark for the location-cache size: sites on one
+   corpus domain are alike, so pre-sizing each wrap's table to the largest
+   seen on this domain avoids the rehash-and-copy churn of growing from
+   256 on every site. A size *hint* is deliberately all we share: reusing
+   the table itself across wraps could alias stale epoch slots into the
+   next site's detector, and no verdict is worth that risk. *)
+let cache_size_hint : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 256)
+
 let wrap (inner : Detector.t) =
-  let cache = Location.Tbl.create 256 in
+  let hint = Domain.DLS.get cache_size_hint in
+  let cache = Location.Tbl.create !hint in
   let seen = ref 0 and forwarded = ref 0 in
   let record (a : Access.t) =
     incr seen;
@@ -75,4 +84,8 @@ let wrap (inner : Detector.t) =
       record;
       accesses_seen = (fun () -> !seen);
     },
-    fun () -> { seen = !seen; forwarded = !forwarded } )
+    fun () ->
+      (* Reading the stats marks the end of a site's useful life, so fold
+         the observed table size into this domain's hint. *)
+      hint := max !hint (Location.Tbl.length cache);
+      { seen = !seen; forwarded = !forwarded } )
