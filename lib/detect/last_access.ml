@@ -62,11 +62,11 @@ let record st (a : Access.t) =
         s.last_write <- Some a
   end
 
-(* Domain-local pre-sizing: sites analysed on one fleet domain have
-   similar location counts, so seed each new detector's table at this
-   domain's high-water mark instead of rehash-growing from 1024 every
-   site. Only the *size* is shared — sharing tables would alias one
-   site's accesses into the next. *)
+(* Same domain-local pre-sizing trick as [Dedup.cache_size_hint]: sites
+   analysed on one fleet domain have similar location counts, so seed
+   each new detector's table at this domain's high-water mark instead of
+   rehash-growing from 1024 every site. Only the *size* is shared —
+   sharing tables would alias one site's accesses into the next. *)
 let table_size_hint : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 1024)
 
 let make ~dedup graph =
