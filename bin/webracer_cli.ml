@@ -85,6 +85,17 @@ let hb_arg =
         ~doc:("Happens-before queries: " ^ doc_alts_enum Request.hb_names
               ^ " ($(b,dfs) is the paper's; $(b,chain-vc) is the default)."))
 
+(* Durations and intervals: NaN, infinity and non-positive values fail
+   at parse time, with the predicate the daemon applies on the wire. *)
+let positive_finite =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Request.valid_time_limit x -> Ok x
+    | _ ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive finite number" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 (* The analysis flags of [Request.analyze_params]: the term yields the
    request with an empty page, which [with_page] aims at each PAGE. *)
 let target_term ?(seed = seed_arg ()) () =
@@ -94,17 +105,8 @@ let target_term ?(seed = seed_arg ()) () =
       & info [ "no-explore" ] ~doc:"Disable automatic exploration of user events (§5.2.2).")
   in
   let time_limit =
-    let horizon =
-      let parse s =
-        match float_of_string_opt s with
-        | Some ms when Request.valid_time_limit ms -> Ok ms
-        | _ ->
-            Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive finite number" s))
-      in
-      Arg.conv (parse, Format.pp_print_float)
-    in
     Arg.(
-      value & opt horizon 60_000.
+      value & opt positive_finite 60_000.
       & info [ "time-limit" ] ~docv:"MS" ~doc:"Virtual-time horizon in milliseconds.")
   in
   let no_dedup =
@@ -915,11 +917,11 @@ let profile_cmd =
       | hs ->
           print_newline ();
           print_endline "histograms:                       count      mean       p50       p95       max";
+          let module H = Wr_support.Stats.Histo in
           List.iter
             (fun (name, h) ->
-              Printf.printf "  %-30s %6d %9.3f %9.3f %9.3f %9.3f\n" name
-                h.Telemetry.count h.Telemetry.mean h.Telemetry.p50
-                h.Telemetry.p95 h.Telemetry.max)
+              Printf.printf "  %-30s %6d %9.3f %9.3f %9.3f %9.3f\n" name (H.count h)
+                (H.mean h) (H.percentile h 50.) (H.percentile h 95.) (H.maximum h))
             hs);
       match probe with
       | Some p ->
@@ -966,7 +968,7 @@ let sitegen_cmd =
         exit 1
     | Some profile ->
         let site = Wr_sitegen.Gen.generate profile in
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        Wr_support.Fs.mkdir_p dir;
         write_file (Filename.concat dir "index.html") site.Wr_sitegen.Gen.page;
         List.iter
           (fun (url, body) -> write_file (Filename.concat dir url) body)
@@ -1202,7 +1204,7 @@ let call_cmd =
   let jobs = jobs_arg "(replay/triage) server-side schedule parallelism." in
   let watch_interval =
     Arg.(
-      value & opt float 1.
+      value & opt positive_finite 1.
       & info [ "interval" ] ~docv:"SECONDS"
           ~doc:"(watch) seconds between snapshots.")
   in
@@ -1248,25 +1250,31 @@ let call_cmd =
           prerr_endline "call: this verb needs a PAGE argument";
           exit 1
     in
-    let print_and_check n_expected =
-      let all_ok = ref true in
-      for _ = 1 to n_expected do
-        match Wr_serve.Client.recv_line client with
-        | None ->
-            prerr_endline "call: connection closed before all responses arrived";
-            exit 3
-        | Some line ->
-            print_endline line;
-            (match Wr_serve.Response.of_line line with
-            | Ok r ->
-                if not (Wr_serve.Response.is_ok r) then all_ok := false;
-                if verbose then
-                  Printf.eprintf "call: id=%s trace=%s\n%!"
-                    (Wr_support.Json.to_string (Wr_serve.Response.id r))
-                    (Option.value ~default:"-" (Wr_serve.Response.trace r))
-            | Error _ -> all_ok := false)
-      done;
-      !all_ok
+    (* [~stream:true]: the [n_expected] responses answer one request, and
+       an error response ends that stream early. *)
+    let print_and_check ?(stream = false) n_expected =
+      let rec loop n all_ok =
+        if n = 0 then all_ok
+        else
+          match Wr_serve.Client.recv_line client with
+          | None ->
+              prerr_endline "call: connection closed before all responses arrived";
+              exit 3
+          | Some line ->
+              print_endline line;
+              let ok =
+                match Wr_serve.Response.of_line line with
+                | Ok r ->
+                    if verbose then
+                      Printf.eprintf "call: id=%s trace=%s\n%!"
+                        (Wr_support.Json.to_string (Wr_serve.Response.id r))
+                        (Option.value ~default:"-" (Wr_serve.Response.trace r));
+                    Wr_serve.Response.is_ok r
+                | Error _ -> false
+              in
+              if stream && not ok then false else loop (n - 1) (all_ok && ok)
+      in
+      loop n_expected true
     in
     let ok =
       match verb with
@@ -1284,7 +1292,7 @@ let call_cmd =
           Wr_serve.Client.send client
             (Request.make ~schema ?trace:trace_id ~id:(Wr_support.Json.Int 1)
                (Request.watch ~interval_s:watch_interval ~count ()));
-          print_and_check count
+          print_and_check ~stream:true count
       | ( `Ping | `Stats | `Metrics | `Analyze | `Explain | `Predict | `Triage
         | `Replay ) as v ->
           let verb_value =
@@ -1390,7 +1398,7 @@ let bench_serve_cmd =
   in
   let duration =
     Arg.(
-      value & opt float 2.
+      value & opt positive_finite 2.
       & info [ "duration" ] ~docv:"SECONDS"
           ~doc:"Sustained-load window, measured from the barrier release.")
   in
@@ -1494,7 +1502,7 @@ let jlist j name =
 let top_cmd =
   let interval =
     Arg.(
-      value & opt float 1.
+      value & opt positive_finite 1.
       & info [ "interval" ] ~docv:"SECONDS"
           ~doc:"Seconds between refreshes (daemon-side tick).")
   in

@@ -51,10 +51,10 @@ let with_telemetry tm d =
       record =
         (fun a ->
           T.incr tm "detect.accesses";
-          T.account tm ~cat:"detect" ~name:"record" (fun () -> d.record a));
+          T.account tm ~cat:"detect" (fun () -> d.record a));
       races =
         (fun () ->
-          let rs = T.account tm ~cat:"detect" ~name:"races" (fun () -> d.races ()) in
+          let rs = T.account tm ~cat:"detect" (fun () -> d.races ()) in
           T.set_counter tm "detect.races" (List.length rs);
           rs);
     }

@@ -158,21 +158,6 @@ let latency_stages st =
     ("total", st.lat_total);
   ]
 
-let sync_telemetry st =
-  let tm = st.tm in
-  if Telemetry.enabled tm then begin
-    Telemetry.set_counter tm "serve.cache.hits" (Cache.hits st.cache);
-    Telemetry.set_counter tm "serve.cache.misses" (Cache.misses st.cache);
-    Telemetry.set_counter tm "serve.cache.entries" (Cache.length st.cache);
-    Telemetry.set_counter tm "serve.analyses" st.analyses_run;
-    Telemetry.set_counter tm "serve.timeouts" st.timeouts;
-    Telemetry.set_counter tm "serve.in_flight" st.in_flight;
-    Hashtbl.iter (fun verb n -> Telemetry.set_counter tm ("serve.requests." ^ verb) n)
-      st.requests;
-    Hashtbl.iter (fun code n -> Telemetry.set_counter tm ("serve.responses." ^ code) n)
-      st.responses
-  end
-
 let cache_hit_ratio st =
   let hits = Cache.hits st.cache and misses = Cache.misses st.cache in
   if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses)
@@ -236,9 +221,6 @@ let stats_json st =
           ] );
       ("analyses_run", Json.Int st.analyses_run);
       ("timeouts", Json.Int st.timeouts);
-      ( "telemetry",
-        Json.Obj
-          (List.map (fun (k, v) -> (k, Json.Int v)) (Telemetry.counters st.tm)) );
     ]
 
 (* --- metrics exposition ------------------------------------------------ *)
@@ -332,13 +314,6 @@ let metrics_json st =
 
 (* --- postmortems ------------------------------------------------------- *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* Dump the flight recorder: a JSONL file (header object — reason,
    uptime, the in-flight requests with their trace ids — then one line
    per retained event) plus a mini Chrome trace of the same events.
@@ -354,7 +329,7 @@ let write_postmortem st ~reason =
         Filename.concat dir (Printf.sprintf "postmortem-%d-%s" seq reason)
       in
       try
-        mkdir_p dir;
+        Wr_support.Fs.mkdir_p dir;
         let now = Clock.now () in
         let events = Flight.snapshot () in
         let in_flight =
@@ -425,8 +400,7 @@ let respond ?http_status ?(encode_s = 0.) st conn (resp : Response.t) =
         Queue.push body conn.out;
         Queue.push "\n" conn.out);
     Histo.add st.lat_encode (encode_s +. Clock.now () -. t0)
-  end;
-  sync_telemetry st
+  end
 
 let respond_cid ?encode_s st cid resp =
   match Hashtbl.find_opt st.conns cid with
@@ -563,8 +537,7 @@ let drain_completions st =
               Cache.store st.cache key bytes
           | _ -> ());
           let resp = Response.stamp ~schema:job.schema resp in
-          if not job.answered then respond_cid ~encode_s st job.job_cid resp
-          else sync_telemetry st)
+          if not job.answered then respond_cid ~encode_s st job.job_cid resp)
     batch
 
 let sweep_deadlines st now =

@@ -75,9 +75,8 @@ val default_config : address -> config
     the drain with the final [metrics] document (per-stage latency
     histograms, queue high-water, cache hit ratio, Prometheus text) —
     the CLI's [--metrics-out] hook.
-    [telemetry] receives the serve counters ([serve.requests],
-    [serve.cache.hits], ...); they are also embedded in every [stats]
-    response.
+    [telemetry] receives one span per job, named [<verb> [<trace id>]];
+    its rings keep each worker domain's most recent spans.
 
     Every request is traced: a client-supplied ["trace"] id is echoed
     on the response and used verbatim; otherwise a [t-<n>] id is

@@ -48,7 +48,7 @@ exception Bad of string
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
 (* [nan <= 0.] is false, so the sign test alone would let NaN through;
-   neither NaN nor infinity ever ends the event loop. *)
+   neither NaN nor infinity ever ends the event loop or a watch stream. *)
 let valid_time_limit ms = Float.is_finite ms && ms > 0.
 
 let check_analyze p =
@@ -57,7 +57,8 @@ let check_analyze p =
   p
 
 let check_watch w =
-  if w.interval_s <= 0. then bad "\"interval_s\" must be positive";
+  if not (valid_time_limit w.interval_s) then
+    bad "\"interval_s\" must be a positive finite number";
   (match w.count with
   | Some n when n < 1 -> bad "\"count\" must be a positive integer"
   | _ -> ());

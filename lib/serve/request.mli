@@ -77,7 +77,7 @@ type triage_params = {
     [interval_s] on the same connection, [count] times ([None] = until
     the connection closes). [webracer top] is the rendering client. *)
 type watch_params = {
-  interval_s : float;  (** must be positive; the daemon may clamp it *)
+  interval_s : float;  (** positive and finite; the daemon may clamp it *)
   count : int option;
 }
 
@@ -110,8 +110,9 @@ val make : ?schema:int -> ?trace:string -> id:Wr_support.Json.t -> verb -> t
     same validation the daemon applies when decoding, raising
     [Invalid_argument] where the decoder would answer [bad_request]. *)
 
-(** [valid_time_limit ms] — the check every [time_limit] passes: finite
-    and positive. Infinity or NaN would never end the event loop. *)
+(** [valid_time_limit ms] — the check every [time_limit] and watch
+    [interval_s] passes: finite and positive. Infinity or NaN would never
+    end the event loop, nor deliver a watch stream's next frame. *)
 val valid_time_limit : float -> bool
 
 (** [analyze_params ~page ()] with the same defaults as

@@ -17,12 +17,6 @@ let sum = List.fold_left ( + ) 0
 
 (* --- float samples -------------------------------------------------- *)
 
-let fsum = List.fold_left ( +. ) 0.
-
-let fmean = function [] -> 0. | xs -> fsum xs /. float_of_int (List.length xs)
-
-let fmax = function [] -> 0. | x :: xs -> List.fold_left Float.max x xs
-
 let fpercentile xs p =
   match xs with
   | [] -> 0.
@@ -40,14 +34,6 @@ let fpercentile xs p =
         let frac = rank -. float_of_int lo in
         (arr.(lo) *. (1. -. frac)) +. (arr.(hi) *. frac)
       end
-
-let fstddev = function
-  | [] | [ _ ] -> 0.
-  | xs ->
-      let m = fmean xs in
-      let n = float_of_int (List.length xs) in
-      let ss = List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. xs in
-      Float.sqrt (ss /. n)
 
 (* --- HDR-style histogram -------------------------------------------- *)
 

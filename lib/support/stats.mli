@@ -14,37 +14,21 @@ val max : int list -> int
 (** [sum xs] totals the samples. *)
 val sum : int list -> int
 
-(** {1 Float samples}
-
-    Used by the telemetry histograms (latency, queue depth, span
-    durations), which are float-valued. *)
-
-(** [fsum xs] totals float samples. *)
-val fsum : float list -> float
-
-(** [fmean xs] is the arithmetic mean; [0.] on an empty list. *)
-val fmean : float list -> float
-
-(** [fmax xs] is the largest sample; [0.] on empty. *)
-val fmax : float list -> float
+(** {1 Float samples} *)
 
 (** [fpercentile xs p] is the [p]-th percentile ([p] in [0..100], clamped)
     with linear interpolation between closest ranks; [0.] on empty.
     [fpercentile xs 50.] is the median. *)
 val fpercentile : float list -> float -> float
 
-(** [fstddev xs] is the population standard deviation; [0.] on fewer than
-    two samples. *)
-val fstddev : float list -> float
-
 (** {1 HDR-style histograms}
 
     Fixed-memory log-bucketed histograms for latency recording on hot
     paths: each power-of-two range is split into 32 linear sub-buckets
     (~1.6% relative error on interior percentiles), with exact min, max
-    and sum kept alongside. Unlike the list-based helpers above, [add] is
-    O(1) with no allocation, and histograms recorded independently (one
-    per domain, one per time window) [merge] losslessly — the merged
+    and sum kept alongside. Unlike [fpercentile], [add] is O(1) with no
+    allocation, and histograms recorded independently (one per domain,
+    one per time window) [merge] losslessly — the merged
     percentiles equal those of a histogram fed the union of samples. *)
 module Histo : sig
   type t

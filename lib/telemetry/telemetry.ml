@@ -1,38 +1,55 @@
-(* Domain-safe telemetry: every domain that records into a context gets
-   its own sink (span buffer, counters, histograms, accounts, marks), so
-   the hot path never contends with other domains. Sinks register with
-   the shared context under [reg_lock]; readers merge all sinks. Each
-   sink carries its own small mutex so the serve accept loop can read
-   counters while worker domains are still recording — the lock is
-   domain-private in the common case and therefore uncontended. *)
+(* Domain-safe, bounded telemetry: every domain that records into a
+   context gets its own sink (a ring of recent spans and marks, running
+   phase totals, counters, histograms), so the hot path never contends
+   with other domains and a long-lived recorder ([serve]) holds at most
+   [ring_capacity] entries per domain. Sinks register with the shared
+   context under [reg_lock]; readers merge all sinks. Each sink carries
+   its own small mutex so the serve accept loop can read counters while
+   worker domains are still recording — the lock is domain-private in
+   the common case and therefore uncontended. *)
+
+module Histo = Wr_support.Stats.Histo
+
+(* All floats, so stored flat: a ring entry carries no boxed floats and
+   closing a span allocates nothing. *)
+type times = {
+  start : float;  (* wall seconds since context creation *)
+  vstart : float;  (* virtual ms at span start *)
+  mutable dur : float;
+  mutable vdur : float;
+  mutable child : float;  (* wall time inside child spans/accounts *)
+  mutable vchild : float;
+}
 
 type span = {
   sp_name : string;
   sp_cat : string;
-  sp_depth : int;
+  sp_depth : int;  (* [mark_depth] for an instant mark *)
   sp_dom : int;  (* domain id, the Chrome-trace tid *)
-  sp_start : float;  (* wall seconds since context creation *)
-  sp_vstart : float;  (* virtual ms at span start *)
-  mutable sp_dur : float;
-  mutable sp_vdur : float;
-  mutable sp_child : float;  (* wall time inside child spans/accounts *)
-  mutable sp_vchild : float;
+  sp_t : times;
 }
 
-type series = { mutable buf : float array; mutable len : int }
+(* Marks share the ring with spans; this depth tells them apart. *)
+let mark_depth = -1
+
+type phase = { mutable self_wall : float; mutable self_virt : float }
 
 type sink = {
   sk_dom : int;
   sk_lock : Mutex.t;
   mutable vclock : unit -> float;
-  mutable spans : span array;  (* completed spans, completion order *)
-  mutable n_spans : int;
+  mutable ring : span array;
+      (* completed spans and marks in completion order; doubles up to
+         [ring_capacity], then overwrites the oldest entry *)
+  mutable head : int;  (* next slot to write *)
+  mutable stored : int;  (* live entries in [ring] *)
+  mutable n_spans : int;  (* every completed or injected span, kept or not *)
+  mutable dropped : int;  (* spans overwritten by newer entries *)
   mutable stack : span list;  (* open spans, innermost first *)
+  phases : (string, phase) Hashtbl.t;  (* running self time per category *)
+  mutable depth0_wall : float;  (* summed duration of depth-0 spans *)
   counters : (string, int ref) Hashtbl.t;
-  histos : (string, series) Hashtbl.t;
-  accounts : (string * string, float ref) Hashtbl.t;
-  mutable marks : (string * string * float * float * int) list;
-      (* cat, name, wall s, virtual ms, domain *)
+  histos : (string, Histo.t) Hashtbl.t;
 }
 
 type t = {
@@ -43,11 +60,18 @@ type t = {
   mutable sinks : sink list;  (* registration order *)
 }
 
-let no_span =
+let ring_capacity = 65_536
+
+let new_span ~name ~cat ~depth ~dom ~start ~vstart ~dur =
   {
-    sp_name = ""; sp_cat = ""; sp_depth = 0; sp_dom = 0; sp_start = 0.;
-    sp_vstart = 0.; sp_dur = 0.; sp_vdur = 0.; sp_child = 0.; sp_vchild = 0.;
+    sp_name = name;
+    sp_cat = cat;
+    sp_depth = depth;
+    sp_dom = dom;
+    sp_t = { start; vstart; dur; vdur = 0.; child = 0.; vchild = 0. };
   }
+
+let no_span = new_span ~name:"" ~cat:"" ~depth:0 ~dom:0 ~start:0. ~vstart:0. ~dur:0.
 
 let make ~enabled ~clock =
   {
@@ -69,13 +93,16 @@ let new_sink () =
     sk_dom = (Domain.self () :> int);
     sk_lock = Mutex.create ();
     vclock = (fun () -> 0.);
-    spans = Array.make 64 no_span;
+    ring = Array.make 64 no_span;
+    head = 0;
+    stored = 0;
     n_spans = 0;
+    dropped = 0;
     stack = [];
+    phases = Hashtbl.create 8;
+    depth0_wall = 0.;
     counters = Hashtbl.create 16;
-    histos = Hashtbl.create 16;
-    accounts = Hashtbl.create 16;
-    marks = [];
+    histos = Hashtbl.create 4;
   }
 
 (* One process-global DLS slot caching the last (context, sink) pair used
@@ -130,37 +157,79 @@ let set_virtual_clock t f =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Spans                                                               *)
+(* The ring and the running totals                                     *)
 (* ------------------------------------------------------------------ *)
 
-let push_span s sp =
-  if s.n_spans = Array.length s.spans then begin
-    let spans = Array.make (2 * s.n_spans) no_span in
-    Array.blit s.spans 0 spans 0 s.n_spans;
-    s.spans <- spans
+(* Caller holds [s.sk_lock]. Below the cap the ring has never wrapped,
+   so growing keeps the entries in place and writing resumes after them. *)
+let push s sp =
+  let cap = Array.length s.ring in
+  if s.stored = cap && cap < ring_capacity then begin
+    let ring = Array.make (2 * cap) no_span in
+    Array.blit s.ring 0 ring 0 cap;
+    s.ring <- ring;
+    s.head <- cap
   end;
-  s.spans.(s.n_spans) <- sp;
-  s.n_spans <- s.n_spans + 1
+  if s.stored = Array.length s.ring then begin
+    if s.ring.(s.head).sp_depth <> mark_depth then s.dropped <- s.dropped + 1
+  end
+  else s.stored <- s.stored + 1;
+  s.ring.(s.head) <- sp;
+  s.head <- (s.head + 1) mod Array.length s.ring
+
+(* Oldest first. Caller holds [s.sk_lock]. *)
+let ring_entries s =
+  let cap = Array.length s.ring in
+  let first = s.head - s.stored + cap in
+  List.init s.stored (fun k -> s.ring.((first + k) mod cap))
+
+let find_or_add tbl key make =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+      let v = make () in
+      Hashtbl.add tbl key v;
+      v
+
+let add_phase phases cat wall virt =
+  let p = find_or_add phases cat (fun () -> { self_wall = 0.; self_virt = 0. }) in
+  p.self_wall <- p.self_wall +. wall;
+  p.self_virt <- p.self_virt +. virt
+
+(* Caller holds [s.sk_lock]. *)
+let record_span s sp =
+  let tm = sp.sp_t in
+  add_phase s.phases sp.sp_cat
+    (Float.max 0. (tm.dur -. tm.child))
+    (Float.max 0. (tm.vdur -. tm.vchild));
+  if sp.sp_depth = 0 then s.depth0_wall <- s.depth0_wall +. tm.dur;
+  s.n_spans <- s.n_spans + 1;
+  push s sp
+
+(* ------------------------------------------------------------------ *)
+(* Spans                                                               *)
+(* ------------------------------------------------------------------ *)
 
 let finish_span t s sp =
   let now = t.clock () in
   let vnow = s.vclock () in
   locked s (fun () ->
-      sp.sp_dur <- now -. t.t0 -. sp.sp_start;
-      sp.sp_vdur <- vnow -. sp.sp_vstart;
+      let tm = sp.sp_t in
+      tm.dur <- now -. t.t0 -. tm.start;
+      tm.vdur <- vnow -. tm.vstart;
       (match s.stack with
       | top :: rest when top == sp ->
           s.stack <- rest;
           (match rest with
           | parent :: _ ->
-              parent.sp_child <- parent.sp_child +. sp.sp_dur;
-              parent.sp_vchild <- parent.sp_vchild +. sp.sp_vdur
+              parent.sp_t.child <- parent.sp_t.child +. tm.dur;
+              parent.sp_t.vchild <- parent.sp_t.vchild +. tm.vdur
           | [] -> ())
       | _ ->
           (* Unbalanced close (an exception skipped an inner span): drop the
              stale frames above [sp] without attributing child time. *)
           s.stack <- List.filter (fun x -> not (x == sp)) s.stack);
-      push_span s sp)
+      record_span s sp)
 
 let with_span t ~cat ~name f =
   if not t.enabled then f ()
@@ -169,18 +238,8 @@ let with_span t ~cat ~name f =
     let sp =
       locked s (fun () ->
           let sp =
-            {
-              sp_name = name;
-              sp_cat = cat;
-              sp_depth = List.length s.stack;
-              sp_dom = s.sk_dom;
-              sp_start = t.clock () -. t.t0;
-              sp_vstart = s.vclock ();
-              sp_dur = 0.;
-              sp_vdur = 0.;
-              sp_child = 0.;
-              sp_vchild = 0.;
-            }
+            new_span ~name ~cat ~depth:(List.length s.stack) ~dom:s.sk_dom
+              ~start:(t.clock () -. t.t0) ~vstart:(s.vclock ()) ~dur:0.
           in
           s.stack <- sp :: s.stack;
           sp)
@@ -207,40 +266,26 @@ let inject_span t ~dom ~cat ~name ~start_s ~dur_s =
   if t.enabled then begin
     let s = sink t in
     let sp =
-      {
-        sp_name = name;
-        sp_cat = cat;
-        sp_depth = 1;
-        sp_dom = dom;
-        sp_start = start_s -. t.t0;
-        sp_vstart = 0.;
-        sp_dur = dur_s;
-        sp_vdur = 0.;
-        sp_child = 0.;
-        sp_vchild = 0.;
-      }
+      new_span ~name ~cat ~depth:1 ~dom ~start:(start_s -. t.t0) ~vstart:0. ~dur:dur_s
     in
-    locked s (fun () -> push_span s sp)
+    locked s (fun () -> record_span s sp)
   end
 
 let mark t ~cat name =
   if t.enabled then begin
     let s = sink t in
     let now = t.clock () -. t.t0 in
-    locked s (fun () -> s.marks <- (cat, name, now, s.vclock (), s.sk_dom) :: s.marks)
+    locked s (fun () ->
+        push s
+          (new_span ~name ~cat ~depth:mark_depth ~dom:s.sk_dom ~start:now
+             ~vstart:(s.vclock ()) ~dur:0.))
   end
 
 (* ------------------------------------------------------------------ *)
 (* Counters, histograms, accounted time                                *)
 (* ------------------------------------------------------------------ *)
 
-let counter_ref s name =
-  match Hashtbl.find_opt s.counters name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add s.counters name r;
-      r
+let counter_ref s name = find_or_add s.counters name (fun () -> ref 0)
 
 let incr t ?(by = 1) name =
   if t.enabled then begin
@@ -283,25 +328,10 @@ let counters t =
 let observe t name v =
   if t.enabled then begin
     let s = sink t in
-    locked s (fun () ->
-        let series =
-          match Hashtbl.find_opt s.histos name with
-          | Some x -> x
-          | None ->
-              let x = { buf = Array.make 64 0.; len = 0 } in
-              Hashtbl.add s.histos name x;
-              x
-        in
-        if series.len = Array.length series.buf then begin
-          let buf = Array.make (2 * series.len) 0. in
-          Array.blit series.buf 0 buf 0 series.len;
-          series.buf <- buf
-        end;
-        series.buf.(series.len) <- v;
-        series.len <- series.len + 1)
+    locked s (fun () -> Histo.add (find_or_add s.histos name Histo.create) v)
   end
 
-let account t ~cat ~name f =
+let account t ~cat f =
   if not t.enabled then f ()
   else begin
     let s = sink t in
@@ -309,11 +339,9 @@ let account t ~cat ~name f =
     let finish () =
       let dt = t.clock () -. started in
       locked s (fun () ->
-          (match Hashtbl.find_opt s.accounts (cat, name) with
-          | Some r -> r := !r +. dt
-          | None -> Hashtbl.add s.accounts (cat, name) (ref dt));
+          add_phase s.phases cat dt 0.;
           match s.stack with
-          | top :: _ -> top.sp_child <- top.sp_child +. dt
+          | top :: _ -> top.sp_t.child <- top.sp_t.child +. dt
           | [] -> ())
     in
     match f () with
@@ -329,87 +357,37 @@ let account t ~cat ~name f =
 (* Summaries                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type histogram_summary = {
-  count : int;
-  mean : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  max : float;
-}
-
-let summarize_samples xs n =
-  Array.sort Float.compare xs;
-  let l = Array.to_list xs in
-  {
-    count = n;
-    mean = Wr_support.Stats.fmean l;
-    p50 = Wr_support.Stats.fpercentile l 50.;
-    p95 = Wr_support.Stats.fpercentile l 95.;
-    p99 = Wr_support.Stats.fpercentile l 99.;
-    max = (if n = 0 then 0. else xs.(n - 1));
-  }
-
-(* Merge the per-domain sample buffers for [name] into one summary. *)
-let merged_series t name =
-  let parts =
-    List.filter_map
-      (fun s ->
-        locked s (fun () ->
-            Option.map
-              (fun x -> Array.sub x.buf 0 x.len)
-              (Hashtbl.find_opt s.histos name)))
-      (all_sinks t)
-  in
-  match parts with [] -> None | parts -> Some (Array.concat parts)
-
-let histogram t name =
-  Option.map (fun xs -> summarize_samples xs (Array.length xs)) (merged_series t name)
-
-let histo_names t =
-  let tbl = Hashtbl.create 16 in
+let histograms t =
+  let merged = Hashtbl.create 8 in
   List.iter
     (fun s ->
       locked s (fun () ->
-          Hashtbl.iter (fun name _ -> Hashtbl.replace tbl name ()) s.histos))
+          Hashtbl.iter
+            (fun name h -> Histo.merge_into ~into:(find_or_add merged name Histo.create) h)
+            s.histos))
     (all_sinks t);
-  Hashtbl.fold (fun name () acc -> name :: acc) tbl [] |> List.sort String.compare
+  Hashtbl.fold (fun name h acc -> (name, h) :: acc) merged []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let histograms t =
-  List.filter_map (fun name -> Option.map (fun h -> (name, h)) (histogram t name))
-    (histo_names t)
+let histogram t name = List.assoc_opt name (histograms t)
 
-let n_spans t =
-  List.fold_left (fun acc s -> acc + locked s (fun () -> s.n_spans)) 0 (all_sinks t)
+let sum_sinks t f =
+  List.fold_left (fun acc s -> acc + locked s (fun () -> f s)) 0 (all_sinks t)
+
+let n_spans t = sum_sinks t (fun s -> s.n_spans)
 
 (* The pipeline's category order; unknown categories sort after, by name. *)
 let canonical_cats =
   [ "parse"; "js"; "dispatch"; "scheduler"; "net"; "detect"; "serve"; "page" ]
 
 let phase_totals t =
-  let totals : (string, float ref * float ref) Hashtbl.t = Hashtbl.create 8 in
-  let cell cat =
-    match Hashtbl.find_opt totals cat with
-    | Some c -> c
-    | None ->
-        let c = (ref 0., ref 0.) in
-        Hashtbl.add totals cat c;
-        c
-  in
+  let totals : (string, phase) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun s ->
       locked s (fun () ->
-          for i = 0 to s.n_spans - 1 do
-            let sp = s.spans.(i) in
-            let w, v = cell sp.sp_cat in
-            w := !w +. Float.max 0. (sp.sp_dur -. sp.sp_child);
-            v := !v +. Float.max 0. (sp.sp_vdur -. sp.sp_vchild)
-          done;
           Hashtbl.iter
-            (fun (cat, _) r ->
-              let w, _ = cell cat in
-              w := !w +. !r)
-            s.accounts))
+            (fun cat p -> add_phase totals cat p.self_wall p.self_virt)
+            s.phases))
     (all_sinks t);
   let rank cat =
     let rec idx i = function
@@ -418,7 +396,7 @@ let phase_totals t =
     in
     idx 0 canonical_cats
   in
-  Hashtbl.fold (fun cat (w, v) acc -> (cat, !w, !v) :: acc) totals []
+  Hashtbl.fold (fun cat p acc -> (cat, p.self_wall, p.self_virt) :: acc) totals []
   |> List.sort (fun (a, _, _) (b, _, _) ->
          match compare (rank a) (rank b) with 0 -> String.compare a b | c -> c)
 
@@ -426,14 +404,7 @@ let phase_totals t =
    counts work time (like CPU seconds), not elapsed wall time. *)
 let total_wall t =
   List.fold_left
-    (fun acc s ->
-      locked s (fun () ->
-          let total = ref 0. in
-          for i = 0 to s.n_spans - 1 do
-            let sp = s.spans.(i) in
-            if sp.sp_depth = 0 then total := !total +. sp.sp_dur
-          done;
-          acc +. !total))
+    (fun acc s -> acc +. locked s (fun () -> s.depth0_wall))
     0. (all_sinks t)
 
 let phase_label = function
@@ -485,18 +456,44 @@ let to_chrome_trace t =
         ("args", Obj [ ("name", String "webracer") ]);
       ]
   in
+  let entries = List.concat_map (fun s -> locked s (fun () -> ring_entries s)) sinks in
   (* Injected spans can carry domain ids with no sink of their own
      (a GC slice on a domain that never recorded telemetry); give every
      tid that appears anywhere its named thread row. *)
   let tids = Hashtbl.create 8 in
   List.iter (fun s -> Hashtbl.replace tids s.sk_dom ()) sinks;
-  List.iter
-    (fun s ->
-      locked s (fun () ->
-          for i = 0 to s.n_spans - 1 do
-            Hashtbl.replace tids s.spans.(i).sp_dom ()
-          done))
-    sinks;
+  List.iter (fun sp -> Hashtbl.replace tids sp.sp_dom ()) entries;
+  let event sp =
+    if sp.sp_depth = mark_depth then
+      Obj
+        [
+          ("name", String sp.sp_name);
+          ("cat", String sp.sp_cat);
+          ("ph", String "i");
+          ("ts", us sp.sp_t.start);
+          ("pid", Int 1);
+          ("tid", Int sp.sp_dom);
+          ("s", String "t");
+          ("args", Obj [ ("virtual_ts_ms", Float sp.sp_t.vstart) ]);
+        ]
+    else
+      Obj
+        [
+          ("name", String sp.sp_name);
+          ("cat", String sp.sp_cat);
+          ("ph", String "X");
+          ("ts", us sp.sp_t.start);
+          ("dur", us sp.sp_t.dur);
+          ("pid", Int 1);
+          ("tid", Int sp.sp_dom);
+          ( "args",
+            Obj
+              [
+                ("virtual_ts_ms", Float sp.sp_t.vstart);
+                ("virtual_dur_ms", Float sp.sp_t.vdur);
+              ] );
+        ]
+  in
   let thread_meta =
     Hashtbl.fold (fun tid () acc -> tid :: acc) tids []
     |> List.sort compare
@@ -517,55 +514,6 @@ let to_chrome_trace t =
                    ] );
              ])
   in
-  let span_events =
-    List.concat_map
-      (fun s ->
-        locked s (fun () ->
-            let events = ref [] in
-            for i = s.n_spans - 1 downto 0 do
-              let sp = s.spans.(i) in
-              events :=
-                Obj
-                  [
-                    ("name", String sp.sp_name);
-                    ("cat", String sp.sp_cat);
-                    ("ph", String "X");
-                    ("ts", us sp.sp_start);
-                    ("dur", us sp.sp_dur);
-                    ("pid", Int 1);
-                    ("tid", Int sp.sp_dom);
-                    ( "args",
-                      Obj
-                        [
-                          ("virtual_ts_ms", Float sp.sp_vstart);
-                          ("virtual_dur_ms", Float sp.sp_vdur);
-                        ] );
-                  ]
-                :: !events
-            done;
-            !events))
-      sinks
-  in
-  let mark_events =
-    List.concat_map
-      (fun s ->
-        locked s (fun () ->
-            List.rev_map
-              (fun (cat, name, wall, virt, dom) ->
-                Obj
-                  [
-                    ("name", String name);
-                    ("cat", String cat);
-                    ("ph", String "i");
-                    ("ts", us wall);
-                    ("pid", Int 1);
-                    ("tid", Int dom);
-                    ("s", String "t");
-                    ("args", Obj [ ("virtual_ts_ms", Float virt) ]);
-                  ])
-              s.marks))
-      sinks
-  in
   let end_ts = if t.enabled then t.clock () -. t.t0 else 0. in
   let counter_events =
     List.map
@@ -584,9 +532,7 @@ let to_chrome_trace t =
   Obj
     [
       ( "traceEvents",
-        List
-          ((process_meta :: thread_meta) @ span_events @ mark_events
-          @ counter_events) );
+        List ((process_meta :: thread_meta) @ List.map event entries @ counter_events) );
       ("displayTimeUnit", String "ms");
     ]
 
@@ -598,27 +544,14 @@ let metrics_json t =
         (cat, Obj [ ("wall_s", Float w); ("virtual_ms", Float v) ]))
       (phase_totals t)
   in
-  let histo_fields =
-    List.map
-      (fun (name, h) ->
-        ( name,
-          Obj
-            [
-              ("count", Int h.count);
-              ("mean", Float h.mean);
-              ("p50", Float h.p50);
-              ("p95", Float h.p95);
-              ("p99", Float h.p99);
-              ("max", Float h.max);
-            ] ))
-      (histograms t)
-  in
   Obj
     [
       ("total_wall_s", Float (total_wall t));
       ("spans", Int (n_spans t));
+      ("spans_dropped", Int (sum_sinks t (fun s -> s.dropped)));
       ("domains", Int (domains t));
       ("phases", Obj phases);
       ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) (counters t)));
-      ("histograms", Obj histo_fields);
+      ( "histograms",
+        Obj (List.map (fun (name, h) -> (name, Histo.summary_json h)) (histograms t)) );
     ]

@@ -1,30 +1,41 @@
-(** Structured telemetry for the detection pipeline — domain-safe.
+(** Structured telemetry for the detection pipeline — domain-safe and
+    bounded.
 
     A context records three kinds of signal, all behind a single [enabled]
     flag so a disabled context is a near-no-op on hot paths:
 
     - {e spans}: nested timed regions ([with_span]) capturing wall-clock
-      and virtual-time start/duration. Exclusive (self) time per category
-      is what the phase-breakdown table reports, so the phases of one run
-      sum to the root span's duration;
+      and virtual-time start/duration, and instant {e marks}. Exclusive
+      (self) time per category is what the phase-breakdown table reports,
+      so the phases of one run sum to the root span's duration;
     - {e counters} and {e accounted time}: monotonic tallies ([incr]) and
       aggregate timers ([account]) for paths too hot to give each call its
       own span (the detector records one access per instrumented read or
       write). Accounted time is deducted from the enclosing span's self
       time, keeping the phase table additive;
-    - {e histograms}: raw float samples ([observe]) summarized as
-      count/mean/p50/p95/p99/max (scheduler queue depth, network latency).
+    - {e histograms}: samples ([observe]) folded into a
+      {!Wr_support.Stats.Histo} (scheduler queue depth, network latency,
+      GC pauses) — constant memory however many samples arrive.
+
+    {b Bounded memory.} Completed spans and marks go into one ring per
+    domain holding at most {!ring_capacity} entries; once it is full the
+    newest entry overwrites the oldest. One page analysis never fills it,
+    so [run] and [profile] export every span, while a long-lived daemon
+    keeps the most recent ones. Phase totals, [total_wall] and [n_spans]
+    are running sums updated as spans complete, so they count every span,
+    including the ones the ring has dropped; [metrics_json] reports how
+    many were dropped as [spans_dropped].
 
     {b Domain model.} One context may be shared across OCaml 5 domains:
-    each recording domain lazily gets its own {e sink} (span buffer,
-    counter table, histogram buffers), so recording never contends across
+    each recording domain lazily gets its own {e sink} (ring, phase
+    totals, counters, histograms), so recording never contends across
     domains — the span stack, in particular, is per-domain, matching the
     per-domain dynamic call structure. Readers ([counters],
-    [phase_totals], the exporters) merge all sinks: counters sum across
-    domains, histograms concatenate, and spans keep the id of the domain
-    that recorded them, which [to_chrome_trace] emits as the event's
-    [tid] (one named thread row per domain). Reading while other domains
-    record is safe and yields a point-in-time snapshot.
+    [phase_totals], the exporters) merge all sinks: counters and phase
+    totals sum across domains, histograms merge, and spans keep the id of
+    the domain that recorded them, which [to_chrome_trace] emits as the
+    event's [tid] (one named thread row per domain). Reading while other
+    domains record is safe and yields a point-in-time snapshot.
 
     Exporters: [to_chrome_trace] emits Chrome [trace_event] JSON loadable
     in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto};
@@ -42,6 +53,10 @@ val disabled : t
 val create : ?clock:(unit -> float) -> unit -> t
 
 val enabled : t -> bool
+
+(** [ring_capacity] is the most spans and marks one domain's ring
+    retains (65,536). *)
+val ring_capacity : int
 
 (** [domains t] is the number of domains that have recorded into [t] so
     far (0 until the first recording operation). *)
@@ -84,22 +99,12 @@ val incr : t -> ?by:int -> string -> unit
     back exactly. *)
 val set_counter : t -> string -> int -> unit
 
-(** [observe t name v] appends a sample to histogram [name]. *)
+(** [observe t name v] adds a sample to histogram [name]. *)
 val observe : t -> string -> float -> unit
 
-(** [account t ~cat ~name f] times [f] into the aggregate timer
-    [(cat, name)] without allocating a span, and attributes the time to
-    [cat] in the phase totals (deducting it from the enclosing span). *)
-val account : t -> cat:string -> name:string -> (unit -> 'a) -> 'a
-
-type histogram_summary = {
-  count : int;
-  mean : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  max : float;
-}
+(** [account t ~cat f] times [f] without allocating a span and adds the
+    time to [cat]'s phase total (deducting it from the enclosing span). *)
+val account : t -> cat:string -> (unit -> 'a) -> 'a
 
 val counters : t -> (string * int) list
 (** Sorted by name, summed across domains. *)
@@ -107,10 +112,10 @@ val counters : t -> (string * int) list
 val counter_value : t -> string -> int
 (** 0 when absent; summed across domains. *)
 
-val histogram : t -> string -> histogram_summary option
-(** Samples merged across domains. *)
+val histogram : t -> string -> Wr_support.Stats.Histo.t option
+(** A fresh histogram merging every domain's samples for the name. *)
 
-val histograms : t -> (string * histogram_summary) list
+val histograms : t -> (string * Wr_support.Stats.Histo.t) list
 (** Sorted by name. *)
 
 (** [phase_totals t] is the exclusive wall seconds and virtual ms per
@@ -126,6 +131,8 @@ val phase_totals : t -> (string * float * float) list
     CPU seconds), not elapsed time. *)
 val total_wall : t -> float
 
+(** [n_spans t] counts every completed and injected span, including
+    those the rings have since dropped. *)
 val n_spans : t -> int
 
 (** [phase_table t] renders the per-phase breakdown as an aligned text
@@ -134,11 +141,12 @@ val phase_table : t -> string
 
 (** [to_chrome_trace t] is the run as Chrome [trace_event] JSON:
     [{"traceEvents": [...], "displayTimeUnit": "ms"}] with one complete
-    ("ph":"X") event per span carrying the recording domain's id as its
-    [tid], a named thread row per domain, instants for marks, and counter
-    events. *)
+    ("ph":"X") event per span the rings retain, carrying the recording
+    domain's id as its [tid], a named thread row per domain, instants for
+    retained marks, and counter events. *)
 val to_chrome_trace : t -> Wr_support.Json.t
 
 (** [metrics_json t] is the compact summary: phases, counters, histogram
-    summaries, span count, domain count and total wall time. *)
+    summaries ({!Wr_support.Stats.Histo.summary_json}), span count, spans
+    dropped from the rings, domain count and total wall time. *)
 val metrics_json : t -> Wr_support.Json.t

@@ -95,7 +95,7 @@ let analyze (cfg : Config.t) =
         else 0
       in
       let races =
-        Telemetry.account tm ~cat:"detect" ~name:"races" (fun () ->
+        Telemetry.account tm ~cat:"detect" (fun () ->
             (Browser.detector browser).Detector.races ())
       in
       let outcome = Filters.apply (Browser.run_info browser) races in

@@ -46,7 +46,7 @@ let test_account_deducts_from_span () =
   Telemetry.with_span tm ~cat:"scheduler" ~name:"task" (fun () ->
       tick 1.;
       for _ = 1 to 3 do
-        Telemetry.account tm ~cat:"detect" ~name:"record" (fun () -> tick 2.)
+        Telemetry.account tm ~cat:"detect" (fun () -> tick 2.)
       done;
       tick 1.);
   feq "accounted time lands in its category" 6. (phase_wall tm "detect");
@@ -90,11 +90,12 @@ let test_histograms () =
   match Telemetry.histogram tm "depth" with
   | None -> Alcotest.fail "histogram missing"
   | Some h ->
-      Alcotest.(check int) "count" 100 h.Telemetry.count;
-      feq "mean" 50.5 h.Telemetry.mean;
-      feq "p50" 50.5 h.Telemetry.p50;
-      feq "p95" 95.05 h.Telemetry.p95;
-      feq "max" 100. h.Telemetry.max
+      Alcotest.(check int) "count" 100 (Stats.Histo.count h);
+      feq "mean" 50.5 (Stats.Histo.mean h);
+      feq "p50" 50.5 (Stats.Histo.percentile h 50.);
+      (* The bucket midpoint of [94, 96). *)
+      feq "p95" 95.0 (Stats.Histo.percentile h 95.);
+      feq "max" 100. (Stats.Histo.maximum h)
 
 let test_disabled_noop () =
   let tm = Telemetry.disabled in
@@ -202,6 +203,15 @@ let suite =
 
 (* --- domain safety ------------------------------------------------------ *)
 
+(* Wait until the other task is running too: both are live at once,
+   which is only possible on two domains. *)
+let rendezvous started =
+  Atomic.incr started;
+  let deadline = Unix.gettimeofday () +. 5. in
+  while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+    Domain.cpu_relax ()
+  done
+
 (* Two pool tasks rendezvous on an atomic before either returns, forcing
    them onto distinct domains; both record into ONE shared context. The
    old telemetry had to be forced off under jobs > 1 — this pins the
@@ -211,13 +221,7 @@ let test_multi_domain_spans () =
   let started = Atomic.make 0 in
   let task _ =
     Telemetry.with_span tm ~cat:"parse" ~name:"barrier" (fun () ->
-        Atomic.incr started;
-        (* Wait until the other task is running: both spans are live at
-           once, which is only possible on two domains. *)
-        let deadline = Unix.gettimeofday () +. 5. in
-        while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
-          Domain.cpu_relax ()
-        done;
+        rendezvous started;
         Telemetry.incr tm "barrier.hits";
         (Domain.self () :> int))
   in
@@ -383,3 +387,95 @@ let probe_suite =
   ]
 
 let suite = suite @ probe_suite
+
+(* --- bounded rings and merged histograms -------------------------------- *)
+
+let trace_phs tm =
+  match Telemetry.to_chrome_trace tm with
+  | Json.Obj fields -> (
+      match List.assoc "traceEvents" fields with
+      | Json.List events ->
+          List.filter_map
+            (function
+              | Json.Obj e -> (
+                  match List.assoc_opt "ph" e with
+                  | Some (Json.String ph) -> Some ph
+                  | _ -> None)
+              | _ -> None)
+            events
+      | _ -> Alcotest.fail "traceEvents missing")
+  | _ -> Alcotest.fail "trace is not an object"
+
+let test_ring_bound () =
+  let tm, tick = fake_clock () in
+  let cap = Telemetry.ring_capacity in
+  (* [record n] completes [n] spans: an outer one around an inner one. *)
+  let record n =
+    for _ = 1 to n / 2 do
+      Telemetry.with_span tm ~cat:"page" ~name:"outer" (fun () ->
+          tick 1.;
+          Telemetry.with_span tm ~cat:"js" ~name:"inner" (fun () -> tick 1.))
+    done
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  Telemetry.mark tm ~cat:"page" "start";
+  record (2 * cap);
+  let live_2x = live_words () in
+  record cap;
+  let marks = 10 in
+  for _ = 1 to marks do
+    Telemetry.mark tm ~cat:"page" "tick"
+  done;
+  Alcotest.(check int) "n_spans counts every span" (3 * cap) (Telemetry.n_spans tm);
+  let phs = trace_phs tm in
+  let count p = List.length (List.filter (String.equal p) phs) in
+  Alcotest.(check int) "the trace holds exactly one ring" cap (count "X" + count "i");
+  Alcotest.(check int) "the newest marks survive" marks (count "i");
+  (match Telemetry.metrics_json tm with
+  | Json.Obj fields ->
+      Alcotest.(check bool) "spans_dropped" true
+        (List.assoc_opt "spans_dropped" fields
+        = Some (Json.Int ((3 * cap) - (cap - marks))))
+  | _ -> Alcotest.fail "metrics not an object");
+  feq "total_wall counts dropped spans" (float_of_int (3 * cap)) (Telemetry.total_wall tm);
+  let phase_sum =
+    List.fold_left (fun acc (_, w, _) -> acc +. w) 0. (Telemetry.phase_totals tm)
+  in
+  feq "phases still sum to total_wall" (Telemetry.total_wall tm) phase_sum;
+  record cap;
+  let live_4x = live_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words flat from 2x to 4x capacity (%d -> %d)" live_2x live_4x)
+    true
+    (Float.abs (float_of_int (live_4x - live_2x)) < 0.01 *. float_of_int live_2x)
+
+let test_histogram_merge_across_domains () =
+  let tm = Telemetry.create () in
+  let started = Atomic.make 0 in
+  let samples = [| [ 1.; 2.; 3. ]; [ 10.; 20.; 30.; 40. ] |] in
+  let task k =
+    rendezvous started;
+    List.iter (Telemetry.observe tm "lat") samples.(k)
+  in
+  ignore
+    (Wr_support.Pool.with_pool ~min_workers:1 ~jobs:2 (fun p ->
+         Wr_support.Pool.map p task [ 0; 1 ]));
+  Alcotest.(check int) "two recording domains" 2 (Telemetry.domains tm);
+  let union = Array.to_list samples |> List.concat in
+  match Telemetry.histogram tm "lat" with
+  | None -> Alcotest.fail "histogram missing"
+  | Some h ->
+      Alcotest.(check int) "union count" (List.length union) (Stats.Histo.count h);
+      feq "union sum" (List.fold_left ( +. ) 0. union) (Stats.Histo.sum h);
+      feq "union max" 40. (Stats.Histo.maximum h)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "ring bound" `Quick test_ring_bound;
+      Alcotest.test_case "histograms merge across domains" `Quick
+        test_histogram_merge_across_domains;
+    ]
