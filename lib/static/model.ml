@@ -23,7 +23,7 @@
    MHP(a, b) = neither unit reaches the other through the edge set. *)
 
 module Html = Wr_html.Html
-module Bitset = Wr_support.Bitset
+module Graph = Wr_hb.Graph
 module Telemetry = Wr_telemetry.Telemetry
 
 type unit_kind =
@@ -65,7 +65,7 @@ type t = {
   docs : int;
   duplicate_ids : (int * string * int) list;
   missing_handler_ids : (int * string * string * string) list;
-  anc : Bitset.t array;
+  hb : Graph.t;
 }
 
 (* --- static DOM ----------------------------------------------------- *)
@@ -159,18 +159,12 @@ let target_of_elem e =
   | Some id -> Effects.T_elem { doc = e.sdoc; id = Effects.Lit id }
   | None -> Effects.T_node { doc = e.sdoc; node = e.snode }
 
-let read_handler target event =
-  {
-    Effects.loc = Effects.S_handler { target; event };
-    kind = Effects.Read;
-    func_decl = false;
-    call = false;
-    user = false;
-    may_miss = false;
-  }
+let eff ?(user = false) kind loc =
+  { Effects.loc; kind; func_decl = false; call = false; user; may_miss = false }
 
-let write_handler target event =
-  { (read_handler target event) with Effects.kind = Effects.Write }
+let read_handler target event = eff Effects.Read (Effects.S_handler { target; event })
+
+let write_handler target event = eff Effects.Write (Effects.S_handler { target; event })
 
 (* Container cells a dispatch anchored at [e] reads: the element itself,
    every static ancestor, and the document root — the capture/bubble path
@@ -188,16 +182,7 @@ let dispatch_reads b e event =
 (* Presence effects of parsing an element: its node cell, its id lookup
    cell, and every collection it joins. *)
 let presence_effs e =
-  let w loc =
-    {
-      Effects.loc;
-      kind = Effects.Write;
-      func_decl = false;
-      call = false;
-      user = false;
-      may_miss = false;
-    }
-  in
+  let w = eff Effects.Write in
   (w (Effects.S_node { doc = e.sdoc; node = e.snode })
   :: (match e.sid with
      | Some id -> [ w (Effects.S_id { doc = e.sdoc; id = Effects.Lit id }) ]
@@ -215,6 +200,13 @@ let parse_js src =
 
 let dispatch_key doc target event =
   Printf.sprintf "%d/%s/%s" doc (Effects.target_to_string target) event
+
+(* A dispatch unit for [event] on element [e]; marks the (target, event)
+   pair dispatched so a registration does not add a second one. *)
+let elem_dispatch b e ~preds ~label event =
+  Hashtbl.replace b.dispatched (dispatch_key e.sdoc (target_of_elem e) event) ();
+  mk b ~preds ~doc:e.sdoc ~effs:(dispatch_reads b e event) ~label
+    (U_dispatch { target = target_of_elem e; event })
 
 (* --- document walk --------------------------------------------------- *)
 
@@ -315,16 +307,8 @@ let rec walk_doc b ~doc ~preds nodes =
               (U_user { node })
           in
           uu.effs <-
-            {
-              Effects.loc =
-                Effects.S_prop
-                  { target = target_of_elem e; prop = Effects.Lit "value" };
-              kind = Effects.Write;
-              func_decl = false;
-              call = false;
-              user = true;
-              may_miss = false;
-            }
+            eff ~user:true Effects.Write
+              (Effects.S_prop { target = target_of_elem e; prop = Effects.Lit "value" })
             :: dispatch_reads b e "input"
         end;
         walk_nodes (node :: ancestors) el.Html.children
@@ -372,16 +356,9 @@ and script_elem b acc e pu =
             (* External scripts fire load after execution. *)
             if src <> None then begin
               let du =
-                mk b ~preds:[ su.uid ] ~doc:e.sdoc
-                  ~effs:(dispatch_reads b e "load")
-                  ~label:
-                    (Printf.sprintf "dispatch load on script %s"
-                       (Option.get src))
-                  (U_dispatch { target = target_of_elem e; event = "load" })
+                elem_dispatch b e ~preds:[ su.uid ] "load"
+                  ~label:(Printf.sprintf "dispatch load on script %s" (Option.get src))
               in
-              Hashtbl.replace b.dispatched
-                (dispatch_key e.sdoc (target_of_elem e) "load")
-                ();
               acc.loadables <- du.uid :: acc.loadables
             end)
 
@@ -391,14 +368,9 @@ and loadable_elem b acc e pu =
   | Some url ->
       let event = if List.mem_assoc url b.resources then "load" else "error" in
       let du =
-        mk b ~preds:[ pu.uid ] ~doc:e.sdoc
-          ~effs:(dispatch_reads b e event)
+        elem_dispatch b e ~preds:[ pu.uid ] event
           ~label:(Printf.sprintf "dispatch %s on <img%s>" event (elem_suffix e))
-          (U_dispatch { target = target_of_elem e; event })
       in
-      Hashtbl.replace b.dispatched
-        (dispatch_key e.sdoc (target_of_elem e) event)
-        ();
       acc.loadables <- du.uid :: acc.loadables
 
 and iframe_elem b acc e pu =
@@ -414,16 +386,9 @@ and iframe_elem b acc e pu =
             finish_doc b ~doc:child_doc ~preds:[ pu.uid ] (Html.parse body)
           in
           let du =
-            mk b
-              ~preds:[ child_load; pu.uid ]
-              ~doc:e.sdoc
-              ~effs:(dispatch_reads b e "load")
+            elem_dispatch b e ~preds:[ child_load; pu.uid ] "load"
               ~label:(Printf.sprintf "dispatch load on <iframe %s>" url)
-              (U_dispatch { target = target_of_elem e; event = "load" })
           in
-          Hashtbl.replace b.dispatched
-            (dispatch_key e.sdoc (target_of_elem e) "load")
-            ();
           acc.loadables <- du.uid :: acc.loadables)
 
 and js_link_elem b acc e pu =
@@ -435,14 +400,9 @@ and js_link_elem b acc e pu =
       | None -> ()
       | Some prog ->
           let du =
-            mk b ~preds:[ pu.uid ] ~doc:e.sdoc
-              ~effs:(dispatch_reads b e "click")
+            elem_dispatch b e ~preds:[ pu.uid ] "click"
               ~label:(Printf.sprintf "dispatch click on <a%s>" (elem_suffix e))
-              (U_dispatch { target = target_of_elem e; event = "click" })
           in
-          Hashtbl.replace b.dispatched
-            (dispatch_key e.sdoc (target_of_elem e) "click")
-            ();
           acc.handlers <- (du.uid, prog) :: acc.handlers)
   | _ -> ()
 
@@ -592,22 +552,14 @@ let make_dispatch_units b =
   let explorable e =
     e = "*" || List.mem e Wr_events.Events.exploration_events
   in
-  let add_for_elem reg_doc event e =
-    let target = target_of_elem e in
-    let key = dispatch_key reg_doc target event in
-    if not (Hashtbl.mem b.dispatched key) then begin
-      Hashtbl.replace b.dispatched key ();
-      let preds =
-        Option.to_list (Hashtbl.find_opt b.parse_uid (e.sdoc, e.snode))
-      in
+  (* Registrations name elements of their own document: [e.sdoc] is the
+     registering document. *)
+  let add_for_elem event e =
+    if not (Hashtbl.mem b.dispatched (dispatch_key e.sdoc (target_of_elem e) event)) then
       ignore
-        (mk b ~preds ~doc:e.sdoc
-           ~effs:(dispatch_reads b e event)
-           ~label:
-             (Printf.sprintf "dispatch %s on <%s%s>" event e.stag
-                (elem_suffix e))
-           (U_dispatch { target; event }))
-    end
+        (elem_dispatch b e event
+           ~preds:(Option.to_list (Hashtbl.find_opt b.parse_uid (e.sdoc, e.snode)))
+           ~label:(Printf.sprintf "dispatch %s on <%s%s>" event e.stag (elem_suffix e)))
   in
   let add_special doc target event =
     let key = dispatch_key doc target event in
@@ -641,19 +593,19 @@ let make_dispatch_units b =
           match Hashtbl.find_opt b.ids (doc, id) with
           | Some node ->
               if explorable event then
-                add_for_elem doc event (Hashtbl.find b.by_node (doc, node))
+                add_for_elem event (Hashtbl.find b.by_node (doc, node))
           | None -> b.missing <- (doc, id, event, u.label) :: b.missing)
       | Effects.T_elem { doc; id = pat } ->
           if explorable event then
             Hashtbl.iter
               (fun (d, id) node ->
                 if d = doc && Effects.sstr_matches pat (Effects.Lit id) then
-                  add_for_elem doc event (Hashtbl.find b.by_node (d, node)))
+                  add_for_elem event (Hashtbl.find b.by_node (d, node)))
               b.ids
       | Effects.T_node { doc; node } ->
           if explorable event then (
             match Hashtbl.find_opt b.by_node (doc, node) with
-            | Some e -> add_for_elem doc event e
+            | Some e -> add_for_elem event e
             | None -> ())
       | Effects.T_root doc | Effects.T_window doc ->
           (* DCL/load containers on root and window are read by the
@@ -664,22 +616,30 @@ let make_dispatch_units b =
           if explorable event then add_special u.doc Effects.T_unknown event)
     registrations
 
-(* --- MHP closure ------------------------------------------------------ *)
+(* --- happens-before graph --------------------------------------------- *)
 
-(* Units are created in topological order (every pred has a smaller uid),
-   so ancestor bitsets close in one forward pass. *)
-let close_ancestors units =
-  let n = Array.length units in
-  let anc = Array.init n (fun _ -> Bitset.create n) in
+(* One graph op per unit, op id = uid; every pred has a smaller uid, so
+   each edge points forward. Edges go in source by source, and a unit's
+   successors that have successors of their own go first: the graph's
+   greedy chain decomposition then runs a chain down the parser spine
+   instead of ending it at a handler body. Sinks need no chain, so
+   clocks stay a few entries long. *)
+let hb_graph units =
+  let g = Graph.create () in
+  let succs = Array.make (Array.length units) [] in
   Array.iter
     (fun u ->
-      List.iter
-        (fun p ->
-          Bitset.add anc.(u.uid) p;
-          Bitset.union_into ~into:anc.(u.uid) anc.(p))
-        u.preds)
+      ignore (Graph.fresh g Wr_hb.Op.Script ~label:u.label);
+      List.iter (fun p -> succs.(p) <- u.uid :: succs.(p)) u.preds)
     units;
-  anc
+  Array.iteri
+    (fun a bs ->
+      let inner, sinks =
+        List.partition (fun b -> succs.(b) <> []) (List.sort_uniq compare bs)
+      in
+      List.iter (Graph.add_edge g a) (inner @ sinks))
+    succs;
+  g
 
 (* --- entry point ------------------------------------------------------ *)
 
@@ -706,9 +666,9 @@ let build ?(tm = Telemetry.disabled) ~page ~resources () =
       analyze_code b;
       make_dispatch_units b);
   let units = Array.of_list (List.rev b.vunits) in
-  let anc =
+  let hb =
     Telemetry.with_span tm ~cat:"static" ~name:"static.mhp" (fun () ->
-        close_ancestors units)
+        hb_graph units)
   in
   let duplicate_ids =
     Hashtbl.fold
@@ -724,22 +684,14 @@ let build ?(tm = Telemetry.disabled) ~page ~resources () =
     docs = b.next_doc;
     duplicate_ids;
     missing_handler_ids = List.sort_uniq compare b.missing;
-    anc;
+    hb;
   }
 
-let happens_before t a b = a <> b && Bitset.mem t.anc.(b) a
+let happens_before t a b = Graph.happens_before t.hb a b
 
-let mhp t a b =
-  a <> b
-  && (not (Bitset.mem t.anc.(b) a))
-  && not (Bitset.mem t.anc.(a) b)
+let mhp t a b = Graph.chc t.hb a b
 
 let mhp_pairs t =
-  let n = Array.length t.units in
   let count = ref 0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if mhp t i j then incr count
-    done
-  done;
+  Graph.iter_chc_pairs t.hb (fun _ _ -> incr count);
   !count

@@ -4,8 +4,9 @@
     run (parser steps, scripts, timers, XHR handlers, event handlers,
     dispatch anchors, user input, DOMContentLoaded, load) and a
     happens-before edge set mirroring the dynamic rules in [Wr_hb] /
-    [Wr_browser]. MHP is the complement of reachability over those
-    edges. *)
+    [Wr_browser]. The units and edges are loaded into a {!Wr_hb.Graph}
+    (op id = uid), so reachability runs on the same chain vector clocks
+    as the dynamic detector; MHP is its complement. *)
 
 type unit_kind =
   | U_parse of { node : int; tag : string; elem_id : string option }
@@ -37,7 +38,7 @@ type t = {
   missing_handler_ids : (int * string * string * string) list;
       (** (doc, id, event, registering unit label): handler registered on
           an id absent from the static DOM *)
-  anc : Wr_support.Bitset.t array;  (** transitive HB ancestors per unit *)
+  hb : Wr_hb.Graph.t;  (** one op per unit, op id = uid, edges = [preds] *)
 }
 
 (** [build ~page ~resources ()] parses [page] (iframe/script/img sources
@@ -56,5 +57,6 @@ val happens_before : t -> int -> int -> bool
 (** [mhp t a b] — neither unit reaches the other. *)
 val mhp : t -> int -> int -> bool
 
-(** [mhp_pairs t] counts unordered MHP unit pairs. *)
+(** [mhp_pairs t] counts unordered MHP unit pairs, in time proportional
+    to their number (see {!Wr_hb.Graph.iter_chc_pairs}). *)
 val mhp_pairs : t -> int

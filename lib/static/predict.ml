@@ -57,29 +57,24 @@ let canonical_loc (a : Effects.eff) (b : Effects.eff) =
 
 let find_conflicts (m : Model.t) =
   let out = ref [] in
-  let n = Array.length m.units in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if Model.mhp m i j then
-        List.iter
-          (fun (e1 : Effects.eff) ->
-            List.iter
-              (fun (e2 : Effects.eff) ->
-                if Effects.conflicts e1 e2 then
-                  out :=
-                    {
-                      race_type = Effects.classify e1 e2;
-                      loc = canonical_loc e1 e2;
-                      first_unit = i;
-                      second_unit = j;
-                      first_eff = e1;
-                      second_eff = e2;
-                    }
-                    :: !out)
-              m.units.(j).effs)
-          m.units.(i).effs
-    done
-  done;
+  Wr_hb.Graph.iter_chc_pairs m.hb (fun i j ->
+      List.iter
+        (fun (e1 : Effects.eff) ->
+          List.iter
+            (fun (e2 : Effects.eff) ->
+              if Effects.conflicts e1 e2 then
+                out :=
+                  {
+                    race_type = Effects.classify e1 e2;
+                    loc = canonical_loc e1 e2;
+                    first_unit = i;
+                    second_unit = j;
+                    first_eff = e1;
+                    second_eff = e2;
+                  }
+                  :: !out)
+            m.units.(j).effs)
+        m.units.(i).effs);
   List.rev !out
 
 (* One prediction per (race type, canonical location), keeping the most

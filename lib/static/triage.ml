@@ -5,7 +5,7 @@
    layer closes the loop: for each prediction it derives *scheduling
    directives* — which delay channels (parse, timers, network, XHR,
    user input) to speed up or slow down so the two units can land in
-   either order — from the MHP model's ancestor bitsets, runs only
+   either order — from the units' HB ancestors in the MHP model, runs only
    those directed schedules through [Webracer.Replay.run_directed], and
    classifies every prediction as confirmed (some schedule realized
    it), refuted (a certificate shows it unrealizable under the explored
@@ -59,9 +59,9 @@ let channels (m : Model.t) uid =
     | _ -> ()
   in
   add (own_channel m.Model.units.(uid));
-  Array.iteri
-    (fun i u -> if Wr_support.Bitset.mem m.Model.anc.(uid) i then add (own_channel u))
-    m.Model.units;
+  for i = 0 to uid - 1 do
+    if Model.happens_before m i uid then add (own_channel m.Model.units.(i))
+  done;
   List.sort (fun a b -> compare (channel_rank a) (channel_rank b)) !acc
 
 (* A directive: a set of per-channel speed overrides, canonically

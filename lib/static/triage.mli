@@ -3,7 +3,7 @@
 
     For each static prediction, derive the scheduling directives (which
     delay channels to speed up or slow down) that could realize it —
-    from the MHP model's ancestor bitsets — and run only those directed
+    from the units' HB ancestors in the MHP model — and run only those directed
     schedules. Every prediction ends up {e confirmed} (a schedule
     realized it), {e refuted} (with a certificate over the explored
     directive space), or {e unconfirmed} (budget exhausted). Any

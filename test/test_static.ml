@@ -430,6 +430,29 @@ let test_lint_write_only_global () =
   in
   check_eff "write-only global reported" wo
 
+(* [mhp_pairs] reads the pairs off the HB graph's chain clocks; a
+   brute-force count over [mhp] must agree on the example pages and the
+   adversarial pack. *)
+let test_mhp_pairs_brute_force () =
+  let pack =
+    List.map
+      (fun (s : Wr_sitegen.Adversarial.scenario) ->
+        ("adversarial/" ^ s.name, (s.page, s.resources)))
+      (Wr_sitegen.Adversarial.pack ())
+  in
+  List.iter
+    (fun (name, (page, resources)) ->
+      let m = Model.build ~page ~resources () in
+      let n = Array.length m.Model.units in
+      let brute = ref 0 in
+      for a = 0 to n - 1 do
+        for b = a + 1 to n - 1 do
+          if Model.mhp m a b then incr brute
+        done
+      done;
+      Alcotest.(check int) (name ^ ": mhp_pairs") !brute (Model.mhp_pairs m))
+    (Test_hb.example_pages () @ pack)
+
 let suite =
   [
     Alcotest.test_case "effects: global read/write" `Quick test_global_read_write;
@@ -469,4 +492,5 @@ let suite =
     Alcotest.test_case "lint: duplicate ids" `Quick test_lint_duplicate_ids;
     Alcotest.test_case "lint: handler on missing id" `Quick test_lint_handler_on_missing_id;
     Alcotest.test_case "lint: write-only global" `Quick test_lint_write_only_global;
+    Alcotest.test_case "mhp: pair count matches brute force" `Quick test_mhp_pairs_brute_force;
   ]
