@@ -202,9 +202,8 @@ let string_last_index_of hay needle =
   let rec search i = if i < 0 then -1 else if String.sub hay i nn = needle then i else search (i - 1) in
   search (hn - nn)
 
-let string_split vm s sep =
-  if sep = "" then
-    new_array vm (List.init (String.length s) (fun i -> String (String.make 1 s.[i])))
+let string_split s sep =
+  if sep = "" then List.init (String.length s) (fun i -> String.make 1 s.[i])
   else begin
     let parts = ref [] in
     let rec loop start =
@@ -215,7 +214,7 @@ let string_split vm s sep =
           loop (i + String.length sep)
     in
     loop 0;
-    new_array vm (List.rev_map (fun p -> String p) !parts)
+    List.rev !parts
   end
 
 let string_replace_first s pat repl =
@@ -266,10 +265,18 @@ let string_member vm s name =
           | Some (off, len) -> String (String.sub s off len))
   | "split" ->
       m (fun vm args ->
-          match regex_of_value vm (arg 0 args) with
-          | Some compiled ->
-              Object (new_array vm (List.map (fun p -> String p) (Regex.split compiled s)))
-          | None -> Object (string_split vm s (string_arg vm 0 args)))
+          let parts =
+            match regex_of_value vm (arg 0 args) with
+            | Some compiled -> Regex.split compiled s
+            | None -> string_split s (string_arg vm 0 args)
+          in
+          (* ES5 §15.5.4.14: at most ToUint32(limit) parts. *)
+          let limit =
+            match arg 1 args with
+            | Undefined -> max_int
+            | v -> Int64.to_int (Int64.logand (Int64.of_int32 (to_int32 v)) 0xFFFFFFFFL)
+          in
+          Object (new_array vm (List.filteri (fun i _ -> i < limit) (List.map (fun p -> String p) parts))))
   | "toUpperCase" -> m (fun _vm _ -> String (String.uppercase_ascii s))
   | "toLowerCase" -> m (fun _vm _ -> String (String.lowercase_ascii s))
   | "replace" ->
@@ -386,9 +393,17 @@ let install_array_proto vm =
       let o = this_obj vm this in
       let target = arg 0 args in
       let elems = array_elements o in
+      (* ES5 §15.4.4.14: a negative fromIndex counts from the end. *)
+      let from = Float.trunc (number_arg 1 args) in
+      let from =
+        if Float.is_nan from then 0.
+        else if from < 0. then Float.max 0. (float_of_int (List.length elems) +. from)
+        else from
+      in
       let rec find i = function
         | [] -> -1
-        | v :: rest -> if strict_equals v target then i else find (i + 1) rest
+        | v :: rest ->
+            if float_of_int i >= from && strict_equals v target then i else find (i + 1) rest
       in
       Number (float_of_int (find 0 elems)));
   method_ vm proto "slice" (fun vm ~this args ->
@@ -817,7 +832,7 @@ let install_misc vm =
   define_global vm "parseInt"
     (builtin vm "parseInt" (fun vm ~this:_ args ->
          let s = String.trim (string_arg vm 0 args) in
-         let radix = match int_arg 1 args with 0 -> 10 | r -> r in
+         let radix = int_arg 1 args in
          (* Parse the longest valid prefix, JS-style. *)
          let digit c =
            if c >= '0' && c <= '9' then Char.code c - Char.code '0'
@@ -831,11 +846,13 @@ let install_misc vm =
            else if s.[0] = '+' then 1., 1
            else 1., 0
          in
-         let s, start, radix =
-           if radix = 16 && String.length s >= start + 2 && s.[start] = '0'
+         (* ES5 §15.1.2.2: a 0x prefix selects hex when the radix is 16,
+            absent or 0; an absent or 0 radix is otherwise 10. *)
+         let start, radix =
+           if (radix = 16 || radix = 0) && String.length s >= start + 2 && s.[start] = '0'
               && (s.[start + 1] = 'x' || s.[start + 1] = 'X')
-           then s, start + 2, 16
-           else s, start, radix
+           then start + 2, 16
+           else start, if radix = 0 then 10 else radix
          in
          let rec loop i acc seen =
            if i >= String.length s then (acc, seen)

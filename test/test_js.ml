@@ -509,6 +509,30 @@ let test_number_to_string_boundaries () =
       Alcotest.(check string) (Printf.sprintf "%f" n) expected (Pretty.number_to_string n))
     cases
 
+(* Expected values are what node prints for the same expressions. *)
+let test_split_limit () =
+  check_string "var r = 'a-b-c'.split('-', 2).join('|');" "r" "a|b";
+  check_string "var r = 'a-b-c'.split(/-/, 2).join('|');" "r" "a|b";
+  check_number "var r = 'a-b-c'.split('-', 0).length;" "r" 0.;
+  check_string "var r = 'a-b-c'.split('-', -1).join('|');" "r" "a|b|c";
+  check_string "var r = 'abc'.split('', 2).join('|');" "r" "a|b"
+
+let test_array_index_of_from () =
+  check_number "var r = [1, 2, 3].indexOf(2, 5);" "r" (-1.);
+  check_number "var r = [1, 2, 3].indexOf(2, -2);" "r" 1.;
+  check_number "var r = [1, 2, 3].indexOf(1, -2);" "r" (-1.);
+  check_number "var r = [1, 2, 3].indexOf(3, -10);" "r" 2.;
+  check_number "var r = [1, 2, 3].indexOf(2, 1);" "r" 1.;
+  check_number "var r = [1, 2, 3].indexOf(2, 2);" "r" (-1.)
+
+let test_parse_int_hex_prefix () =
+  check_number "var r = parseInt('0x1f');" "r" 31.;
+  check_number "var r = parseInt('0X1F', 0);" "r" 31.;
+  check_number "var r = parseInt('0x1f', 16);" "r" 31.;
+  check_number "var r = parseInt('0x1f', 10);" "r" 0.;
+  check_number "var r = parseInt('-0x1f');" "r" (-31.);
+  check_bool "var r = isNaN(parseInt('0x'));" "r" true
+
 (* Appended last so the indices of the earlier cases stay put. *)
 let suite =
   suite
@@ -528,4 +552,7 @@ let suite =
         test_scope_typeof_undeclared_in_function;
       Alcotest.test_case "scope: implicit global from nested" `Quick
         test_scope_implicit_global_from_nested;
+      Alcotest.test_case "String.prototype.split limit" `Quick test_split_limit;
+      Alcotest.test_case "Array.prototype.indexOf fromIndex" `Quick test_array_index_of_from;
+      Alcotest.test_case "parseInt hex prefix" `Quick test_parse_int_hex_prefix;
     ]
