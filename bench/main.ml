@@ -866,7 +866,7 @@ let build_layered_graph ~strategy ~n =
   g
 
 let ablation_hb () =
-  section "Abl-1 — CHC query cost: DFS graph traversal vs transitive closure";
+  section "Abl-1 — CHC query cost: DFS traversal vs transitive closure vs chain vector clocks";
   let sizes = [ 500; 2_000; 8_000 ] in
   let tests =
     List.concat_map
@@ -892,7 +892,7 @@ let ablation_hb () =
   in
   print_bench_results (run_bench_group ~name:"abl1" tests);
   print_newline ();
-  (* End-to-end: analyzing a heavyweight corpus site under both. *)
+  (* End-to-end: analyzing a heavyweight corpus site under each strategy. *)
   let ford =
     List.find (fun (p : Profile.t) -> p.Profile.name = "Ford") (Profile.corpus ())
   in
@@ -917,8 +917,9 @@ let ablation_hb () =
   ignore (Wr_browser.Browser.run b);
   let g = Wr_browser.Browser.graph b in
   Printf.printf "\n(chain-vc decomposes the Ford page's %d operations into %d chains;\n\
-                \ each clock is at most %d entries vs %d bits per closure bitset)\n"
-    (Graph.n_ops g) (Graph.n_chains g) (Graph.n_chains g) (Graph.n_ops g)
+                \ a sparse clock lists only the chains that reach its operation,\n\
+                \ where a closure bitset spans all %d operations)\n"
+    (Graph.n_ops g) (Graph.n_chains g) (Graph.n_ops g)
 
 (* ------------------------------------------------------------------ *)
 (* Abl-2: single-slot vs full-history detector (§5.1 limitation)       *)
