@@ -866,13 +866,12 @@ let build_layered_graph ~strategy ~n =
   g
 
 let ablation_hb () =
-  section "Abl-1 — CHC query cost: DFS traversal vs transitive closure vs chain vector clocks";
+  section "Abl-1 — CHC query cost: DFS traversal vs chain vector clocks (§5.2.1)";
   let sizes = [ 500; 2_000; 8_000 ] in
   let tests =
     List.concat_map
       (fun n ->
         let dfs = build_layered_graph ~strategy:Graph.Dfs ~n in
-        let closure = build_layered_graph ~strategy:Graph.Closure ~n in
         let chain_vc = build_layered_graph ~strategy:Graph.Chain_vc ~n in
         let rng = Wr_support.Rng.of_int 5 in
         let queries =
@@ -881,9 +880,6 @@ let ablation_hb () =
         let query g () = Array.iter (fun (a, b) -> ignore (Graph.chc g a b)) queries in
         [
           Test.make ~name:(Printf.sprintf "chc/dfs/%d-ops" n) (Staged.stage (query dfs));
-          Test.make
-            ~name:(Printf.sprintf "chc/closure/%d-ops" n)
-            (Staged.stage (query closure));
           Test.make
             ~name:(Printf.sprintf "chc/chain-vc/%d-ops" n)
             (Staged.stage (query chain_vc));
@@ -906,7 +902,6 @@ let ablation_hb () =
   let tests =
     [
       Test.make ~name:"analyze-ford/dfs" (Staged.stage (run Graph.Dfs));
-      Test.make ~name:"analyze-ford/closure" (Staged.stage (run Graph.Closure));
       Test.make ~name:"analyze-ford/chain-vc" (Staged.stage (run Graph.Chain_vc));
     ]
   in
@@ -918,8 +913,8 @@ let ablation_hb () =
   let g = Wr_browser.Browser.graph b in
   Printf.printf "\n(chain-vc decomposes the Ford page's %d operations into %d chains;\n\
                 \ a sparse clock lists only the chains that reach its operation,\n\
-                \ where a closure bitset spans all %d operations)\n"
-    (Graph.n_ops g) (Graph.n_chains g) (Graph.n_ops g)
+                \ where DFS walks back through the predecessors on every query)\n"
+    (Graph.n_ops g) (Graph.n_chains g)
 
 (* ------------------------------------------------------------------ *)
 (* Abl-2: single-slot vs full-history detector (§5.1 limitation)       *)

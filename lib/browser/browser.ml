@@ -68,7 +68,6 @@ type t = {
   net : Network.t;
   registry : Value.t Events.t;
   init_op : Op.id;
-  mutable main : window option;
   mutable windows : window list;
   mutable current_window : window option;
   node_objs : (int, Value.obj) Hashtbl.t;
@@ -116,12 +115,6 @@ let run_info t =
     Wr_detect.Filters.dispatch_count =
       (fun ~target ~event -> Events.dispatch_count t.registry ~target ~event);
   }
-
-let main_window t = match t.main with Some w -> w | None -> failwith "Browser: not started"
-
-let main_document t = (main_window t).doc
-
-let window_load_fired t = (main_window t).load_fired
 
 (* ------------------------------------------------------------------ *)
 (* Operation plumbing                                                  *)
@@ -1603,7 +1596,6 @@ let create (config : Config.t) =
       net;
       registry = Events.create ~tm instr;
       init_op;
-      main = None;
       windows = [];
       current_window = None;
       node_objs = Hashtbl.create 256;
@@ -1627,7 +1619,6 @@ let create (config : Config.t) =
 let start t =
   Telemetry.mark (tel t) ~cat:"page" "start";
   let w = make_window t ~frame:None ~url:"http://site.test/" in
-  t.main <- Some w;
   w.parse_items <-
     List.map
       (function

@@ -63,14 +63,6 @@ val virtual_now : t -> float
 (** [run_info t] packages dispatch counts for the §5.3 filters. *)
 val run_info : t -> Wr_detect.Filters.run_info
 
-(** [main_document t] exposes the top window's document (tests inspect the
-    final DOM). *)
-val main_document : t -> Wr_dom.Dom.document
-
-(** [window_load_fired t] — whether the main window's [load] has been
-    dispatched. *)
-val window_load_fired : t -> bool
-
 (** {2 User simulation (used by automatic exploration, §5.2.2)} *)
 
 (** [explorable_handler_targets t] lists (node uid, event) pairs with

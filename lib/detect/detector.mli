@@ -18,13 +18,7 @@ type t = {
     disabled" baseline of the §6.3 performance comparison. *)
 val null : t
 
-(** [with_logging d] wraps [d] to emit a [detect.batch] debug event
-    every 1024 accesses and a [detect.races] debug event on report — the
-    structured-log view of detector progress. Near-free when the log
-    level is below debug (one increment and mask per access). *)
-val with_logging : t -> t
-
-(** [with_telemetry tm d] wraps [d] ({!with_logging} included) so each
+(** [with_telemetry tm d] wraps [d] (debug-log events included) so each
     [record] call is counted and its cost accumulated under the
     ["detect"] phase; just the logging wrapper when [tm] is disabled. *)
 val with_telemetry : Wr_telemetry.Telemetry.t -> t -> t

@@ -81,5 +81,3 @@ let apply info races =
         (single_dispatch_name, count single_dispatch_name);
       ];
   }
-
-let paper_filters info races = (apply info races).kept

@@ -43,7 +43,3 @@ type outcome = {
     suppressed which race and emitting one [filter.suppress] log event
     per suppression ({!Wr_support.Log}). *)
 val apply : run_info -> Race.t list -> outcome
-
-(** [paper_filters info races] is [(apply info races).kept] — the §6.3
-    configuration. *)
-val paper_filters : run_info -> Race.t list -> Race.t list

@@ -288,8 +288,3 @@ let get_idl doc node ?(flags = []) name =
   match Hashtbl.find_opt node.idl name with
   | Some v -> Some v
   | None -> get_attr node name (* IDL reflects the content attribute initially *)
-
-let pp_node ppf n =
-  match get_attr n "id" with
-  | Some id -> Format.fprintf ppf "<%s#%s uid=%d>" n.tag id n.uid
-  | None -> Format.fprintf ppf "<%s uid=%d>" n.tag n.uid

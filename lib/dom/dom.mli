@@ -115,6 +115,3 @@ val document_order : document -> node list
 (** [is_attached doc node] is true when [node] is reachable from the
     document root. *)
 val is_attached : document -> node -> bool
-
-(** [pp_node] shows tag, uid and id for diagnostics. *)
-val pp_node : Format.formatter -> node -> unit

@@ -77,14 +77,10 @@ val record_dispatch : 'h t -> target:int -> event:string -> int
     recorded. *)
 val dispatch_count : 'h t -> target:int -> event:string -> int
 
-(** [container_location ~target ~event] / [inline_location] /
-    [listener_location] build the §4.3 logical locations; exported for the
-    browser's dispatch-side reads. *)
+(** [container_location ~target ~event] builds the §4.3 logical location
+    of a target's handler container; exported for the browser's
+    dispatch-side reads. *)
 val container_location : target:int -> event:string -> Wr_mem.Location.t
-
-val inline_location : target:int -> event:string -> Wr_mem.Location.t
-
-val listener_location : target:int -> event:string -> uid:int -> Wr_mem.Location.t
 
 (** [targets_with_handlers t] enumerates (target, event) pairs that
     currently have an inline handler or at least one listener — the

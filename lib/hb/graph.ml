@@ -1,11 +1,10 @@
-type strategy = Dfs | Closure | Chain_vc
+type strategy = Dfs | Chain_vc
 
 type node = {
   info : Op.info;
   mutable preds : Op.id list;
   mutable succs : Op.id list;
   mutable last_succ : Op.id;  (* most recently added successor; -1 if none *)
-  ancestors : Wr_support.Bitset.t option;  (* Some iff strategy = Closure *)
   mutable vc : int array;  (* Chain_vc: sorted (chain, highest reaching index + 1) pairs *)
   mutable chain : int;  (* Chain_vc: -1 while unassigned *)
   mutable chain_idx : int;
@@ -47,21 +46,15 @@ let fresh t kind ~label =
     let capacity = max 64 (Array.length t.nodes * 2) in
     let dummy =
       { info = { Op.id = -1; kind = Op.Initial; label = "" };
-        preds = []; succs = []; last_succ = -1; ancestors = None; vc = [||]; chain = -1;
-        chain_idx = 0 }
+        preds = []; succs = []; last_succ = -1; vc = [||]; chain = -1; chain_idx = 0 }
     in
     let nodes = Array.make capacity dummy in
     Array.blit t.nodes 0 nodes 0 t.count;
     t.nodes <- nodes
   end;
-  let ancestors =
-    match t.strategy with
-    | Closure -> Some (Wr_support.Bitset.create 64)
-    | Dfs | Chain_vc -> None
-  in
   t.nodes.(id) <-
-    { info = { Op.id; kind; label }; preds = []; succs = []; last_succ = -1; ancestors;
-      vc = [||]; chain = -1; chain_idx = 0 };
+    { info = { Op.id; kind; label }; preds = []; succs = []; last_succ = -1; vc = [||];
+      chain = -1; chain_idx = 0 };
   t.count <- id + 1;
   id
 
@@ -70,22 +63,6 @@ let info t id = (node t id).info
 let n_ops t = t.count
 
 let n_edges t = t.edges
-
-(* --- Closure strategy --------------------------------------------------- *)
-
-(* Closure invariant: if [a] is in ancestors[n] then ancestors[a] is a
-   subset of ancestors[n]. [propagate] restores it along successors after a
-   new edge lands on a node that already has successors. *)
-let rec propagate t a anc_a n =
-  let node_n = t.nodes.(n) in
-  match node_n.ancestors with
-  | None -> ()
-  | Some anc_n ->
-      if not (Wr_support.Bitset.mem anc_n a) then begin
-        Wr_support.Bitset.union_into ~into:anc_n anc_a;
-        Wr_support.Bitset.add anc_n a;
-        List.iter (propagate t a anc_a) node_n.succs
-      end
 
 (* --- Chain-VC strategy ---------------------------------------------------
 
@@ -221,10 +198,6 @@ let add_edge t a b =
     t.edges <- t.edges + 1;
     match t.strategy with
     | Dfs -> ()
-    | Closure -> (
-        match na.ancestors with
-        | Some anc_a -> propagate t a anc_a b
-        | None -> ())
     | Chain_vc ->
         ensure_chain t a;
         (* Extend a's chain with b when a is still its tip. *)
@@ -260,10 +233,6 @@ let happens_before t a b =
   else begin
     let na = node t a and nb = node t b in
     match t.strategy with
-    | Closure -> (
-        match nb.ancestors with
-        | Some anc -> Wr_support.Bitset.mem anc a
-        | None -> false)
     | Chain_vc -> na.chain >= 0 && vc_find nb.vc na.chain >= na.chain_idx + 1
     | Dfs -> happens_before_dfs t a b
   end
@@ -318,7 +287,7 @@ let merge_runs runs f =
    gets one), so each is unordered with [a] unless [a] reaches it. *)
 let iter_chc_pairs t f =
   match t.strategy with
-  | Dfs | Closure ->
+  | Dfs ->
       for a = 0 to t.count - 1 do
         for b = a + 1 to t.count - 1 do
           if chc t a b then f a b

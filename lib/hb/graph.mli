@@ -7,13 +7,11 @@
     unordered pair ({!iter_chc_pairs}). The relation queried is the
     transitive closure of the added edges.
 
-    Three query strategies are provided:
+    Two query strategies are provided, the two §5.2.1 contrasts:
 
     - {!Dfs} answers each query with a backward graph traversal, mirroring
       the paper's implementation ("repeated graph traversals contribute to
       the high overhead", §5.2.1);
-    - {!Closure} maintains an incremental transitive-closure bitset per
-      operation: constant-time queries, quadratic bits of memory;
     - {!Chain_vc} (the default) is the "more efficient vector-clock
       representation" the paper plans (§5.2.1): operations are decomposed
       online into chains (greedily extending a predecessor's chain), and
@@ -24,7 +22,7 @@
       operation, not with every chain the page created (a page exploring
       thousands of handlers has thousands of chains).
 
-    All strategies are exact (a qcheck property asserts they agree); the
+    Both strategies are exact (a qcheck property asserts they agree); the
     benchmark suite compares their cost.
 
     The graph relies on edges being added in topological order: an edge
@@ -34,7 +32,7 @@
 
 type t
 
-type strategy = Dfs | Closure | Chain_vc
+type strategy = Dfs | Chain_vc
 
 (** [Chain_vc]: the strategy every default in the pipeline uses. *)
 val default_strategy : strategy
@@ -76,12 +74,12 @@ val chc : t -> Op.id -> Op.id -> bool
     [chc t a b], in increasing [(a, b)] order. Under {!Chain_vc} the pairs
     are read off the clocks: each reported pair costs one heap step, and
     each operation [a] adds two binary searches per chain and one check
-    per later chainless operation. The other strategies test all n²/2
-    pairs. *)
+    per later chainless operation. Under {!Dfs} all n²/2 pairs are
+    tested. *)
 val iter_chc_pairs : t -> (Op.id -> Op.id -> unit) -> unit
 
-(** [n_chains t] — chains created so far under {!Chain_vc} (0 for the
-    other strategies); diagnostics and benchmarks. *)
+(** [n_chains t] — chains created so far under {!Chain_vc} (0 under
+    {!Dfs}); diagnostics and benchmarks. *)
 val n_chains : t -> int
 
 (** [preds t id] / [succs t id] expose direct edges, for tests and

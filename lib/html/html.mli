@@ -41,13 +41,5 @@ val text : string -> node
     the output yields an equal forest — a qcheck property. *)
 val to_string : node list -> string
 
-(** [void_tags] are elements that never have children ([img], [input],
-    [br], ...). *)
-val void_tags : string list
-
-(** [raw_text_tags] are elements whose content is raw text ([script],
-    [style]). *)
-val raw_text_tags : string list
-
 (** [pp] prints a readable tree for debugging. *)
 val pp : Format.formatter -> node -> unit

@@ -68,7 +68,7 @@ type program = stmt list
 (* One-level folds over the immediate children of a node: the visitor  *)
 (* decides where to recurse, so the same helpers serve both shallow    *)
 (* walks (collecting hoisted declarations without entering nested      *)
-(* functions) and deep ones (the static effect analyzer, iter_exprs).  *)
+(* functions) and deep ones (the static effect analyzer).              *)
 (* ------------------------------------------------------------------ *)
 
 let expr_of_lvalue = function
@@ -134,13 +134,6 @@ let fold_stmt_children fe fs acc s =
         (fe acc scrut) cases
   | Block b -> List.fold_left fs acc b
   | Return None | Break | Continue | Empty -> acc
-
-let iter_exprs f prog =
-  let rec fe () e =
-    f e;
-    fold_expr_children fe fs () e
-  and fs () s = fold_stmt_children fe fs () s in
-  List.iter (fs ()) prog
 
 let binop_name = function
   | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Mod -> "%"

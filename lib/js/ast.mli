@@ -84,11 +84,6 @@ type program = stmt list
     the [Member]/[Index] cases. *)
 val expr_of_lvalue : lvalue -> expr
 
-(** [fold_lvalue_children fe acc lv] folds [fe] over the subexpressions of
-    an assignment target (none for [L_var]; the base and, for [L_index],
-    the key). *)
-val fold_lvalue_children : ('a -> expr -> 'a) -> 'a -> lvalue -> 'a
-
 (** [fold_expr_children fe fs acc e] folds over the {e immediate} children
     of [e]: [fe] on child expressions, [fs] on child statements (function
     bodies), in source order. The node itself is not visited and no
@@ -102,10 +97,6 @@ val fold_expr_children :
     {!fold_expr_children}. *)
 val fold_stmt_children :
   ('a -> expr -> 'a) -> ('a -> stmt -> 'a) -> 'a -> stmt -> 'a
-
-(** [iter_exprs f prog] visits every expression in the program in pre-order,
-    including inside nested function bodies. *)
-val iter_exprs : (expr -> unit) -> program -> unit
 
 (** [binop_name op] is the operator's surface syntax ("+", "===", ...). *)
 val binop_name : binop -> string

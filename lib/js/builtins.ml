@@ -274,7 +274,7 @@ let string_member vm s name =
           let limit =
             match arg 1 args with
             | Undefined -> max_int
-            | v -> Int64.to_int (Int64.logand (Int64.of_int32 (to_int32 v)) 0xFFFFFFFFL)
+            | v -> to_uint32 v
           in
           Object (new_array vm (List.filteri (fun i _ -> i < limit) (List.map (fun p -> String p) parts))))
   | "toUpperCase" -> m (fun _vm _ -> String (String.uppercase_ascii s))

@@ -248,9 +248,7 @@ let binop vm op a b =
       Number (Int32.to_float (Int32.shift_left (to_int32 a) (Int32.to_int (to_int32 b) land 31)))
   | Ast.Shr ->
       Number (Int32.to_float (Int32.shift_right (to_int32 a) (Int32.to_int (to_int32 b) land 31)))
-  | Ast.Ushr ->
-      Number
-        (Int32.to_float (Int32.shift_right_logical (to_int32 a) (Int32.to_int (to_int32 b) land 31)))
+  | Ast.Ushr -> Number (float_of_int (to_uint32 a lsr (to_uint32 b land 31)))
   | Ast.Instanceof -> (
       match b with
       | Object fobj when fobj.call <> None -> (
@@ -1006,7 +1004,3 @@ let create ?seed ?fuel ~sink () =
       };
   vm.global_this <- Object global_obj;
   vm
-
-let get_prop = get_prop
-
-let set_prop = set_prop

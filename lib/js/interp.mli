@@ -57,14 +57,6 @@ val call : Value.vm -> Value.t -> this:Value.t -> Value.t list -> Value.t
 (** [construct vm f args] is the [new] operator. *)
 val construct : Value.vm -> Value.t -> Value.t list -> Value.t
 
-(** [get_prop vm obj name] / [set_prop vm obj name v] are the instrumented
-    property paths, exposed for host bindings that fall back to ordinary
-    object behaviour. *)
-val get_prop : Value.vm -> ?flags:Wr_mem.Access.flag list -> Value.obj -> string -> Value.t
-
-val set_prop :
-  Value.vm -> ?flags:Wr_mem.Access.flag list -> Value.obj -> string -> Value.t -> unit
-
 (** [member vm base name] is the full member-read semantics including
     primitive methods (["abc".length], number formatting); raises
     [TypeError] on [undefined]/[null] bases. *)

@@ -30,6 +30,3 @@ exception Lex_error of string * int * int  (** message, line, col *)
     always [T_eof]. Raises {!Lex_error} on malformed input (unterminated
     string or comment, bad number, stray character). *)
 val tokenize : string -> lexed array
-
-(** [keywords] is the reserved-word set (informational; used by tests). *)
-val keywords : string list

@@ -296,11 +296,6 @@ let expr_to_string e =
   expr buf e;
   Buffer.contents buf
 
-let stmt_to_string s =
-  let buf = Buffer.create 64 in
-  stmt buf s;
-  Buffer.contents buf
-
 let program_to_string p =
   let buf = Buffer.create 256 in
   List.iter

@@ -10,12 +10,6 @@
     [NaN], [Infinity]. *)
 val number_to_string : float -> string
 
-(** [string_literal s] renders [s] as a double-quoted literal with
-    escapes. *)
-val string_literal : string -> string
-
 val expr_to_string : Ast.expr -> string
-
-val stmt_to_string : Ast.stmt -> string
 
 val program_to_string : Ast.program -> string

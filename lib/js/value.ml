@@ -219,9 +219,13 @@ let to_primitive vm v =
 let to_int32 v =
   let n = to_number v in
   if Float.is_nan n || n = Float.infinity || n = Float.neg_infinity then 0l
-  else Int64.to_int32 (Int64.of_float n)
+  else
+    (* [Int64.of_float] is unspecified from 2^63 on; floats that large are
+       integers, so reducing them modulo 2^32 first is exact. *)
+    let n = if Float.abs n < 0x1p63 then n else Float.rem n 0x1p32 in
+    Int64.to_int32 (Int64.of_float n)
 
-let to_uint32 v = to_int32 v
+let to_uint32 v = Int32.to_int (to_int32 v) land 0xFFFF_FFFF
 
 let strict_equals a b =
   match a, b with

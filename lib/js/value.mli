@@ -167,7 +167,9 @@ val to_primitive : vm -> t -> t
 
 val to_int32 : t -> int32
 
-val to_uint32 : t -> int32
+(** [to_uint32 v] is ES5 §9.6 ToUint32: [v] modulo 2{^32}, from 0 to
+    2{^32} - 1. *)
+val to_uint32 : t -> int
 
 val strict_equals : t -> t -> bool
 

@@ -16,13 +16,6 @@ type bias = {
 
 let neutral = { parse = None; timer = None; net = None; xhr = None; user = None }
 
-let cls_name = function
-  | Parse -> "parse"
-  | Timer -> "timer"
-  | Net -> "net"
-  | Xhr -> "xhr"
-  | User -> "user"
-
 let speed_name = function Fast -> "fast" | Slow -> "slow"
 
 (* Per-channel additive penalty for [Slow]. Scaled to dominate the

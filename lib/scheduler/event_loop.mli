@@ -38,12 +38,7 @@ type bias = {
 (** All channels at their natural speed. *)
 val neutral : bias
 
-val cls_name : cls -> string
 val speed_name : speed -> string
-
-(** [apply_bias b cls delay] is the biased delay a [schedule ~cls] call
-    would use; exposed so directive labels can explain themselves. *)
-val apply_bias : bias -> cls -> float -> float
 
 (** [create ()] is an empty loop at time 0. [tm] wraps every task run in
     a ["scheduler"] span and samples queue depth per task when enabled.

@@ -7,15 +7,6 @@
 
 module Race = Wr_detect.Race
 
-(** [config_of_params p] is the one params -> [Config.t] mapping.
-    [trace] and [telemetry] are process-local concerns (trace dumps,
-    profiling) that never travel on the wire, so they ride alongside. *)
-val config_of_params :
-  ?trace:bool ->
-  ?telemetry:Wr_telemetry.Telemetry.t ->
-  Request.analyze_params ->
-  Webracer.Config.t
-
 val analyze :
   ?trace:bool ->
   ?telemetry:Wr_telemetry.Telemetry.t ->
@@ -43,15 +34,6 @@ val replay : Request.replay_params -> Webracer.Replay.verdict
 val predict_json :
   ?telemetry:Wr_telemetry.Telemetry.t ->
   Request.predict_params ->
-  Wr_support.Json.t
-
-(** [triage_json p] — the guided-triage document
-    ([Wr_static.Triage.to_json]): every prediction classified confirmed
-    / refuted (with certificate) / unconfirmed, schema v2.
-    [webracer triage --json] writes exactly this. *)
-val triage_json :
-  ?telemetry:Wr_telemetry.Telemetry.t ->
-  Request.triage_params ->
   Wr_support.Json.t
 
 (** [ping_result] is the constant [{"pong":true}]. *)

@@ -49,7 +49,6 @@ val parse :
   [ `Req of req * int | `More | `Bad of string ]
 
 val header : string -> req -> string option
-val status_reason : int -> string
 
 (** [head ~status ~content_length] is the head of a keep-alive HTTP/1.1
     response with a JSON content type, up to and including the blank

@@ -135,8 +135,7 @@ let detector_names =
     ("none", Config.No_detector) ]
 
 let hb_names =
-  [ ("closure", Wr_hb.Graph.Closure); ("chain-vc", Wr_hb.Graph.Chain_vc);
-    ("dfs", Wr_hb.Graph.Dfs) ]
+  [ ("chain-vc", Wr_hb.Graph.Chain_vc); ("dfs", Wr_hb.Graph.Dfs) ]
 
 let name_of assoc v = fst (List.find (fun (_, x) -> x = v) assoc)
 

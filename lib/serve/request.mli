@@ -38,7 +38,7 @@ type analyze_params = {
   explore : bool;
   detector : Config.detector_kind;
       (** ["last-access"] (default), ["full-track"] or ["none"] *)
-  hb : Wr_hb.Graph.strategy;  (** ["chain-vc"] (default), ["closure"], ["dfs"] *)
+  hb : Wr_hb.Graph.strategy;  (** ["chain-vc"] (default) or ["dfs"] *)
   time_limit : float;  (** virtual-ms horizon; servers may clamp it *)
   dedup : bool;
 }

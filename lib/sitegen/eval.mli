@@ -81,23 +81,9 @@ type predict_outcome = {
   breakdown : predict_breakdown;
 }
 
-(** [predict_page ?seed ~name ~page ~resources ()] predicts statically
-    and scores against a dynamic run — the standalone-page path the
-    adversarial pack uses. *)
-val predict_page :
-  ?seed:int ->
-  name:string ->
-  page:string ->
-  resources:(string * string) list ->
-  unit ->
-  predict_outcome
-
-(** [predict_site ?seed profile] generates the site, predicts statically,
-    and scores against a dynamic run with the same seed. *)
-val predict_site : ?seed:int -> Profile.t -> predict_outcome
-
-(** [predict_corpus ?seed ?limit ?jobs ()] — {!predict_site} over the
-    corpus, then {!predict_page} over the adversarial pack
+(** [predict_corpus ?seed ?limit ?jobs ()] — predicts every corpus
+    site statically and scores it against a dynamic run with the same
+    seed, then does the same for every page of the adversarial pack
     ([Adversarial.pack], appended whatever [limit] is); position-fixed
     seeds make the outcome independent of [jobs]. *)
 val predict_corpus :
@@ -121,17 +107,8 @@ type triage_outcome = {
   t_report : Wr_static.Triage.t;
 }
 
-val triage_page :
-  ?seed:int ->
-  ?budget:int ->
-  name:string ->
-  page:string ->
-  resources:(string * string) list ->
-  unit ->
-  triage_outcome
-
-(** [triage_corpus ?seed ?limit ?jobs ?budget ()] — {!triage_page} over
-    the corpus then the adversarial pack (same layout and position-fixed
+(** [triage_corpus ?seed ?limit ?jobs ?budget ()] — triages every
+    corpus site then the adversarial pack (same layout and position-fixed
     seeds as {!predict_corpus}); the reports are independent of
     [jobs]. *)
 val triage_corpus :

@@ -50,11 +50,3 @@ let generate (p : Profile.t) =
     @ decoy_resources
   in
   { profile = p; page = Html.to_string nodes; resources }
-
-let expected_ops_lower_bound site =
-  (* At least one parse op per element plus one per script execution. *)
-  let rec count_nodes acc = function
-    | Html.Element e -> List.fold_left count_nodes (acc + 1) e.Html.children
-    | Html.Text _ -> acc
-  in
-  List.fold_left count_nodes 0 (Html.parse site.page)

@@ -14,7 +14,3 @@ type site = {
 
 (** [generate profile] builds the page and its external resources. *)
 val generate : Profile.t -> site
-
-(** [expected_ops_lower_bound site] — a loose structural lower bound on
-    operations the page will create (used by the perf narrative). *)
-val expected_ops_lower_bound : site -> int

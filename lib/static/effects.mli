@@ -16,8 +16,6 @@ type sstr = Lit of string | Prefix of string | Any_str
     concrete string? *)
 val sstr_matches : sstr -> sstr -> bool
 
-val sstr_to_string : sstr -> string
-
 (** Who an effect touches: an element named by id pattern, a concrete
     parsed element (per-document pre-order index), the document root
     (#document, on every dispatch path), the window, or unknown (matches
@@ -28,8 +26,6 @@ type target =
   | T_root of int
   | T_window of int
   | T_unknown
-
-val target_matches : target -> target -> bool
 
 val target_to_string : target -> string
 
@@ -47,10 +43,6 @@ type sloc =
   | S_top
 
 val sloc_to_string : sloc -> string
-
-(** [sloc_conflicts a b] — may the two abstract locations overlap
-    (kind-independent)? *)
-val sloc_conflicts : sloc -> sloc -> bool
 
 type kind = Read | Write
 
@@ -92,8 +84,6 @@ type dom_info = {
   nodes_by_tag : int -> string -> int list;
   nodes_by_class : int -> string -> int list;
 }
-
-val no_dom : dom_info
 
 type ctx = {
   doc : int;

@@ -13,8 +13,6 @@
 (** A delay channel the guided search can perturb. *)
 type channel = C_parse | C_timer | C_net | C_xhr | C_user
 
-val channel_name : channel -> string
-
 (** [channels m uid] — the channels that move when unit [uid] runs: its
     own dispatch channel plus those of all its HB ancestors. *)
 val channels : Model.t -> int -> channel list
@@ -26,11 +24,6 @@ type directive = (channel * Wr_scheduler.Event_loop.speed) list
 val directive_label : directive -> string
 
 val bias_of : directive -> Wr_scheduler.Event_loop.bias
-
-(** [directives_for m p] — the directive list derived for prediction
-    [p]: cross inversions (one side's channels fast, the other's slow)
-    first, then single-channel perturbations; deduplicated and capped. *)
-val directives_for : Model.t -> Predict.prediction -> directive list
 
 (** Why a prediction is unrealizable under the explored schedules. *)
 type certificate =

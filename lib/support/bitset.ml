@@ -63,7 +63,3 @@ let iter f t =
         if c land (1 lsl bit) <> 0 then f ((b * 8) + bit)
       done
   done
-
-let copy t = { words = Bytes.copy t.words }
-
-let clear t = Bytes.fill t.words 0 (Bytes.length t.words) '\000'

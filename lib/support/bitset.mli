@@ -1,8 +1,8 @@
 (** Growable dense bitsets over non-negative integers.
 
-    Backing store for the incremental transitive-closure reachability engine
-    in [Wr_hb]: each operation's ancestor set is a bitset indexed by
-    operation id. *)
+    Sets of operation ids: the visited set of [Wr_hb.Graph]'s DFS
+    happens-before query, the node filter of [Wr_hb.Graph.to_dot_subgraph],
+    and the frontier sets of [Wr_explain]. *)
 
 type t
 
@@ -27,9 +27,3 @@ val cardinal : t -> int
 
 (** [iter f t] applies [f] to each member in increasing order. *)
 val iter : (int -> unit) -> t -> unit
-
-(** [copy t] is an independent copy. *)
-val copy : t -> t
-
-(** [clear t] removes all members, keeping capacity. *)
-val clear : t -> unit

@@ -42,8 +42,6 @@ val snapshot : unit -> event list
 (** Drop all retained events (capacity and clock keep their values). *)
 val reset : unit -> unit
 
-val event_json : event -> Json.t
-
 (** One JSON object per line, trailing newline included. *)
 val to_jsonl : event list -> string
 

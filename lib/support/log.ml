@@ -22,8 +22,6 @@ let threshold : level option ref = ref None
 
 let sink : out_channel option ref = ref None
 
-let sink_owned = ref false  (* close on replacement iff we opened it *)
-
 let started = Clock.now ()
 
 let set_level l = threshold := l
@@ -36,19 +34,13 @@ let close_sink () =
   (match !sink with
   | Some oc ->
       flush oc;
-      if !sink_owned then close_out_noerr oc
+      close_out_noerr oc
   | None -> ());
-  sink := None;
-  sink_owned := false
-
-let set_sink oc =
-  close_sink ();
-  sink := oc
+  sink := None
 
 let open_sink_file path =
   close_sink ();
-  sink := Some (open_out path);
-  sink_owned := true
+  sink := Some (open_out path)
 
 let init_from_env () =
   (match Sys.getenv_opt "WEBRACER_LOG" with

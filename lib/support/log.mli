@@ -21,11 +21,9 @@
 
 type level = Error | Warn | Info | Debug
 
-val level_name : level -> string
-
 (** [level_of_string s] parses ["error"], ["warn"], ["info"], ["debug"]
     (case-insensitive); ["off"], ["none"] and [""] mean disabled. Unknown
-    strings are [None] (treated as disabled by {!init_from_env}). *)
+    strings are [None] (treated as disabled when read from [WEBRACER_LOG]). *)
 val level_of_string : string -> level option
 
 (** [set_level l] sets the threshold; [None] disables all output. *)
@@ -36,24 +34,15 @@ val current_level : unit -> level option
 (** [enabled l] — would an event at level [l] be recorded? *)
 val enabled : level -> bool
 
-(** [set_sink oc] directs events to [oc] as JSONL (one object per line:
-    [{"ts":…,"level":…,"event":…,…fields}]). [None] reverts to the
-    stderr text renderer. The channel is not closed by this module unless
-    it was opened by {!open_sink_file}. *)
-val set_sink : out_channel option -> unit
-
 (** [open_sink_file path] opens (truncates) [path] and installs it as the
-    JSONL sink, closing any sink previously opened by this function. *)
+    JSONL sink (one object per line:
+    [{"ts":…,"level":…,"event":…,…fields}]), closing any sink previously
+    opened by this function. Without a sink, events go to the stderr text
+    renderer. *)
 val open_sink_file : string -> unit
 
-(** [close_sink ()] flushes and detaches the sink, closing it if this
-    module opened it. *)
+(** [close_sink ()] flushes, closes and detaches the sink. *)
 val close_sink : unit -> unit
-
-(** [init_from_env ()] applies [WEBRACER_LOG] / [WEBRACER_LOG_FILE]. The
-    module runs it once at load time; the CLI may call it again after
-    overriding defaults. *)
-val init_from_env : unit -> unit
 
 (** [with_trace ~trace_id ?span_id f] runs [f] with an ambient trace
     context on the calling domain: every event emitted inside [f] — from

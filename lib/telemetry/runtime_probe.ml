@@ -320,8 +320,6 @@ let elapsed_s t =
   (match t.stopped_at with Some s -> s | None -> Wr_support.Clock.now ())
   -. t.started_at
 
-let lost_events t = t.lost
-
 let stats t =
   Mutex.lock t.lock;
   let rows =
@@ -344,8 +342,6 @@ let stats t =
   in
   Mutex.unlock t.lock;
   List.sort (fun a b -> compare (a.dom, a.ring) (b.dom, b.ring)) rows
-
-let current_stats () = match current () with Some p -> stats p | None -> []
 
 let row_json ?elapsed r =
   Json.Obj

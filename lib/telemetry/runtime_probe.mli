@@ -73,17 +73,6 @@ val current : unit -> t option
     {!stop}. *)
 val stats : t -> domain_gc list
 
-(** [{!stats} of {!current}]; [[]] when no probe is running. The serve
-    daemon reads this for [watch] snapshots. *)
-val current_stats : unit -> domain_gc list
-
-(** Seconds the probe has been (or was, once stopped) running — the
-    denominator of GC-share figures. *)
-val elapsed_s : t -> float
-
-(** Events dropped to ring-buffer overflow (counted, not fatal). *)
-val lost_events : t -> int
-
 (** [stats_json t] is the machine-readable reading:
     [{source: "runtime_events"; elapsed_s; lost_events; domains:
     [{dom; ring; minor_pauses; major_slices; stw_pauses; pause_ms:

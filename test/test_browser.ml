@@ -364,8 +364,6 @@ let test_hb_strategies_agree_end_to_end () =
       (fun (x : Race.t) -> (Race.type_name x.Race.race_type, Location.to_string x.Race.loc))
       r.Webracer.races
   in
-  Alcotest.(check bool) "dfs = closure" true
-    (run Wr_hb.Graph.Dfs = run Wr_hb.Graph.Closure);
   Alcotest.(check bool) "dfs = chain-vc" true
     (run Wr_hb.Graph.Dfs = run Wr_hb.Graph.Chain_vc)
 

@@ -234,8 +234,8 @@ let prop_fused_equals_wrap =
   QCheck.Test.make ~name:"fused dedup equals Dedup.wrap" ~count:300 (QCheck.make gen)
     (fun (dag, stream) ->
       let agree create create_dedup =
-        let wrapped = run_stream stream (Dedup.wrap (create (Test_hb.build Graph.Closure dag))) in
-        let fused = run_stream stream (create_dedup (Test_hb.build Graph.Closure dag)) in
+        let wrapped = run_stream stream (Dedup.wrap (create (Test_hb.build Graph.Chain_vc dag))) in
+        let fused = run_stream stream (create_dedup (Test_hb.build Graph.Chain_vc dag)) in
         wrapped = fused
       in
       agree Last_access.create Last_access.create_dedup

@@ -6,7 +6,7 @@ open Wr_detect
 
 let var ?(name = "x") cell = Location.Js_var { cell; name }
 
-let setup ?(strategy = Graph.Closure) () =
+let setup ?(strategy = Graph.Chain_vc) () =
   let g = Graph.create ~strategy () in
   let d = Last_access.create g in
   (g, d)

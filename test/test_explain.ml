@@ -4,7 +4,7 @@
 
 open Wr_hb
 
-let mk () = Graph.create ~strategy:Graph.Closure ()
+let mk () = Graph.create ~strategy:Graph.Chain_vc ()
 
 let op g label = Graph.fresh g Op.Script ~label
 
@@ -361,7 +361,7 @@ let test_forged_after_genuine () =
 let prop_encoder_matches_to_json =
   QCheck.Test.make ~name:"encoder = to_json (of_race) on random DAGs" ~count:100
     (QCheck.make Test_hb.random_dag_gen) (fun (n, edges) ->
-      let g = Test_hb.build Graph.Closure (n, edges) in
+      let g = Test_hb.build Graph.Chain_vc (n, edges) in
       let encode = Wr_explain.encoder g in
       let ops = List.init n Fun.id in
       let races =

@@ -2,7 +2,7 @@
 
 open Wr_hb
 
-let mk ?(strategy = Graph.Closure) () = Graph.create ~strategy ()
+let mk ?(strategy = Graph.Chain_vc) () = Graph.create ~strategy ()
 
 let op g label = Graph.fresh g Op.Script ~label
 
@@ -43,7 +43,7 @@ let test_diamond () =
 
 let test_late_edge_propagation () =
   (* An edge added after the target already has successors must propagate
-     through the closure. *)
+     to the successors' clocks. *)
   let g = mk () in
   let a = op g "a" and b = op g "b" and c = op g "c" in
   Graph.add_edge g b c;
@@ -99,20 +99,17 @@ let build strategy (n, edges) =
 
 let strategies_agree (n, edges) =
   let dfs = build Graph.Dfs (n, edges) in
-  let closure = build Graph.Closure (n, edges) in
   let chain_vc = build Graph.Chain_vc (n, edges) in
   let ok = ref true in
   for a = 0 to n - 1 do
     for b = 0 to n - 1 do
-      let reference = Graph.happens_before dfs a b in
-      if Graph.happens_before closure a b <> reference then ok := false;
-      if Graph.happens_before chain_vc a b <> reference then ok := false;
-      if Graph.chc closure a b <> Graph.chc dfs a b then ok := false;
+      if Graph.happens_before chain_vc a b <> Graph.happens_before dfs a b then ok := false;
       if Graph.chc chain_vc a b <> Graph.chc dfs a b then ok := false
     done
   done;
   !ok
 
+(* Named when a third, closure-bitset strategy existed; kept stable. *)
 let prop_strategies_agree =
   QCheck.Test.make ~name:"dfs, closure and chain-vc strategies agree" ~count:100
     (QCheck.make random_dag_gen) strategies_agree
@@ -120,7 +117,7 @@ let prop_strategies_agree =
 let prop_chc_symmetric =
   QCheck.Test.make ~name:"chc is symmetric and irreflexive" ~count:100
     (QCheck.make random_dag_gen) (fun (n, edges) ->
-      let g = build Graph.Closure (n, edges) in
+      let g = build Graph.Chain_vc (n, edges) in
       let ok = ref true in
       for a = 0 to n - 1 do
         if Graph.chc g a a then ok := false;
@@ -133,7 +130,7 @@ let prop_chc_symmetric =
 let prop_hb_transitive =
   QCheck.Test.make ~name:"happens-before is transitive" ~count:60
     (QCheck.make random_dag_gen) (fun (n, edges) ->
-      let g = build Graph.Closure (n, edges) in
+      let g = build Graph.Chain_vc (n, edges) in
       let ok = ref true in
       for a = 0 to n - 1 do
         for b = 0 to n - 1 do
@@ -238,6 +235,7 @@ let fan_gen =
       steps;
     return (n, List.rev !edges))
 
+(* Named when a third, closure-bitset strategy existed; kept stable. *)
 let prop_strategies_agree_on_fans =
   QCheck.Test.make ~name:"dfs, closure and chain-vc strategies agree on fans" ~count:100
     (QCheck.make fan_gen) strategies_agree
@@ -289,10 +287,9 @@ let test_reports_agree () =
   Alcotest.(check int) "four example pages" 4 (List.length examples);
   List.iter
     (fun (name, input) ->
-      let closure = snd (report Graph.Closure input) in
-      Alcotest.(check string) (name ^ ": chain-vc = closure") closure
-        (snd (report Graph.Chain_vc input));
-      Alcotest.(check string) (name ^ ": dfs = closure") closure (snd (report Graph.Dfs input)))
+      Alcotest.(check string) (name ^ ": dfs = chain-vc")
+        (snd (report Graph.Chain_vc input))
+        (snd (report Graph.Dfs input)))
     (examples @ corpus)
 
 (* Many sinks: a spine of ops, each reached from the spine's tip and
@@ -336,7 +333,7 @@ let chc_pairs_match (n, edges) =
       let pairs = ref [] in
       Graph.iter_chc_pairs (build strategy (n, edges)) (fun a b -> pairs := (a, b) :: !pairs);
       List.rev !pairs = !expected)
-    [ Graph.Chain_vc; Graph.Closure; Graph.Dfs ]
+    [ Graph.Chain_vc; Graph.Dfs ]
 
 let prop_chc_pairs =
   QCheck.Test.make ~name:"iter_chc_pairs lists exactly the chc pairs" ~count:300

@@ -533,6 +533,15 @@ let test_parse_int_hex_prefix () =
   check_number "var r = parseInt('-0x1f');" "r" (-31.);
   check_bool "var r = isNaN(parseInt('0x'));" "r" true
 
+(* ES5 §9.5 ToInt32 and §9.6 ToUint32, as node evaluates them. *)
+let test_int32_conversions () =
+  check_number "var r = -1 >>> 0;" "r" 4294967295.;
+  check_number "var r = -1 >>> 1;" "r" 2147483647.;
+  check_number "var r = 5 >>> 33;" "r" 2.;
+  check_number "var r = 4294967297 >>> 0;" "r" 1.;
+  check_number "var r = 1e20 >>> 0;" "r" 1661992960.;
+  check_number "var r = -1e20 | 0;" "r" (-1661992960.)
+
 (* Appended last so the indices of the earlier cases stay put. *)
 let suite =
   suite
@@ -555,4 +564,5 @@ let suite =
       Alcotest.test_case "String.prototype.split limit" `Quick test_split_limit;
       Alcotest.test_case "Array.prototype.indexOf fromIndex" `Quick test_array_index_of_from;
       Alcotest.test_case "parseInt hex prefix" `Quick test_parse_int_hex_prefix;
+      Alcotest.test_case "bitwise ToInt32/ToUint32" `Quick test_int32_conversions;
     ]

@@ -1229,3 +1229,37 @@ let suite =
       Alcotest.test_case "request: time_limit must be finite" `Quick
         test_request_time_limit_finite;
     ]
+
+(* The wire offers the paper's two HB engines; any other [hb] name is a
+   bad request whose message lists the accepted ones, and the
+   connection survives it. *)
+let test_request_hb_names () =
+  let d, stop, addr = spawn_daemon () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      ignore (Domain.join d))
+    (fun () ->
+      let c = Client.connect ~retry_for:5. addr in
+      let line hb =
+        Printf.sprintf
+          {|{"id":3,"verb":"analyze","params":{"page":"<script>var x = 1;</script>","hb":%S}}|}
+          hb
+      in
+      Client.send_line c (line "closure");
+      (match Client.recv c with
+      | Ok (Response.Error { code = Response.Bad_request; message; _ }) ->
+          check string_c "accepted names" {|"hb" must be one of "chain-vc", "dfs"|} message
+      | _ -> Alcotest.fail "hb closure must answer bad_request");
+      List.iter
+        (fun hb ->
+          Client.send_line c (line hb);
+          match Client.recv c with
+          | Ok (Response.Ok _) -> ()
+          | _ -> Alcotest.failf "hb %s must analyze" hb)
+        [ "chain-vc"; "dfs" ];
+      Client.close c)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "request: hb names the two engines" `Quick test_request_hb_names ]
