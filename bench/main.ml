@@ -477,7 +477,7 @@ let outcome_signature (o : Eval.outcome) =
    o.Eval.crashes)
 
 let perf_parallel () =
-  section "Perf-4b — domain-parallel corpus analysis (work-stealing fleet)";
+  section "Perf-4b — domain-parallel corpus analysis (domain fleet)";
   let hw = Wr_support.Pool.hardware_domains () in
   Printf.printf "hardware parallelism (Domain.recommended_domain_count): %d\n\n" hw;
   (* The speedup gate in scripts/bench_trend.ml reads this to know
@@ -526,9 +526,6 @@ let perf_parallel () =
         record_float "perf4"
           (Printf.sprintf "corpus_jobs%d_gc_minor" jobs)
           (fsum (fun d -> float_of_int d.Wr_support.Pool.gc_minor));
-        record_result "perf4"
-          (Printf.sprintf "corpus_jobs%d_steals" jobs)
-          (Wr_support.Json.Int fleet.Wr_support.Pool.stolen);
         (jobs, dt, same))
       [ 1; 2; 4; 8 ]
   in
@@ -547,10 +544,11 @@ let perf_parallel () =
        timings);
   print_endline
     "\n(Per-worker graphs, detectors and VMs are domain-local; the fleet\n\
-     shares only per-lane deques, so outcomes are input-ordered and\n\
-     identical whatever the job count or steal pattern. Speedup tracks\n\
-     the hardware's core count — the pool spawns no more domains than\n\
-     cores, so oversubscribed job counts degrade to the hardware's best.)"
+     shares only its task queue and an item cursor, so outcomes are\n\
+     input-ordered and identical whatever the job count or which lane ran\n\
+     which item. Speedup tracks the hardware's core count — the pool\n\
+     spawns no more domains than cores, so oversubscribed job counts\n\
+     degrade to the hardware's best.)"
 
 (* ------------------------------------------------------------------ *)
 (* Perf-5: the serve API hot path — wire decode, dispatch, cache hit    *)

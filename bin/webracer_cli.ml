@@ -123,7 +123,7 @@ let target_term ?(seed = seed_arg ()) () =
   Term.(const params $ seed $ no_explore $ detector_arg $ hb_arg $ time_limit $ no_dedup)
 
 let jobs_arg ?(default = 1) doc =
-  let jobs n = if n = 0 then Wr_support.Pool.default_jobs () else max 1 n in
+  let jobs n = if n = 0 then Wr_support.Pool.hardware_domains () else max 1 n in
   Term.(
     const jobs
     $ Arg.(
@@ -680,9 +680,9 @@ let corpus_cmd =
       value & flag
       & info [ "profile" ]
           ~doc:"Also print the fleet profile: per-domain queue-wait / run / idle / GC \
-                breakdown (implies $(b,--gc-trace)), lock contention, and the \
-                cross-domain telemetry phase table — the figures behind any parallel \
-                speedup (or its absence).")
+                breakdown (implies $(b,--gc-trace)), regex-cache hits and misses, and \
+                the cross-domain telemetry phase table — the figures behind any \
+                parallel speedup (or its absence).")
   in
   let json =
     Arg.(
@@ -710,9 +710,7 @@ let corpus_cmd =
     let n_ok =
       List.length (List.filter Wr_sitegen.Eval.fidelity outcomes)
     in
-    let regex_hits, regex_misses, regex_contended =
-      Wr_js.Builtins.regex_cache_stats ()
-    in
+    let regex_hits, regex_misses = Wr_js.Builtins.regex_cache_stats () in
     if json then begin
       let fields =
         [
@@ -725,7 +723,6 @@ let corpus_cmd =
               [
                 ("hits", Wr_support.Json.Int regex_hits);
                 ("misses", Wr_support.Json.Int regex_misses);
-                ("lock_contended", Wr_support.Json.Int regex_contended);
               ] );
         ]
         @ (match probe with
@@ -748,8 +745,7 @@ let corpus_cmd =
       if profile then begin
         Printf.printf "\nFleet profile (%d jobs):\n\n" jobs;
         print_string (Wr_support.Pool.render_stats pool_stats);
-        Printf.printf "\nregex cache: %d hits, %d misses, %d lock contentions\n"
-          regex_hits regex_misses regex_contended;
+        Printf.printf "\nregex cache: %d hits, %d misses\n" regex_hits regex_misses;
         (match probe with
         | Some p ->
             Printf.printf "\nGC (runtime events, per domain):\n\n";

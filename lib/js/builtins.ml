@@ -65,18 +65,11 @@ let regex_cache : (string * string, Regex.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
 (* Lifetime tallies for the fleet profile, still process-wide (summed
-   over domains). [regex_contended] counted mutex acquisitions that had
-   to block; with DLS caches there is no lock left, so it stays at 0 —
-   kept so [--profile] output proves the contention is gone rather than
-   silently dropping the column. *)
+   over domains). *)
 let regex_hits = Atomic.make 0
 let regex_misses = Atomic.make 0
-let regex_contended = Atomic.make 0
 
-let regex_cache_stats () =
-  ( Atomic.get regex_hits,
-    Atomic.get regex_misses,
-    Atomic.get regex_contended )
+let regex_cache_stats () = (Atomic.get regex_hits, Atomic.get regex_misses)
 
 let compile_regex vm ~pattern ~flags =
   let key = (pattern, flags) in

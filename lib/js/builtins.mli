@@ -25,9 +25,7 @@ val number_member : Value.vm -> float -> string -> Value.t option
     literals and the [RegExp] constructor. *)
 val make_regexp : Value.vm -> pattern:string -> flags:string -> Value.t
 
-(** [regex_cache_stats ()] is [(hits, misses, lock_contended)] for the
-    process-global compiled-regex cache over the process lifetime —
-    [lock_contended] counts acquisitions of the cache mutex that found it
-    held by another domain. The fleet profile reads these to name (or
-    exonerate) the cache as a parallel-scaling bottleneck. *)
-val regex_cache_stats : unit -> int * int * int
+(** [regex_cache_stats ()] is [(hits, misses)] for the per-domain
+    compiled-regex caches, summed over domains for the process lifetime.
+    The fleet profile reports them next to the pool's figures. *)
+val regex_cache_stats : unit -> int * int

@@ -54,9 +54,6 @@ val global_function :
     ([Value.Js_throw]) if [f] is not callable. *)
 val call : Value.vm -> Value.t -> this:Value.t -> Value.t list -> Value.t
 
-(** [construct vm f args] is the [new] operator. *)
-val construct : Value.vm -> Value.t -> Value.t list -> Value.t
-
 (** [member vm base name] is the full member-read semantics including
     primitive methods (["abc".length], number formatting); raises
     [TypeError] on [undefined]/[null] bases. *)

@@ -82,13 +82,7 @@ let triage_json ?telemetry (p : Request.triage_params) =
 
 let ping_result = Json.Obj [ ("pong", Json.Bool true) ]
 
-let no_stats () =
-  failwith "stats is only served by a running daemon, not a one-shot dispatch"
-
-let no_metrics () =
-  failwith "metrics is only served by a running daemon, not a one-shot dispatch"
-
-let dispatch ?(stats = no_stats) ?(metrics = no_metrics) (req : Request.t) =
+let dispatch (req : Request.t) =
   let id = req.Request.id in
   let trace = req.Request.trace in
   let schema = req.Request.schema in
@@ -96,8 +90,12 @@ let dispatch ?(stats = no_stats) ?(metrics = no_metrics) (req : Request.t) =
   match
     match req.Request.verb with
     | Request.Ping -> ok ping_result
-    | Request.Stats -> ok (stats ())
-    | Request.Metrics -> ok (metrics ())
+    | Request.Stats ->
+        Response.error ~schema ~id ?trace Response.Internal
+          "stats is only served by a running daemon, not a one-shot dispatch"
+    | Request.Metrics ->
+        Response.error ~schema ~id ?trace Response.Internal
+          "metrics is only served by a running daemon, not a one-shot dispatch"
     | Request.Watch _ ->
         Response.error ~schema ~id ?trace Response.Bad_request
           "watch streams from a running daemon, not a one-shot dispatch"

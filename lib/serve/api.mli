@@ -39,16 +39,10 @@ val predict_json :
 (** [ping_result] is the constant [{"pong":true}]. *)
 val ping_result : Wr_support.Json.t
 
-(** [dispatch ?stats ?metrics req] runs the request to completion on the
-    calling domain and never raises: analysis exceptions become
-    [Internal] error responses (crash isolation), explain selection
-    errors [Bad_request]. The request's trace id (when present) is
-    echoed on every response. [stats] and [metrics] supply those verbs'
-    results — the daemon passes its live counters and latency
-    histograms; the defaults answer with an [Internal] error since a
-    one-shot process has no service state. *)
-val dispatch :
-  ?stats:(unit -> Wr_support.Json.t) ->
-  ?metrics:(unit -> Wr_support.Json.t) ->
-  Request.t ->
-  Response.t
+(** [dispatch req] runs the request to completion on the calling domain
+    and never raises: analysis exceptions become [Internal] error
+    responses (crash isolation), explain selection errors [Bad_request].
+    The request's trace id (when present) is echoed on every response.
+    [stats] and [metrics] answer [Internal]: a one-shot dispatch has no
+    service state, and the daemon answers those verbs itself. *)
+val dispatch : Request.t -> Response.t

@@ -61,9 +61,9 @@ let run_corpus_stats ?(seed = 42) ?limit ?(jobs = 1) ?(dedup = true) ?telemetry
           (List.mapi (fun i p -> (i, p)) profiles))
   in
   (* Read the profile after [close]: joining the workers makes every
-     per-domain accumulator exact (a task's accounting lands just after
-     its result is published, so a pre-close snapshot could miss the
-     final task of a domain). *)
+     per-domain accumulator exact (a worker charges its idle time only
+     when it next wakes, so a pre-close snapshot could miss the tail of
+     it). *)
   (outcomes, Wr_support.Pool.stats pool)
 
 let run_corpus ?seed ?limit ?jobs ?dedup () =

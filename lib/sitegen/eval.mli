@@ -37,9 +37,9 @@ val run_corpus :
 
 (** [run_corpus_stats] is {!run_corpus} plus the fleet profile of the
     pool that ran it ({!Wr_support.Pool.stats}: per-domain queue-wait /
-    run / idle / GC figures and channel-lock contention) — the
-    [corpus --profile] breakdown. An optional shared [telemetry]
-    context records spans and counters from every domain. *)
+    run / idle / GC figures) — the [corpus --profile] breakdown. An
+    optional shared [telemetry] context records spans and counters from
+    every domain. *)
 val run_corpus_stats :
   ?seed:int -> ?limit:int -> ?jobs:int -> ?dedup:bool ->
   ?telemetry:Wr_telemetry.Telemetry.t -> unit ->

@@ -34,7 +34,7 @@ type result = {
   lint : lint_finding list;
 }
 
-(* How specifically a location names its cell; dedup keeps the most
+(* How specifically a location names its cell; the dedup keeps the most
    concrete witness and loc pairs are canonicalized to the sharper one. *)
 let sstr_rank = function
   | Effects.Lit _ -> 2
@@ -55,50 +55,50 @@ let canonical_loc (a : Effects.eff) (b : Effects.eff) =
 
 (* --- prediction ------------------------------------------------------- *)
 
+(* One prediction per (race type, canonical location) — mirroring
+   Location.report_key collapsing on the dynamic side — keeping the most
+   concretely located witness, the first discovered among equals. The
+   table holds one witness per key while the conflicts stream past, so
+   memory grows with the predictions, not with the raw conflicts.
+   Predictions come out ordered by unit pair, then most concrete
+   location first, then by discovery. *)
 let find_conflicts (m : Model.t) =
-  let out = ref [] in
+  let kept = Hashtbl.create 64 in
+  let found = ref 0 in
   Wr_hb.Graph.iter_chc_pairs m.hb (fun i j ->
       List.iter
         (fun (e1 : Effects.eff) ->
           List.iter
             (fun (e2 : Effects.eff) ->
-              if Effects.conflicts e1 e2 then
-                out :=
-                  {
-                    race_type = Effects.classify e1 e2;
-                    loc = canonical_loc e1 e2;
-                    first_unit = i;
-                    second_unit = j;
-                    first_eff = e1;
-                    second_eff = e2;
-                  }
-                  :: !out)
+              if Effects.conflicts e1 e2 then begin
+                let race_type = Effects.classify e1 e2 in
+                let loc = canonical_loc e1 e2 in
+                let rank = loc_rank loc in
+                let key =
+                  Wr_detect.Race.type_name race_type ^ "|" ^ Effects.sloc_to_string loc
+                in
+                (match Hashtbl.find_opt kept key with
+                | Some (r, _, _) when r >= rank -> ()
+                | _ ->
+                    Hashtbl.replace kept key
+                      ( rank,
+                        !found,
+                        {
+                          race_type;
+                          loc;
+                          first_unit = i;
+                          second_unit = j;
+                          first_eff = e1;
+                          second_eff = e2;
+                        } ));
+                incr found
+              end)
             m.units.(j).effs)
         m.units.(i).effs);
-  List.rev !out
-
-(* One prediction per (race type, canonical location), keeping the most
-   concretely-located witness — mirrors Location.report_key collapsing on
-   the dynamic side. *)
-let dedup preds =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun p ->
-      let key =
-        Wr_detect.Race.type_name p.race_type ^ "|" ^ Effects.sloc_to_string p.loc
-      in
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.replace seen key ();
-        true
-      end)
-    (List.stable_sort
-       (fun a b -> compare (loc_rank b.loc) (loc_rank a.loc))
-       preds)
-  |> List.stable_sort (fun a b ->
-         compare
-           (a.first_unit, a.second_unit)
-           (b.first_unit, b.second_unit))
+  Hashtbl.fold (fun _ w acc -> w :: acc) kept []
+  |> List.sort (fun (ra, ia, a) (rb, ib, b) ->
+         compare (a.first_unit, a.second_unit, rb, ia) (b.first_unit, b.second_unit, ra, ib))
+  |> List.map (fun (_, _, p) -> p)
 
 (* --- lint ------------------------------------------------------------- *)
 
@@ -152,7 +152,7 @@ let predict ?(tm = Telemetry.disabled) ~page ~resources () =
   let model = Model.build ~tm ~page ~resources () in
   let predictions =
     Telemetry.with_span tm ~cat:"static" ~name:"static.predict" (fun () ->
-        dedup (find_conflicts model))
+        find_conflicts model)
   in
   let mhp_pairs = Model.mhp_pairs model in
   Telemetry.set_counter tm "static.predictions" (List.length predictions);

@@ -62,6 +62,8 @@ let to_string t =
 
 exception Parse_error of string
 
+let max_depth = 512
+
 let of_string text =
   let n = String.length text in
   let pos = ref 0 in
@@ -151,9 +153,13 @@ let of_string text =
       | None -> (
           match float_of_string_opt body with Some f -> Float f | None -> fail "bad number")
   in
-  let rec parse_value () =
+  (* Nesting is capped: a line of a million '[' would otherwise grow the
+     stack that every minor collection scans, which is quadratic. *)
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
+    | Some ('{' | '[') when depth > max_depth ->
+        fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some '"' -> String (parse_string ())
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
@@ -172,7 +178,7 @@ let of_string text =
             let key = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             fields := (key, v) :: !fields;
             skip_ws ();
             match peek () with
@@ -195,7 +201,7 @@ let of_string text =
         else begin
           let items = ref [] in
           let rec loop () =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             items := v :: !items;
             skip_ws ();
             match peek () with
@@ -211,7 +217,7 @@ let of_string text =
     | Some c when c = '-' || (c >= '0' && c <= '9') -> parse_number ()
     | Some _ | None -> fail "unexpected input"
   in
-  let v = parse_value () in
+  let v = parse_value 1 in
   skip_ws ();
   if !pos <> n then fail "trailing input";
   v

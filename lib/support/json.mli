@@ -25,8 +25,9 @@ val to_string : t -> string
 exception Parse_error of string
 
 (** [of_string s] parses JSON text (strict; numbers parse as [Int] when
-    integral, else [Float]). Raises {!Parse_error}. Round-trips with
-    {!to_string} — a qcheck property. *)
+    integral, else [Float]). Raises {!Parse_error}, also on arrays and
+    objects nested more than 512 deep. Round-trips with {!to_string} — a
+    qcheck property. *)
 val of_string : string -> t
 
 (** {2 Accessors} — raise {!Parse_error} on shape mismatch, for concise

@@ -1,30 +1,25 @@
-(* A work-stealing fleet of OCaml 5 domains.
+(* A fleet of OCaml 5 domains around one task queue.
 
-   v1 was a single mutex/condition task channel: every task paid one
-   lock + wakeup, the submitter and every worker hammered the same
-   mutex, and fine-grained tasks (one per corpus site) turned the
-   channel into the bottleneck. v2 moves the hot path off any shared
-   lock: each slot owns a private deque (guarded by its own mutex —
-   uncontended in steady state, so acquisition is a couple of atomic
-   instructions), [map] coarsens work into chunks distributed round-
-   robin across the deques, and an idle domain steals half of a random
-   victim's queue. The only shared state touched per *chunk* is one
-   atomic counter; nothing is shared per *item*. *)
+   Every worker sleeps on one Mutex + Condition FIFO. [submit] pushes a
+   single task onto it. [map] pushes one "drain" task per worker and
+   drains on the submitter as well: every lane claims the next input
+   index with one [Atomic.fetch_and_add] on the batch's cursor, so the
+   load balances per item without per-lane queues or stealing. The
+   workload is flat (independent pages of a few milliseconds each, none
+   of which forks more work), so two atomics per item, the cursor and
+   the batch countdown, are all the sharing the hot path needs. *)
 
 (* Per-domain accumulator. Each slot is written by exactly one domain
    (slot 0 by the submitter, slot i by spawned worker i), so recording
    needs no lock; readers get exact values once the writers quiesce
    ([close], or the end of a [map]) and a benign point-in-time snapshot
-   before that. Tasks migrate between deques when stolen, but they are
-   always *charged* to the slot of the domain that executed them, so
-   the per-slot sums remain a partition of the real work. *)
+   before that. *)
 type slot = {
   mutable dom : int;  (* OCaml domain id of the slot's writer; -1 until known *)
   mutable tasks : int;
   mutable queue_wait_s : float;
   mutable run_s : float;
   mutable idle_s : float;
-  mutable steals : int;  (* steal operations this domain performed *)
   mutable gc_minor : int;
   mutable gc_major : int;
   mutable promoted_words : float;
@@ -38,48 +33,27 @@ type domain_stats = {
   queue_wait_s : float;
   run_s : float;
   idle_s : float;
-  steals : int;
   gc_minor : int;
   gc_major : int;
   promoted_words : float;
   minor_words : float;
 }
 
-type stats = {
-  per_domain : domain_stats list;
-  lock_contended : int;
-  submitted : int;
-  stolen : int;
-}
-
-(* A task knows how to run itself against the executing slot: [map]
-   chunks account per item inside [exec]; [submit] wraps a single
-   closure. [enq] is the monotonic enqueue time ({!Clock.now}), carried
-   so queue wait is charged wherever the task ends up running. *)
-type task = { enq : float; exec : slot -> enq:float -> unit }
-
-type deque = { dq_lock : Mutex.t; dq : task Queue.t }
+type stats = { per_domain : domain_stats list; submitted : int; stolen : int }
 
 type t = {
   jobs : int;
-  deques : deque array;  (* one per slot; slot 0 is the submitter's *)
-  pending : int Atomic.t;  (* tasks sitting in deques, not yet popped *)
-  idle_lock : Mutex.t;
-  wake : Condition.t;
-  mutable sleepers : int;  (* guarded by idle_lock *)
-  mutable closed : bool;  (* guarded by idle_lock *)
-  mutable workers : unit Domain.t list;
-  n_workers : int;  (* spawned domains; <= jobs - 1 after hardware capping *)
-  slots : slot array;
-  contended : int Atomic.t;
+  lock : Mutex.t;
+  wake : Condition.t;  (* workers: a task was queued, or the pool closed *)
+  batch_done : Condition.t;  (* the submitter: the last [map] item finished *)
+  queue : (slot -> unit) Queue.t;  (* guarded by [lock] *)
+  mutable closed : bool;  (* guarded by [lock] *)
+  mutable workers : unit Domain.t array;  (* set once by [create] *)
+  slots : slot array;  (* one per job; slot 0 is the submitter's *)
   n_submitted : int Atomic.t;
-  rr : int Atomic.t;  (* round-robin cursor for [submit] *)
-  minor_heap_words : int option;
 }
 
 let hardware_domains () = Domain.recommended_domain_count ()
-
-let default_jobs = hardware_domains
 
 (* Worker domains get a larger minor heap than the runtime default
    (256k words): in OCaml 5 every minor collection is a stop-the-world
@@ -89,7 +63,7 @@ let default_jobs = hardware_domains
    worker cuts minor collections ~16x for the corpus workload at a cost
    of 32MB per domain. Override with WEBRACER_MINOR_HEAP_WORDS=<words>
    (0 disables tuning). *)
-let default_minor_heap_words =
+let minor_heap_words =
   match Sys.getenv_opt "WEBRACER_MINOR_HEAP_WORDS" with
   | Some s -> (
       match int_of_string_opt (String.trim s) with
@@ -100,7 +74,7 @@ let default_minor_heap_words =
 
 let new_slot () =
   {
-    dom = -1; tasks = 0; queue_wait_s = 0.; run_s = 0.; idle_s = 0.; steals = 0;
+    dom = -1; tasks = 0; queue_wait_s = 0.; run_s = 0.; idle_s = 0.;
     gc_minor = 0; gc_major = 0; promoted_words = 0.; minor_words = 0.;
   }
 
@@ -119,165 +93,44 @@ let announce_domain (slot : slot) =
   slot.dom <- (Domain.self () :> int);
   try !worker_hook () with _ -> ()
 
-(* Counting acquisitions that would block is how the profile names
-   contention; the fast path costs one [try_lock]. With per-deque locks
-   this stays ~0 in steady state — the counter is kept wired so
-   [--profile] can prove that, and flag it if stealing ever reintroduces
-   a hot lock. *)
-let lock_counted t m =
-  if not (Mutex.try_lock m) then begin
-    Atomic.incr t.contended;
-    Mutex.lock m
-  end
-
-(* Run one task on behalf of [slot], charging queue wait, run time and
-   this domain's GC delta to it. [popped] and [enq] are monotonic, so
-   the deltas need no clamping. *)
-let charge_item (slot : slot) ~enq ~popped ~finished =
-  slot.queue_wait_s <- slot.queue_wait_s +. (popped -. enq);
-  slot.run_s <- slot.run_s +. (finished -. popped);
-  slot.tasks <- slot.tasks + 1
-
-let charge_gc (slot : slot) (gc0 : Gc.stat) (gc1 : Gc.stat) =
+(* Run one item on [slot], charging its queue wait (start minus [enq],
+   the batch or submit time; 0 without one), run time and this domain's
+   GC delta. [Clock.now] is monotonic, so the deltas need no clamping. *)
+let run_item (slot : slot) ?enq f =
+  let start = now () in
+  let enq = Option.value enq ~default:start in
+  let gc0 = Gc.quick_stat () in
+  let r = match f () with v -> Ok v | exception e -> Error e in
+  let gc1 = Gc.quick_stat () in
+  slot.run_s <- slot.run_s +. (now () -. start);
+  slot.queue_wait_s <- slot.queue_wait_s +. (start -. enq);
+  slot.tasks <- slot.tasks + 1;
   slot.gc_minor <- slot.gc_minor + (gc1.Gc.minor_collections - gc0.Gc.minor_collections);
   slot.gc_major <- slot.gc_major + (gc1.Gc.major_collections - gc0.Gc.major_collections);
   slot.promoted_words <- slot.promoted_words +. (gc1.Gc.promoted_words -. gc0.Gc.promoted_words);
-  slot.minor_words <- slot.minor_words +. (gc1.Gc.minor_words -. gc0.Gc.minor_words)
+  slot.minor_words <- slot.minor_words +. (gc1.Gc.minor_words -. gc0.Gc.minor_words);
+  r
 
-let run_task (slot : slot) ~enq f =
-  let popped = now () in
-  let gc0 = Gc.quick_stat () in
-  f ();
-  let gc1 = Gc.quick_stat () in
-  charge_item slot ~enq ~popped ~finished:(now ());
-  charge_gc slot gc0 gc1
-
-(* --- deque operations ------------------------------------------------- *)
-
-let push_tasks t i tasks =
-  let n = List.length tasks in
-  if n > 0 then begin
-    let d = t.deques.(i) in
-    lock_counted t d.dq_lock;
-    List.iter (fun task -> Queue.push task d.dq) tasks;
-    Mutex.unlock d.dq_lock;
-    ignore (Atomic.fetch_and_add t.pending n);
-    (* Wake sleepers only when there are any: the uncontended case costs
-       one lock round-trip per *batch*, not per task. *)
-    Mutex.lock t.idle_lock;
-    if t.sleepers > 0 then Condition.broadcast t.wake;
-    Mutex.unlock t.idle_lock
-  end
-
-let pop_own t i =
-  let d = t.deques.(i) in
-  lock_counted t d.dq_lock;
-  let task = if Queue.is_empty d.dq then None else Some (Queue.pop d.dq) in
-  Mutex.unlock d.dq_lock;
-  (match task with Some _ -> Atomic.decr t.pending | None -> ());
-  task
-
-(* Steal from [victim]: take half of its queue (rounded up), run the
-   first stolen task, move the rest into [i]'s own deque. Uses
-   [Mutex.try_lock] only — a busy victim deque means its owner is
-   active there, so move on rather than serialize behind it. *)
-let steal_from t i victim =
-  let d = t.deques.(victim) in
-  if not (Mutex.try_lock d.dq_lock) then begin
-    Atomic.incr t.contended;
-    None
-  end
-  else begin
-    let n = Queue.length d.dq in
-    if n = 0 then begin
-      Mutex.unlock d.dq_lock;
-      None
-    end
-    else begin
-      let k = (n + 1) / 2 in
-      let first = Queue.pop d.dq in
-      let rest = ref [] in
-      for _ = 2 to k do
-        rest := Queue.pop d.dq :: !rest
-      done;
-      Mutex.unlock d.dq_lock;
-      Atomic.decr t.pending;
-      (* The re-queued remainder stays [pending]; only [first], which we
-         are about to execute, leaves the queues. *)
-      (match !rest with
-      | [] -> ()
-      | rest ->
-          let own = t.deques.(i) in
-          lock_counted t own.dq_lock;
-          List.iter (fun task -> Queue.push task own.dq) (List.rev rest);
-          Mutex.unlock own.dq_lock);
-      Some first
-    end
-  end
-
-(* Victim scan order: start from a per-call pseudo-random slot so thieves
-   spread out instead of all mobbing slot 0. A multiplicative hash of a
-   per-slot counter is plenty — victim choice affects only load balance,
-   never results. *)
-let steal t i nonce =
-  let n = Array.length t.deques in
-  if n <= 1 then None
-  else begin
-    let start = (i + 1 + ((nonce * 0x9E3779B1) land max_int) mod (n - 1)) mod n in
-    let rec scan tried j =
-      if tried >= n then None
-      else if j = i then scan tried ((j + 1) mod n)
-      else
-        match steal_from t i j with
-        | Some task -> Some task
-        | None -> scan (tried + 1) ((j + 1) mod n)
-    in
-    scan 0 start
-  end
-
-(* --- worker loop ------------------------------------------------------ *)
-
-let worker_loop t i =
-  let slot = t.slots.(i) in
-  let nonce = ref i in
-  let rec loop searching_since =
-    match pop_own t i with
-    | Some { enq; exec } ->
-        slot.idle_s <- slot.idle_s +. (now () -. searching_since);
-        exec slot ~enq;
+(* Pop and run tasks until the pool is closed and the queue is empty;
+   tasks queued before [close] still run. *)
+let worker_loop t (slot : slot) =
+  let rec loop idle_since =
+    Mutex.lock t.lock;
+    while Queue.is_empty t.queue && not t.closed do
+      Condition.wait t.wake t.lock
+    done;
+    let task = Queue.take_opt t.queue in
+    Mutex.unlock t.lock;
+    slot.idle_s <- slot.idle_s +. (now () -. idle_since);
+    match task with
+    | None -> ()
+    | Some task ->
+        task slot;
         loop (now ())
-    | None -> (
-        incr nonce;
-        match steal t i !nonce with
-        | Some { enq; exec } ->
-            slot.steals <- slot.steals + 1;
-            slot.idle_s <- slot.idle_s +. (now () -. searching_since);
-            exec slot ~enq;
-            loop (now ())
-        | None ->
-            (* Nothing anywhere: sleep until new work or shutdown. The
-               pending re-check under the lock closes the race against a
-               concurrent push (pushes broadcast under the same lock). *)
-            Mutex.lock t.idle_lock;
-            if t.closed && Atomic.get t.pending = 0 then begin
-              Mutex.unlock t.idle_lock;
-              slot.idle_s <- slot.idle_s +. (now () -. searching_since)
-            end
-            else if Atomic.get t.pending > 0 then begin
-              Mutex.unlock t.idle_lock;
-              loop searching_since
-            end
-            else begin
-              t.sleepers <- t.sleepers + 1;
-              Condition.wait t.wake t.idle_lock;
-              t.sleepers <- t.sleepers - 1;
-              Mutex.unlock t.idle_lock;
-              loop searching_since
-            end)
   in
   loop (now ())
 
-let create ?min_workers ?minor_heap_words ~jobs () =
+let create ?(min_workers = 0) ~jobs () =
   let jobs = max 1 jobs in
   (* Oversubscription is pure loss for CPU-bound work: more domains than
      cores just multiplies stop-the-world rendezvous cost (the v1 pool
@@ -286,244 +139,142 @@ let create ?min_workers ?minor_heap_words ~jobs () =
      submitter being the remaining lane. [min_workers] lets clients that
      *require* spawned domains (the serve daemon: [submit] tasks never
      run on the submitter) keep at least that many. *)
-  let min_workers = max 0 (Option.value min_workers ~default:0) in
   let capped = min (jobs - 1) (hardware_domains () - 1) in
   let n_workers = min (jobs - 1) (max capped min_workers) in
-  let minor_heap_words =
-    match minor_heap_words with Some w -> w | None -> default_minor_heap_words
-  in
   let t =
     {
       jobs;
-      deques =
-        Array.init jobs (fun _ -> { dq_lock = Mutex.create (); dq = Queue.create () });
-      pending = Atomic.make 0;
-      idle_lock = Mutex.create ();
+      lock = Mutex.create ();
       wake = Condition.create ();
-      sleepers = 0;
+      batch_done = Condition.create ();
+      queue = Queue.create ();
       closed = false;
-      workers = [];
-      n_workers;
+      workers = [||];
       slots = Array.init jobs (fun _ -> new_slot ());
-      contended = Atomic.make 0;
       n_submitted = Atomic.make 0;
-      rr = Atomic.make 0;
-      minor_heap_words;
     }
   in
   announce_domain t.slots.(0);
   t.workers <-
-    List.init n_workers (fun i ->
+    Array.init n_workers (fun i ->
         Domain.spawn (fun () ->
             (* Per-domain GC tuning must happen on the worker itself:
                minor heaps are domain-local in OCaml 5. *)
-            (match t.minor_heap_words with
+            (match minor_heap_words with
             | Some w -> ( try Gc.set { (Gc.get ()) with Gc.minor_heap_size = w } with _ -> ())
             | None -> ());
-            announce_domain t.slots.(i + 1);
-            worker_loop t (i + 1)));
+            let slot = t.slots.(i + 1) in
+            announce_domain slot;
+            worker_loop t slot));
   t
 
 let jobs t = t.jobs
 
-let workers t = t.n_workers
-
 let stats t =
   let per_domain =
-    Array.to_list
-      (Array.mapi
-         (fun i (s : slot) ->
-           {
-             worker = i;
-             dom = s.dom;
-             tasks = s.tasks;
-             queue_wait_s = s.queue_wait_s;
-             run_s = s.run_s;
-             idle_s = s.idle_s;
-             steals = s.steals;
-             gc_minor = s.gc_minor;
-             gc_major = s.gc_major;
-             promoted_words = s.promoted_words;
-             minor_words = s.minor_words;
-           })
-         t.slots)
+    List.mapi
+      (fun i (s : slot) ->
+        {
+          worker = i;
+          dom = s.dom;
+          tasks = s.tasks;
+          queue_wait_s = s.queue_wait_s;
+          run_s = s.run_s;
+          idle_s = s.idle_s;
+          gc_minor = s.gc_minor;
+          gc_major = s.gc_major;
+          promoted_words = s.promoted_words;
+          minor_words = s.minor_words;
+        })
+      (Array.to_list t.slots)
   in
-  {
-    per_domain;
-    lock_contended = Atomic.get t.contended;
-    submitted = Atomic.get t.n_submitted;
-    stolen = List.fold_left (fun acc d -> acc + d.steals) 0 per_domain;
-  }
+  { per_domain; submitted = Atomic.get t.n_submitted; stolen = 0 }
 
-let closed t =
-  Mutex.lock t.idle_lock;
-  let c = t.closed in
-  Mutex.unlock t.idle_lock;
-  c
+(* Queue [tasks] for the workers, waking one per task. *)
+let push t ~who tasks =
+  Mutex.lock t.lock;
+  let closed = t.closed in
+  if not closed then
+    List.iter
+      (fun task ->
+        Queue.push task t.queue;
+        Condition.signal t.wake)
+      tasks;
+  Mutex.unlock t.lock;
+  if closed then invalid_arg (who ^ ": pool is closed")
 
 let submit t f =
-  if closed t || t.workers = [] then
-    invalid_arg "Pool.submit: pool is closed or has no workers";
-  (* Round-robin across the *worker* deques (slots 1..): the submitter
-     never drains its own deque outside [map], so fire-and-forget work
-     parked on slot 0 would wait for a steal. *)
-  let k = 1 + Atomic.fetch_and_add t.rr 1 mod t.n_workers in
-  Atomic.incr t.n_submitted;
-  push_tasks t k [ { enq = now (); exec = (fun slot ~enq -> run_task slot ~enq f) } ]
+  if Array.length t.workers = 0 then invalid_arg "Pool.submit: pool has no workers";
+  let enq = now () in
+  push t ~who:"Pool.submit" [ (fun slot -> ignore (run_item slot ~enq f)) ];
+  Atomic.incr t.n_submitted
 
-(* Work units for [map]: contiguous chunks of the input, sized so every
-   lane gets several chunks (steals can then rebalance a slow chunk's
-   tail). Each chunk accounts its items individually — [tasks], queue
-   wait and the GC deltas are all per *item*, so fleet stats are
-   independent of the chunking. *)
-let chunks_per_lane = 4
-
-let chunk_size ~lanes n = max 1 ((n + (lanes * chunks_per_lane) - 1) / (lanes * chunks_per_lane))
-
-(* The submitting domain drains the deques like any worker (its own
-   first, then stealing) until the batch counter hits zero, so a pool
-   with no spawned workers still completes every task and an n-lane pool
-   runs n chunks at once. Tasks never block on each other, so running
-   them on the submitter cannot deadlock. *)
-let map ?chunk t f xs =
+let map t f xs =
   let items = Array.of_list xs in
   let n = Array.length items in
   if n = 0 then []
   else begin
-    if closed t then invalid_arg "Pool.map: pool is closed";
-    let slot0 = t.slots.(0) in
+    (* A lone lane starts each item as soon as it reaches it, so its
+       queue wait reads exactly 0; otherwise every item waits from the
+       batch's start. *)
+    let helpers = if n = 1 then 0 else Array.length t.workers in
+    let enq = if helpers = 0 then None else Some (now ()) in
+    let results = Array.make n None in
+    let cursor = Atomic.make 0 and remaining = Atomic.make n in
+    (* Each lane claims the next index until the input runs out. A drain
+       task that a worker reaches after the batch is over finds the
+       cursor past the end and returns at once. The countdown is atomic,
+       so the submitter's reads of [results] happen after every write. *)
+    let drain slot =
+      let rec next () =
+        let k = Atomic.fetch_and_add cursor 1 in
+        if k < n then begin
+          results.(k) <- Some (run_item slot ?enq (fun () -> f items.(k)));
+          if Atomic.fetch_and_add remaining (-1) = 1 then begin
+            Mutex.lock t.lock;
+            Condition.broadcast t.batch_done;
+            Mutex.unlock t.lock
+          end;
+          next ()
+        end
+      in
+      next ()
+    in
+    push t ~who:"Pool.map" (List.init helpers (fun _ -> drain));
     ignore (Atomic.fetch_and_add t.n_submitted n);
-    if t.n_workers = 0 || n = 1 then begin
-      (* Degenerate sequential path: still charge the work to slot 0 so a
-         one-lane profile reads as the baseline, with exactly zero queue
-         wait. *)
-      List.map
-        (fun x ->
-          let popped = now () in
-          let gc0 = Gc.quick_stat () in
-          let r = f x in
-          let gc1 = Gc.quick_stat () in
-          charge_item slot0 ~enq:popped ~popped ~finished:(now ());
-          charge_gc slot0 gc0 gc1;
-          r)
-        xs
-    end
-    else begin
-      let lanes = t.n_workers + 1 in
-      let chunk =
-        match chunk with Some c -> max 1 c | None -> chunk_size ~lanes n
-      in
-      let results = Array.make n None in
-      let batch = Mutex.create () in
-      let all_done = Condition.create () in
-      let remaining = ref n in
-      let error = ref None in
-      (* Result publication and the countdown share [batch], which also
-         gives the submitter's final reads of [results] their
-         happens-before edge from every worker's writes. *)
-      let finish k outcome =
-        Mutex.lock batch;
-        (match outcome with
-        | Ok r -> results.(k) <- Some r
-        | Error e -> ( match !error with None -> error := Some e | Some _ -> ()));
-        decr remaining;
-        if !remaining = 0 then Condition.signal all_done;
-        Mutex.unlock batch
-      in
-      let exec_chunk lo hi slot ~enq =
-        (* Charge each item separately: queue wait runs from the chunk's
-           enqueue to the moment *this item* starts, which prices waiting
-           behind chunk siblings honestly. *)
-        let enq = ref enq in
-        for k = lo to hi - 1 do
-          let popped = now () in
-          let gc0 = Gc.quick_stat () in
-          let outcome = match f items.(k) with r -> Ok r | exception e -> Error e in
-          let gc1 = Gc.quick_stat () in
-          charge_item slot ~enq:!enq ~popped ~finished:(now ());
-          charge_gc slot gc0 gc1;
-          enq := popped;
-          finish k outcome
-        done
-      in
-      (* Distribute chunks round-robin over every lane's deque, the
-         submitter's included: lanes start on local work and stealing
-         only moves the imbalance. *)
-      let chunk_tasks = Array.make lanes [] in
-      let lane = ref 0 in
-      let enq0 = now () in
-      let lo = ref 0 in
-      while !lo < n do
-        let hi = min n (!lo + chunk) in
-        let lo' = !lo in
-        chunk_tasks.(!lane) <-
-          { enq = enq0; exec = exec_chunk lo' hi } :: chunk_tasks.(!lane);
-        lane := (!lane + 1) mod lanes;
-        lo := hi
-      done;
-      for i = 0 to lanes - 1 do
-        push_tasks t i (List.rev chunk_tasks.(i))
-      done;
-      (* Help out: drain our own deque, then steal, until the batch is
-         done. The submitter never sleeps — if it finds no task, the
-         remaining chunks are in flight on workers and the condition
-         below is about to flip. *)
-      let nonce = ref 0 in
-      let rec help () =
-        let task =
-          match pop_own t 0 with
-          | Some task -> Some task
-          | None ->
-              incr nonce;
-              (match steal t 0 !nonce with
-              | Some task ->
-                  slot0.steals <- slot0.steals + 1;
-                  Some task
-              | None -> None)
-        in
-        match task with
-        | Some { enq; exec } ->
-            exec slot0 ~enq;
-            help ()
-        | None -> ()
-      in
-      help ();
-      Mutex.lock batch;
-      while !remaining > 0 do
-        Condition.wait all_done batch
-      done;
-      Mutex.unlock batch;
-      (match !error with Some e -> raise e | None -> ());
-      Array.to_list
-        (Array.map (function Some r -> r | None -> assert false) results)
-    end
+    (* The submitter drains too, so the batch completes even when every
+       worker is busy with [submit] tasks. *)
+    drain t.slots.(0);
+    Mutex.lock t.lock;
+    while Atomic.get remaining > 0 do
+      Condition.wait t.batch_done t.lock
+    done;
+    Mutex.unlock t.lock;
+    (* Unwrapping in input order re-raises the lowest-indexed failure, so
+       the exception does not depend on completion order. *)
+    Array.to_list results
+    |> List.map (fun r -> match Option.get r with Ok v -> v | Error e -> raise e)
   end
 
 let close t =
-  Mutex.lock t.idle_lock;
+  Mutex.lock t.lock;
   let was_closed = t.closed in
   t.closed <- true;
   Condition.broadcast t.wake;
-  Mutex.unlock t.idle_lock;
-  if not was_closed then begin
-    (* Workers drain every queued task (their own deques, then steals)
-       before they see [closed && pending = 0] and exit. *)
-    List.iter Domain.join t.workers;
-    t.workers <- []
-  end
+  Mutex.unlock t.lock;
+  if not was_closed then Array.iter Domain.join t.workers
 
-let with_pool ?min_workers ?minor_heap_words ~jobs f =
-  let t = create ?min_workers ?minor_heap_words ~jobs () in
+let with_pool ?min_workers ~jobs f =
+  let t = create ?min_workers ~jobs () in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
-let map_jobs ?chunk ~jobs f xs =
-  if jobs <= 1 then List.map f xs
-  else with_pool ~jobs (fun t -> map ?chunk t f xs)
+let map_jobs ~jobs f xs =
+  if jobs <= 1 then List.map f xs else with_pool ~jobs (fun t -> map t f xs)
 
 let stats_rows stats =
   let mwords w = w /. 1e6 in
   let header =
-    [ "domain"; "dom-id"; "tasks"; "queue-wait(ms)"; "run(ms)"; "idle(ms)"; "steals";
+    [ "domain"; "dom-id"; "tasks"; "queue-wait(ms)"; "run(ms)"; "idle(ms)";
       "gc-minor"; "gc-major"; "promoted(Mw)"; "alloc(Mw)" ]
   in
   let row d =
@@ -534,7 +285,6 @@ let stats_rows stats =
       Printf.sprintf "%.1f" (d.queue_wait_s *. 1e3);
       Printf.sprintf "%.1f" (d.run_s *. 1e3);
       Printf.sprintf "%.1f" (d.idle_s *. 1e3);
-      string_of_int d.steals;
       string_of_int d.gc_minor;
       string_of_int d.gc_major;
       Printf.sprintf "%.2f" (mwords d.promoted_words);
@@ -558,25 +308,15 @@ let stats_json stats =
                    ("queue_wait_s", Json.Float d.queue_wait_s);
                    ("run_s", Json.Float d.run_s);
                    ("idle_s", Json.Float d.idle_s);
-                   ("steals", Json.Int d.steals);
                    ("gc_minor", Json.Int d.gc_minor);
                    ("gc_major", Json.Int d.gc_major);
                    ("promoted_words", Json.Float d.promoted_words);
                    ("minor_words", Json.Float d.minor_words);
                  ])
              stats.per_domain) );
-      ("lock_contended", Json.Int stats.lock_contended);
       ("submitted", Json.Int stats.submitted);
-      ("stolen", Json.Int stats.stolen);
     ]
 
 let render_stats stats =
   let header, rows = stats_rows stats in
-  let total =
-    List.fold_left
-      (fun acc d -> acc +. d.queue_wait_s +. d.run_s) 0. stats.per_domain
-  in
-  Table.render ~header rows
-  ^ Printf.sprintf
-      "tasks submitted: %d   steals: %d   lock contention: %d   queue+run total: %.1f ms\n"
-      stats.submitted stats.stolen stats.lock_contended (total *. 1e3)
+  Table.render ~header rows ^ Printf.sprintf "tasks submitted: %d\n" stats.submitted

@@ -1,15 +1,15 @@
-(** A work-stealing fleet of OCaml 5 domains.
+(** A fleet of OCaml 5 domains around one shared task queue.
 
     The analysis pipeline is embarrassingly parallel at page granularity:
     every page (or seed, or corpus site) builds its own graph, detector
     and VM, so nothing mutable crosses domains unguarded (the few
     domain-local caches, e.g. the JS regex cache, live in [Domain.DLS]).
-    This pool is the one shared primitive. Each lane (the submitter plus
-    each spawned worker) owns a private deque under its own mutex; [map]
-    coarsens the input into contiguous chunks distributed round-robin
-    across the deques, and an idle lane steals half of a random victim's
-    queue. In steady state no lock is contended and the only per-chunk
-    shared write is one atomic counter.
+    This pool is the one shared primitive. Every worker sleeps on one
+    mutex-guarded FIFO. [submit] queues a single task; [map] queues one
+    drain task per worker and drains on the submitter too, each lane
+    claiming the next input index from one atomic cursor. Items are
+    independent and take milliseconds, so balancing per item costs one
+    atomic per item and needs no stealing.
 
     Two policies keep the fleet from running slower than sequential:
 
@@ -25,25 +25,24 @@
       work.
 
     [map] is deterministic: results come back in input order, independent
-    of completion order, chunking and stealing, so parallel runs
-    aggregate byte-identically to sequential ones. *)
+    of which lane ran which item, so parallel runs aggregate
+    byte-identically to sequential ones. *)
 
 type t
 
 (** Per-domain profile: what one lane of the fleet did. [worker] 0 is
     the submitting domain (which helps drain [map] batches); workers 1..
-    are the spawned domains. [dom] is the slot's OCaml domain id (the
-    telemetry Chrome-trace tid, and the join key against
+    are the spawned domains, one row per job even where hardware capping
+    spawned fewer. [dom] is the slot's OCaml domain id (the telemetry
+    Chrome-trace tid, and the join key against
     [Wr_telemetry.Runtime_probe] GC rows); [-1] until the worker has
-    started. Accounting is per {e item} even though [map] enqueues
-    chunks: [tasks] counts items executed by this lane (wherever they
-    were first enqueued), [queue_wait_s] sums each item's enqueue→start
-    latency, [steals] counts steal operations this lane performed, and
-    the GC figures are this domain's [Gc.quick_stat] deltas summed
-    across its items (minor/major collection counts, promoted and
-    minor-allocated words). Because every item is charged to exactly the
-    lane that ran it, per-lane rows always partition the batch: tasks
-    sum to items submitted even when work migrated between deques. *)
+    started. Accounting is per item: [tasks] counts items this lane ran,
+    [queue_wait_s] sums each item's start minus its batch's start (or
+    its [submit] time) — 0 for a lone lane — and the GC figures are this
+    domain's [Gc.quick_stat] deltas summed across its items
+    (minor/major collection counts, promoted and minor-allocated words).
+    Every item is charged to exactly the lane that ran it, so per-lane
+    rows partition the batch. *)
 type domain_stats = {
   worker : int;
   dom : int;
@@ -51,23 +50,16 @@ type domain_stats = {
   queue_wait_s : float;
   run_s : float;
   idle_s : float;
-  steals : int;
   gc_minor : int;
   gc_major : int;
   promoted_words : float;
   minor_words : float;
 }
 
-(** Fleet profile: per-domain rows plus fleet-wide counters.
-    [lock_contended] counts deque-mutex acquisitions that found the lock
-    held — with per-lane deques this should read ~0; a hot value means
-    stealing is thrashing. [stolen] is the sum of per-lane [steals]. *)
-type stats = {
-  per_domain : domain_stats list;
-  lock_contended : int;
-  submitted : int;
-  stolen : int;
-}
+(** Fleet profile: per-domain rows plus the items submitted. [stolen]
+    always reads 0: nothing is stolen any more, and the field stays only
+    because the end-to-end benchmark still reports it as [pool.steals]. *)
+type stats = { per_domain : domain_stats list; submitted : int; stolen : int }
 
 (** [create ~jobs ()] spawns up to [jobs - 1] worker domains, capped at
     [hardware_domains () - 1] ([jobs <= 1], or one hardware thread,
@@ -75,26 +67,23 @@ type stats = {
     submitter). [?min_workers] (default 0) overrides the hardware cap
     upward for clients that require spawned domains — [submit] tasks
     only ever run on workers, so the serve daemon passes
-    [~min_workers:1]. [?minor_heap_words] overrides the per-worker
-    minor-heap size (default 4M words or [WEBRACER_MINOR_HEAP_WORDS];
-    [None] disables tuning). *)
-val create : ?min_workers:int -> ?minor_heap_words:int option -> jobs:int -> unit -> t
+    [~min_workers:jobs]. *)
+val create : ?min_workers:int -> jobs:int -> unit -> t
 
-(** [stats pool] reads the fleet profile. Exact once the writers have
-    quiesced (after [close], or between [map] calls — including when
-    tasks migrated between deques via stealing); a benign point-in-time
-    snapshot while tasks are still running. *)
+(** [stats pool] reads the fleet profile. Item figures are exact
+    between [map] calls; idle time lands when a worker next wakes, so
+    the whole profile is exact after [close]. While tasks run it is a
+    benign point-in-time snapshot. *)
 val stats : t -> stats
 
 (** [render_stats stats] is the profile as an aligned text table (one
-    row per lane) plus a summary line (submitted tasks, steals, lock
-    contention). *)
+    row per lane) plus the number of submitted items. *)
 val render_stats : stats -> string
 
 (** [stats_json stats] is the same fleet profile as a JSON document
     ([per_domain] rows with the [render_stats] fields, plus
-    [lock_contended], [submitted] and [stolen]) — machine-readable for
-    [corpus --profile --json] and the serve [watch] snapshots. *)
+    [submitted]) — machine-readable for [corpus --profile --json] and
+    the serve [watch] snapshots. *)
 val stats_json : stats -> Json.t
 
 (** [set_worker_hook f] installs a process-wide callback run once by
@@ -106,28 +95,23 @@ val set_worker_hook : (unit -> unit) -> unit
 (** The requested parallelism ceiling ([~jobs] as passed, floored at 1). *)
 val jobs : t -> int
 
-(** The number of spawned worker domains after hardware capping —
-    [jobs - 1] on big-enough hardware, less on small machines,
-    at least [min_workers]. *)
-val workers : t -> int
+(** [map pool f xs] applies [f] to every element, spread item by item
+    across the submitter and every worker, and returns the results in
+    input order. If any [f] raises, the exception of the lowest-indexed
+    failing item is re-raised after every item has finished. A pool is
+    reusable across [map] calls but runs a single [map] at a time; the
+    batch completes even while every worker is busy with [submit]
+    tasks, since the submitter drains it too. *)
+val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [map pool f xs] applies [f] to every element, spread across the
-    fleet in contiguous chunks (several per lane, so stealing can
-    rebalance), and returns the results in input order. [?chunk]
-    overrides the computed chunk size (floored at 1). The first
-    exception raised by any [f] is re-raised after all items finish. A
-    pool is reusable across [map] calls but runs a single [map] at a
-    time. *)
-val map : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [submit pool f] enqueues fire-and-forget work, round-robin across
-    the worker deques; the submitter never drains its own deque outside
-    [map], so the pool must have at least one spawned worker (see
-    [min_workers]) — a workerless or closed pool raises
+(** [submit pool f] queues fire-and-forget work for the workers; the
+    submitter never runs it, so the pool must have at least one spawned
+    worker (see [min_workers]) — a workerless or closed pool raises
     [Invalid_argument]. [f] delivers its own result (e.g. onto a
-    caller-provided channel) and must not let exceptions escape; the
-    daemon in [Wr_serve] is the intended client. Tasks already queued
-    when [close] is called still run before the workers exit. *)
+    caller-provided channel); an exception escaping [f] is dropped and
+    leaves its worker running. The daemon in [Wr_serve] is the intended
+    client. Tasks already queued when [close] is called still run
+    before the workers exit. *)
 val submit : t -> (unit -> unit) -> unit
 
 (** [close pool] shuts the workers down after they drain every queued
@@ -135,16 +119,12 @@ val submit : t -> (unit -> unit) -> unit
 val close : t -> unit
 
 (** [with_pool ~jobs f] — create, run [f], always close. *)
-val with_pool :
-  ?min_workers:int -> ?minor_heap_words:int option -> jobs:int -> (t -> 'a) -> 'a
+val with_pool : ?min_workers:int -> jobs:int -> (t -> 'a) -> 'a
 
 (** [map_jobs ~jobs f xs] is a one-shot [with_pool] + [map]; [~jobs:1]
     costs nothing over [List.map]. *)
-val map_jobs : ?chunk:int -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+val map_jobs : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
-(** The hardware's useful parallelism ([Domain.recommended_domain_count]). *)
-val default_jobs : unit -> int
-
-(** Same as [default_jobs] — the machine's recommended domain count,
-    exposed under the name the bench/gate layers use. *)
+(** The hardware's useful parallelism ([Domain.recommended_domain_count]):
+    the worker cap in [create], and what [-j 0] means on the CLI. *)
 val hardware_domains : unit -> int

@@ -170,9 +170,9 @@ let race_key (r : Race.t) =
    graph, detector and VM; the JS regex cache is domain-local DLS state;
    the logger emits one channel write per line, which the runtime lock
    makes atomic; a shared [Telemetry.t] gives each domain its own sink),
-   so a batch of runs spreads over the work-stealing domain fleet with
-   results kept in input order — race aggregation is byte-identical
-   whatever [jobs] is, however chunks migrate between deques. *)
+   so a batch of runs spreads over the domain fleet with results kept
+   in input order — race aggregation is byte-identical whatever [jobs]
+   is, whichever domain ran which run. *)
 let analyze_batch ?(jobs = 1) cfgs = Wr_support.Pool.map_jobs ~jobs analyze cfgs
 
 let analyze_many ?(jobs = 1) cfg ~seeds =

@@ -139,11 +139,10 @@ let higher_is_better name =
 let tail_metric name = contains ~sub:"_p999" name
 
 (* Recorded for context, never trend-compared: hardware_domains is
-   environment metadata (a runner change is not a regression), steal
-   counts are scheduling noise by nature — load balance varies run to
-   run without the result or the wall clock moving — and perf7's shed
-   counts scale with how many requests a runner managed to push in the
-   measured window, not with how well the daemon behaved. [config_*]
+   environment metadata (a runner change is not a regression), and
+   perf7's shed counts scale with how many requests a runner managed to
+   push in the measured window, not with how well the daemon behaved.
+   [config_*]
    entries (perf8's schedule budget and site count) are experiment
    configuration, not measurements: a deliberate budget bump must not
    read as a regression. The perf8 schedule counts themselves
@@ -152,7 +151,6 @@ let tail_metric name = contains ~sub:"_p999" name
    picks up higher-is-better from its [_ratio] suffix. *)
 let informational name =
   ends_with ~suffix:"hardware_domains" name
-  || ends_with ~suffix:"_steals" name
   || ends_with ~suffix:"_shed" name
   || contains ~sub:"config_" name
 

@@ -1263,3 +1263,101 @@ let test_request_hb_names () =
 let suite =
   suite
   @ [ Alcotest.test_case "request: hb names the two engines" `Quick test_request_hb_names ]
+
+(* --- the wire parsers are total ---------------------------------------- *)
+
+(* Neither wire parser may raise, whatever bytes arrive: random bytes,
+   and valid requests with a few bytes replaced, inserted or deleted.
+   The generator leans on the characters that steer each grammar. *)
+let wire_char =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, char);
+        ( 2,
+          oneofl
+            [ '"'; '\\'; '{'; '}'; '['; ']'; ':'; ','; '0'; '9'; '-'; '+'; '.'; 'e'; 'u';
+              'x'; ' '; '\r'; '\n' ] );
+      ])
+
+let mutated seeds =
+  QCheck.Gen.(
+    let edit s =
+      map3
+        (fun op i c ->
+          let n = String.length s in
+          let i = if n = 0 then 0 else i mod (n + 1) in
+          match op with
+          | 0 when i < n -> String.mapi (fun j d -> if j = i then c else d) s
+          | 1 when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+          | _ -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i))
+        (int_bound 2) nat wire_char
+    in
+    let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+    oneofl seeds >>= fun s -> int_range 1 6 >>= fun k -> edits k s)
+
+let random_bytes = QCheck.Gen.(string_size ~gen:wire_char (int_bound 160))
+
+let wire_input seeds =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(frequency [ (1, random_bytes); (3, mutated seeds) ])
+
+let valid_lines =
+  [
+    {|{"schema_version":2,"id":1,"verb":"ping"}|};
+    {|{"id":"a","trace":"t1","verb":"analyze","params":{"page":"<div id=\"x\">x</div>","seed":3,"resources":{"a.js":"x = 1;"},"detector":"full","hb":"dfs","time_limit":1.5,"dedup":false}}|};
+    {|{"id":3,"verb":"explain","params":{"page":"\u003cp\u003e\u00e9\n","race":2}}|};
+    {|{"verb":"watch","params":{"interval_s":0.5,"count":2}}|};
+    {|{"verb":"replay","params":{"page":"x","schedules":3,"parse_delay":1e0,"jobs":1}}|};
+    {|{"verb":"triage","params":{"page":"","budget":4,"jobs":-2}}|};
+    {|[{"verb":"predict","params":{"page":"y","compare":true,"lint":true}}]|};
+  ]
+
+let valid_http =
+  [
+    "GET /v1/ping HTTP/1.1\r\nHost: x\r\n\r\n";
+    "POST /v1/analyze?x=1 HTTP/1.1\r\nContent-Length: 18\r\nX-Webracer-Trace: t\r\n\r\n\
+     {\"page\":\"<p></p>\"}";
+    "POST /v1/predict HTTP/1.1\r\ncontent-length: 30\r\n\r\n\
+     {\"id\":1,\"params\":{\"page\":\"\"}}GET /v1/stats HTTP/1.1\r\n\r\n";
+    "PUT /nowhere HTTP/1.0\r\nContent-Length:  0 \r\n\r\n";
+  ]
+
+let prop_of_line_total =
+  QCheck.Test.make ~name:"request: of_line is total on random and mutated lines" ~count:2000
+    (wire_input valid_lines) (fun s ->
+      match Request.of_line s with Ok _ | Error _ -> true)
+
+(* Besides not raising, a parsed request consumes a prefix of the given
+   window, and routing it and decoding the routed document are total
+   too. The window is a random [pos, len) slice of the buffer, and a
+   small [max_body] exercises the body bound. *)
+let prop_http_parse_total =
+  let gen =
+    QCheck.Gen.(
+      quad (QCheck.gen (wire_input valid_http)) nat nat (oneofl [ None; Some 8; Some 64 ]))
+  in
+  QCheck.Test.make ~name:"http: parse is total and stays in its window" ~count:2000
+    (QCheck.make
+       ~print:(fun (s, a, b, mb) ->
+         Printf.sprintf "%S a=%d b=%d max_body=%s" s a b
+           (match mb with None -> "default" | Some m -> string_of_int m))
+       gen)
+    (fun (s, a, b, max_body) ->
+      let n = String.length s in
+      let pos = if a mod 4 = 0 then 0 else a mod (n + 1) in
+      let len = if b mod 2 = 0 then n else pos + (b mod (n - pos + 1)) in
+      match Http.parse ?max_body ~len (Bytes.of_string s) ~pos with
+      | `Req (r, pos') ->
+          (match Http.route r with
+          | Ok doc -> ignore (Request.of_json doc)
+          | Error _ -> ());
+          pos < pos' && pos' <= len
+      | `More | `Bad _ -> true)
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_of_line_total;
+      QCheck_alcotest.to_alcotest prop_http_parse_total;
+    ]

@@ -176,11 +176,10 @@ let outcome_projection (o : Eval.outcome) =
     o.Eval.crashes )
 
 let test_corpus_parallel_deterministic () =
-  (* The work-stealing fleet must be invisible in the results: same
-     sites, same order, same counts across every jobs value AND across
-     repeated runs at the same jobs value (stealing reshuffles which
-     domain runs which chunk every time) — only the wall clock may
-     differ. *)
+  (* The domain fleet must be invisible in the results: same sites,
+     same order, same counts across every jobs value AND across
+     repeated runs at the same jobs value (which domain claims which
+     site changes from run to run) — only the wall clock may differ. *)
   let run jobs = Eval.run_corpus ~seed:7 ~limit:6 ~jobs () in
   let reference = List.map outcome_projection (run 1) in
   Alcotest.(check int) "same number of sites" 6 (List.length reference);

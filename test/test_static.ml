@@ -453,6 +453,79 @@ let test_mhp_pairs_brute_force () =
       Alcotest.(check int) (name ^ ": mhp_pairs") !brute (Model.mhp_pairs m))
     (Test_hb.example_pages () @ pack)
 
+(* [Predict.predict] keeps one witness per (type, location) while the
+   conflicts stream past. The reference here materialises every raw
+   conflict first and then deduplicates — the predictor's original
+   two-pass shape — and both must give the same predictions in the same
+   order. *)
+let reference_predictions (m : Model.t) =
+  let sstr_rank = function E.Lit _ -> 2 | E.Prefix _ -> 1 | E.Any_str -> 0 in
+  let loc_rank = function
+    | E.S_top -> -2
+    | E.S_dom_any _ -> -1
+    | E.S_global s | E.S_collection { name = s; _ } -> sstr_rank s
+    | E.S_id { id; _ } -> sstr_rank id
+    | E.S_prop { prop; _ } -> sstr_rank prop
+    | E.S_node _ -> 2
+    | E.S_handler { event; _ } -> if event = "*" then 0 else 2
+  in
+  let raw = ref [] in
+  Wr_hb.Graph.iter_chc_pairs m.Model.hb (fun i j ->
+      List.iter
+        (fun (e1 : E.eff) ->
+          List.iter
+            (fun (e2 : E.eff) ->
+              if E.conflicts e1 e2 then
+                raw :=
+                  {
+                    Predict.race_type = E.classify e1 e2;
+                    loc = (if loc_rank e2.E.loc > loc_rank e1.E.loc then e2.E.loc else e1.E.loc);
+                    first_unit = i;
+                    second_unit = j;
+                    first_eff = e1;
+                    second_eff = e2;
+                  }
+                  :: !raw)
+            m.Model.units.(j).Model.effs)
+        m.Model.units.(i).Model.effs);
+  let seen = Hashtbl.create 64 in
+  List.rev !raw
+  |> List.stable_sort (fun (a : Predict.prediction) (b : Predict.prediction) ->
+         compare (loc_rank b.Predict.loc) (loc_rank a.Predict.loc))
+  |> List.filter (fun (p : Predict.prediction) ->
+         let key =
+           Wr_detect.Race.type_name p.Predict.race_type ^ "|" ^ E.sloc_to_string p.Predict.loc
+         in
+         (not (Hashtbl.mem seen key)) && (Hashtbl.replace seen key (); true))
+  |> List.stable_sort (fun (a : Predict.prediction) (b : Predict.prediction) ->
+         compare (a.Predict.first_unit, a.Predict.second_unit)
+           (b.Predict.first_unit, b.Predict.second_unit))
+
+let test_predict_streaming_dedup () =
+  let pack =
+    List.map
+      (fun (s : Wr_sitegen.Adversarial.scenario) ->
+        ("adversarial/" ^ s.name, (s.page, s.resources)))
+      (Wr_sitegen.Adversarial.pack ())
+  in
+  (* Two parallel handlers that each write [x] and run a dynamic eval:
+     one unit pair yields witnesses of different location ranks, with
+     the vaguer [top] found first. *)
+  let eval_pair =
+    ( "eval-pair",
+      ( "<html><body><div id=\"a\" onmouseover=\"x = 1; eval(s);\">a</div>\
+         <div id=\"b\" onmouseover=\"x = 2; eval(s);\">b</div></body></html>",
+        [] ) )
+  in
+  List.iter
+    (fun (name, (page, resources)) ->
+      let r = Predict.predict ~page ~resources () in
+      let expect = reference_predictions r.Predict.model in
+      Alcotest.(check int) (name ^ ": prediction count") (List.length expect)
+        (List.length r.Predict.predictions);
+      check_eff (name ^ ": same predictions, same order") (expect = r.Predict.predictions))
+    ((eval_pair :: Test_hb.example_pages ()) @ pack)
+
 let suite =
   [
     Alcotest.test_case "effects: global read/write" `Quick test_global_read_write;
@@ -493,4 +566,6 @@ let suite =
     Alcotest.test_case "lint: handler on missing id" `Quick test_lint_handler_on_missing_id;
     Alcotest.test_case "lint: write-only global" `Quick test_lint_write_only_global;
     Alcotest.test_case "mhp: pair count matches brute force" `Quick test_mhp_pairs_brute_force;
+    Alcotest.test_case "predict: streaming dedup = find then dedup" `Quick
+      test_predict_streaming_dedup;
   ]

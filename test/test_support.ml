@@ -539,12 +539,13 @@ let test_pool_stats_sequential () =
   | rows -> Alcotest.failf "expected 1 domain row, got %d" (List.length rows));
   Alcotest.(check int) "submitted" 5 st.Pool.submitted
 
-let test_pool_stats_exact_after_steal () =
+let test_pool_stats_partition_uneven_batch () =
   (* [min_workers] forces real spawned domains even on one-core hardware,
-     and tiny chunks over very uneven work make stealing all but certain.
-     However tasks migrate between deques, every item must be charged to
-     exactly one lane: after [close] the per-lane task counts partition
-     the batch. *)
+     and very uneven work spreads the items unevenly over the lanes.
+     Wherever each item ran, it must be charged to exactly one lane:
+     after [close] the per-lane task counts partition the batch. The
+     case keeps its name from when lanes stole from each other's deques;
+     they now claim items from one shared cursor, and [stolen] reads 0. *)
   let n = 400 in
   let work x =
     let rounds = if x mod 13 = 0 then 50_000 else 500 in
@@ -558,7 +559,7 @@ let test_pool_stats_exact_after_steal () =
   let results =
     Fun.protect
       ~finally:(fun () -> Pool.close p)
-      (fun () -> Pool.map ~chunk:2 p work (List.init n Fun.id))
+      (fun () -> Pool.map p work (List.init n Fun.id))
   in
   Alcotest.(check (list int)) "results deterministic in input order"
     (List.map work (List.init n Fun.id))
@@ -569,29 +570,59 @@ let test_pool_stats_exact_after_steal () =
     List.fold_left (fun acc d -> acc + d.Pool.tasks) 0 st.Pool.per_domain
   in
   Alcotest.(check int) "per-lane tasks partition the batch" n total_tasks;
-  Alcotest.(check int) "stolen is the sum of per-lane steals"
-    (List.fold_left (fun acc d -> acc + d.Pool.steals) 0 st.Pool.per_domain)
-    st.Pool.stolen;
+  Alcotest.(check int) "nothing is stolen" 0 st.Pool.stolen;
   List.iter
     (fun d ->
       Alcotest.(check bool) "non-negative queue wait" true (d.Pool.queue_wait_s >= 0.);
       Alcotest.(check bool) "non-negative idle" true (d.Pool.idle_s >= 0.))
     st.Pool.per_domain
 
-let test_pool_chunking_invariance () =
-  (* Results and stats-shape must not depend on the chunk size. *)
-  let xs = List.init 97 (fun i -> i - 48) in
-  let f x = (x * x) - (3 * x) in
-  let expect = List.map f xs in
-  List.iter
-    (fun chunk ->
-      let got =
-        Pool.with_pool ~min_workers:2 ~jobs:3 (fun p -> Pool.map ~chunk p f xs)
-      in
-      Alcotest.(check (list int))
-        (Printf.sprintf "chunk=%d matches sequential" chunk)
-        expect got)
-    [ 1; 2; 7; 97; 1000 ]
+(* Spin until [cond ()] holds, failing after a few seconds instead of
+   hanging the suite. *)
+let await what cond =
+  let deadline = Clock.now () +. 5. in
+  while not (cond ()) do
+    if Clock.now () > deadline then Alcotest.failf "timed out waiting for %s" what;
+    Domain.cpu_relax ()
+  done
+
+let test_pool_submit_raise_keeps_worker () =
+  (* One worker: if the raising task killed it, the later task would
+     never run. *)
+  let p = Pool.create ~min_workers:1 ~jobs:2 () in
+  let ran = Atomic.make false in
+  Pool.submit p (fun () -> failwith "task failure");
+  Pool.submit p (fun () -> Atomic.set ran true);
+  await "the task after the raising one" (fun () -> Atomic.get ran);
+  Pool.close p;
+  Alcotest.(check int) "both tasks charged" 2
+    (List.fold_left (fun acc d -> acc + d.Pool.tasks) 0 (Pool.stats p).Pool.per_domain)
+
+let test_pool_map_with_workers_blocked () =
+  (* Every worker sits in a [submit] task until the gate opens, so the
+     submitter has to drain the whole batch alone. *)
+  let p = Pool.create ~min_workers:2 ~jobs:3 () in
+  let started = Atomic.make 0 and gate = Atomic.make false in
+  for _ = 1 to 2 do
+    Pool.submit p (fun () ->
+        Atomic.incr started;
+        while not (Atomic.get gate) do
+          Domain.cpu_relax ()
+        done)
+  done;
+  await "both workers to block" (fun () -> Atomic.get started = 2);
+  let xs = List.init 50 Fun.id in
+  let got =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set gate true;
+        Pool.close p)
+      (fun () -> Pool.map p (fun x -> x * 3) xs)
+  in
+  Alcotest.(check (list int)) "results in input order" (List.map (fun x -> x * 3) xs) got;
+  match (Pool.stats p).Pool.per_domain with
+  | submitter :: _ -> Alcotest.(check int) "all items on the submitter" 50 submitter.Pool.tasks
+  | [] -> Alcotest.fail "no domain rows"
 
 let test_clock_monotonic () =
   (* The whole point of Clock over Unix.gettimeofday: deltas never go
@@ -611,8 +642,12 @@ let pool_stats_suite =
   [
     Alcotest.test_case "pool: stats account every task" `Quick test_pool_stats_accounting;
     Alcotest.test_case "pool: sequential stats" `Quick test_pool_stats_sequential;
-    Alcotest.test_case "pool: stats exact after stealing" `Quick test_pool_stats_exact_after_steal;
-    Alcotest.test_case "pool: chunking invariance" `Quick test_pool_chunking_invariance;
+    Alcotest.test_case "pool: stats exact after stealing" `Quick
+      test_pool_stats_partition_uneven_batch;
+    Alcotest.test_case "pool: a raising submit task leaves its worker alive" `Quick
+      test_pool_submit_raise_keeps_worker;
+    Alcotest.test_case "pool: map completes while every worker is blocked in a submit task"
+      `Quick test_pool_map_with_workers_blocked;
     Alcotest.test_case "clock: monotonic" `Quick test_clock_monotonic;
   ]
 
@@ -812,3 +847,18 @@ let suite =
       QCheck_alcotest.to_alcotest prop_json_float_parses;
       Alcotest.test_case "json: non-finite floats encode as null" `Quick test_json_non_finite;
     ]
+
+let test_json_depth_capped () =
+  let nested k = String.make k '[' ^ String.make k ']' in
+  (match Json.of_string (nested 512) with
+  | _ -> ()
+  | exception Json.Parse_error m -> Alcotest.failf "512 levels must parse: %s" m);
+  List.iter
+    (fun text ->
+      match Json.of_string text with
+      | _ -> Alcotest.failf "accepted %d bytes nested past the cap" (String.length text)
+      | exception Json.Parse_error _ -> ())
+    [ nested 513; {|{"a":|} ^ nested 600 ^ "}"; String.make 1_000_000 '[' ]
+
+let suite =
+  suite @ [ Alcotest.test_case "json: nesting depth is capped" `Quick test_json_depth_capped ]
