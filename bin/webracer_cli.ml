@@ -1065,10 +1065,11 @@ let serve_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "postmortem-dir" ] ~docv:"DIR"
-          ~doc:"Arm the flight recorder: request milestones and log events \
-                accumulate in per-domain ring buffers, dumped to $(docv) as \
-                $(b,postmortem-<n>-<reason>.jsonl) (+ a mini Chrome trace) on a \
-                worker crash, a blown request deadline, or SIGUSR2.")
+          ~doc:"Where postmortems go. Request milestones and log events are \
+                always recorded in per-domain ring buffers; the newest entries \
+                are dumped to $(docv) as $(b,postmortem-<n>-<reason>.jsonl) \
+                (+ a Chrome trace) on a worker crash, a blown request deadline, \
+                or SIGUSR2.")
   in
   let action address jobs (_ : int) queue cache wall_limit max_vtime trace_out
       metrics_out postmortem_dir gc_trace () =

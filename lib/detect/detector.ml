@@ -8,7 +8,9 @@ type t = {
 let null = { name = "null"; record = ignore; races = (fun () -> []); accesses_seen = (fun () -> 0) }
 
 (* The record path is far too hot for per-access events; a power-of-two
-   batch counter keeps the disabled-path cost at one increment and mask. *)
+   batch counter emits one line per 1024 accesses. Applied only when
+   debug logging is on as the detector is built, so an untraced run pays
+   nothing per access. *)
 let batch_mask = 1024 - 1
 
 let with_logging d =
@@ -39,22 +41,12 @@ let with_logging d =
   }
 
 (* Per-access span allocation would dominate the hot path; accounted time
-   plus counters keep detector bookkeeping visible in the phase table at a
-   bounded cost, and only when telemetry is on. *)
+   keeps detector bookkeeping visible in the phase table at a bounded
+   cost, and only when telemetry is on. The access and race counts are
+   published once per analysis by the caller. *)
 let with_telemetry tm d =
   let module T = Wr_telemetry.Telemetry in
-  let d = with_logging d in
+  let module L = Wr_support.Log in
+  let d = if L.enabled L.Debug then with_logging d else d in
   if not (T.enabled tm) then d
-  else
-    {
-      d with
-      record =
-        (fun a ->
-          T.incr tm "detect.accesses";
-          T.account tm ~cat:"detect" (fun () -> d.record a));
-      races =
-        (fun () ->
-          let rs = T.account tm ~cat:"detect" (fun () -> d.races ()) in
-          T.set_counter tm "detect.races" (List.length rs);
-          rs);
-    }
+  else { d with record = (fun a -> T.account tm ~cat:"detect" (fun () -> d.record a)) }

@@ -18,7 +18,9 @@ type t = {
     disabled" baseline of the §6.3 performance comparison. *)
 val null : t
 
-(** [with_telemetry tm d] wraps [d] (debug-log events included) so each
-    [record] call is counted and its cost accumulated under the
-    ["detect"] phase; just the logging wrapper when [tm] is disabled. *)
+(** [with_telemetry tm d] wraps [d] so the cost of each [record] call
+    accumulates under the ["detect"] phase when [tm] is enabled. When
+    debug logging is on at this call, [d] also emits [detect.batch]
+    (every 1024 accesses) and [detect.races] debug events. With neither,
+    [d] comes back as it is. *)
 val with_telemetry : Wr_telemetry.Telemetry.t -> t -> t

@@ -5,20 +5,21 @@ type t = {
   rng : Wr_support.Rng.t;
   resolve : string -> string option;
   mean_latency : float;
-  min_latency : float;
   pinned : (string, float) Hashtbl.t;
   mutable count : int;
   tm : Wr_telemetry.Telemetry.t;
 }
 
-let create ~loop ~rng ~resolve ?(mean_latency = 20.) ?(min_latency = 1.)
+(* The floor (ms) under every sampled latency; pinned ones apply as given. *)
+let min_latency = 1.
+
+let create ~loop ~rng ~resolve ?(mean_latency = 20.)
     ?(tm = Wr_telemetry.Telemetry.disabled) () =
   {
     loop;
     rng;
     resolve;
     mean_latency;
-    min_latency;
     pinned = Hashtbl.create 8;
     count = 0;
     tm;
@@ -27,7 +28,7 @@ let create ~loop ~rng ~resolve ?(mean_latency = 20.) ?(min_latency = 1.)
 let latency t url =
   match Hashtbl.find_opt t.pinned url with
   | Some ms -> ms
-  | None -> t.min_latency +. Wr_support.Rng.exponential t.rng ~mean:t.mean_latency
+  | None -> min_latency +. Wr_support.Rng.exponential t.rng ~mean:t.mean_latency
 
 let fetch ?(cls = Event_loop.Net) t ~url k =
   t.count <- t.count + 1;

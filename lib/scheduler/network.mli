@@ -14,13 +14,12 @@ type t
 
 (** [create ~loop ~rng ~resolve ()] builds a network whose universe of
     resources is [resolve]. Default latency: exponential with mean
-    [mean_latency] (default 20 ms) plus [min_latency] (default 1 ms). *)
+    [mean_latency] (default 20 ms) plus a 1 ms floor. *)
 val create :
   loop:Event_loop.t ->
   rng:Wr_support.Rng.t ->
   resolve:(string -> string option) ->
   ?mean_latency:float ->
-  ?min_latency:float ->
   ?tm:Wr_telemetry.Telemetry.t ->
   unit ->
   t

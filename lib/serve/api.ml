@@ -73,10 +73,10 @@ let predict_json ?telemetry (p : Request.predict_params) =
     in
     Wr_static.Predict.to_json ?compare result
 
-let triage_json ?telemetry (p : Request.triage_params) =
+let triage_json (p : Request.triage_params) =
   let t = p.Request.target in
   Wr_static.Triage.to_json
-    (Wr_static.Triage.run ?tm:telemetry ~seed:t.Request.seed
+    (Wr_static.Triage.run ~seed:t.Request.seed
        ~jobs:p.Request.jobs ~budget:p.Request.budget ~page:t.Request.page
        ~resources:t.Request.resources ())
 

@@ -5,7 +5,6 @@ module Histo = Wr_support.Stats.Histo
 module Telemetry = Wr_telemetry.Telemetry
 module Runtime_probe = Wr_telemetry.Runtime_probe
 module Log = Wr_support.Log
-module Flight = Wr_support.Flight
 module Clock = Wr_support.Clock
 
 type address = Unix_socket of string | Tcp of int
@@ -17,8 +16,7 @@ type config = {
   cache_cap : int;
   wall_limit : float;
   max_time_limit : float;
-  postmortem_dir : string option;
-      (** arms the flight recorder; postmortems dump here *)
+  postmortem_dir : string option;  (** where postmortems are dumped *)
 }
 
 let default_config address =
@@ -314,11 +312,13 @@ let metrics_json st =
 
 (* --- postmortems ------------------------------------------------------- *)
 
-(* Dump the flight recorder: a JSONL file (header object — reason,
-   uptime, the in-flight requests with their trace ids — then one line
-   per retained event) plus a mini Chrome trace of the same events.
-   Best effort by design: a postmortem failing must not take the daemon
-   with it. *)
+(* The newest ring entries per domain a postmortem dumps. *)
+let postmortem_tail = 256
+
+(* Dump the tail of the telemetry rings: a JSONL file (header object —
+   reason, uptime, the in-flight requests with their trace ids — then
+   one line per entry) plus a Chrome trace of the same tail. Best effort
+   by design: a postmortem failing must not take the daemon with it. *)
 let write_postmortem st ~reason =
   match st.cfg.postmortem_dir with
   | None -> ()
@@ -331,7 +331,7 @@ let write_postmortem st ~reason =
       try
         Wr_support.Fs.mkdir_p dir;
         let now = Clock.now () in
-        let events = Flight.snapshot () in
+        let events = Telemetry.tail_json st.tm ~tail:postmortem_tail in
         let in_flight =
           Hashtbl.fold
             (fun _ job acc ->
@@ -356,13 +356,16 @@ let write_postmortem st ~reason =
               ("in_flight", Json.List in_flight);
             ]
         in
-        let oc = open_out (base ^ ".jsonl") in
-        output_string oc (Json.to_string header ^ "\n");
-        output_string oc (Flight.to_jsonl events);
-        close_out oc;
-        let oc = open_out (base ^ ".trace.json") in
-        output_string oc (Json.to_string (Flight.to_chrome_trace events));
-        close_out oc;
+        (* Each file appears whole (written aside, then renamed), the
+           .jsonl last: once it is there, so is the trace. *)
+        let write path lines =
+          Out_channel.with_open_bin (path ^ ".tmp") (fun oc ->
+              List.iter (fun j -> output_string oc (Json.to_string j ^ "\n")) lines);
+          Sys.rename (path ^ ".tmp") path
+        in
+        write (base ^ ".trace.json")
+          [ Telemetry.to_chrome_trace ~tail:postmortem_tail st.tm ];
+        write (base ^ ".jsonl") (header :: events);
         Log.warn "serve.postmortem"
           [
             ("reason", Json.String reason);
@@ -411,6 +414,11 @@ let respond_cid ?encode_s st cid resp =
 
 (* --- job submission ---------------------------------------------------- *)
 
+(* A request milestone: an instant on the recording domain's ring, so a
+   postmortem shows what each domain last did for which request. *)
+let milestone tm name ~trace fields =
+  Telemetry.mark tm ~cat:"serve" ~fields:(("trace_id", Json.String trace) :: fields) name
+
 (* Wake the loop; EAGAIN just means it is already awake, and EBADF/EPIPE
    that the daemon is already past draining. *)
 let wake st =
@@ -456,7 +464,7 @@ let submit_job st conn ~verb ~trace ~wire_trace ~schema ~cache_key
   in
   Pool.submit st.pool (fun () ->
       let t_start = Clock.now () in
-      Flight.record ~kind:"request.start" ~trace
+      milestone tm "request.start" ~trace
         [ ("jid", Json.Int jid); ("verb", Json.String verb) ];
       let resp =
         (* The trace id rides on every log line and telemetry span the
@@ -473,7 +481,7 @@ let submit_job st conn ~verb ~trace ~wire_trace ~schema ~cache_key
           Response.error ~id:Json.Null ?trace:wire_trace Response.Internal
             (Printexc.to_string e)
       in
-      Flight.record ~kind:"request.end" ~trace
+      milestone tm "request.end" ~trace
         [ ("jid", Json.Int jid); ("outcome", Json.String (resp_outcome resp)) ];
       let t_end = Clock.now () in
       (* Serialise the result here, off the loop, exactly once: the loop
@@ -509,7 +517,7 @@ let drain_completions st =
               (* A worker "crashed" (its failure became an Internal
                  response via the crash isolation): dump what the fleet
                  was doing, while this job still counts as in flight. *)
-              Flight.record ~kind:"request.crash" ~trace:job.trace
+              milestone st.tm "request.crash" ~trace:job.trace
                 [ ("jid", Json.Int jid); ("verb", Json.String job.verb) ];
               write_postmortem st ~reason:"worker-crash"
           | _ -> ());
@@ -547,7 +555,7 @@ let sweep_deadlines st now =
       | Some d when (not job.answered) && d <= now ->
           job.answered <- true;
           st.timeouts <- st.timeouts + 1;
-          Flight.record ~kind:"request.deadline" ~trace:job.trace
+          milestone st.tm "request.deadline" ~trace:job.trace
             [ ("jid", Json.Int job.jid); ("verb", Json.String job.verb) ];
           write_postmortem st ~reason:"deadline";
           respond_cid st job.job_cid
@@ -604,7 +612,7 @@ let handle_request st conn (req : Request.t) =
      same stamp in [drain_completions]. *)
   let reply resp = respond st conn (Response.stamp ~schema resp) in
   let admit ~verb ~cache_key work =
-    Flight.record ~kind:"request.admit" ~trace
+    milestone st.tm "request.admit" ~trace
       [ ("verb", Json.String verb); ("conn", Json.Int conn.cid) ];
     if st.in_flight >= st.cfg.queue_cap then
       reply
@@ -980,15 +988,8 @@ let event_loop st ~stop ~dump =
 (* --- assembly ---------------------------------------------------------- *)
 
 let run ?(stop = fun () -> false) ?(dump = fun () -> false) ?on_ready ?on_stop
-    ?(telemetry = Telemetry.disabled) cfg =
+    ?(telemetry = Telemetry.create ()) cfg =
   let jobs = max 1 cfg.jobs in
-  (* A postmortem dir arms the flight recorder for the daemon's
-     lifetime; every request milestone and teed log line lands in the
-     per-domain rings from here on. *)
-  if cfg.postmortem_dir <> None then begin
-    Flight.configure ();
-    Flight.set_enabled true
-  end;
   (* [jobs + 1] because the event loop never helps the pool: the +1
      "submitter slot" stays idle, leaving [jobs] worker domains.
      [min_workers] overrides the hardware cap — [submit] tasks only run
@@ -1044,18 +1045,23 @@ let run ?(stop = fun () -> false) ?(dump = fun () -> false) ?on_ready ?on_stop
         ("jobs", Json.Int jobs);
         ("queue_cap", Json.Int cfg.queue_cap);
       ];
-  event_loop st ~stop ~dump;
-  (* Join the fleet BEFORE closing the wake pipe: a worker's completion
-     becomes visible (and lets the drain loop exit) just before its
-     wake-up write, so closing [pipe_w] first raced that write into
-     EBADF, killing the worker and surfacing at [Pool.close]'s join. *)
-  Pool.close pool;
+  (* While the daemon serves, every log line, on any domain, lands in
+     the rings as a mark next to the request milestones. *)
+  Log.with_recorder
+    (fun kind fields -> Telemetry.mark telemetry ~cat:"log" ~fields kind)
+    (fun () ->
+      event_loop st ~stop ~dump;
+      (* Join the fleet BEFORE closing the wake pipe: a worker's
+         completion becomes visible (and lets the drain loop exit) just
+         before its wake-up write, so closing [pipe_w] first raced that
+         write into EBADF, killing the worker and surfacing at
+         [Pool.close]'s join. *)
+      Pool.close pool);
   close_quietly pipe_r;
   close_quietly pipe_w;
   (match bound with
   | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
   | Tcp _ -> ());
-  if cfg.postmortem_dir <> None then Flight.set_enabled false;
   (match on_stop with Some f -> f (metrics_json st) | None -> ());
   let final = stats_json st in
   if Log.enabled Log.Info then Log.info "serve.stopped" [ ("stats", final) ];

@@ -37,13 +37,17 @@
       latency, fleet profile and GC rows) — what [webracer top]
       renders.
 
-    With [postmortem_dir] set, the {!Wr_support.Flight} recorder is
-    armed for the daemon's lifetime: request milestones and teed log
-    lines accumulate in per-domain rings, and a worker crash, a blown
-    deadline, or [dump] reading true (the CLI wires SIGUSR2 to it)
-    dumps the rings as [postmortem-<n>-<reason>.jsonl] (header line
-    with the in-flight requests and their trace ids, then one line per
-    event) plus a [.trace.json] mini Chrome trace.
+    The daemon's telemetry context is its flight recorder: request
+    milestones ([request.admit], [.start], [.end], [.crash],
+    [.deadline], each with its [trace_id]) and every log line (teed
+    through {!Wr_support.Log.with_recorder}, whatever the log level)
+    are marks on the recording domain's ring, beside the job spans.
+    With [postmortem_dir] set, a worker crash, a blown deadline, or
+    [dump] reading true (the CLI wires SIGUSR2 to it) dumps the newest
+    256 entries of each ring as [postmortem-<n>-<reason>.jsonl] (header
+    line with the in-flight requests and their trace ids, then one
+    {!Wr_telemetry.Telemetry.tail_json} line per entry) plus a
+    [.trace.json] Chrome trace of the same tail.
 
     Shutdown is graceful: once [stop] reads true (the CLI wires
     SIGINT/SIGTERM to it) the loop stops accepting and reading, drains
@@ -60,8 +64,7 @@ type config = {
   cache_cap : int;  (** LRU entries; 0 disables the result cache *)
   wall_limit : float;  (** seconds per request; 0 = unlimited *)
   max_time_limit : float;  (** clamp on requested virtual horizons (ms) *)
-  postmortem_dir : string option;
-      (** arm the flight recorder; dump postmortems here *)
+  postmortem_dir : string option;  (** where postmortems are dumped *)
 }
 
 (** jobs 4, queue 128, cache 64, wall limit 60 s, virtual
@@ -75,8 +78,10 @@ val default_config : address -> config
     the drain with the final [metrics] document (per-stage latency
     histograms, queue high-water, cache hit ratio, Prometheus text) —
     the CLI's [--metrics-out] hook.
-    [telemetry] receives one span per job, named [<verb> [<trace id>]];
-    its rings keep each worker domain's most recent spans.
+    [telemetry] (default a fresh context: recording is always on)
+    receives one span per job, named [<verb> [<trace id>]], the request
+    milestones and the teed log lines; its rings keep each domain's most
+    recent entries.
 
     Every request is traced: a client-supplied ["trace"] id is echoed
     on the response and used verbatim; otherwise a [t-<n>] id is

@@ -106,15 +106,28 @@ let emit level event fields =
           (String.concat "" (List.map field fields))
   end
 
-(* Tee every line into the flight recorder whenever it is armed — even
-   lines below the live log level: a postmortem wants the debug-grade
-   context the stream dropped. *)
+(* The recorder hook: a daemon routes every line into its telemetry
+   rings for postmortems, even lines below the live log level, since a
+   postmortem wants the debug-grade context the stream dropped. One
+   atomic read when nothing is installed. *)
+let recorder : (string -> (string * Json.t) list -> unit) option Atomic.t =
+  Atomic.make None
+
+let with_recorder record f =
+  let mine = Some record in
+  Atomic.set recorder mine;
+  Fun.protect ~finally:(fun () -> ignore (Atomic.compare_and_set recorder mine None)) f
+
 let tee level event fields =
-  if Flight.enabled () then
-    Flight.record
-      ~kind:("log." ^ level_name level)
-      ?trace:(match current_trace () with Some t, _ -> Some t | _ -> None)
-      (("event", Json.String event) :: fields)
+  match Atomic.get recorder with
+  | None -> ()
+  | Some record ->
+      let trace =
+        match current_trace () with
+        | Some t, _ -> [ ("trace_id", Json.String t) ]
+        | None, _ -> []
+      in
+      record ("log." ^ level_name level) (trace @ (("event", Json.String event) :: fields))
 
 let error event fields = tee Error event fields; emit Error event fields
 

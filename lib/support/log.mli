@@ -60,10 +60,15 @@ val current_trace : unit -> string option * string option
     [event] is a stable dotted name; fields are structured JSON. *)
 val emit : level -> string -> (string * Json.t) list -> unit
 
-(** The level wrappers below additionally tee every event into the
-    {!Flight} recorder whenever it is enabled — independent of the log
-    level, so a postmortem dump retains context the live stream
-    dropped. *)
+(** [with_recorder record f] runs [f] with [record] installed as the
+    process's log recorder: the level wrappers below call
+    [record ("log." ^ level) fields] for every event, whatever the log
+    level, with the ambient [trace_id] (when there is one) and the
+    [event] name prepended to [fields]. A daemon routes this into its
+    telemetry rings, so a postmortem keeps the context the live stream
+    dropped. With no recorder installed the tee is one atomic read. On
+    exit [record] is removed unless a later call has replaced it. *)
+val with_recorder : (string -> (string * Json.t) list -> unit) -> (unit -> 'a) -> 'a
 
 val error : string -> (string * Json.t) list -> unit
 

@@ -3,13 +3,11 @@
     The bench harness prints the same rows the paper's tables report; this
     module handles column sizing and alignment. *)
 
-type align = Left | Right
+(** [render ~header rows] lays out [rows] under [header] with columns
+    padded to the widest cell: the first column left-aligned, the rest
+    right-aligned (the shape of the paper's tables). Rows shorter than
+    the header are padded with empty cells. *)
+val render : header:string list -> string list list -> string
 
-(** [render ~header ?align rows] lays out [rows] under [header] with columns
-    padded to the widest cell. [align] defaults to left for the first column
-    and right for the rest (the shape of the paper's tables). Rows shorter
-    than the header are padded with empty cells. *)
-val render : header:string list -> ?align:align list -> string list list -> string
-
-(** [print ~header ?align rows] renders to stdout. *)
-val print : header:string list -> ?align:align list -> string list list -> unit
+(** [print ~header rows] renders to stdout. *)
+val print : header:string list -> string list list -> unit

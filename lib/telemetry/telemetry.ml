@@ -4,9 +4,10 @@
    with other domains and a long-lived recorder ([serve]) holds at most
    [ring_capacity] entries per domain. Sinks register with the shared
    context under [reg_lock]; readers merge all sinks. Each sink carries
-   its own small mutex so the serve accept loop can read counters while
-   worker domains are still recording — the lock is domain-private in
-   the common case and therefore uncontended. *)
+   its own small mutex because readers run live: the serve loop reads
+   counters, and a postmortem reads the rings' tails, while worker
+   domains are still recording. The lock is domain-private in the
+   common case and therefore uncontended. *)
 
 module Histo = Wr_support.Stats.Histo
 
@@ -27,6 +28,7 @@ type span = {
   sp_depth : int;  (* [mark_depth] for an instant mark *)
   sp_dom : int;  (* domain id, the Chrome-trace tid *)
   sp_t : times;
+  sp_fields : (string * Wr_support.Json.t) list;  (* a mark's arguments *)
 }
 
 (* Marks share the ring with spans; this depth tells them apart. *)
@@ -62,16 +64,17 @@ type t = {
 
 let ring_capacity = 65_536
 
-let new_span ~name ~cat ~depth ~dom ~start ~vstart ~dur =
+let new_span ?(fields = []) ~name ~cat ~depth ~dom ~start ~vstart ~dur () =
   {
     sp_name = name;
     sp_cat = cat;
     sp_depth = depth;
     sp_dom = dom;
     sp_t = { start; vstart; dur; vdur = 0.; child = 0.; vchild = 0. };
+    sp_fields = fields;
   }
 
-let no_span = new_span ~name:"" ~cat:"" ~depth:0 ~dom:0 ~start:0. ~vstart:0. ~dur:0.
+let no_span = new_span ~name:"" ~cat:"" ~depth:0 ~dom:0 ~start:0. ~vstart:0. ~dur:0. ()
 
 let make ~enabled ~clock =
   {
@@ -177,11 +180,12 @@ let push s sp =
   s.ring.(s.head) <- sp;
   s.head <- (s.head + 1) mod Array.length s.ring
 
-(* Oldest first. Caller holds [s.sk_lock]. *)
-let ring_entries s =
+(* The newest [tail] entries, oldest first. Caller holds [s.sk_lock]. *)
+let ring_entries ~tail s =
   let cap = Array.length s.ring in
-  let first = s.head - s.stored + cap in
-  List.init s.stored (fun k -> s.ring.((first + k) mod cap))
+  let n = min tail s.stored in
+  let first = s.head - n + cap in
+  List.init n (fun k -> s.ring.((first + k) mod cap))
 
 let find_or_add tbl key make =
   match Hashtbl.find_opt tbl key with
@@ -239,7 +243,7 @@ let with_span t ~cat ~name f =
       locked s (fun () ->
           let sp =
             new_span ~name ~cat ~depth:(List.length s.stack) ~dom:s.sk_dom
-              ~start:(t.clock () -. t.t0) ~vstart:(s.vclock ()) ~dur:0.
+              ~start:(t.clock () -. t.t0) ~vstart:(s.vclock ()) ~dur:0. ()
           in
           s.stack <- sp :: s.stack;
           sp)
@@ -266,19 +270,19 @@ let inject_span t ~dom ~cat ~name ~start_s ~dur_s =
   if t.enabled then begin
     let s = sink t in
     let sp =
-      new_span ~name ~cat ~depth:1 ~dom ~start:(start_s -. t.t0) ~vstart:0. ~dur:dur_s
+      new_span ~name ~cat ~depth:1 ~dom ~start:(start_s -. t.t0) ~vstart:0. ~dur:dur_s ()
     in
     locked s (fun () -> record_span s sp)
   end
 
-let mark t ~cat name =
+let mark t ~cat ?fields name =
   if t.enabled then begin
     let s = sink t in
     let now = t.clock () -. t.t0 in
     locked s (fun () ->
         push s
-          (new_span ~name ~cat ~depth:mark_depth ~dom:s.sk_dom ~start:now
-             ~vstart:(s.vclock ()) ~dur:0.))
+          (new_span ?fields ~name ~cat ~depth:mark_depth ~dom:s.sk_dom ~start:now
+             ~vstart:(s.vclock ()) ~dur:0. ()))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -441,7 +445,12 @@ let phase_table t =
 (* Exporters                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let to_chrome_trace t =
+(* The one ring reader: the newest [tail] entries of every sink, sink
+   by sink. *)
+let retained ?(tail = ring_capacity) t =
+  List.concat_map (fun s -> locked s (fun () -> ring_entries ~tail s)) (all_sinks t)
+
+let to_chrome_trace ?tail t =
   let open Wr_support.Json in
   let us s = Float (s *. 1e6) in
   let sinks = all_sinks t in
@@ -456,7 +465,7 @@ let to_chrome_trace t =
         ("args", Obj [ ("name", String "webracer") ]);
       ]
   in
-  let entries = List.concat_map (fun s -> locked s (fun () -> ring_entries s)) sinks in
+  let entries = retained ?tail t in
   (* Injected spans can carry domain ids with no sink of their own
      (a GC slice on a domain that never recorded telemetry); give every
      tid that appears anywhere its named thread row. *)
@@ -474,7 +483,7 @@ let to_chrome_trace t =
           ("pid", Int 1);
           ("tid", Int sp.sp_dom);
           ("s", String "t");
-          ("args", Obj [ ("virtual_ts_ms", Float sp.sp_t.vstart) ]);
+          ("args", Obj (("virtual_ts_ms", Float sp.sp_t.vstart) :: sp.sp_fields));
         ]
     else
       Obj
@@ -535,6 +544,20 @@ let to_chrome_trace t =
         List ((process_meta :: thread_meta) @ List.map event entries @ counter_events) );
       ("displayTimeUnit", String "ms");
     ]
+
+let tail_json t ~tail =
+  let open Wr_support.Json in
+  let event sp =
+    let head kind = [ ("ts", Float sp.sp_t.start); ("dom", Int sp.sp_dom); ("kind", String kind) ] in
+    if sp.sp_depth = mark_depth then Obj (head sp.sp_name @ sp.sp_fields)
+    else
+      Obj
+        (head "span"
+        @ [ ("cat", String sp.sp_cat); ("name", String sp.sp_name); ("dur_s", Float sp.sp_t.dur) ])
+  in
+  retained ~tail t
+  |> List.stable_sort (fun a b -> compare (a.sp_t.start, a.sp_dom) (b.sp_t.start, b.sp_dom))
+  |> List.map event
 
 let metrics_json t =
   let open Wr_support.Json in

@@ -35,11 +35,21 @@
     totals sum across domains, histograms merge, and spans keep the id of
     the domain that recorded them, which [to_chrome_trace] emits as the
     event's [tid] (one named thread row per domain). Reading while other
-    domains record is safe and yields a point-in-time snapshot.
+    domains record is safe and yields a point-in-time snapshot. That is
+    why each sink keeps its own mutex: the serve loop reads counters,
+    and a daemon postmortem reads the rings' tails, while worker domains
+    are still recording.
+
+    {b Postmortems.} The same rings are the daemon's flight recorder:
+    request milestones and teed log lines are marks carrying JSON
+    [fields] (a [trace_id] among them), and a postmortem reads the
+    newest entries of every ring through [tail_json] and
+    [to_chrome_trace ~tail].
 
     Exporters: [to_chrome_trace] emits Chrome [trace_event] JSON loadable
     in [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto};
-    [metrics_json] a compact summary; [phase_table] the CLI's breakdown. *)
+    [tail_json] the postmortem's event lines; [metrics_json] a compact
+    summary; [phase_table] the CLI's breakdown. *)
 
 type t
 
@@ -73,9 +83,12 @@ val set_virtual_clock : t -> (unit -> float) -> unit
     exceptions still close the span. *)
 val with_span : t -> cat:string -> name:string -> (unit -> 'a) -> 'a
 
-(** [mark t ~cat name] records an instant event (page lifecycle edges:
-    DOMContentLoaded, load, ...). *)
-val mark : t -> cat:string -> string -> unit
+(** [mark t ~cat ?fields name] records an instant event: page lifecycle
+    edges (DOMContentLoaded, load, ...), a daemon's request milestones,
+    teed log lines. [fields] (default none) ride along as the instant's
+    Chrome-trace [args] and in its {!tail_json} line. *)
+val mark :
+  t -> cat:string -> ?fields:(string * Wr_support.Json.t) list -> string -> unit
 
 (** [inject_span t ~dom ~cat ~name ~start_s ~dur_s] records an
     already-completed span observed from outside the recording domain —
@@ -139,12 +152,20 @@ val n_spans : t -> int
     table (phase, wall ms, %, virtual ms) with a total row. *)
 val phase_table : t -> string
 
-(** [to_chrome_trace t] is the run as Chrome [trace_event] JSON:
+(** [to_chrome_trace ?tail t] is the run as Chrome [trace_event] JSON:
     [{"traceEvents": [...], "displayTimeUnit": "ms"}] with one complete
     ("ph":"X") event per span the rings retain, carrying the recording
-    domain's id as its [tid], a named thread row per domain, instants for
-    retained marks, and counter events. *)
-val to_chrome_trace : t -> Wr_support.Json.t
+    domain's id as its [tid], a named thread row per domain, one instant
+    per retained mark (its fields in [args]), and counter events. With
+    [tail], only the newest [tail] entries of each domain's ring. *)
+val to_chrome_trace : ?tail:int -> t -> Wr_support.Json.t
+
+(** [tail_json t ~tail] is the newest [tail] entries of each domain's
+    ring, merged oldest first by start time, one object per entry:
+    [{ts, dom, kind, ...fields}] for a mark ([kind] is its name), and
+    [{ts, dom, kind:"span", cat, name, dur_s}] for a span. [ts] is
+    seconds since [t] was created. *)
+val tail_json : t -> tail:int -> Wr_support.Json.t list
 
 (** [metrics_json t] is the compact summary: phases, counters, histogram
     summaries ({!Wr_support.Stats.Histo.summary_json}), span count, spans

@@ -119,6 +119,7 @@ let analyze (cfg : Config.t) =
          exactly. *)
       Telemetry.incr tm ~by:(Graph.n_ops (Browser.graph browser)) "hb.ops";
       Telemetry.incr tm ~by:(Graph.n_edges (Browser.graph browser)) "hb.edges";
+      Telemetry.incr tm ~by:(Browser.accesses_seen browser) "detect.accesses";
       Telemetry.incr tm ~by:(List.length races) "detect.races";
       Telemetry.incr tm ~by:(List.length filtered) "detect.filtered";
       Telemetry.incr tm ~by:explored_events "explore.injected";

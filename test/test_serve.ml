@@ -627,11 +627,12 @@ let test_daemon_worker_crash_postmortem () =
             (Astring.String.is_infix ~affix:{|"trace_id":"t-crash"|} body);
           check bool_c "ring events carried the trace" true
             (Astring.String.is_infix ~affix:"request.start" body);
-          (* The twin Chrome trace rides along. *)
-          ignore
-            (wait_for_file
-               (fun n -> Filename.check_suffix n ".trace.json")
-               dir);
+          (* The twin Chrome trace of the same tail names the request. *)
+          let trace =
+            wait_for_file (fun n -> Filename.check_suffix n ".trace.json") dir
+          in
+          check bool_c "chrome trace names the crashed request" true
+            (Astring.String.is_infix ~affix:"t-crash" (read_file trace));
           Client.close c))
 
 (* The [dump] hook (the CLI wires SIGUSR2 to it) produces a postmortem

@@ -223,14 +223,26 @@ let suite = suite @ json_suite
 
 (* --- remaining small-surface coverage ------------------------------- *)
 
-let test_table_align_option () =
-  let s =
-    Table.render ~header:[ "l"; "r" ]
-      ~align:[ Table.Left; Table.Left ]
-      [ [ "x"; "1" ]; [ "yy"; "22" ] ]
-  in
-  Alcotest.(check bool) "left-aligned numbers" true
-    (List.nth (String.split_on_char '\n' s) 2 = "x   1")
+(* Every level wrapper tees into the installed recorder, whatever the
+   live level; leaving [with_recorder], even by an exception, uninstalls
+   it. *)
+let test_log_recorder_levels () =
+  let seen = ref [] in
+  let record kind fields = seen := (kind, fields) :: !seen in
+  (try
+     Log.with_recorder record (fun () ->
+         Log.error "e" [];
+         Log.warn "w" [];
+         Log.info "i" [];
+         Log.debug "d" [ ("k", Json.Int 1) ];
+         failwith "boom")
+   with Failure _ -> ());
+  Log.error "after" [];
+  Alcotest.(check (list string)) "one kind per level, in order"
+    [ "log.error"; "log.warn"; "log.info"; "log.debug" ]
+    (List.rev_map fst !seen);
+  Alcotest.(check bool) "event name first, no trace id outside a trace" true
+    (snd (List.hd !seen) = [ ("event", Json.String "d"); ("k", Json.Int 1) ])
 
 let test_rng_choose_shuffle () =
   let r = Rng.of_int 5 in
@@ -249,7 +261,7 @@ let test_rng_choose_shuffle () =
 
 let coverage_suite =
   [
-    Alcotest.test_case "table: align option" `Quick test_table_align_option;
+    Alcotest.test_case "log: recorder tees every level" `Quick test_log_recorder_levels;
     Alcotest.test_case "rng: choose/shuffle/exp" `Quick test_rng_choose_shuffle;
   ]
 
@@ -689,131 +701,6 @@ let trace_suite =
   ]
 
 let suite = suite @ trace_suite
-
-(* --- flight recorder --------------------------------------------------- *)
-
-module Flight = Wr_support.Flight
-
-(* A deterministic clock: 1., 2., 3., ... *)
-let ticker () =
-  let n = ref 0. in
-  fun () ->
-    n := !n +. 1.;
-    !n
-
-let with_flight ?(capacity = 4) ?clock f =
-  Flight.configure ~capacity ?clock ();
-  Flight.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Flight.set_enabled false;
-      Flight.configure ())
-    f
-
-let contains ~sub s =
-  let sl = String.length sub and l = String.length s in
-  let rec go i = i + sl <= l && (String.sub s i sl = sub || go (i + 1)) in
-  sl = 0 || go 0
-
-let test_flight_wraparound () =
-  with_flight ~capacity:4 ~clock:(ticker ()) (fun () ->
-      for i = 1 to 10 do
-        Flight.record ~kind:"tick" [ ("i", Json.Int i) ]
-      done;
-      let evs = Flight.snapshot () in
-      Alcotest.(check int) "ring keeps the last [capacity] events" 4
-        (List.length evs);
-      let is =
-        List.map
-          (fun (e : Flight.event) ->
-            match List.assoc "i" e.fields with Json.Int i -> i | _ -> -1)
-          evs
-      in
-      Alcotest.(check (list int)) "oldest first, newest retained" [ 7; 8; 9; 10 ]
-        is)
-
-let test_flight_virtual_clock_deterministic () =
-  let run () =
-    with_flight ~capacity:8 ~clock:(ticker ()) (fun () ->
-        Flight.record ~kind:"request.start" ~trace:"t-flight" [];
-        Flight.record ~kind:"request.end" [ ("outcome", Json.String "ok") ];
-        Flight.to_jsonl (Flight.snapshot ()))
-  in
-  let one = run () and two = run () in
-  Alcotest.(check string) "identical dumps under a virtual clock" one two;
-  Alcotest.(check bool) "trace id survives into the dump" true
-    (contains ~sub:"t-flight" one);
-  Alcotest.(check bool) "virtual timestamps, not wall time" true
-    (contains ~sub:"\"ts\":1" one)
-
-let test_flight_disabled_and_reset () =
-  Flight.configure ~capacity:4 ();
-  Flight.record ~kind:"dropped" [];
-  Alcotest.(check int) "record is a no-op while disabled" 0
-    (List.length (Flight.snapshot ()));
-  Flight.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Flight.set_enabled false)
-    (fun () ->
-      Flight.record ~kind:"kept" [];
-      Alcotest.(check int) "recorded once enabled" 1
-        (List.length (Flight.snapshot ()));
-      Flight.reset ();
-      Alcotest.(check int) "reset drops retained events" 0
-        (List.length (Flight.snapshot ())))
-
-let test_flight_log_tee () =
-  with_flight ~capacity:8 (fun () ->
-      (* Debug is below the default log level: nothing is emitted, but
-         the flight recorder still captures it for postmortems. *)
-      Log.with_trace ~trace_id:"t-tee" (fun () ->
-          Log.debug "tee.probe" [ ("k", Json.String "v") ]);
-      let evs = Flight.snapshot () in
-      let tee =
-        List.find_opt (fun (e : Flight.event) -> e.kind = "log.debug") evs
-      in
-      match tee with
-      | None -> Alcotest.fail "log line not teed into the flight ring"
-      | Some e ->
-          Alcotest.(check (option string))
-            "ambient trace id attached" (Some "t-tee") e.trace;
-          Alcotest.(check bool) "event name captured" true
-            (List.mem_assoc "event" e.fields))
-
-let test_flight_chrome_trace () =
-  with_flight ~capacity:8 ~clock:(ticker ()) (fun () ->
-      Flight.record ~kind:"a" [];
-      Flight.record ~kind:"b" [];
-      match Flight.to_chrome_trace (Flight.snapshot ()) with
-      | Json.Obj fields -> (
-          match List.assoc_opt "traceEvents" fields with
-          | Some (Json.List evs) ->
-              let instants =
-                List.filter
-                  (function
-                    | Json.Obj f -> List.assoc_opt "ph" f = Some (Json.String "i")
-                    | _ -> false)
-                  evs
-              in
-              Alcotest.(check int) "one instant event per record" 2
-                (List.length instants)
-          | _ -> Alcotest.fail "traceEvents missing")
-      | _ -> Alcotest.fail "chrome trace is not an object")
-
-let flight_suite =
-  [
-    Alcotest.test_case "flight: ring wraparound" `Quick test_flight_wraparound;
-    Alcotest.test_case "flight: deterministic under virtual clock" `Quick
-      test_flight_virtual_clock_deterministic;
-    Alcotest.test_case "flight: disabled no-op and reset" `Quick
-      test_flight_disabled_and_reset;
-    Alcotest.test_case "flight: log tee with ambient trace" `Quick
-      test_flight_log_tee;
-    Alcotest.test_case "flight: chrome trace instants" `Quick
-      test_flight_chrome_trace;
-  ]
-
-let suite = suite @ flight_suite
 
 (* Appended last so the numbering of the cases above stays stable. *)
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_json_raw ]

@@ -479,3 +479,149 @@ let suite =
       Alcotest.test_case "histograms merge across domains" `Quick
         test_histogram_merge_across_domains;
     ]
+
+(* --- the rings' tail: the daemon's flight recorder ---------------------- *)
+
+(* A deterministic clock: 1., 2., 3., ... *)
+let ticker () =
+  let n = ref 0. in
+  fun () ->
+    n := !n +. 1.;
+    !n
+
+let tail_lines tm ~tail =
+  String.concat "" (List.map (fun ev -> Json.to_string ev ^ "\n") (Telemetry.tail_json tm ~tail))
+
+let int_field name = function
+  | Json.Obj f -> ( match List.assoc_opt name f with Some (Json.Int i) -> i | _ -> -1)
+  | _ -> -1
+
+let test_tail_newest_per_domain () =
+  let tm = Telemetry.create ~clock:(ticker ()) () in
+  let marks () =
+    for i = 1 to 10 do
+      Telemetry.mark tm ~cat:"x" ~fields:[ ("i", Json.Int i) ] "tick"
+    done
+  in
+  (* One domain after the other, so the shared clock stays sequential. *)
+  let other = Domain.join (Domain.spawn (fun () -> marks (); (Domain.self () :> int))) in
+  marks ();
+  let evs = Telemetry.tail_json tm ~tail:4 in
+  Alcotest.(check int) "four entries from each domain" 8 (List.length evs);
+  let on dom = List.filter (fun ev -> int_field "dom" ev = dom) evs in
+  Alcotest.(check (list int)) "the other domain's newest, oldest first" [ 7; 8; 9; 10 ]
+    (List.map (int_field "i") (on other));
+  Alcotest.(check (list int)) "this domain's newest, oldest first" [ 7; 8; 9; 10 ]
+    (List.map (int_field "i") (on (Domain.self () :> int)));
+  let ts = function
+    | Json.Obj f -> ( match List.assoc_opt "ts" f with Some (Json.Float t) -> t | _ -> nan)
+    | _ -> nan
+  in
+  let stamps = List.map ts evs in
+  Alcotest.(check bool) "merged oldest first" true (List.sort compare stamps = stamps)
+
+let test_tail_deterministic () =
+  let run () =
+    let tm = Telemetry.create ~clock:(ticker ()) () in
+    Telemetry.mark tm ~cat:"serve" ~fields:[ ("trace_id", Json.String "t-tail") ] "request.start";
+    Telemetry.with_span tm ~cat:"serve" ~name:"analyze [t-tail]" (fun () -> ());
+    Telemetry.mark tm ~cat:"serve" ~fields:[ ("outcome", Json.String "ok") ] "request.end";
+    tail_lines tm ~tail:256
+  in
+  let one = run () in
+  Alcotest.(check string) "identical dumps under an injected clock" one (run ());
+  let dom = (Domain.self () :> int) in
+  Alcotest.(check string) "ts since creation, trace id kept, the span in the tail"
+    (Printf.sprintf
+       {|{"ts":1.0,"dom":%d,"kind":"request.start","trace_id":"t-tail"}
+{"ts":2.0,"dom":%d,"kind":"span","cat":"serve","name":"analyze [t-tail]","dur_s":1.0}
+{"ts":4.0,"dom":%d,"kind":"request.end","outcome":"ok"}
+|}
+       dom dom dom)
+    one
+
+let test_tail_disabled () =
+  let tm = Telemetry.disabled in
+  Telemetry.mark tm ~cat:"serve" ~fields:[ ("trace_id", Json.String "t-off") ] "request.start";
+  Telemetry.with_span tm ~cat:"serve" ~name:"job" (fun () -> ());
+  Alcotest.(check int) "nothing recorded" 0 (List.length (Telemetry.tail_json tm ~tail:256))
+
+let test_tail_log_tee () =
+  let tm = Telemetry.create () in
+  let record kind fields = Telemetry.mark tm ~cat:"log" ~fields kind in
+  let level = Log.current_level () in
+  (* Debug is below the live level: the stream drops the line. *)
+  Log.set_level (Some Log.Warn);
+  Fun.protect
+    ~finally:(fun () -> Log.set_level level)
+    (fun () ->
+      Log.with_recorder record (fun () ->
+          Log.with_trace ~trace_id:"t-tee" (fun () ->
+              Log.debug "tee.probe" [ ("k", Json.String "v") ]));
+      Log.debug "tee.after" []);
+  match Telemetry.tail_json tm ~tail:256 with
+  | [ Json.Obj (("ts", _) :: rest) ] ->
+      Alcotest.(check string) "teed with its ambient trace id, and only while installed"
+        (Printf.sprintf
+           {|{"dom":%d,"kind":"log.debug","trace_id":"t-tee","event":"tee.probe","k":"v"}|}
+           (Domain.self () :> int))
+        (Json.to_string (Json.Obj rest))
+  | evs -> Alcotest.failf "expected one teed line, got %d entries" (List.length evs)
+
+let test_tail_chrome_instants () =
+  let tm = Telemetry.create ~clock:(ticker ()) () in
+  for i = 1 to 10 do
+    Telemetry.mark tm ~cat:"serve" ~fields:[ ("i", Json.Int i) ] "tick"
+  done;
+  let instants =
+    match Telemetry.to_chrome_trace ~tail:4 tm with
+    | Json.Obj f -> (
+        match List.assoc_opt "traceEvents" f with
+        | Some (Json.List evs) ->
+            List.filter_map
+              (function
+                | Json.Obj e when List.assoc_opt "ph" e = Some (Json.String "i") ->
+                    List.assoc_opt "args" e
+                | _ -> None)
+              evs
+        | _ -> Alcotest.fail "traceEvents missing")
+    | _ -> Alcotest.fail "trace is not an object"
+  in
+  Alcotest.(check (list int)) "one instant per mark in the tail, fields in args"
+    [ 7; 8; 9; 10 ] (List.map (int_field "i") instants)
+
+(* The detector's counters are published once per analysis, from the
+   same figures the report carries. *)
+let test_detect_counters_match_report () =
+  let pages = List.map snd (Test_hb.example_pages ()) in
+  let analyze tm (page, resources) =
+    Webracer.analyze (Webracer.config ~page ~resources ~seed:0 ~telemetry:tm ())
+  in
+  let counts tm = (Telemetry.counter_value tm "detect.races", Telemetry.counter_value tm "detect.accesses") in
+  let of_report (r : Webracer.report) = (List.length r.Webracer.races, r.Webracer.accesses) in
+  let pair = Alcotest.(pair int int) in
+  List.iter
+    (fun p ->
+      let tm = Telemetry.create () in
+      let r = analyze tm p in
+      Alcotest.check pair "races and accesses" (of_report r) (counts tm))
+    pages;
+  match pages with
+  | a :: b :: _ ->
+      let tm = Telemetry.create () in
+      let ra = analyze tm a and rb = analyze tm b in
+      let (xa, ya), (xb, yb) = (of_report ra, of_report rb) in
+      Alcotest.check pair "a shared context reads the sums" (xa + xb, ya + yb) (counts tm)
+  | _ -> Alcotest.fail "fewer than two example pages"
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "tail: newest per domain" `Quick test_tail_newest_per_domain;
+      Alcotest.test_case "tail: deterministic dump" `Quick test_tail_deterministic;
+      Alcotest.test_case "tail: disabled records nothing" `Quick test_tail_disabled;
+      Alcotest.test_case "tail: log tee with trace id" `Quick test_tail_log_tee;
+      Alcotest.test_case "tail: chrome instants" `Quick test_tail_chrome_instants;
+      Alcotest.test_case "counters match the report" `Quick
+        test_detect_counters_match_report;
+    ]
