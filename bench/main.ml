@@ -929,9 +929,10 @@ let ablation_detector () =
     Graph.add_edge g o1 o2;
     let d : Wr_detect.Detector.t = create g in
     let loc = Wr_mem.Location.Js_var { cell = 1; name = "e" } in
-    d.Wr_detect.Detector.record (Wr_mem.Access.make loc `Read o3);
-    d.Wr_detect.Detector.record (Wr_mem.Access.make loc `Read o1);
-    d.Wr_detect.Detector.record (Wr_mem.Access.make loc `Write o2);
+    let access kind op = { Wr_mem.Access.loc; kind; op; flags = []; context = "" } in
+    d.Wr_detect.Detector.record (access `Read o3);
+    d.Wr_detect.Detector.record (access `Read o1);
+    d.Wr_detect.Detector.record (access `Write o2);
     List.length (d.Wr_detect.Detector.races ())
   in
   Table.print ~header:[ "detector"; "races found on the 3.1.2 schedule" ]
@@ -948,7 +949,8 @@ let ablation_detector () =
     for i = 0 to 4_999 do
       let loc = Wr_mem.Location.Js_var { cell = i mod 97; name = "v" } in
       let kind = if i mod 3 = 0 then `Write else `Read in
-      d.Wr_detect.Detector.record (Wr_mem.Access.make loc kind ops.(i mod 64))
+      d.Wr_detect.Detector.record
+        { Wr_mem.Access.loc; kind; op = ops.(i mod 64); flags = []; context = "" }
     done
   in
   let tests =

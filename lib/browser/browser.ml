@@ -334,7 +334,7 @@ let rec maybe_fire_window_load t w =
   if w.parsing_done && w.dcl_done && w.pending_loads = 0 && not w.load_fired then begin
     w.load_fired <- true;
     if w.frame = None then Telemetry.mark (tel t) ~cat:"page" "load";
-    if w.frame = None then
+    if w.frame = None && Wr_support.Log.enabled Wr_support.Log.Info then
       Wr_support.Log.info "page.load"
         [ ("virtual_ms", Wr_support.Json.Float (Event_loop.now t.loop)) ];
     let preds = w.dcl_ops @ w.load_preds in
@@ -367,7 +367,7 @@ let fire_dcl t w =
   if not w.dcl_done then begin
     w.dcl_done <- true;
     if w.frame = None then Telemetry.mark (tel t) ~cat:"page" "DOMContentLoaded";
-    if w.frame = None then
+    if w.frame = None && Wr_support.Log.enabled Wr_support.Log.Info then
       Wr_support.Log.info "page.DOMContentLoaded"
         [ ("virtual_ms", Wr_support.Json.Float (Event_loop.now t.loop)) ];
     let root = Dom.root w.doc in
@@ -482,7 +482,7 @@ and parse_step_inner t w =
       if not w.blocked_on_script then schedule_parse t w
   | I_elem { elem; item_parent } :: rest -> (
       w.parse_items <- rest;
-      let label = Printf.sprintf "parse <%s>" elem.Html.tag in
+      let label = "parse <" ^ elem.Html.tag ^ ">" in
       let op = fresh_op t Op.Parse ~label ~preds:w.parse_preds in
       let node_ref = ref None in
       let final =
@@ -596,9 +596,9 @@ and handle_static_script t w node ~parse_op =
 and finish_parsing t w =
   w.parsing_done <- true;
   if w.frame = None then Telemetry.mark (tel t) ~cat:"page" "parsing-done";
-    if w.frame = None then
-      Wr_support.Log.info "page.parsing_done"
-        [ ("virtual_ms", Wr_support.Json.Float (Event_loop.now t.loop)) ];
+  if w.frame = None && Wr_support.Log.enabled Wr_support.Log.Info then
+    Wr_support.Log.info "page.parsing_done"
+      [ ("virtual_ms", Wr_support.Json.Float (Event_loop.now t.loop)) ];
   run_deferred t w
 
 (* Deferred scripts run in syntactic order after parsing (rules 4, 5, 14),
@@ -724,8 +724,7 @@ and wrap_node t w (node : Dom.node) =
 
 and node_value t w node = Value.Object (wrap_node t w node)
 
-and prop_cell t ~owner name =
-  Location.Js_var { cell = t.instr.Instr.cell_id ~owner name; name }
+and prop_cell t ~owner name = t.instr.Instr.cell_loc ~owner name
 
 and node_host_get t w node obj name =
   let vm = t.vm in
@@ -779,7 +778,7 @@ and node_host_get t w node obj name =
       List.iteri
         (fun i _ ->
           Instr.emit t.instr
-            (prop_cell t ~owner:node.Dom.uid (Printf.sprintf "childNodes.%d" i))
+            (prop_cell t ~owner:node.Dom.uid ("childNodes." ^ string_of_int i))
             `Read)
         elems;
       Some (Value.Object (Value.new_array vm (List.map (node_value t w) elems)))
@@ -1050,11 +1049,7 @@ and query_select t w ~under selector =
     let nodes = List.rev !out in
     (* Read the collection cells insertions write (§4.2): the tag cell
        and/or the per-class cell, so misses still race with insertion. *)
-    let read_collection name =
-      Instr.emit t.instr
-        (Location.Html_elem (Location.Collection { doc = Dom.doc_uid w.doc; name }))
-        `Read
-    in
+    let read_collection name = Instr.emit t.instr (Dom.collection_location w.doc name) `Read in
     (match tag with Some tg -> read_collection ("tag:" ^ tg) | None -> ());
     (match cls with Some c -> read_collection ("class:" ^ c) | None -> ());
     List.iter (fun n -> Instr.emit t.instr (Dom.node_location n) `Read) nodes;
@@ -1570,7 +1565,7 @@ let create (config : Config.t) =
   let det = Detector.with_telemetry tm det in
   let vm =
     Interp.create ~seed:config.Config.seed ~fuel:config.Config.fuel
-      ~sink:(fun a -> det.Detector.record a)
+      ~sink:det.Detector.record
       ()
   in
   vm.Value.now <- (fun () -> Event_loop.now loop);
@@ -1579,8 +1574,8 @@ let create (config : Config.t) =
     {
       Instr.op = 0;
       context = "init";
-      sink = (fun a -> det.Detector.record a);
-      cell_id = (fun ~owner name -> Value.cell_id vm ~owner name);
+      sink = det.Detector.record;
+      cell_loc = (fun ~owner name -> Value.cell_loc vm ~owner name);
       fresh_id = (fun () -> Value.fresh_id vm);
     }
   in

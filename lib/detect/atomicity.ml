@@ -41,11 +41,18 @@ let max_entries_per_location = 128
 
 let check graph accesses =
   let by_loc : Access.t list Location.Tbl.t = Location.Tbl.create 256 in
+  (* Locations in order of first access, newest first: violations come out
+     in trace order, whatever order the table's hash gives. *)
+  let first_seen = ref [] in
   List.iter
     (fun (a : Access.t) ->
       if relevant a.Access.loc then
         let prev =
-          match Location.Tbl.find_opt by_loc a.Access.loc with Some l -> l | None -> []
+          match Location.Tbl.find_opt by_loc a.Access.loc with
+          | Some l -> l
+          | None ->
+              first_seen := a.Access.loc :: !first_seen;
+              []
         in
         (* Keep one access per (op, kind): later duplicates add nothing. *)
         if
@@ -57,9 +64,9 @@ let check graph accesses =
     accesses;
   let reported = Hashtbl.create 32 in
   let out = ref [] in
-  Location.Tbl.iter
-    (fun loc entries_rev ->
-      let entries = Array.of_list (List.rev entries_rev) in
+  List.iter
+    (fun loc ->
+      let entries = Array.of_list (List.rev (Location.Tbl.find by_loc loc)) in
       let m = Array.length entries in
       if m >= 3 && m <= max_entries_per_location then
         for i = 0 to m - 1 do
@@ -85,7 +92,7 @@ let check graph accesses =
               done
           done
         done)
-    by_loc;
+    (List.rev !first_seen);
   List.rev !out
 
 let check_trace trace =

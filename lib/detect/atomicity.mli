@@ -19,7 +19,8 @@
 
     The checker runs offline over a {!Trace.t}'s access stream, so every
     access (not just each location's last) participates. Reports are
-    deduplicated per (location, pattern). *)
+    deduplicated per (location, pattern) and come out in order of each
+    location's first access in the trace. *)
 
 type pattern = R_w_r | W_w_r | R_w_w | W_r_w
 

@@ -11,45 +11,66 @@ let ratio s = if s.forwarded = 0 then 1.0 else float_of_int s.seen /. float_of_i
    empty. Epochs make the op-switch flush free (an interleaved operation
    only invalidates the locations it actually touches) and make the
    duplicate test cheap — a cache hit already proves same location, same
-   kind slot and same operation, leaving flags and context. *)
+   kind slot and same operation, leaving flags and context. The cached
+   read and write are kept unboxed, their op field [-1] when empty, so
+   updating a slot allocates nothing. *)
 type slot = {
   mutable epoch : Wr_hb.Op.id;
-  mutable read : Access.t option;
-  mutable wrote : Access.t option;
+  mutable read_op : Wr_hb.Op.id;
+  mutable read_flags : Access.flag list;
+  mutable read_context : string;
+  mutable wrote_op : Wr_hb.Op.id;
+  mutable wrote_flags : Access.flag list;
+  mutable wrote_context : string;
 }
 
-let slot () = { epoch = -1; read = None; wrote = None }
+let slot () =
+  {
+    epoch = -1;
+    read_op = -1;
+    read_flags = [];
+    read_context = "";
+    wrote_op = -1;
+    wrote_flags = [];
+    wrote_context = "";
+  }
 
-(* [p] comes from the same epoch (same op) and the same location/kind slot
-   as [a], so only flags and context can distinguish them. Context strings
-   are shared per operation by the emitters, so the physical check almost
-   always decides. *)
-let same_record (p : Access.t) (a : Access.t) =
-  p.Access.flags = a.Access.flags
-  && (p.Access.context == a.Access.context || String.equal p.Access.context a.Access.context)
+(* A cached entry comes from the same epoch (same op) and the same
+   location/kind slot as [a], so only flags and context can distinguish
+   them. Flag lists and context strings are shared per site and per
+   operation by the emitters, so the physical checks almost always
+   decide. *)
+let same_record flags context (a : Access.t) =
+  (flags == a.Access.flags || flags = a.Access.flags)
+  && (context == a.Access.context || String.equal context a.Access.context)
 
 let duplicate s (a : Access.t) =
-  if s.epoch <> a.Access.op then begin
-    s.epoch <- a.Access.op;
-    s.read <- None;
-    s.wrote <- None
+  let op = a.Access.op in
+  if s.epoch <> op then begin
+    s.epoch <- op;
+    s.read_op <- -1;
+    s.wrote_op <- -1
   end;
   match a.Access.kind with
-  | `Read -> (
+  | `Read ->
       (* A read arms the Checked_read_first transition for the op's next
          write, so the cached write is no longer a faithful duplicate. *)
-      s.wrote <- None;
-      match s.read with
-      | Some p when same_record p a -> true
-      | Some _ | None ->
-          s.read <- Some a;
-          false)
-  | `Write -> (
-      match s.wrote with
-      | Some p when same_record p a -> true
-      | Some _ | None ->
-          s.wrote <- Some a;
-          false)
+      s.wrote_op <- -1;
+      if s.read_op = op && same_record s.read_flags s.read_context a then true
+      else begin
+        s.read_op <- op;
+        s.read_flags <- a.Access.flags;
+        s.read_context <- a.Access.context;
+        false
+      end
+  | `Write ->
+      if s.wrote_op = op && same_record s.wrote_flags s.wrote_context a then true
+      else begin
+        s.wrote_op <- op;
+        s.wrote_flags <- a.Access.flags;
+        s.wrote_context <- a.Access.context;
+        false
+      end
 
 (* Domain-local high-water mark for the location-cache size: sites on one
    corpus domain are alike, so pre-sizing each wrap's table to the largest
@@ -66,9 +87,9 @@ let wrap (inner : Detector.t) =
   let record (a : Access.t) =
     incr seen;
     let s =
-      match Location.Tbl.find_opt cache a.Access.loc with
-      | Some s -> s
-      | None ->
+      match Location.Tbl.find cache a.Access.loc with
+      | s -> s
+      | exception Not_found ->
           let s = slot () in
           Location.Tbl.add cache a.Access.loc s;
           s

@@ -45,7 +45,8 @@ val swallowed : stats -> int
 
 val ratio : stats -> float
 
-(** One location's dedup state. *)
+(** One location's dedup state: the operation's cached read and write,
+    kept unboxed, so updating a slot allocates nothing. *)
 type slot
 
 (** [slot ()] is an empty slot. *)

@@ -1,8 +1,18 @@
 open Wr_mem
 
+(* The last read and the last write, unboxed: an op of [-1] means the
+   slot is empty, and the flags and context are the access's own.
+   [write_checked] records that the writing operation had read the
+   location first; the [Checked_read_first] flag is only put on an access
+   that goes into a report. Updating a slot allocates nothing. *)
 type slots = {
-  mutable last_read : Access.t option;
-  mutable last_write : Access.t option;
+  mutable read_op : Wr_hb.Op.id;
+  mutable read_flags : Access.flag list;
+  mutable read_context : string;
+  mutable write_op : Wr_hb.Op.id;
+  mutable write_flags : Access.flag list;
+  mutable write_context : string;
+  mutable write_checked : bool;
   dedup : Dedup.slot;
 }
 
@@ -16,22 +26,46 @@ type state = {
   mutable forwarded : int;
 }
 
-let chc graph (prev : Access.t option) (cur : Access.t) =
-  match prev with None -> None | Some p ->
-    if Wr_hb.Graph.chc graph p.Access.op cur.Access.op then Some p else None
+let checked (a : Access.t) = Access.add_flag a Checked_read_first
 
-let report st ~first ~second =
-  let key = Location.report_key second.Access.loc in
+(* [kind]'s slot of [s], rebuilt as the access it recorded. *)
+let prior s loc kind : Access.t =
+  match kind with
+  | `Read ->
+      { loc; kind; op = s.read_op; flags = s.read_flags; context = s.read_context }
+  | `Write ->
+      let w =
+        { Access.loc; kind; op = s.write_op; flags = s.write_flags; context = s.write_context }
+      in
+      if s.write_checked then checked w else w
+
+let report st s ~first ~(second : Access.t) =
+  let key = Location.report_key second.loc in
   if not (Location.Tbl.mem st.reported key) then begin
     Location.Tbl.add st.reported key ();
-    st.races <- Race.make ~first ~second :: st.races
+    st.races <- Race.make ~first:(prior s second.loc first) ~second :: st.races
   end
 
+(* CHC of a slot's operation and the current one; an empty slot races
+   with nothing. *)
+let chc st prev_op (a : Access.t) = prev_op >= 0 && Wr_hb.Graph.chc st.graph prev_op a.op
+
 let slots_for st loc =
-  match Location.Tbl.find_opt st.table loc with
-  | Some s -> s
-  | None ->
-      let s = { last_read = None; last_write = None; dedup = Dedup.slot () } in
+  match Location.Tbl.find st.table loc with
+  | s -> s
+  | exception Not_found ->
+      let s =
+        {
+          read_op = -1;
+          read_flags = [];
+          read_context = "";
+          write_op = -1;
+          write_flags = [];
+          write_context = "";
+          write_checked = false;
+          dedup = Dedup.slot ();
+        }
+      in
       Location.Tbl.add st.table loc s;
       s
 
@@ -42,24 +76,21 @@ let record st (a : Access.t) =
     st.forwarded <- st.forwarded + 1;
     match a.kind with
     | `Read ->
-        (match chc st.graph s.last_write a with
-        | Some w -> report st ~first:w ~second:a
-        | None -> ());
-        s.last_read <- Some a
+        if chc st s.write_op a then report st s ~first:`Write ~second:a;
+        s.read_op <- a.op;
+        s.read_flags <- a.flags;
+        s.read_context <- a.context
     | `Write ->
-        let a =
-          match s.last_read with
-          | Some r when r.Access.op = a.op -> Access.add_flag a Checked_read_first
-          | Some _ | None -> a
-        in
+        let read_first = s.read_op = a.op in
         let ww_relevant = Location.conflict_relevant a.loc ~kind:`Write ~kind':`Write in
-        (match (if ww_relevant then chc st.graph s.last_write a else None) with
-        | Some w -> report st ~first:w ~second:a
-        | None -> (
-            match chc st.graph s.last_read a with
-            | Some r -> report st ~first:r ~second:a
-            | None -> ()));
-        s.last_write <- Some a
+        if ww_relevant && chc st s.write_op a then
+          report st s ~first:`Write ~second:(if read_first then checked a else a)
+        else if chc st s.read_op a then
+          report st s ~first:`Read ~second:(if read_first then checked a else a);
+        s.write_op <- a.op;
+        s.write_flags <- a.flags;
+        s.write_context <- a.context;
+        s.write_checked <- read_first
   end
 
 (* Same domain-local pre-sizing trick as [Dedup.cache_size_hint]: sites

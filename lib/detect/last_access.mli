@@ -9,7 +9,10 @@
       [CHC(LastRead[e], op(A))], then [LastWrite[e] := A].
 
     [CHC] is {!Wr_hb.Graph.chc} lifted over the bottom value (empty slot →
-    no race). The single-slot design trades completeness for space: the
+    no race). A slot keeps its access's operation, flags and context as
+    unboxed fields, and the earlier access of a race is rebuilt from them
+    only when the race is reported, so recording an access to a location
+    already seen allocates nothing. The single-slot design trades completeness for space: the
     §5.1 limitation example (schedule [3·1·2] with [1 -> 2]) is missed;
     {!Full_track} closes that gap at higher cost.
 

@@ -148,12 +148,11 @@ let access_of_json j =
     | "w" -> `Write
     | _ -> raise (Json.Parse_error "bad access kind")
   in
-  Access.make
-    ~flags:(List.map flag_of_json (Json.to_list (Json.member "flags" j)))
-    ~context:(Json.to_str (Json.member "ctx" j))
-    (loc_of_json (Json.member "loc" j))
-    kind
-    (Json.to_int (Json.member "op" j))
+  let op = Json.to_int (Json.member "op" j) in
+  let loc = loc_of_json (Json.member "loc" j) in
+  let context = Json.to_str (Json.member "ctx" j) in
+  let flags = List.map flag_of_json (Json.to_list (Json.member "flags" j)) in
+  { Access.loc; kind; op; flags; context }
 
 let to_json t =
   Json.Obj

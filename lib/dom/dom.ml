@@ -4,6 +4,7 @@ module Access = Wr_mem.Access
 
 type node = {
   uid : int;
+  loc : Location.t;
   tag : string;
   doc_uid : int;
   mutable parent : node option;
@@ -20,14 +21,40 @@ type document = {
   doc_root : node;
   doc_url : string;
   by_id : (string, node) Hashtbl.t;  (* first-inserted wins, as in browsers *)
+  (* Interned locations, so presence writes and lookups rebuild neither
+     the location nor its "tag:"/"class:" name: *)
+  id_locs : (string, Location.t) Hashtbl.t;  (* by id *)
+  collection_locs : (string, Location.t) Hashtbl.t;  (* by collection name *)
+  tag_locs : (string, Location.t) Hashtbl.t;  (* "tag:<t>", by tag *)
+  class_locs : (string, Location.t list) Hashtbl.t;
+      (* "class:<c>" for each class of a class attribute, by its value *)
 }
 
-let node_location node = Location.Html_elem (Location.Node node.uid)
+let node_location node = node.loc
 
-let id_location doc id = Location.Html_elem (Location.Id { doc = doc.duid; id })
+let id_location doc id =
+  match Hashtbl.find doc.id_locs id with
+  | loc -> loc
+  | exception Not_found ->
+      let loc = Location.Html_elem (Location.Id { doc = doc.duid; id }) in
+      Hashtbl.add doc.id_locs id loc;
+      loc
 
 let collection_location doc name =
-  Location.Html_elem (Location.Collection { doc = doc.duid; name })
+  match Hashtbl.find doc.collection_locs name with
+  | loc -> loc
+  | exception Not_found ->
+      let loc = Location.Html_elem (Location.Collection { doc = doc.duid; name }) in
+      Hashtbl.add doc.collection_locs name loc;
+      loc
+
+let tag_location doc tag =
+  match Hashtbl.find doc.tag_locs tag with
+  | loc -> loc
+  | exception Not_found ->
+      let loc = collection_location doc ("tag:" ^ tag) in
+      Hashtbl.add doc.tag_locs tag loc;
+      loc
 
 (* HTML splits class lists on ASCII whitespace, not only on spaces. *)
 let class_list value =
@@ -35,29 +62,19 @@ let class_list value =
   |> String.split_on_char ' '
   |> List.filter (fun c -> c <> "")
 
-(* Which named collections a tag belongs to: per-tag, the document.* named
-   collections, and one per CSS class (class-based queries read these). *)
-let collections_of_tag tag attrs =
-  let has name = List.mem_assoc name attrs in
-  let named =
-    match tag with
-    | "img" -> [ "images" ]
-    | "form" -> [ "forms" ]
-    | "script" -> [ "scripts" ]
-    | "a" ->
-        (if has "href" then [ "links" ] else []) @ if has "name" then [ "anchors" ] else []
-    | _ -> []
-  in
-  let classes =
-    match List.assoc_opt "class" attrs with
-    | Some cs -> List.map (fun c -> "class:" ^ c) (class_list cs)
-    | None -> []
-  in
-  (("tag:" ^ tag) :: named) @ classes
+let class_locations doc value =
+  match Hashtbl.find doc.class_locs value with
+  | locs -> locs
+  | exception Not_found ->
+      let locs = List.map (fun c -> collection_location doc ("class:" ^ c)) (class_list value) in
+      Hashtbl.add doc.class_locs value locs;
+      locs
 
 let mk_node instr ~tag ~doc_uid ~attrs =
+  let uid = instr.Instr.fresh_id () in
   {
-    uid = instr.Instr.fresh_id ();
+    uid;
+    loc = Location.Html_elem (Location.Node uid);
     tag;
     doc_uid;
     parent = None;
@@ -79,9 +96,11 @@ let create_document instr ~url =
     doc_root = mk_node instr ~tag:"#document" ~doc_uid:duid ~attrs:[];
     doc_url = url;
     by_id = Hashtbl.create 32;
+    id_locs = Hashtbl.create 32;
+    collection_locs = Hashtbl.create 16;
+    tag_locs = Hashtbl.create 16;
+    class_locs = Hashtbl.create 16;
   }
-
-let doc_uid doc = doc.duid
 
 let root doc = doc.doc_root
 
@@ -96,8 +115,6 @@ let create_text doc s =
   n
 
 let get_attr node name = Hashtbl.find_opt node.attrs (String.lowercase_ascii name)
-
-let attr_list node = Hashtbl.fold (fun k v acc -> (k, v) :: acc) node.attrs []
 
 let children n = List.rev n.rev_children
 
@@ -114,21 +131,40 @@ let rec is_root_reachable doc n =
 
 let is_attached doc node = is_root_reachable doc node
 
-let prop_cell doc ~owner name =
-  Location.Js_var { cell = doc.instr.Instr.cell_id ~owner name; name }
+let prop_cell doc ~owner name = doc.instr.Instr.cell_loc ~owner name
 
 let emit doc ?flags loc kind = Instr.emit doc.instr ?flags loc kind
 
+let rec write_all doc = function
+  | [] -> ()
+  | loc :: rest ->
+      emit doc loc `Write;
+      write_all doc rest
+
 (* Writes emitted when an element (sub)tree enters or leaves the document:
-   the element location, its id cell, and its collections (§4.2). Collection
-   cells have a write-write-tolerant conflict policy, see Location. *)
+   the element location, its id cell, and its collections (§4.2): its tag,
+   the document.* named collections it belongs to, and one per CSS class
+   (class-based queries read these). Collection cells have a
+   write-write-tolerant conflict policy, see Location. Attribute names are
+   stored lowercased, so the lookups here skip [get_attr]'s lowercasing. *)
 let emit_presence_writes doc n =
   if n.tag <> "#text" then begin
-    emit doc (node_location n) `Write;
-    (match get_attr n "id" with Some id when id <> "" -> emit doc (id_location doc id) `Write | _ -> ());
-    List.iter
-      (fun c -> emit doc (collection_location doc c) `Write)
-      (collections_of_tag n.tag (attr_list n))
+    emit doc n.loc `Write;
+    (match Hashtbl.find_opt n.attrs "id" with
+    | Some id when id <> "" -> emit doc (id_location doc id) `Write
+    | Some _ | None -> ());
+    emit doc (tag_location doc n.tag) `Write;
+    (match n.tag with
+    | "img" -> emit doc (collection_location doc "images") `Write
+    | "form" -> emit doc (collection_location doc "forms") `Write
+    | "script" -> emit doc (collection_location doc "scripts") `Write
+    | "a" ->
+        if Hashtbl.mem n.attrs "href" then emit doc (collection_location doc "links") `Write;
+        if Hashtbl.mem n.attrs "name" then emit doc (collection_location doc "anchors") `Write
+    | _ -> ());
+    match Hashtbl.find_opt n.attrs "class" with
+    | Some cs -> write_all doc (class_locations doc cs)
+    | None -> ()
   end
 
 let index_ids doc n =
@@ -163,7 +199,7 @@ let finish_insert doc ~parent ~child ~index =
   (* Structural property writes: parentNode of the child, childNodes.i of
      the parent (§4.1 "additional cases"). *)
   emit doc (prop_cell doc ~owner:child.uid "parentNode") `Write;
-  emit doc (prop_cell doc ~owner:parent.uid (Printf.sprintf "childNodes.%d" index)) `Write;
+  emit doc (prop_cell doc ~owner:parent.uid ("childNodes." ^ string_of_int index)) `Write;
   (* The whole subtree becomes visible. *)
   if is_root_reachable doc parent then begin
     iter_subtree (emit_presence_writes doc) child;
@@ -225,15 +261,15 @@ let elements_in_order doc =
 
 let document_order = elements_in_order
 
-let read_collection doc name pred =
-  emit doc (collection_location doc name) `Read;
+let read_collection doc loc pred =
+  emit doc loc `Read;
   let nodes = List.filter pred (elements_in_order doc) in
-  List.iter (fun n -> emit doc (node_location n) `Read) nodes;
+  List.iter (fun n -> emit doc n.loc `Read) nodes;
   nodes
 
 let get_elements_by_tag_name doc tag =
   let tag = String.lowercase_ascii tag in
-  read_collection doc ("tag:" ^ tag) (fun n -> n.tag = tag)
+  read_collection doc (tag_location doc tag) (fun n -> n.tag = tag)
 
 let collection doc name =
   let pred n =
@@ -245,7 +281,7 @@ let collection doc name =
     | "anchors" -> n.tag = "a" && get_attr n "name" <> None
     | _ -> false
   in
-  read_collection doc name pred
+  read_collection doc (collection_location doc name) pred
 
 let set_attr doc node name v =
   let name = String.lowercase_ascii name in

@@ -21,6 +21,7 @@
 
 type node = {
   uid : int;
+  loc : Wr_mem.Location.t;  (** the element's [Node] location, built once *)
   tag : string;  (** "#document" for the root, "#text" for text nodes *)
   doc_uid : int;
   mutable parent : node option;
@@ -38,8 +39,6 @@ type document
 (** [create_document instr ~url] makes an empty document with a synthetic
     [#document] root node. *)
 val create_document : Wr_mem.Instr.t -> url:string -> document
-
-val doc_uid : document -> int
 
 val root : document -> node
 
@@ -105,6 +104,11 @@ val children : node -> node list
 
 (** [node_location node] is the element's logical [Node] location. *)
 val node_location : node -> Wr_mem.Location.t
+
+(** [collection_location doc name] is the document's [Collection]
+    location [name] (e.g. ["tag:div"], ["class:x"], ["images"]), interned
+    per document. *)
+val collection_location : document -> string -> Wr_mem.Location.t
 
 (** [iter_subtree f node] applies [f] pre-order to [node] and descendants. *)
 val iter_subtree : (node -> unit) -> node -> unit

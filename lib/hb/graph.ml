@@ -1,5 +1,14 @@
 type strategy = Dfs | Chain_vc
 
+(* Edge keys hash and compare as two ints, with no polymorphic runtime
+   call. *)
+module Edge_set = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((a, b) : t) (c, d) = a = c && b = d
+  let hash (a, b) = Wr_support.Hash.mix ((a lsl 31) lxor b)
+end)
+
 type node = {
   info : Op.info;
   mutable preds : Op.id list;
@@ -15,7 +24,7 @@ type t = {
   mutable nodes : node array;  (* dense array indexed by op id *)
   mutable count : int;
   mutable edges : int;
-  edge_set : (Op.id * Op.id, unit) Hashtbl.t;  (* O(1) duplicate-edge check *)
+  edge_set : unit Edge_set.t;  (* O(1) duplicate-edge check *)
   mutable chain_tops : Op.id array;  (* Chain_vc: last op of each chain *)
   mutable chain_count : int;
 }
@@ -28,7 +37,7 @@ let create ?(strategy = default_strategy) () =
     nodes = [||];
     count = 0;
     edges = 0;
-    edge_set = Hashtbl.create 1024;
+    edge_set = Edge_set.create 1024;
     chain_tops = Array.make 16 (-1);
     chain_count = 0;
   }
@@ -95,18 +104,19 @@ let ensure_chain t x =
     t.chain_count <- t.chain_count + 1
   end
 
-(* [vc_find vc chain] is [chain]'s bound in [vc], 0 when absent. *)
-let vc_find vc chain =
-  let rec search lo hi =
-    if lo >= hi then 0
-    else
-      let mid = (lo + hi) lsr 1 in
-      let c = vc.(2 * mid) in
-      if c = chain then vc.((2 * mid) + 1)
-      else if c < chain then search (mid + 1) hi
-      else search lo mid
-  in
-  search 0 (Array.length vc / 2)
+(* [vc_find vc chain] is [chain]'s bound in [vc], 0 when absent. Every
+   detector CHC query runs it, so the search is a top-level function: a
+   local closure over [vc] and [chain] would allocate on each call. *)
+let rec vc_search vc chain lo hi =
+  if lo >= hi then 0
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = vc.(2 * mid) in
+    if c = chain then vc.((2 * mid) + 1)
+    else if c < chain then vc_search vc chain (mid + 1) hi
+    else vc_search vc chain lo mid
+
+let vc_find vc chain = vc_search vc chain 0 (Array.length vc / 2)
 
 (* Pointwise max of two sparse clocks. Returns [a] itself when [b] adds
    nothing and [b] itself when [b] covers [a], so callers detect "no
@@ -190,9 +200,9 @@ let add_edge t a b =
      same edge) and used to pay O(out-degree) in [List.mem]; the last-succ
      slot catches the consecutive-repeat pattern for free and the edge set
      answers the rest in O(1), so dense pages no longer go quadratic. *)
-  if na.last_succ <> b && not (Hashtbl.mem t.edge_set (a, b)) then begin
+  if na.last_succ <> b && not (Edge_set.mem t.edge_set (a, b)) then begin
     na.last_succ <- b;
-    Hashtbl.add t.edge_set (a, b) ();
+    Edge_set.add t.edge_set (a, b) ();
     na.succs <- b :: na.succs;
     nb.preds <- a :: nb.preds;
     t.edges <- t.edges + 1;

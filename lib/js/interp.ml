@@ -4,11 +4,9 @@ module Location = Wr_mem.Location
 
 type completion = C_normal | C_break | C_continue | C_return of Value.t
 
-let emit vm ?(flags = []) loc kind =
+let emit vm ~flags loc kind =
   if vm.instrument then
-    vm.sink (Access.make ~flags ~context:vm.context loc kind vm.current_op)
-
-let var_loc vm ~owner name = Location.Js_var { cell = cell_id vm ~owner name; name }
+    vm.sink { Access.loc; kind; op = vm.current_op; flags; context = vm.context }
 
 let tick vm =
   vm.fuel <- vm.fuel - 1;
@@ -29,7 +27,7 @@ let decl_flags = [ Access.Function_decl ]
    the ReferenceError, the others ([typeof], the read half of [x += e])
    yield undefined. *)
 let read_global_var vm ~flags ~strict name =
-  let loc = var_loc vm ~owner:vm.global.scope_id name in
+  let loc = cell_loc vm ~owner:vm.global.scope_id name in
   match Hashtbl.find_opt vm.global.vars name with
   | Some cell ->
       emit vm ~flags loc `Read;
@@ -40,7 +38,7 @@ let read_global_var vm ~flags ~strict name =
 
 let write_global_var vm ~flags name v =
   let cell = Hashtbl.find_opt vm.global.vars name in
-  emit vm ~flags (var_loc vm ~owner:vm.global.scope_id name) `Write;
+  emit vm ~flags (cell_loc vm ~owner:vm.global.scope_id name) `Write;
   match cell with
   | Some cell -> cell := v
   | None -> (* Sloppy-mode implicit global. *) Hashtbl.replace vm.global.vars name (ref v)
@@ -48,20 +46,19 @@ let write_global_var vm ~flags name v =
 let declare_global vm name =
   if not (Hashtbl.mem vm.global.vars name) then Hashtbl.add vm.global.vars name (ref Undefined)
 
-(* A slot's cell id is minted on the slot's first access, as [cell_id]
-   mints a property's, and cached in the frame. *)
+(* A slot's location is built on the slot's first access, minting its
+   cell id as [cell_loc] mints a property's, and cached in the frame. *)
 let emit_slot vm ~flags env slot name kind =
-  let cell =
-    match env.cells.(slot) with
-    | -1 ->
-        let c = fresh_id vm in
-        env.cells.(slot) <- c;
-        c
-    | c -> c
+  let loc =
+    let loc = env.cells.(slot) in
+    if loc != unset_cell then loc
+    else begin
+      let loc = Location.Js_var { cell = fresh_id vm; name } in
+      env.cells.(slot) <- loc;
+      loc
+    end
   in
-  if vm.instrument then
-    vm.sink
-      (Access.make ~flags ~context:vm.context (Location.Js_var { cell; name }) kind vm.current_op)
+  emit vm ~flags loc kind
 
 let rec frame_at env depth =
   if depth = 0 then env
@@ -123,10 +120,10 @@ let rec find_prop_owner obj name =
 let get_prop_plain vm ?(flags = []) obj name =
   match find_prop_owner obj name with
   | Some (owner, cell) ->
-      emit vm ~flags (var_loc vm ~owner:owner.oid name) `Read;
+      emit vm ~flags (cell_loc vm ~owner:owner.oid name) `Read;
       !cell
   | None ->
-      emit vm ~flags:(Access.Observed_miss :: flags) (var_loc vm ~owner:obj.oid name) `Read;
+      emit vm ~flags:(Access.Observed_miss :: flags) (cell_loc vm ~owner:obj.oid name) `Read;
       Undefined
 
 let get_prop vm ?(flags = []) obj name =
@@ -141,7 +138,7 @@ let is_array_index name =
   name <> "" && String.for_all (fun c -> c >= '0' && c <= '9') name
 
 let set_prop_plain vm ?(flags = []) obj name v =
-  emit vm ~flags (var_loc vm ~owner:obj.oid name) `Write;
+  emit vm ~flags (cell_loc vm ~owner:obj.oid name) `Write;
   (* Array length bookkeeping: implicit engine writes stay raw. *)
   if obj.class_name = "Array" then begin
     if is_array_index name then begin
@@ -267,10 +264,10 @@ let binop vm op a b =
       | Object obj -> (
           match find_prop_owner obj key with
           | Some (owner, _) ->
-              emit vm (var_loc vm ~owner:owner.oid key) `Read;
+              emit vm ~flags:[] (cell_loc vm ~owner:owner.oid key) `Read;
               Bool true
           | None ->
-              emit vm ~flags:[ Access.Observed_miss ] (var_loc vm ~owner:obj.oid key) `Read;
+              emit vm ~flags:[ Access.Observed_miss ] (cell_loc vm ~owner:obj.oid key) `Read;
               Bool false)
       | _ -> throw_error vm "TypeError" "right-hand side of 'in' is not an object")
 
@@ -654,7 +651,7 @@ and compile_update vm sc lv op pos =
 
 and compile_delete vm sc (e : Ast.expr) =
   let remove obj name =
-    emit vm (var_loc vm ~owner:obj.oid name) `Write;
+    emit vm ~flags:[] (cell_loc vm ~owner:obj.oid name) `Write;
     Hashtbl.remove obj.props name
   in
   match e with
@@ -729,7 +726,12 @@ and compile_function vm sc (f : Ast.func) =
        object, built or not. *)
     ignore (fresh_id vm);
     let frame =
-      { slots = Array.make size Undefined; cells = Array.make size (-1); this; parent = Some env }
+      {
+        slots = Array.make size Undefined;
+        cells = Array.make size unset_cell;
+        this;
+        parent = Some env;
+      }
     in
     bind_params frame.slots param_slots argv;
     (match arguments_slot with
@@ -890,7 +892,9 @@ and compile_stmt vm sc (s : Ast.stmt) : env -> completion =
             match catch with
             | Some cbody -> (
                 ignore (fresh_id vm);
-                let cenv = { slots = [| v |]; cells = [| -1 |]; this = env.this; parent = Some env } in
+                let cenv =
+                  { slots = [| v |]; cells = [| unset_cell |]; this = env.this; parent = Some env }
+                in
                 match cbody cenv with
                 | c -> run_finally env c
                 | exception Js_throw v' -> (
@@ -970,10 +974,10 @@ let global_function vm ~name ~params body =
   Object (new_closure vm { params; env = top_frame Undefined; func_name = name; code })
 
 let read_global vm name =
-  let loc = var_loc vm ~owner:vm.global.scope_id name in
+  let loc = cell_loc vm ~owner:vm.global.scope_id name in
   match Hashtbl.find_opt vm.global.vars name with
   | Some cell ->
-      emit vm loc `Read;
+      emit vm ~flags:[] loc `Read;
       Some !cell
   | None ->
       emit vm ~flags:[ Access.Observed_miss ] loc `Read;

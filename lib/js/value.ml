@@ -23,7 +23,7 @@ and closure = { params : string list; env : env; func_name : string; code : code
 
 and code = { mutable enter : env -> this:t -> t list -> t }
 
-and env = { slots : t array; cells : int array; this : t; parent : env option }
+and env = { slots : t array; cells : Wr_mem.Location.t array; this : t; parent : env option }
 
 and global_scope = { scope_id : int; vars : (string, t ref) Hashtbl.t }
 
@@ -42,7 +42,7 @@ and vm = {
   mutable fuel : int;
   fuel_limit : int;
   rng : Wr_support.Rng.t;
-  cell_ids : (int * string, int) Hashtbl.t;
+  cell_ids : Wr_mem.Location.Cells.t;
   mutable next_id : int;
   global : global_scope;
   object_proto : obj;
@@ -65,13 +65,15 @@ let fresh_id vm =
   vm.next_id <- id + 1;
   id
 
-let cell_id vm ~owner name =
-  match Hashtbl.find_opt vm.cell_ids (owner, name) with
-  | Some c -> c
-  | None ->
-      let c = fresh_id vm in
-      Hashtbl.add vm.cell_ids (owner, name) c;
-      c
+let cell_loc vm ~owner name =
+  match Wr_mem.Location.Cells.find vm.cell_ids ~owner name with
+  | loc -> loc
+  | exception Not_found ->
+      let loc = Wr_mem.Location.Js_var { cell = fresh_id vm; name } in
+      Wr_mem.Location.Cells.add vm.cell_ids ~owner name loc;
+      loc
+
+let unset_cell = Wr_mem.Location.Js_var { cell = -1; name = "" }
 
 let mk_obj ~oid ?proto ?(class_name = "Object") () =
   { oid; class_name; proto; props = Hashtbl.create 8; call = None; host = None }
@@ -98,7 +100,7 @@ let create_vm ?(seed = 0) ?(fuel = 50_000_000) ~sink () =
     fuel;
     fuel_limit = fuel;
     rng = Wr_support.Rng.of_int seed;
-    cell_ids = Hashtbl.create 1024;
+    cell_ids = Wr_mem.Location.Cells.create 1024;
     next_id = !counter;
     global;
     object_proto;

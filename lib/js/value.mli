@@ -47,10 +47,10 @@ and closure = {
 and code = { mutable enter : env -> this:t -> t list -> t }
 
 (** A function or catch frame. Bindings live in [slots] at indices the
-    compiler resolved; [cells] caches each slot's logical cell id, interned
-    on the first access ([-1] until then). [parent] is the lexically
-    enclosing frame, [None] at the global scope. *)
-and env = { slots : t array; cells : int array; this : t; parent : env option }
+    compiler resolved; [cells] caches each slot's logical location, built
+    on the first access ({!unset_cell} until then). [parent] is the
+    lexically enclosing frame, [None] at the global scope. *)
+and env = { slots : t array; cells : Wr_mem.Location.t array; this : t; parent : env option }
 
 (** The global scope stays a table: the browser installs [document],
     [window] and the timer functions into it by name, and [window.x]
@@ -78,7 +78,7 @@ and vm = {
   mutable fuel : int;
   fuel_limit : int;
   rng : Wr_support.Rng.t;
-  cell_ids : (int * string, int) Hashtbl.t;
+  cell_ids : Wr_mem.Location.Cells.t;
   mutable next_id : int;
   global : global_scope;
   object_proto : obj;
@@ -109,10 +109,15 @@ val create_vm : ?seed:int -> ?fuel:int -> sink:(Wr_mem.Access.t -> unit) -> unit
 (** [fresh_id vm] mints an id unique across objects, scopes and cells. *)
 val fresh_id : vm -> int
 
-(** [cell_id vm ~owner name] interns the logical cell for property or
-    binding [name] of the object or global scope identified by [owner].
-    Frame bindings keep theirs in [env.cells] instead. *)
-val cell_id : vm -> owner:int -> string -> int
+(** [cell_loc vm ~owner name] is the interned logical location of
+    property or binding [name] of the object or global scope identified
+    by [owner]; its cell id is minted on first use. Frame bindings keep
+    theirs in [env.cells] instead. *)
+val cell_loc : vm -> owner:int -> string -> Wr_mem.Location.t
+
+(** [unset_cell] fills a fresh frame's [cells]: the slot has no location
+    yet. Compared physically. *)
+val unset_cell : Wr_mem.Location.t
 
 (** [new_object vm ?proto ?class_name ()] allocates a plain object;
     [proto] defaults to [vm.object_proto]. *)

@@ -16,8 +16,6 @@ type t = {
   context : string;
 }
 
-let make ?(flags = []) ?(context = "") loc kind op = { loc; kind; op; flags; context }
-
 let has_flag t f = List.mem f t.flags
 
 (* Emission sites build flags and context deterministically, so a repeat of

@@ -30,8 +30,6 @@ type t = {
   context : string;  (** human-readable source context for reports *)
 }
 
-val make : ?flags:flag list -> ?context:string -> Location.t -> kind -> Wr_hb.Op.id -> t
-
 val has_flag : t -> flag -> bool
 
 (** [same_shape a b] — the two records are indistinguishable to a detector:

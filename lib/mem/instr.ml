@@ -2,30 +2,31 @@ type t = {
   mutable op : Wr_hb.Op.id;
   mutable context : string;
   sink : Access.t -> unit;
-  cell_id : owner:int -> string -> int;
+  cell_loc : owner:int -> string -> Location.t;
   fresh_id : unit -> int;
 }
 
 let emit t ?(flags = []) loc kind =
-  t.sink (Access.make ~flags ~context:t.context loc kind t.op)
+  t.sink { Access.loc; kind; op = t.op; flags; context = t.context }
 
 let null () =
   let counter = ref 0 in
-  let cells = Hashtbl.create 64 in
+  let fresh_id () =
+    incr counter;
+    !counter
+  in
+  let cells = Location.Cells.create 64 in
   {
     op = 0;
     context = "";
     sink = ignore;
-    cell_id =
+    cell_loc =
       (fun ~owner name ->
-        match Hashtbl.find_opt cells (owner, name) with
-        | Some c -> c
-        | None ->
-            incr counter;
-            Hashtbl.add cells (owner, name) !counter;
-            !counter);
-    fresh_id =
-      (fun () ->
-        incr counter;
-        !counter);
+        match Location.Cells.find cells ~owner name with
+        | loc -> loc
+        | exception Not_found ->
+            let loc = Location.Js_var { cell = fresh_id (); name } in
+            Location.Cells.add cells ~owner name loc;
+            loc);
+    fresh_id;
   }

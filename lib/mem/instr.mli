@@ -6,15 +6,16 @@
     operations, and hands the same [t] to the DOM, the event system and the
     JS VM so all accesses land in one stream with one id space.
 
-    [cell_id] and [fresh_id] are wired to the JS VM's interning table, so a
-    DOM node's [parentNode] property and a JS read of the same property
-    resolve to the same logical cell. *)
+    [cell_loc] and [fresh_id] are wired to the JS VM's interning table, so
+    a DOM node's [parentNode] property and a JS read of the same property
+    resolve to the same logical cell, and to one shared location value. *)
 
 type t = {
   mutable op : Wr_hb.Op.id;  (** the operation currently executing *)
   mutable context : string;  (** its human-readable label *)
   sink : Access.t -> unit;
-  cell_id : owner:int -> string -> int;
+  cell_loc : owner:int -> string -> Location.t;
+      (** the interned [Js_var] of property [name] of [owner] *)
   fresh_id : unit -> int;
 }
 

@@ -21,21 +21,47 @@ let report_key = function
   | Event_handler { target; event; _ } -> Event_handler { target; event; slot = Container }
   | (Js_var _ | Html_elem _) as loc -> loc
 
-(* Structural equality is correct here ([t] contains only ints and
-   strings); the explicit definitions exist so [Js_var] name changes for
-   reporting purposes never silently change identity semantics. *)
+(* Explicit definitions so [Js_var] name changes for reporting purposes
+   never silently change identity semantics. Interned locations are
+   physically shared, so the first test usually decides. *)
+let equal_slot a b =
+  match a, b with
+  | Attr, Attr | Container, Container -> true
+  | Listener u, Listener u' -> u = u'
+  | (Attr | Container | Listener _), _ -> false
+
+let equal_elem a b =
+  match a, b with
+  | Node u, Node u' -> u = u'
+  | Id { doc; id }, Id { doc = doc'; id = id' } -> doc = doc' && String.equal id id'
+  | Collection { doc; name }, Collection { doc = doc'; name = name' } ->
+      doc = doc' && String.equal name name'
+  | (Node _ | Id _ | Collection _), _ -> false
+
 let equal (a : t) (b : t) =
+  a == b
+  ||
   match a, b with
   | Js_var { cell = c; _ }, Js_var { cell = c'; _ } -> c = c'
-  | Html_elem k, Html_elem k' -> k = k'
+  | Html_elem k, Html_elem k' -> equal_elem k k'
   | Event_handler h, Event_handler h' ->
-      h.target = h'.target && String.equal h.event h'.event && h.slot = h'.slot
+      h.target = h'.target && String.equal h.event h'.event && equal_slot h.slot h'.slot
   | (Js_var _ | Html_elem _ | Event_handler _), _ -> false
 
+(* Ints are mixed in OCaml; the low three bits of the pre-image tell the
+   constructors apart. Strings still go through the runtime's string
+   hash, which allocates nothing. *)
+let mix = Wr_support.Hash.mix
+
 let hash = function
-  | Js_var { cell; _ } -> Hashtbl.hash (0, cell)
-  | Html_elem k -> Hashtbl.hash (1, k)
-  | Event_handler { target; event; slot } -> Hashtbl.hash (2, target, event, slot)
+  | Js_var { cell; _ } -> mix (cell lsl 3)
+  | Html_elem (Node uid) -> mix ((uid lsl 3) lor 1)
+  | Html_elem (Id { doc; id }) -> mix ((Hashtbl.hash id lsl 3) lxor (doc lsl 35) lor 2)
+  | Html_elem (Collection { doc; name }) ->
+      mix ((Hashtbl.hash name lsl 3) lxor (doc lsl 35) lor 3)
+  | Event_handler { target; event; slot } ->
+      let slot = match slot with Attr -> 0 | Container -> 1 | Listener uid -> uid + 2 in
+      mix ((mix ((target lsl 3) lor 4) + Hashtbl.hash event) lxor (slot lsl 20))
 
 let pp_elem_key ppf = function
   | Node uid -> Format.fprintf ppf "node#%d" uid
@@ -61,3 +87,52 @@ module Tbl = Hashtbl.Make (struct
   let equal = equal
   let hash = hash
 end)
+
+module Cells = struct
+  type loc = t
+
+  type bucket = Empty | Entry of { owner : int; name : string; loc : loc; mutable next : bucket }
+
+  type t = { mutable data : bucket array; mutable size : int }
+
+  let create n =
+    let rec pow2 k = if k >= n then k else pow2 (2 * k) in
+    { data = Array.make (pow2 16) Empty; size = 0 }
+
+  (* FNV-1a over the name's bytes, seeded by the owner, then mixed. *)
+  let index data ~owner name =
+    let h = ref (owner lxor 0x0bf29ce484222325) in
+    for i = 0 to String.length name - 1 do
+      h := (!h lxor Char.code (String.unsafe_get name i)) * 0x100000001b3
+    done;
+    mix !h land (Array.length data - 1)
+
+  let rec find_in owner name = function
+    | Empty -> raise_notrace Not_found
+    | Entry e ->
+        if e.owner = owner && String.equal e.name name then e.loc else find_in owner name e.next
+
+  let find t ~owner name = find_in owner name t.data.(index t.data ~owner name)
+
+  (* Entries are relinked in place: growing the table allocates only the
+     new bucket array. *)
+  let resize t =
+    let data = Array.make (2 * Array.length t.data) Empty in
+    let rec move = function
+      | Empty -> ()
+      | Entry e as entry ->
+          let next = e.next in
+          let i = index data ~owner:e.owner e.name in
+          e.next <- data.(i);
+          data.(i) <- entry;
+          move next
+    in
+    Array.iter move t.data;
+    t.data <- data
+
+  let add t ~owner name loc =
+    if t.size >= 2 * Array.length t.data then resize t;
+    let i = index t.data ~owner name in
+    t.data.(i) <- Entry { owner; name; loc; next = t.data.(i) };
+    t.size <- t.size + 1
+end

@@ -62,8 +62,12 @@ val conflict_relevant : t -> kind:[ `Read | `Write ] -> kind':[ `Read | `Write ]
     key. *)
 val report_key : t -> t
 
+(** [equal a b] is location identity: [Js_var]s by cell alone, the rest
+    structurally. Physically equal locations are equal at once. *)
 val equal : t -> t -> bool
 
+(** [hash t] is compatible with {!equal}. It mixes ints in OCaml
+    ({!Wr_support.Hash.mix}) and allocates nothing. *)
 val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
@@ -72,3 +76,25 @@ val to_string : t -> string
 
 (** Hash tables keyed by location, used by the detectors. *)
 module Tbl : Hashtbl.S with type key = t
+
+(** An interning table from (owner, name) to a cell's [Js_var]: object
+    properties, globals and the DOM's structural properties each resolve
+    to one location value, built once. Keys are compared as ints and
+    strings, never through polymorphic compare or hash, and a lookup
+    allocates nothing. *)
+module Cells : sig
+  type loc := t
+
+  type t
+
+  (** [create n] is an empty table sized for about [n] cells. *)
+  val create : int -> t
+
+  (** [find t ~owner name] is the location interned for (owner, name).
+      Raises [Not_found] (without a backtrace) when there is none. *)
+  val find : t -> owner:int -> string -> loc
+
+  (** [add t ~owner name loc] interns [loc] for (owner, name), which must
+      not be bound yet. *)
+  val add : t -> owner:int -> string -> loc -> unit
+end

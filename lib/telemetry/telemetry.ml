@@ -91,9 +91,9 @@ let create ?(clock = Wr_support.Clock.now) () = make ~enabled:true ~clock
 
 let enabled t = t.enabled
 
-let new_sink () =
+let new_sink dom =
   {
-    sk_dom = (Domain.self () :> int);
+    sk_dom = dom;
     sk_lock = Mutex.create ();
     vclock = (fun () -> 0.);
     ring = Array.make 64 no_span;
@@ -108,6 +108,20 @@ let new_sink () =
     histos = Hashtbl.create 4;
   }
 
+(* Domain [dom]'s sink, registered on first use under [reg_lock]. *)
+let sink_of t dom =
+  Mutex.lock t.reg_lock;
+  let s =
+    match List.find_opt (fun s -> s.sk_dom = dom) t.sinks with
+    | Some s -> s
+    | None ->
+        let s = new_sink dom in
+        t.sinks <- t.sinks @ [ s ];
+        s
+  in
+  Mutex.unlock t.reg_lock;
+  s
+
 (* One process-global DLS slot caching the last (context, sink) pair used
    on this domain: the common case — one enabled context per domain — is
    a single physical-equality check, no lock. The slow path registers a
@@ -120,17 +134,7 @@ let sink t =
   match !cell with
   | Some (t', s) when t' == t -> s
   | _ ->
-      let dom = (Domain.self () :> int) in
-      Mutex.lock t.reg_lock;
-      let s =
-        match List.find_opt (fun s -> s.sk_dom = dom) t.sinks with
-        | Some s -> s
-        | None ->
-            let s = new_sink () in
-            t.sinks <- t.sinks @ [ s ];
-            s
-      in
-      Mutex.unlock t.reg_lock;
+      let s = sink_of t (Domain.self () :> int) in
       cell := Some (t, s);
       s
 
@@ -260,15 +264,16 @@ let with_span t ~cat ~name f =
 (* A completed span observed from outside the recording domain — the GC
    runtime probe converts [Runtime_events] phase events (which carry
    their own timestamps and happened on some other domain) into spans.
-   The span lands in the *calling* domain's sink (single consumer, no
-   cross-domain contention) but is tagged with the originating domain's
-   id, so the Chrome trace shows it on that domain's tid, interleaved
-   with the spans the domain recorded itself. Depth 1 keeps injected
-   time out of [total_wall]'s depth-0 denominator — GC time happens
-   inside analysis spans, so counting it at depth 0 would double it. *)
+   The span lands in domain [dom]'s own sink (registered here if that
+   domain has not recorded yet), so a domain's ring tail holds its own
+   GC slices and one busy collector cannot push the draining domain's
+   entries out; the sink's lock makes the cross-domain write safe. Depth
+   1 keeps injected time out of [total_wall]'s depth-0 denominator — GC
+   time happens inside analysis spans, so counting it at depth 0 would
+   double it. *)
 let inject_span t ~dom ~cat ~name ~start_s ~dur_s =
   if t.enabled then begin
-    let s = sink t in
+    let s = sink_of t dom in
     let sp =
       new_span ~name ~cat ~depth:1 ~dom ~start:(start_s -. t.t0) ~vstart:0. ~dur:dur_s ()
     in

@@ -94,8 +94,8 @@ val mark :
     already-completed span observed from outside the recording domain —
     the GC runtime probe ({!Runtime_probe}) turning [Runtime_events]
     phase events into trace slices. [start_s] is in seconds on the
-    context's clock timeline; [dom] is the domain the
-    span belongs to (its Chrome-trace tid). Injected spans sit at depth
+    context's clock timeline; [dom] is the domain the span belongs to:
+    it is recorded on that domain's ring and is its Chrome-trace tid. Injected spans sit at depth
     1 (outside [total_wall]'s depth-0 denominator, since GC time elapses
     inside the analysis spans it interrupts) and contribute to [cat]'s
     phase totals. *)

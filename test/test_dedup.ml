@@ -20,8 +20,7 @@ let probe () =
     },
     fun () -> List.rev !log )
 
-let access ?(flags = []) ?(context = "test") loc kind op =
-  Access.make ~flags ~context loc kind op
+let access ?(flags = []) ?(context = "test") loc kind op = { Access.loc; kind; op; flags; context }
 
 let wrapped () =
   let inner, forwarded = probe () in
@@ -122,10 +121,10 @@ let test_checked_read_first_preserved () =
     let det = create g in
     let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
     let loc = var 1 in
-    det.Detector.record (Access.make ~context:"t" loc `Read a);
-    det.Detector.record (Access.make ~context:"t" loc `Read a);
-    det.Detector.record (Access.make ~context:"t" loc `Write a);
-    det.Detector.record (Access.make ~context:"t" loc `Read b);
+    det.Detector.record (access ~context:"t" loc `Read a);
+    det.Detector.record (access ~context:"t" loc `Read a);
+    det.Detector.record (access ~context:"t" loc `Write a);
+    det.Detector.record (access ~context:"t" loc `Read b);
     List.map
       (fun (r : Race.t) ->
         ( r.Race.first.Access.op,
@@ -219,7 +218,7 @@ let run_stream stream (det, stats) =
       List.iter
         (fun (l, write, f, c) ->
           det.Detector.record
-            (Access.make ~flags:flag_sets.(f) ~context:contexts.(c) pool.(l)
+            (access ~flags:flag_sets.(f) ~context:contexts.(c) pool.(l)
                (if write then `Write else `Read)
                op))
         burst)
@@ -240,6 +239,56 @@ let prop_fused_equals_wrap =
       in
       agree Last_access.create Last_access.create_dedup
       && agree Full_track.create Full_track.create_dedup)
+
+(* Recording an access to a location the detector has already seen
+   allocates nothing, whether it reaches the state machine or is
+   swallowed as a duplicate: the slots keep op, flags and context
+   unboxed. [stream] runs 4,000 times after one warm-up pass. *)
+let minor_words det stream =
+  List.iter det.Detector.record stream;
+  let before = Gc.minor_words () in
+  for _ = 1 to 4_000 do
+    List.iter det.Detector.record stream
+  done;
+  Gc.minor_words () -. before
+
+let test_seen_location_allocates_nothing () =
+  let g = Graph.create () in
+  let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
+  Graph.add_edge g a b;
+  (* Every access switches op or kind, so each one is forwarded; the
+     writes carry Checked_read_first. *)
+  let forwarded =
+    [ access (var 1) `Read a; access (var 1) `Write a; access (var 1) `Read b;
+      access (var 1) `Write b ]
+  in
+  let repeated = [ access (var 2) `Read a; access (var 2) `Read a ] in
+  let check name (det, stats) stream ~forwarded:expect =
+    let words = minor_words det stream in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f minor words for %d accesses" name words
+         (4_000 * List.length stream))
+      true (words < 16.);
+    match stats with
+    | Some stats ->
+        let s = stats () in
+        Alcotest.(check int) (name ^ ": forwarded") expect s.Dedup.forwarded
+    | None -> ()
+  in
+  let n = 4_001 * 4 in
+  check "last-access" (Last_access.create g, None) forwarded ~forwarded:n;
+  let fused () =
+    let det, stats = Last_access.create_dedup g in
+    (det, Some stats)
+  in
+  let wrapped () =
+    let det, stats = Dedup.wrap (Last_access.create g) in
+    (det, Some stats)
+  in
+  check "fused, forwarded" (fused ()) forwarded ~forwarded:n;
+  check "fused, deduplicated" (fused ()) repeated ~forwarded:1;
+  check "wrap, forwarded" (wrapped ()) forwarded ~forwarded:n;
+  check "wrap, deduplicated" (wrapped ()) repeated ~forwarded:1
 
 let suite =
   [
@@ -263,4 +312,6 @@ let suite =
     Alcotest.test_case "full-track equivalence" `Quick test_full_track_equivalence;
     Alcotest.test_case "Access.same_shape" `Quick test_same_shape;
     QCheck_alcotest.to_alcotest prop_fused_equals_wrap;
+    Alcotest.test_case "seen location allocates nothing" `Quick
+      test_seen_location_allocates_nothing;
   ]

@@ -11,7 +11,7 @@ let setup ?(strategy = Graph.Chain_vc) () =
   let d = Last_access.create g in
   (g, d)
 
-let access ?(flags = []) loc kind op = Access.make ~flags ~context:"test" loc kind op
+let access ?(flags = []) loc kind op = { Access.loc; kind; op; flags; context = "test" }
 
 let test_no_race_when_ordered () =
   let g, d = setup () in

@@ -11,8 +11,8 @@ let op g label = Graph.fresh g Op.Script ~label
 let race_between g ?(loc = Wr_mem.Location.Js_var { cell = 1; name = "x" }) a b =
   ignore g;
   Wr_detect.Race.make
-    ~first:(Wr_mem.Access.make ~context:"w" loc `Write a)
-    ~second:(Wr_mem.Access.make ~context:"r" loc `Read b)
+    ~first:{ Wr_mem.Access.loc; kind = `Write; op = a; flags = []; context = "w" }
+    ~second:{ Wr_mem.Access.loc; kind = `Read; op = b; flags = []; context = "r" }
 
 (* 0 -> 1, 0 -> 2 -> 3: ops 1 and 3 race; backward from 3 pruned below 1
    reaches exactly {2, 3}. *)

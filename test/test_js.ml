@@ -283,6 +283,29 @@ let test_instrument_variable_accesses () =
   in
   Alcotest.(check int) "one read of x" 1 (List.length reads)
 
+(* Locations are interned: a frame slot caches its location and a
+   property or global resolves through the VM's cell table, so a second
+   read yields the very same location value. *)
+let test_instrument_locations_interned () =
+  let acc =
+    accesses_of
+      "var o = {p: 1}; function f() { var x = 1; var y = x + x; return o.p + o.p; } f();"
+  in
+  let reads name =
+    List.filter_map
+      (fun (a : Wr_mem.Access.t) ->
+        match a.loc, a.kind with
+        | Wr_mem.Location.Js_var { name = n; _ }, `Read when n = name -> Some a.loc
+        | _ -> None)
+      acc
+  in
+  List.iter
+    (fun (what, name) ->
+      match reads name with
+      | [ l1; l2 ] -> Alcotest.(check bool) (what ^ ": physically equal") true (l1 == l2)
+      | ls -> Alcotest.failf "%s: expected two reads of %s, got %d" what name (List.length ls))
+    [ ("local", "x"); ("property", "p"); ("global", "o") ]
+
 let test_instrument_function_decl_flag () =
   let acc = accesses_of "function g() { return 1; }" in
   let decl_writes =
@@ -444,6 +467,7 @@ let suite =
     Alcotest.test_case "interp: virtual Date" `Quick test_date_virtual_clock;
     Alcotest.test_case "instr: variable accesses" `Quick test_instrument_variable_accesses;
     Alcotest.test_case "instr: function-decl flag" `Quick test_instrument_function_decl_flag;
+    Alcotest.test_case "instr: locations interned" `Quick test_instrument_locations_interned;
     Alcotest.test_case "instr: call miss" `Quick test_instrument_call_miss;
     Alcotest.test_case "instr: property miss identity" `Quick test_instrument_property_miss_identity;
     Alcotest.test_case "instr: closure shared cell" `Quick test_closure_shared_cell_identity;

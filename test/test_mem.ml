@@ -85,6 +85,32 @@ let prop_equal_hash_consistent =
     (QCheck.make (QCheck.Gen.pair gen_location gen_location)) (fun (a, b) ->
       (not (Location.equal a b)) || Location.hash a = Location.hash b)
 
+(* A physically distinct copy of [loc]: fresh strings, and a [Js_var]
+   renamed, since a cell's identity is its id alone. *)
+let copy_location loc =
+  let fresh s = Bytes.to_string (Bytes.of_string s) in
+  match loc with
+  | Location.Js_var { cell; name } -> Location.Js_var { cell; name = name ^ "'" }
+  | Location.Html_elem (Location.Node u) -> Location.Html_elem (Location.Node u)
+  | Location.Html_elem (Location.Id { doc; id }) ->
+      Location.Html_elem (Location.Id { doc; id = fresh id })
+  | Location.Html_elem (Location.Collection { doc; name }) ->
+      Location.Html_elem (Location.Collection { doc; name = fresh name })
+  | Location.Event_handler { target; event; slot } ->
+      let slot =
+        match slot with
+        | Location.Listener u -> Location.Listener u
+        | Location.Attr -> Location.Attr
+        | Location.Container -> Location.Container
+      in
+      Location.Event_handler { target; event = fresh event; slot }
+
+let prop_copies_equal_and_hash_equally =
+  QCheck.Test.make ~name:"mem: equal copies hash equally, every constructor" ~count:500
+    (QCheck.make gen_location) (fun a ->
+      let b = copy_location a in
+      a != b && Location.equal a b && Location.hash a = Location.hash b)
+
 let prop_report_key_idempotent =
   QCheck.Test.make ~name:"mem: report_key is idempotent" ~count:300
     (QCheck.make gen_location) (fun loc ->
@@ -100,7 +126,7 @@ let prop_tbl_respects_equality =
       List.for_all (fun loc -> Location.Tbl.mem tbl loc) locs)
 
 let test_access_flags () =
-  let a = Access.make (var 1) `Read 3 in
+  let a = { Access.loc = var 1; kind = `Read; op = 3; flags = []; context = "" } in
   Alcotest.(check bool) "no flags" false (Access.has_flag a Access.Form_field);
   let a = Access.add_flag a Access.Form_field in
   Alcotest.(check bool) "added" true (Access.has_flag a Access.Form_field);
@@ -126,6 +152,7 @@ let suite =
     Alcotest.test_case "report_key canonicalization" `Quick test_report_key_canonicalization;
     Alcotest.test_case "js-var identity" `Quick test_js_var_identity_by_cell;
     QCheck_alcotest.to_alcotest prop_equal_hash_consistent;
+    QCheck_alcotest.to_alcotest prop_copies_equal_and_hash_equally;
     QCheck_alcotest.to_alcotest prop_report_key_idempotent;
     QCheck_alcotest.to_alcotest prop_tbl_respects_equality;
     Alcotest.test_case "access flags" `Quick test_access_flags;

@@ -219,7 +219,7 @@ let build_execution (n, edges, accesses) =
       (fun (op, cell, is_write) ->
         let loc = Location.Js_var { cell; name = "v" ^ string_of_int cell } in
         d.Wr_detect.Detector.record
-          (Access.make loc (if is_write then `Write else `Read) op))
+          { Access.loc; kind = (if is_write then `Write else `Read); op; flags = []; context = "" })
       sorted
   in
   (g, feed)

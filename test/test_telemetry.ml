@@ -590,6 +590,52 @@ let test_tail_chrome_instants () =
   Alcotest.(check (list int)) "one instant per mark in the tail, fields in args"
     [ 7; 8; 9; 10 ] (List.map (int_field "i") instants)
 
+(* The GC probe drains every domain's slices on one domain; each slice
+   goes to the ring of the domain it happened on, so the draining
+   domain's own marks survive a burst of other domains' slices. *)
+let test_tail_injected_on_own_ring () =
+  let tm = Telemetry.create ~clock:(ticker ()) () in
+  let self = (Domain.self () :> int) in
+  let other = self + 1 in
+  for i = 1 to 4 do
+    Telemetry.mark tm ~cat:"serve" ~fields:[ ("i", Json.Int i) ] "request.admit"
+  done;
+  for k = 1 to 10 do
+    Telemetry.inject_span tm ~dom:other ~cat:"gc" ~name:"gc.minor" ~start_s:(float_of_int k)
+      ~dur_s:0.5
+  done;
+  let evs = Telemetry.tail_json tm ~tail:4 in
+  let kinds dom =
+    List.filter_map
+      (fun ev ->
+        if int_field "dom" ev <> dom then None
+        else match ev with Json.Obj f -> List.assoc_opt "kind" f | _ -> None)
+      evs
+  in
+  Alcotest.(check (list string)) "this domain keeps its marks"
+    [ "request.admit"; "request.admit"; "request.admit"; "request.admit" ]
+    (List.map Json.to_str (kinds self));
+  Alcotest.(check (list string)) "the slices sit on their own domain's ring"
+    [ "span"; "span"; "span"; "span" ]
+    (List.map Json.to_str (kinds other));
+  Alcotest.(check int) "two rings" 2 (Telemetry.domains tm)
+
+(* The page lifecycle log lines are built only when info logging is on,
+   so a daemon's recorder sees none of them on an unlogged analysis. *)
+let test_page_log_lines_guarded () =
+  let page, resources = List.assoc "example/fig2" (Test_hb.example_pages ()) in
+  let kinds = ref [] in
+  let level = Log.current_level () in
+  Log.set_level None;
+  Fun.protect
+    ~finally:(fun () -> Log.set_level level)
+    (fun () ->
+      Log.with_recorder
+        (fun kind _ -> kinds := kind :: !kinds)
+        (fun () -> ignore (Webracer.analyze (Webracer.config ~page ~resources ~seed:0 ()))));
+  Alcotest.(check (list string)) "no log.info marks" []
+    (List.filter (String.equal "log.info") !kinds)
+
 (* The detector's counters are published once per analysis, from the
    same figures the report carries. *)
 let test_detect_counters_match_report () =
@@ -622,6 +668,10 @@ let suite =
       Alcotest.test_case "tail: disabled records nothing" `Quick test_tail_disabled;
       Alcotest.test_case "tail: log tee with trace id" `Quick test_tail_log_tee;
       Alcotest.test_case "tail: chrome instants" `Quick test_tail_chrome_instants;
+      Alcotest.test_case "tail: injected spans on their own ring" `Quick
+        test_tail_injected_on_own_ring;
+      Alcotest.test_case "tail: page log lines need info logging" `Quick
+        test_page_log_lines_guarded;
       Alcotest.test_case "counters match the report" `Quick
         test_detect_counters_match_report;
     ]

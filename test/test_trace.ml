@@ -6,7 +6,7 @@ module Access = Wr_mem.Access
 module Location = Wr_mem.Location
 open Wr_detect
 
-let mk_access ?(flags = []) ?(kind = `Read) ~op loc = Access.make ~flags ~context:"t" loc kind op
+let mk_access ?(flags = []) ?(kind = `Read) ~op loc = { Access.loc; kind; op; flags; context = "t" }
 
 let sample_trace () =
   let g = Graph.create () in
@@ -146,6 +146,32 @@ let test_atomicity_requires_transaction () =
   Alcotest.(check int) "no transaction, no violation" 0
     (List.length (Atomicity.check g accesses))
 
+let test_atomicity_order () =
+  (* Three locations, first accessed in the order z, x, y, each with an
+     R-W-R interleaving: violations follow the trace's first-access order,
+     not the location table's hash order. *)
+  let g = Graph.create () in
+  let a = Graph.fresh g Op.Script ~label:"A" in
+  let c = Graph.fresh g Op.Script ~label:"C" in
+  let b = Graph.fresh g Op.Script ~label:"B" in
+  Graph.add_edge g a b;
+  let z = Location.Js_var { cell = 30; name = "z" } in
+  let x = Location.Html_elem (Location.Id { doc = 1; id = "x" }) in
+  let y = Location.Js_var { cell = 10; name = "y" } in
+  let rwr loc =
+    [ mk_access ~op:a loc; mk_access ~kind:`Write ~op:c loc; mk_access ~op:b loc ]
+  in
+  let accesses = List.concat_map rwr [ z; x; y ] in
+  let names vs = List.map (fun (v : Atomicity.violation) -> Location.to_string v.loc) vs in
+  let expected = List.map Location.to_string [ z; x; y ] in
+  Alcotest.(check (list string)) "first-access order" expected (names (Atomicity.check g accesses));
+  (* Interleaving the streams keeps the order of each location's first
+     access. *)
+  let interleaved =
+    List.concat_map (fun k -> List.map (fun loc -> List.nth (rwr loc) k) [ z; x; y ]) [ 0; 1; 2 ]
+  in
+  Alcotest.(check (list string)) "interleaved" expected (names (Atomicity.check g interleaved))
+
 let test_atomicity_ford_pattern_end_to_end () =
   (* The Ford polling pattern is a check-act transaction across timer
      callbacks; the parser's sentinel write interleaves (benign by design,
@@ -187,4 +213,5 @@ let suite =
     Alcotest.test_case "atomicity serializable" `Quick test_atomicity_serializable_cases;
     Alcotest.test_case "atomicity needs transaction" `Quick test_atomicity_requires_transaction;
     Alcotest.test_case "atomicity: Ford pattern" `Quick test_atomicity_ford_pattern_end_to_end;
+    Alcotest.test_case "atomicity: first-access order" `Quick test_atomicity_order;
   ]
