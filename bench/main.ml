@@ -211,24 +211,39 @@ let stress_page n =
      clearInterval(t); } }, 5);</script>";
   Buffer.contents buf
 
+(* The same elements nested inside one another: per-element work must
+   not grow with depth. *)
+let nested_page n =
+  let buf = Buffer.create (n * 40) in
+  for i = 0 to n - 1 do
+    Buffer.add_string buf (Printf.sprintf "<div id=\"el%d\" class=\"c\">item" i)
+  done;
+  for _ = 1 to n do
+    Buffer.add_string buf "</div>"
+  done;
+  Buffer.contents buf
+
 let perf_pages () =
   section "Perf-1 — per-page analysis throughput (paper: 10k+ ops < 1 min)";
   let rows =
     List.map
-      (fun n ->
-        let page = stress_page n in
+      (fun (name, key, page) ->
         let started = Wr_support.Clock.now () in
         let r = Webracer.analyze (Webracer.config ~page ~seed:1 ~explore:true ()) in
         let dt = Wr_support.Clock.now () -. started in
-        record_float "perf1" (Printf.sprintf "%d-elements_s" n) dt;
+        record_float "perf1" key dt;
         [
-          Printf.sprintf "%d elements" n;
+          name;
           string_of_int r.Webracer.ops;
           string_of_int r.Webracer.accesses;
           Printf.sprintf "%.3f s" dt;
           Printf.sprintf "%.0f ops/s" (float_of_int r.Webracer.ops /. dt);
         ])
-      [ 1_000; 5_000; 20_000 ]
+      (List.map
+         (fun n ->
+           (Printf.sprintf "%d elements" n, Printf.sprintf "%d-elements_s" n, stress_page n))
+         [ 1_000; 5_000; 20_000 ]
+      @ [ ("20000 nested", "20000-nested_s", nested_page 20_000) ])
   in
   Table.print ~header:[ "page"; "operations"; "accesses"; "wall clock"; "throughput" ] rows;
   print_newline ();

@@ -25,7 +25,9 @@ type window = {
   frame : frame option;
   mutable win_obj : Value.obj;
   mutable doc_obj : Value.obj;
-  mutable parse_items : item list;
+  mutable parse_items : pending list;
+      (* markup still to parse, innermost element first *)
+  mutable parse_task : unit -> unit;  (* one parse step, built once *)
   mutable parse_preds : Op.id list;
   mutable parsing_done : bool;
   mutable blocked_on_script : bool;
@@ -40,9 +42,23 @@ type window = {
 
 and frame = { parent : window; iframe_node : Dom.node }
 
-and item =
-  | I_elem of { elem : Html.element; item_parent : Dom.node }
-  | I_text of { content : string; item_parent : Dom.node }
+(* The unparsed rest of one element's children (or of a document or a
+   document.write chunk): one record per element with children, where a
+   queue of items cost a record and a cons cell per child. *)
+and pending = { p_parent : Dom.node; mutable p_rest : Html.node list }
+
+(* What the browser keeps per uid. Nodes keep their window; every entry
+   keeps the op that created its target, -1 before one is known (the
+   rule 2, 6 and 9 predecessor of its loads and dispatches), and its JS
+   wrapper once one is made. Windows and XHRs are [Other_entry]s. *)
+and entry =
+  | Node_entry of {
+      node : Dom.node;
+      mutable win : window;
+      mutable create_op : Op.id;
+      mutable obj : Value.obj option;
+    }
+  | Other_entry of { mutable create_op : Op.id; mutable obj : Value.obj option }
 
 and defer = {
   defer_node : Dom.node;
@@ -70,9 +86,8 @@ type t = {
   init_op : Op.id;
   mutable windows : window list;
   mutable current_window : window option;
-  node_objs : (int, Value.obj) Hashtbl.t;
-  nodes : (int, Dom.node * window) Hashtbl.t;
-  create_ops : (int, Op.id) Hashtbl.t;
+  entries : (int, entry) Hashtbl.t;  (* by uid *)
+  parse_labels : (string, string) Hashtbl.t;  (* "parse <tag>", by tag *)
   dispatch_ops : (int * string * int, Op.id list) Hashtbl.t;
   counted_loadables : (int, unit) Hashtbl.t;
   load_started : (int, unit) Hashtbl.t;
@@ -117,6 +132,54 @@ let run_info t =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Per-uid entries                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let create_op t uid =
+  match Hashtbl.find t.entries uid with
+  | Node_entry { create_op; _ } | Other_entry { create_op; _ } -> create_op
+  | exception Not_found -> -1
+
+let create_preds t uid = match create_op t uid with -1 -> [] | op -> [ op ]
+
+let set_create_op t uid op =
+  match Hashtbl.find t.entries uid with
+  | Node_entry e -> e.create_op <- op
+  | Other_entry e -> e.create_op <- op
+  | exception Not_found -> Hashtbl.add t.entries uid (Other_entry { create_op = op; obj = None })
+
+let js_object t uid =
+  match Hashtbl.find t.entries uid with
+  | Node_entry { obj; _ } | Other_entry { obj; _ } -> obj
+  | exception Not_found -> None
+
+let set_js_object t uid o =
+  match Hashtbl.find t.entries uid with
+  | Node_entry e -> e.obj <- Some o
+  | Other_entry e -> e.obj <- Some o
+  | exception Not_found -> Hashtbl.add t.entries uid (Other_entry { create_op = -1; obj = Some o })
+
+(* The node with [uid] and its window, if the browser has registered it. *)
+let find_node t uid =
+  match Hashtbl.find t.entries uid with
+  | Node_entry { node; win; _ } -> Some (node, win)
+  | Other_entry _ -> None
+  | exception Not_found -> None
+
+(* Registers [n] as a node of [w]; a [create_op] of -1 keeps the one
+   already known. *)
+let register_node t (n : Dom.node) w ~create_op =
+  match Hashtbl.find t.entries n.Dom.uid with
+  | Node_entry e ->
+      e.win <- w;
+      if create_op >= 0 then e.create_op <- create_op
+  | Other_entry e ->
+      let create_op = if create_op >= 0 then create_op else e.create_op in
+      Hashtbl.replace t.entries n.Dom.uid (Node_entry { node = n; win = w; create_op; obj = e.obj })
+  | exception Not_found ->
+      Hashtbl.add t.entries n.Dom.uid (Node_entry { node = n; win = w; create_op; obj = None })
+
+(* ------------------------------------------------------------------ *)
 (* Operation plumbing                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -128,9 +191,18 @@ let set_op t op ~label =
 
 let current_op t = t.instr.Instr.op
 
+let rec add_preds t op = function
+  | [] -> ()
+  | p :: rest ->
+      if p < op then Graph.add_edge t.graph p op;
+      add_preds t op rest
+
 let fresh_op t kind ~label ~preds =
   let op = Graph.fresh t.graph kind ~label in
-  List.iter (fun p -> if p < op then Graph.add_edge t.graph p op) (List.sort_uniq compare preds);
+  (* [List.sort_uniq] builds its local closures even for one element. *)
+  (match preds with
+  | [] | [ _ ] -> add_preds t op preds
+  | _ -> add_preds t op (List.sort_uniq Int.compare preds));
   op
 
 let describe_throw t v =
@@ -216,9 +288,7 @@ and dispatch_body t ?win ~target ~path ~event ~bubbles ~preds ~target_value ?def
     =
   let index = Events.record_dispatch t.registry ~target ~event in
   let preds =
-    let create_pred =
-      match Hashtbl.find_opt t.create_ops target with Some op -> [ op ] | None -> []
-    in
+    let create_pred = create_preds t target in
     let rule9_preds =
       if index > 0 then
         match Hashtbl.find_opt t.dispatch_ops (target, event, index - 1) with
@@ -243,7 +313,7 @@ and dispatch_body t ?win ~target ~path ~event ~bubbles ~preds ~target_value ?def
   let target_value =
     match target_value with
     | Value.Undefined -> (
-        match Hashtbl.find_opt t.node_objs target with
+        match js_object t target with
         | Some o -> Value.Object o
         | None -> Value.Undefined)
     | v -> v
@@ -422,9 +492,7 @@ let start_external_script t w node ~url =
   Network.fetch t.net ~url (fun outcome ->
       match outcome with
       | Network.Fetched source ->
-          let preds =
-            match Hashtbl.find_opt t.create_ops node.Dom.uid with Some op -> [ op ] | None -> []
-          in
+          let preds = create_preds t node.Dom.uid in
           let final = exec_script_op t w ~source ~preds ~label:("script " ^ url) in
           ignore (element_load t w node ~event:"load" ~preds:[ final ])
       | Network.Missing -> ignore (element_load t w node ~event:"error" ~preds:[]))
@@ -440,19 +508,26 @@ let compile_handler_code t ~code ~label =
       None
   | body -> Some (Interp.global_function t.vm ~name:label ~params:[ "event" ] body)
 
+let is_handler_name name = String.length name > 2 && name.[0] = 'o' && name.[1] = 'n'
+
 let register_handler_attrs t (node : Dom.node) =
-  Hashtbl.iter
+  Dom.iter_attrs
     (fun name code ->
-      if String.length name > 2 && String.sub name 0 2 = "on" then begin
+      if is_handler_name name then begin
         let event = String.sub name 2 (String.length name - 2) in
         match compile_handler_code t ~code ~label:(node.Dom.tag ^ "." ^ name) with
         | Some h -> Events.set_inline t.registry ~target:node.Dom.uid ~event (Some h)
         | None -> ()
       end)
-    node.Dom.attrs
+    node
 
-let html_attrs (e : Html.element) =
-  List.map (fun { Html.name; value } -> (name, value)) e.Html.attrs
+let parse_label t tag =
+  match Hashtbl.find t.parse_labels tag with
+  | label -> label
+  | exception Not_found ->
+      let label = "parse <" ^ tag ^ ">" in
+      Hashtbl.add t.parse_labels tag label;
+      label
 
 (* ==================================================================== *)
 (* The big recursive knot: parsing, dynamic insertion, JS bindings.     *)
@@ -461,68 +536,64 @@ let html_attrs (e : Html.element) =
 let rec schedule_parse t w =
   ignore
     (Event_loop.schedule ~cls:Event_loop.Parse t.loop ~delay:t.config.Config.parse_delay
-       (fun () -> parse_step t w))
+       w.parse_task)
 
 (* One parse(E) operation per static element (§3.2), chained in syntactic
    order (rule 1a) with inline-script and sync-script chaining (1b, 1c). *)
-and parse_step t w = span t ~cat:"parse" ~name:"parse-step" (fun () -> parse_step_inner t w)
+and parse_step t w =
+  let tm = tel t in
+  if Telemetry.enabled tm then
+    Telemetry.with_span tm ~cat:"parse" ~name:"parse-step" (fun () -> parse_step_inner t w)
+  else parse_step_inner t w
 
 and parse_step_inner t w =
   match w.parse_items with
   | [] -> if not w.parsing_done then finish_parsing t w
-  | I_text { content; item_parent } :: rest ->
+  | { p_rest = []; _ } :: up ->
+      (* An exhausted element costs no step of its own. *)
+      w.parse_items <- up;
+      parse_step_inner t w
+  | ({ p_rest = Html.Text content :: rest; p_parent = item_parent } as p) :: _ ->
       (* Text is not an operation of its own (§3.2); it attaches as a
          continuation of the preceding parse-chain operation, keeping
          document order for mixed content. *)
-      w.parse_items <- rest;
+      p.p_rest <- rest;
       let op = match w.parse_preds with p :: _ -> p | [] -> t.init_op in
       ignore
         (within_op t op ~label:"parse #text" (fun () ->
              Dom.append w.doc ~parent:item_parent ~child:(Dom.create_text w.doc content)));
       if not w.blocked_on_script then schedule_parse t w
-  | I_elem { elem; item_parent } :: rest -> (
-      w.parse_items <- rest;
-      let label = "parse <" ^ elem.Html.tag ^ ">" in
+  | ({ p_rest = Html.Element elem :: rest; p_parent = item_parent } as p) :: _ ->
+      p.p_rest <- rest;
+      let label = parse_label t elem.Html.tag in
       let op = fresh_op t Op.Parse ~label ~preds:w.parse_preds in
-      let node_ref = ref None in
+      let node = Dom.create_element w.doc ~tag:elem.Html.tag ~attrs:elem.Html.attrs in
       let final =
         within_op t op ~label (fun () ->
-            let n = Dom.create_element w.doc ~tag:elem.Html.tag ~attrs:(html_attrs elem) in
-            node_ref := Some n;
-            Hashtbl.replace t.nodes n.Dom.uid (n, w);
-            Hashtbl.replace t.create_ops n.Dom.uid op;
-            Dom.append w.doc ~parent:item_parent ~child:n;
-            register_handler_attrs t n;
+            register_node t node w ~create_op:op;
+            Dom.append w.doc ~parent:item_parent ~child:node;
+            register_handler_attrs t node;
             if elem.Html.tag = "script" then
               List.iter
                 (function
-                  | Html.Text s -> n.Dom.text <- n.Dom.text ^ s
+                  | Html.Text s -> node.Dom.text <- node.Dom.text ^ s
                   | Html.Element _ -> ())
                 elem.Html.children)
       in
-      match !node_ref with
-      | None -> schedule_parse t w
-      | Some node ->
-          let child_items =
-            if elem.Html.tag = "script" then []
-            else
-              List.map
-                (function
-                  | Html.Element child -> I_elem { elem = child; item_parent = node }
-                  | Html.Text s -> I_text { content = s; item_parent = node })
-                elem.Html.children
-          in
-          w.parse_items <- child_items @ w.parse_items;
-          w.parse_preds <- [ final ];
-          (match elem.Html.tag with
-          | "script" -> handle_static_script t w node ~parse_op:final
-          | "iframe" -> handle_static_iframe t w node
-          | "img" -> (
-              match Dom.get_attr node "src" with
-              | Some url when url <> "" -> start_image_load t w node ~url
-              | Some _ | None -> ())
-          | _ -> ());
-          if not w.blocked_on_script then schedule_parse t w)
+      (match elem.Html.children with
+      | _ :: _ as children when elem.Html.tag <> "script" ->
+          w.parse_items <- { p_parent = node; p_rest = children } :: w.parse_items
+      | _ -> ());
+      w.parse_preds <- [ final ];
+      (match elem.Html.tag with
+      | "script" -> handle_static_script t w node ~parse_op:final
+      | "iframe" -> handle_static_iframe t w node
+      | "img" -> (
+          match Dom.get_attr node "src" with
+          | Some url when url <> "" -> start_image_load t w node ~url
+          | Some _ | None -> ())
+      | _ -> ());
+      if not w.blocked_on_script then schedule_parse t w
 
 (* Run a parser-blocking script with document.write capture: writes buffer
    up during execution and flush into the parse stream right after the
@@ -537,14 +608,8 @@ and exec_parser_script t w node ~source ~preds ~label =
   if Buffer.length buf > 0 then begin
     match node.Dom.parent with
     | Some parent ->
-        let written =
-          List.map
-            (function
-              | Html.Element e -> I_elem { elem = e; item_parent = parent }
-              | Html.Text s -> I_text { content = s; item_parent = parent })
-            (Html.parse ~tm:(tel t) (Buffer.contents buf))
-        in
-        w.parse_items <- written @ w.parse_items
+        let written = Html.parse ~tm:(tel t) (Buffer.contents buf) in
+        w.parse_items <- { p_parent = parent; p_rest = written } :: w.parse_items
     | None -> ()
   end;
   final
@@ -637,18 +702,13 @@ and handle_static_iframe t w node =
 and start_frame_document t ~parent ~iframe_node ~html ~url =
   let child = make_window t ~frame:(Some { parent; iframe_node }) ~url in
   (* Rule 6: create(I) happens-before everything in the nested document. *)
-  (match Hashtbl.find_opt t.create_ops iframe_node.Dom.uid with
-  | Some op ->
+  (match create_op t iframe_node.Dom.uid with
+  | -1 -> ()
+  | op ->
       child.parse_preds <- [ op ];
-      Hashtbl.replace t.create_ops child.win_uid op;
-      Hashtbl.replace t.create_ops (Dom.root child.doc).Dom.uid op
-  | None -> ());
-  child.parse_items <-
-    List.map
-      (function
-        | Html.Element e -> I_elem { elem = e; item_parent = Dom.root child.doc }
-        | Html.Text s -> I_text { content = s; item_parent = Dom.root child.doc })
-      (Html.parse ~tm:(tel t) html);
+      set_create_op t child.win_uid op;
+      set_create_op t (Dom.root child.doc).Dom.uid op);
+  child.parse_items <- [ { p_parent = Dom.root child.doc; p_rest = Html.parse ~tm:(tel t) html } ];
   schedule_parse t child
 
 (* --- dynamic insertion ---------------------------------------------- *)
@@ -662,9 +722,8 @@ and after_attach t w ?(run_scripts = true) node =
     let acc = ref [] in
     Dom.iter_subtree
       (fun n ->
-        if n.Dom.tag <> "#text" && not (Hashtbl.mem t.create_ops n.Dom.uid) then begin
-          Hashtbl.replace t.create_ops n.Dom.uid (current_op t);
-          Hashtbl.replace t.nodes n.Dom.uid (n, w);
+        if n.Dom.tag <> "#text" && create_op t n.Dom.uid < 0 then begin
+          register_node t n w ~create_op:(current_op t);
           register_handler_attrs t n;
           acc := n :: !acc
         end)
@@ -705,12 +764,12 @@ and after_attach t w ?(run_scripts = true) node =
 (* --- JS wrappers ----------------------------------------------------- *)
 
 and wrap_node t w (node : Dom.node) =
-  match Hashtbl.find_opt t.node_objs node.Dom.uid with
+  match js_object t node.Dom.uid with
   | Some obj -> obj
   | None ->
       let vm = t.vm in
       let obj = Value.new_object vm ~class_name:"HTMLElement" () in
-      Hashtbl.replace t.node_objs node.Dom.uid obj;
+      set_js_object t node.Dom.uid obj;
       install_node_methods t w node obj;
       obj.Value.host <-
         Some
@@ -777,13 +836,11 @@ and node_host_get t w node obj name =
       let elems = List.filter (fun (c : Dom.node) -> c.Dom.tag <> "#text") (Dom.children node) in
       List.iteri
         (fun i _ ->
-          Instr.emit t.instr
-            (prop_cell t ~owner:node.Dom.uid ("childNodes." ^ string_of_int i))
-            `Read)
+          Instr.emit t.instr (prop_cell t ~owner:node.Dom.uid (Dom.child_slot_name i)) `Read)
         elems;
       Some (Value.Object (Value.new_array vm (List.map (node_value t w) elems)))
   | "firstChild" -> (
-      Instr.emit t.instr (prop_cell t ~owner:node.Dom.uid "childNodes.0") `Read;
+      Instr.emit t.instr (prop_cell t ~owner:node.Dom.uid (Dom.child_slot_name 0)) `Read;
       match List.filter (fun (c : Dom.node) -> c.Dom.tag <> "#text") (Dom.children node) with
       | c :: _ -> Some (node_value t w c)
       | [] -> Some Value.Null)
@@ -811,10 +868,11 @@ and node_host_get t w node obj name =
 and serialize_children (node : Dom.node) =
   let rec to_html (n : Dom.node) =
     if n.Dom.tag = "#text" then Html.text n.Dom.text
-    else
-      Html.el n.Dom.tag
-        ~attrs:(Hashtbl.fold (fun k v acc -> (k, v) :: acc) n.Dom.attrs [])
-        (List.map to_html (Dom.children n))
+    else begin
+      let attrs = ref [] in
+      Dom.iter_attrs (fun k v -> attrs := (k, v) :: !attrs) n;
+      Html.el n.Dom.tag ~attrs:!attrs (List.map to_html (Dom.children n))
+    end
   in
   Html.to_string (List.map to_html (Dom.children node))
 
@@ -880,7 +938,7 @@ and set_inner_html t w node html =
     match h with
     | Html.Text s -> Dom.create_text w.doc s
     | Html.Element e ->
-        let n = Dom.create_element w.doc ~tag:e.Html.tag ~attrs:(html_attrs e) in
+        let n = Dom.create_element w.doc ~tag:e.Html.tag ~attrs:e.Html.attrs in
         List.iter
           (fun child ->
             if e.Html.tag = "script" then
@@ -904,7 +962,7 @@ and install_node_methods t w node obj =
   let as_node v =
     match v with
     | Value.Object { Value.host = Some { Value.host_kind = "node"; host_id; _ }; _ } ->
-        Hashtbl.find_opt t.nodes host_id |> Option.map fst
+        Option.map fst (find_node t host_id)
     | _ -> None
   in
   m "appendChild" (fun _vm ~this:_ args ->
@@ -1083,7 +1141,7 @@ and make_document_object t w =
   let vm = t.vm in
   let obj = Value.new_object vm ~class_name:"HTMLDocument" () in
   let root = Dom.root w.doc in
-  Hashtbl.replace t.node_objs root.Dom.uid obj;
+  set_js_object t root.Dom.uid obj;
   (* Documents expose the Node interface too (appendChild, removeChild,
      ...); document-specific methods below override where they differ. *)
   install_node_methods t w root obj;
@@ -1107,12 +1165,12 @@ and make_document_object t w =
   m "createElement" (fun vm ~this:_ args ->
       let tag = Value.to_string vm (List.nth_opt args 0 |> Option.value ~default:Value.Undefined) in
       let n = Dom.create_element w.doc ~tag ~attrs:[] in
-      Hashtbl.replace t.nodes n.Dom.uid (n, w);
+      register_node t n w ~create_op:(-1);
       node_value t w n);
   m "createTextNode" (fun vm ~this:_ args ->
       let s = Value.to_string vm (List.nth_opt args 0 |> Option.value ~default:Value.Undefined) in
       let n = Dom.create_text w.doc s in
-      Hashtbl.replace t.nodes n.Dom.uid (n, w);
+      register_node t n w ~create_op:(-1);
       node_value t w n);
   m "addEventListener" (fun vm ~this:_ args ->
       let event = Value.to_string vm (List.nth_opt args 0 |> Option.value ~default:Value.Undefined) in
@@ -1233,7 +1291,7 @@ and make_window_object t w =
   m "getComputedStyle" (fun _vm ~this:_ args ->
       match List.nth_opt args 0 with
       | Some (Value.Object { Value.host = Some { Value.host_kind = "node"; host_id; _ }; _ }) -> (
-          match Hashtbl.find_opt t.nodes host_id with
+          match find_node t host_id with
           | Some (n, w') -> (
               match node_host_get t w' n (wrap_node t w' n) "style" with
               | Some v -> v
@@ -1427,8 +1485,8 @@ and make_xhr_ctor t w =
   Value.new_builtin vm "XMLHttpRequest" (fun vm ~this:_ _args ->
       let xhr_uid = t.instr.Instr.fresh_id () in
       let obj = Value.new_object vm ~class_name:"XMLHttpRequest" () in
-      Hashtbl.replace t.node_objs xhr_uid obj;
-      Hashtbl.replace t.create_ops xhr_uid (current_op t);
+      set_js_object t xhr_uid obj;
+      set_create_op t xhr_uid (current_op t);
       Value.set_prop_raw obj "readyState" (Value.Number 0.);
       Value.set_prop_raw obj "responseText" (Value.String "");
       Value.set_prop_raw obj "status" (Value.Number 0.);
@@ -1491,6 +1549,7 @@ and make_window t ~frame ~url =
       win_obj = Value.new_object t.vm ();  (* replaced below *)
       doc_obj = Value.new_object t.vm ();
       parse_items = [];
+      parse_task = ignore;
       parse_preds = [ t.init_op ];
       parsing_done = false;
       blocked_on_script = false;
@@ -1503,11 +1562,11 @@ and make_window t ~frame ~url =
       defer_ld_ops = [];
     }
   in
+  w.parse_task <- (fun () -> parse_step t w);
   w.doc_obj <- make_document_object t w;
   w.win_obj <- make_window_object t w;
-  Hashtbl.replace t.nodes (Dom.root doc).Dom.uid (Dom.root doc, w);
-  Hashtbl.replace t.create_ops w.win_uid t.init_op;
-  Hashtbl.replace t.create_ops (Dom.root doc).Dom.uid t.init_op;
+  register_node t (Dom.root doc) w ~create_op:t.init_op;
+  set_create_op t w.win_uid t.init_op;
   t.windows <- t.windows @ [ w ];
   (* Window-level builtins double as bare globals: setTimeout(...) without
      the window. prefix. Install once, from the main window. *)
@@ -1593,9 +1652,8 @@ let create (config : Config.t) =
       init_op;
       windows = [];
       current_window = None;
-      node_objs = Hashtbl.create 256;
-      nodes = Hashtbl.create 256;
-      create_ops = Hashtbl.create 256;
+      entries = Hashtbl.create 256;
+      parse_labels = Hashtbl.create 16;
       dispatch_ops = Hashtbl.create 64;
       counted_loadables = Hashtbl.create 16;
       load_started = Hashtbl.create 16;
@@ -1615,11 +1673,7 @@ let start t =
   Telemetry.mark (tel t) ~cat:"page" "start";
   let w = make_window t ~frame:None ~url:"http://site.test/" in
   w.parse_items <-
-    List.map
-      (function
-        | Html.Element e -> I_elem { elem = e; item_parent = Dom.root w.doc }
-        | Html.Text s -> I_text { content = s; item_parent = Dom.root w.doc })
-      (Html.parse ~tm:(tel t) t.config.Config.page);
+    [ { p_parent = Dom.root w.doc; p_rest = Html.parse ~tm:(tel t) t.config.Config.page } ];
   schedule_parse t w
 
 let run t = Event_loop.run_until t.loop ~deadline:t.config.Config.time_limit
@@ -1629,9 +1683,10 @@ let run t = Event_loop.run_until t.loop ~deadline:t.config.Config.time_limit
 (* ------------------------------------------------------------------ *)
 
 let attached_node t uid =
-  match Hashtbl.find_opt t.nodes uid with
-  | Some (n, w) when Dom.is_attached w.doc n -> Some (n, w)
-  | _ -> None
+  match Hashtbl.find t.entries uid with
+  | Node_entry { node; win; _ } when Dom.is_attached win.doc node -> Some (node, win)
+  | Node_entry _ | Other_entry _ -> None
+  | exception Not_found -> None
 
 let explorable_handler_targets t =
   List.filter
@@ -1642,7 +1697,10 @@ let explorable_handler_targets t =
 let text_input_uids t =
   let out = ref [] in
   Hashtbl.iter
-    (fun uid (n, w) ->
+    (fun uid entry ->
+      match entry with
+      | Other_entry _ -> ()
+      | Node_entry { node = n; win = w; _ } ->
       if Dom.is_attached w.doc n then
         match n.Dom.tag with
         | "textarea" -> out := uid :: !out
@@ -1652,19 +1710,21 @@ let text_input_uids t =
                 out := uid :: !out
             | Some _ -> ())
         | _ -> ())
-    t.nodes;
+    t.entries;
   List.sort compare !out
 
 let javascript_link_uids t =
   let out = ref [] in
   Hashtbl.iter
-    (fun uid (n, w) ->
-      if Dom.is_attached w.doc n && n.Dom.tag = "a" then
-        match Dom.get_attr n "href" with
-        | Some href when String.length href > 11 && String.sub href 0 11 = "javascript:" ->
-            out := uid :: !out
-        | Some _ | None -> ())
-    t.nodes;
+    (fun uid entry ->
+      match entry with
+      | Node_entry { node = n; win = w; _ } when Dom.is_attached w.doc n && n.Dom.tag = "a" -> (
+          match Dom.get_attr n "href" with
+          | Some href when String.length href > 11 && String.sub href 0 11 = "javascript:" ->
+              out := uid :: !out
+          | Some _ | None -> ())
+      | Node_entry _ | Other_entry _ -> ())
+    t.entries;
   List.sort compare !out
 
 let schedule_user_event t ~target ~event =

@@ -6,34 +6,24 @@ let swallowed s = s.seen - s.forwarded
 
 let ratio s = if s.forwarded = 0 then 1.0 else float_of_int s.seen /. float_of_int s.forwarded
 
-(* One cache line per location, valid only for the operation in [epoch]:
-   a slot whose epoch differs from the incoming access's op is logically
-   empty. Epochs make the op-switch flush free (an interleaved operation
-   only invalidates the locations it actually touches) and make the
-   duplicate test cheap — a cache hit already proves same location, same
-   kind slot and same operation, leaving flags and context. The cached
-   read and write are kept unboxed, their op field [-1] when empty, so
-   updating a slot allocates nothing. *)
-type slot = {
-  mutable epoch : Wr_hb.Op.id;
-  mutable read_op : Wr_hb.Op.id;
-  mutable read_flags : Access.flag list;
-  mutable read_context : string;
-  mutable wrote_op : Wr_hb.Op.id;
-  mutable wrote_flags : Access.flag list;
-  mutable wrote_context : string;
-}
+(* One location's dedup state, valid only for the operation in its
+   epoch: a location whose epoch differs from the incoming access's op
+   is logically empty. Epochs make the op-switch flush free (an
+   interleaved operation only invalidates the locations it actually
+   touches) and make the duplicate test cheap — a cache hit already
+   proves same location, same kind slot and same operation, leaving
+   flags and context.
 
-let slot () =
-  {
-    epoch = -1;
-    read_op = -1;
-    read_flags = [];
-    read_context = "";
-    wrote_op = -1;
-    wrote_flags = [];
-    wrote_context = "";
-  }
+   The state is one immediate int, a [mark]: the epoch times four plus a
+   bit per kind, set while the epoch's op has a cached access of that
+   kind. The cached accesses themselves (flags and context) live with the
+   owner: in a [slot] here, or in [Last_access]'s own last read and last
+   write, which hold exactly the accesses last forwarded. *)
+type mark = int
+
+let empty_mark = -4 (* epoch -1, nothing cached *)
+
+let kind_bit = function `Read -> 1 | `Write -> 2
 
 (* A cached entry comes from the same epoch (same op) and the same
    location/kind slot as [a], so only flags and context can distinguish
@@ -44,33 +34,44 @@ let same_record flags context (a : Access.t) =
   (flags == a.Access.flags || flags = a.Access.flags)
   && (context == a.Access.context || String.equal context a.Access.context)
 
+let is_duplicate m (a : Access.t) ~flags ~context =
+  m asr 2 = a.Access.op && m land kind_bit a.Access.kind <> 0 && same_record flags context a
+
+(* A read arms the Checked_read_first transition for the op's next
+   write, so it drops the cached write: that write is no longer a
+   faithful duplicate. *)
+let after m (a : Access.t) =
+  let m = if m asr 2 = a.Access.op then m else a.Access.op lsl 2 in
+  match a.Access.kind with `Read -> (m lor 1) land lnot 2 | `Write -> m lor 2
+
+type slot = {
+  mutable mark : mark;
+  mutable read_flags : Access.flag list;
+  mutable read_context : string;
+  mutable wrote_flags : Access.flag list;
+  mutable wrote_context : string;
+}
+
+let slot () =
+  { mark = empty_mark; read_flags = []; read_context = ""; wrote_flags = []; wrote_context = "" }
+
 let duplicate s (a : Access.t) =
-  let op = a.Access.op in
-  if s.epoch <> op then begin
-    s.epoch <- op;
-    s.read_op <- -1;
-    s.wrote_op <- -1
-  end;
-  match a.Access.kind with
-  | `Read ->
-      (* A read arms the Checked_read_first transition for the op's next
-         write, so the cached write is no longer a faithful duplicate. *)
-      s.wrote_op <- -1;
-      if s.read_op = op && same_record s.read_flags s.read_context a then true
-      else begin
-        s.read_op <- op;
+  let dup =
+    match a.Access.kind with
+    | `Read -> is_duplicate s.mark a ~flags:s.read_flags ~context:s.read_context
+    | `Write -> is_duplicate s.mark a ~flags:s.wrote_flags ~context:s.wrote_context
+  in
+  s.mark <- after s.mark a;
+  if not dup then begin
+    match a.Access.kind with
+    | `Read ->
         s.read_flags <- a.Access.flags;
-        s.read_context <- a.Access.context;
-        false
-      end
-  | `Write ->
-      if s.wrote_op = op && same_record s.wrote_flags s.wrote_context a then true
-      else begin
-        s.wrote_op <- op;
+        s.read_context <- a.Access.context
+    | `Write ->
         s.wrote_flags <- a.Access.flags;
-        s.wrote_context <- a.Access.context;
-        false
-      end
+        s.wrote_context <- a.Access.context
+  end;
+  dup
 
 (* Domain-local high-water mark for the location-cache size: sites on one
    corpus domain are alike, so pre-sizing each wrap's table to the largest

@@ -29,10 +29,11 @@
     operations the first occurrence already compared, and the slot it
     would overwrite receives a same-shape record.
 
-    {!Last_access.create_dedup} and {!Full_track.create_dedup} keep a
-    slot in their own per-location record, so an access costs one
-    location lookup. {!wrap} applies the same rule in front of an opaque
-    detector, at the price of a second location table. *)
+    {!Last_access.create_dedup} keeps a {!mark} in its own per-location
+    record, whose last read and last write are the cached accesses, and
+    {!Full_track.create_dedup} keeps a {!slot} there, so an access costs
+    one location lookup. {!wrap} applies the same rule in front of an
+    opaque detector, at the price of a second location table. *)
 
 type stats = {
   seen : int;  (** raw accesses entering the detector *)
@@ -45,8 +46,28 @@ val swallowed : stats -> int
 
 val ratio : stats -> float
 
-(** One location's dedup state: the operation's cached read and write,
-    kept unboxed, so updating a slot allocates nothing. *)
+(** The rule's per-location state as one immediate int: the epoch (the
+    op of the location's latest access) and whether that op's read and
+    write are cached. The cached accesses' flags and context are kept by
+    the owner of the mark. *)
+type mark = private int
+
+(** [empty_mark] has no epoch and nothing cached. *)
+val empty_mark : mark
+
+(** [is_duplicate m a ~flags ~context] — [a] repeats the access of its
+    kind cached under [m]; [flags] and [context] are that cached access's
+    (its owner's record of the last forwarded access of [a]'s kind). *)
+val is_duplicate : mark -> Wr_mem.Access.t -> flags:Wr_mem.Access.flag list -> context:string -> bool
+
+(** [after m a] is the mark once [a] is seen (forwarded or not). The
+    owner then keeps a forwarded [a]'s flags and context as the cached
+    access of its kind. *)
+val after : mark -> Wr_mem.Access.t -> mark
+
+(** One location's dedup state with its own cache: a mark plus the
+    operation's cached read and write, kept unboxed, so updating a slot
+    allocates nothing. *)
 type slot
 
 (** [slot ()] is an empty slot. *)

@@ -1,10 +1,12 @@
 open Wr_mem
 
-(* The last read and the last write, unboxed: an op of [-1] means the
-   slot is empty, and the flags and context are the access's own.
-   [write_checked] records that the writing operation had read the
-   location first; the [Checked_read_first] flag is only put on an access
-   that goes into a report. Updating a slot allocates nothing. *)
+(* One record per location: the last read and the last write, unboxed
+   (an op of [-1] means the slot is empty, and the flags and context are
+   the access's own), and the location's {!Dedup.mark}, whose cached
+   accesses are these same last read and last write. [write_checked]
+   records that the writing operation had read the location first; the
+   [Checked_read_first] flag is only put on an access that goes into a
+   report. Updating a slot allocates nothing. *)
 type slots = {
   mutable read_op : Wr_hb.Op.id;
   mutable read_flags : Access.flag list;
@@ -13,7 +15,7 @@ type slots = {
   mutable write_flags : Access.flag list;
   mutable write_context : string;
   mutable write_checked : bool;
-  dedup : Dedup.slot;
+  mutable mark : Dedup.mark;
 }
 
 type state = {
@@ -63,16 +65,25 @@ let slots_for st loc =
           write_flags = [];
           write_context = "";
           write_checked = false;
-          dedup = Dedup.slot ();
+          mark = Dedup.empty_mark;
         }
       in
       Location.Tbl.add st.table loc s;
       s
 
+let duplicate s (a : Access.t) =
+  let dup =
+    match a.kind with
+    | `Read -> Dedup.is_duplicate s.mark a ~flags:s.read_flags ~context:s.read_context
+    | `Write -> Dedup.is_duplicate s.mark a ~flags:s.write_flags ~context:s.write_context
+  in
+  s.mark <- Dedup.after s.mark a;
+  dup
+
 let record st (a : Access.t) =
   st.seen <- st.seen + 1;
   let s = slots_for st a.loc in
-  if not (st.dedup && Dedup.duplicate s.dedup a) then begin
+  if not (st.dedup && duplicate s a) then begin
     st.forwarded <- st.forwarded + 1;
     match a.kind with
     | `Read ->

@@ -2,17 +2,27 @@ module Instr = Wr_mem.Instr
 module Location = Wr_mem.Location
 module Access = Wr_mem.Access
 
+module Html = Wr_html.Html
+
+(* Content attributes. Up to [few_limit] distinct names live in a list
+   in insertion order: one cons cell and the parser's own record per
+   attribute, where a table cost a 16-slot array first. Past the limit,
+   or when the markup repeats a name, they live in a [Hashtbl] built by
+   replaying the insertions, so a hostile element with thousands of
+   attributes keeps constant-time lookups. *)
+type attrs = Few of Html.attr list | Many of (string, string) Hashtbl.t
+
 type node = {
   uid : int;
   loc : Location.t;
   tag : string;
-  doc_uid : int;
   mutable parent : node option;
   mutable rev_children : node list;
   mutable child_count : int;
-  attrs : (string, string) Hashtbl.t;
-  idl : (string, string) Hashtbl.t;
+  mutable attrs : attrs;
+  mutable idl : (string * string) list;
   mutable text : string;
+  mutable connected_to : int;
 }
 
 type document = {
@@ -70,30 +80,119 @@ let class_locations doc value =
       Hashtbl.add doc.class_locs value locs;
       locs
 
-let mk_node instr ~tag ~doc_uid ~attrs =
+(* --- attributes --------------------------------------------------- *)
+
+let few_limit = 8
+
+let has_upper s = String.exists (fun c -> c >= 'A' && c <= 'Z') s
+
+(* [s] lowercased: [s] itself when it is lowercase already, as every
+   name from the HTML parser is. *)
+let lower s = if has_upper s then String.lowercase_ascii s else s
+
+let rec few_mem name = function
+  | [] -> false
+  | (a : Html.attr) :: rest -> String.equal a.name name || few_mem name rest
+
+let rec few_find name = function
+  | [] -> raise_notrace Not_found
+  | (a : Html.attr) :: rest -> if String.equal a.name name then a.value else few_find name rest
+
+(* The table [Hashtbl.replace] over [l] in order builds: the last value
+   of a repeated name wins, at the place of its first insertion. *)
+let table_of (l : Html.attr list) =
+  let t = Hashtbl.create 4 in
+  List.iter (fun (a : Html.attr) -> Hashtbl.replace t a.name a.value) l;
+  t
+
+let no_attrs = Few []
+
+let attrs_of_list (l : Html.attr list) =
+  let l =
+    if List.exists (fun (a : Html.attr) -> has_upper a.name) l then
+      List.map (fun (a : Html.attr) -> { a with name = String.lowercase_ascii a.name }) l
+    else l
+  in
+  let rec clean n = function
+    | [] -> true
+    | (a : Html.attr) :: rest -> n < few_limit && (not (few_mem a.name rest)) && clean (n + 1) rest
+  in
+  match l with
+  | [] -> no_attrs
+  | _ when clean 0 l -> Few l
+  | _ -> Many (table_of l) (* a repeated name, or more than [few_limit] *)
+
+(* Raises [Not_found]; [name] is lowercase. *)
+let find_attr node name =
+  match node.attrs with Few l -> few_find name l | Many t -> Hashtbl.find t name
+
+let has_attr node name =
+  match node.attrs with Few l -> few_mem name l | Many t -> Hashtbl.mem t name
+
+(* The value of [name], [""] when absent: presence writes treat both alike. *)
+let attr_or_empty node name = match find_attr node name with v -> v | exception Not_found -> ""
+
+let get_attr node name =
+  match find_attr node (lower name) with v -> Some v | exception Not_found -> None
+
+let replace_attr node name v =
+  match node.attrs with
+  | Many t -> Hashtbl.replace t name v
+  | Few l ->
+      if few_mem name l then
+        node.attrs <-
+          Few
+            (List.map
+               (fun (a : Html.attr) -> if String.equal a.name name then { a with value = v } else a)
+               l)
+      else if List.length l < few_limit then node.attrs <- Few (l @ [ { Html.name; value = v } ])
+      else begin
+        let t = table_of l in
+        Hashtbl.replace t name v;
+        node.attrs <- Many t
+      end
+
+(* Attributes iterate in the order a [Hashtbl.create 4] fed the same
+   insertions would: by bucket (16 of them up to 32 entries), newest
+   first within one. Handler registration and serialization follow this
+   order, and op numbering, reports and pinned digests follow them. *)
+let bucket (a : Html.attr) = Hashtbl.hash a.name land 15
+
+let iter_attrs f node =
+  match node.attrs with
+  | Many t -> Hashtbl.iter f t
+  | Few [] -> ()
+  | Few [ a ] -> f a.name a.value
+  | Few l ->
+      List.iter
+        (fun (a : Html.attr) -> f a.name a.value)
+        (List.stable_sort (fun a b -> Int.compare (bucket a) (bucket b)) (List.rev l))
+
+(* --- nodes -------------------------------------------------------- *)
+
+let mk_node instr ~tag ~attrs =
   let uid = instr.Instr.fresh_id () in
   {
     uid;
     loc = Location.Html_elem (Location.Node uid);
     tag;
-    doc_uid;
     parent = None;
     rev_children = [];
     child_count = 0;
-    attrs =
-      (let t = Hashtbl.create 4 in
-       List.iter (fun (k, v) -> Hashtbl.replace t (String.lowercase_ascii k) v) attrs;
-       t);
-    idl = Hashtbl.create 2;
+    attrs;
+    idl = [];
     text = "";
+    connected_to = -1;
   }
 
 let create_document instr ~url =
   let duid = instr.Instr.fresh_id () in
+  let doc_root = mk_node instr ~tag:"#document" ~attrs:no_attrs in
+  doc_root.connected_to <- duid;
   {
     duid;
     instr;
-    doc_root = mk_node instr ~tag:"#document" ~doc_uid:duid ~attrs:[];
+    doc_root;
     doc_url = url;
     by_id = Hashtbl.create 32;
     id_locs = Hashtbl.create 32;
@@ -107,14 +206,12 @@ let root doc = doc.doc_root
 let url doc = doc.doc_url
 
 let create_element doc ~tag ~attrs =
-  mk_node doc.instr ~tag:(String.lowercase_ascii tag) ~doc_uid:doc.duid ~attrs
+  mk_node doc.instr ~tag:(lower tag) ~attrs:(attrs_of_list attrs)
 
 let create_text doc s =
-  let n = mk_node doc.instr ~tag:"#text" ~doc_uid:doc.duid ~attrs:[] in
+  let n = mk_node doc.instr ~tag:"#text" ~attrs:no_attrs in
   n.text <- s;
   n
-
-let get_attr node name = Hashtbl.find_opt node.attrs (String.lowercase_ascii name)
 
 let children n = List.rev n.rev_children
 
@@ -125,13 +222,26 @@ let iter_subtree f node =
   in
   go node
 
-let rec is_root_reachable doc n =
-  n.uid = doc.doc_root.uid
-  || match n.parent with Some p -> is_root_reachable doc p | None -> false
-
-let is_attached doc node = is_root_reachable doc node
+let is_attached doc node = node.connected_to = doc.duid
 
 let prop_cell doc ~owner name = doc.instr.Instr.cell_loc ~owner name
+
+(* "childNodes.<i>", one string per index and domain. *)
+let child_slot_names : string array ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [||])
+
+let child_slot_name i =
+  let names = Domain.DLS.get child_slot_names in
+  if i >= Array.length !names then begin
+    let grown = Array.make (max (i + 1) (2 * Array.length !names)) "" in
+    Array.blit !names 0 grown 0 (Array.length !names);
+    names := grown
+  end;
+  match !names.(i) with
+  | "" ->
+      let name = "childNodes." ^ string_of_int i in
+      !names.(i) <- name;
+      name
+  | name -> name
 
 let emit doc ?flags loc kind = Instr.emit doc.instr ?flags loc kind
 
@@ -145,53 +255,68 @@ let rec write_all doc = function
    the element location, its id cell, and its collections (§4.2): its tag,
    the document.* named collections it belongs to, and one per CSS class
    (class-based queries read these). Collection cells have a
-   write-write-tolerant conflict policy, see Location. Attribute names are
-   stored lowercased, so the lookups here skip [get_attr]'s lowercasing. *)
+   write-write-tolerant conflict policy, see Location. *)
 let emit_presence_writes doc n =
   if n.tag <> "#text" then begin
     emit doc n.loc `Write;
-    (match Hashtbl.find_opt n.attrs "id" with
-    | Some id when id <> "" -> emit doc (id_location doc id) `Write
-    | Some _ | None -> ());
+    (match attr_or_empty n "id" with "" -> () | id -> emit doc (id_location doc id) `Write);
     emit doc (tag_location doc n.tag) `Write;
     (match n.tag with
     | "img" -> emit doc (collection_location doc "images") `Write
     | "form" -> emit doc (collection_location doc "forms") `Write
     | "script" -> emit doc (collection_location doc "scripts") `Write
     | "a" ->
-        if Hashtbl.mem n.attrs "href" then emit doc (collection_location doc "links") `Write;
-        if Hashtbl.mem n.attrs "name" then emit doc (collection_location doc "anchors") `Write
+        if has_attr n "href" then emit doc (collection_location doc "links") `Write;
+        if has_attr n "name" then emit doc (collection_location doc "anchors") `Write
     | _ -> ());
-    match Hashtbl.find_opt n.attrs "class" with
-    | Some cs -> write_all doc (class_locations doc cs)
-    | None -> ()
+    match attr_or_empty n "class" with "" -> () | cs -> write_all doc (class_locations doc cs)
   end
 
-let index_ids doc n =
-  iter_subtree
-    (fun n ->
-      match get_attr n "id" with
-      | Some id when id <> "" -> if not (Hashtbl.mem doc.by_id id) then Hashtbl.add doc.by_id id n
-      | Some _ | None -> ())
-    n
+let index_id doc n =
+  match attr_or_empty n "id" with
+  | "" -> ()
+  | id -> if not (Hashtbl.mem doc.by_id id) then Hashtbl.add doc.by_id id n
 
-let unindex_ids doc n =
-  iter_subtree
-    (fun n ->
-      match get_attr n "id" with
-      | Some id when id <> "" -> (
-          match Hashtbl.find_opt doc.by_id id with
-          | Some current when current.uid = n.uid -> Hashtbl.remove doc.by_id id
-          | Some _ | None -> ())
+let unindex_id doc n =
+  match attr_or_empty n "id" with
+  | "" -> ()
+  | id -> (
+      match Hashtbl.find_opt doc.by_id id with
+      | Some current when current.uid = n.uid -> Hashtbl.remove doc.by_id id
       | Some _ | None -> ())
-    n
+
+(* Pre-order over [n]'s subtree: mark it connected to [root_doc] (a
+   document uid, or -1 for detached), and when that is [doc] emit the
+   presence writes and keep the id index. A childless node, as every
+   parsed element is when inserted, costs no list walk. *)
+let rec reconnect doc ~root_doc ~attach n =
+  n.connected_to <- root_doc;
+  if attach then begin
+    emit_presence_writes doc n;
+    index_id doc n
+  end;
+  match n.rev_children with
+  | [] -> ()
+  | rev -> List.iter (reconnect doc ~root_doc ~attach) (List.rev rev)
+
+let rec disconnect doc ~detach n =
+  n.connected_to <- -1;
+  if detach then begin
+    emit_presence_writes doc n;
+    unindex_id doc n
+  end;
+  match n.rev_children with
+  | [] -> ()
+  | rev -> List.iter (disconnect doc ~detach) (List.rev rev)
 
 let check_insertable ~parent ~child =
-  if child.parent <> None then invalid_arg "Dom: node already has a parent";
+  (match child.parent with Some _ -> invalid_arg "Dom: node already has a parent" | None -> ());
+  (* Only a node with children can be a proper ancestor of [parent]. *)
   let rec is_ancestor n =
     n.uid = child.uid || match n.parent with Some p -> is_ancestor p | None -> false
   in
-  if is_ancestor parent then invalid_arg "Dom: insertion would create a cycle"
+  if parent.uid = child.uid || (child.rev_children <> [] && is_ancestor parent) then
+    invalid_arg "Dom: insertion would create a cycle"
 
 let finish_insert doc ~parent ~child ~index =
   child.parent <- Some parent;
@@ -199,12 +324,10 @@ let finish_insert doc ~parent ~child ~index =
   (* Structural property writes: parentNode of the child, childNodes.i of
      the parent (§4.1 "additional cases"). *)
   emit doc (prop_cell doc ~owner:child.uid "parentNode") `Write;
-  emit doc (prop_cell doc ~owner:parent.uid ("childNodes." ^ string_of_int index)) `Write;
+  emit doc (prop_cell doc ~owner:parent.uid (child_slot_name index)) `Write;
   (* The whole subtree becomes visible. *)
-  if is_root_reachable doc parent then begin
-    iter_subtree (emit_presence_writes doc) child;
-    index_ids doc child
-  end
+  if parent.connected_to >= 0 then
+    reconnect doc ~root_doc:parent.connected_to ~attach:(parent.connected_to = doc.duid) child
 
 let append doc ~parent ~child =
   check_insertable ~parent ~child;
@@ -233,15 +356,12 @@ let remove doc node =
   match node.parent with
   | None -> ()
   | Some parent ->
-      let attached = is_root_reachable doc node in
+      let attached = is_attached doc node in
       parent.rev_children <- List.filter (fun c -> c.uid <> node.uid) parent.rev_children;
       parent.child_count <- parent.child_count - 1;
       node.parent <- None;
       emit doc (prop_cell doc ~owner:node.uid "parentNode") `Write;
-      if attached then begin
-        iter_subtree (emit_presence_writes doc) node;
-        unindex_ids doc node
-      end
+      if node.connected_to >= 0 then disconnect doc ~detach:attached node
 
 let get_element_by_id doc id =
   match Hashtbl.find_opt doc.by_id id with
@@ -268,7 +388,7 @@ let read_collection doc loc pred =
   nodes
 
 let get_elements_by_tag_name doc tag =
-  let tag = String.lowercase_ascii tag in
+  let tag = lower tag in
   read_collection doc (tag_location doc tag) (fun n -> n.tag = tag)
 
 let collection doc name =
@@ -277,14 +397,15 @@ let collection doc name =
     | "images" -> n.tag = "img"
     | "forms" -> n.tag = "form"
     | "scripts" -> n.tag = "script"
-    | "links" -> n.tag = "a" && get_attr n "href" <> None
-    | "anchors" -> n.tag = "a" && get_attr n "name" <> None
+    | "links" -> n.tag = "a" && has_attr n "href"
+    | "anchors" -> n.tag = "a" && has_attr n "name"
     | _ -> false
   in
   read_collection doc (collection_location doc name) pred
 
 let set_attr doc node name v =
-  let name = String.lowercase_ascii name in
+  let name = lower name in
+  let attached = is_attached doc node in
   if name = "id" then begin
     (match get_attr node "id" with
     | Some old when old <> "" && Hashtbl.mem doc.by_id old -> (
@@ -294,18 +415,18 @@ let set_attr doc node name v =
             emit doc (id_location doc old) `Write
         | Some _ | None -> ())
     | Some _ | None -> ());
-    if v <> "" && is_root_reachable doc node then begin
+    if v <> "" && attached then begin
       if not (Hashtbl.mem doc.by_id v) then Hashtbl.add doc.by_id v node;
       emit doc (id_location doc v) `Write
     end
   end;
-  if name = "class" && is_root_reachable doc node then begin
+  if name = "class" && attached then begin
     let old_classes = match get_attr node "class" with Some v -> class_list v | None -> [] in
     List.iter
       (fun c -> emit doc (collection_location doc ("class:" ^ c)) `Write)
       (List.sort_uniq compare (old_classes @ class_list v))
   end;
-  Hashtbl.replace node.attrs name v;
+  replace_attr node name v;
   emit doc (prop_cell doc ~owner:node.uid name) `Write
 
 let form_field_tags = [ "input"; "textarea"; "select"; "option"; "button" ]
@@ -317,10 +438,10 @@ let idl_flags node name flags =
 
 let set_idl doc node ?(flags = []) name v =
   emit doc ~flags:(idl_flags node name flags) (prop_cell doc ~owner:node.uid name) `Write;
-  Hashtbl.replace node.idl name v
+  node.idl <- (name, v) :: List.remove_assoc name node.idl
 
 let get_idl doc node ?(flags = []) name =
   emit doc ~flags:(idl_flags node name flags) (prop_cell doc ~owner:node.uid name) `Read;
-  match Hashtbl.find_opt node.idl name with
+  match List.assoc_opt name node.idl with
   | Some v -> Some v
   | None -> get_attr node name (* IDL reflects the content attribute initially *)

@@ -19,19 +19,26 @@
     Event-handler attributes are NOT handled here — the browser's event
     layer owns those (§4.3). *)
 
+(** Content attributes: a short list up to eight names, a table past
+    that or when the markup repeats a name. Read them with {!get_attr}
+    and {!iter_attrs}. *)
+type attrs
+
 type node = {
   uid : int;
   loc : Wr_mem.Location.t;  (** the element's [Node] location, built once *)
   tag : string;  (** "#document" for the root, "#text" for text nodes *)
-  doc_uid : int;
   mutable parent : node option;
   mutable rev_children : node list;
       (** newest-first internal storage so appends are O(1); use
           {!children} for document order *)
   mutable child_count : int;
-  attrs : (string, string) Hashtbl.t;  (** content attributes (lowercased names) *)
-  idl : (string, string) Hashtbl.t;  (** IDL state: value, checked, ... *)
+  mutable attrs : attrs;  (** content attributes (lowercased names) *)
+  mutable idl : (string * string) list;  (** IDL state: value, checked *)
   mutable text : string;  (** text payload for [#text] and raw-text elements *)
+  mutable connected_to : int;
+      (** uid of the document whose root reaches this node, [-1] when
+          detached; kept on insert and remove, so {!is_attached} is O(1) *)
 }
 
 type document
@@ -45,8 +52,10 @@ val root : document -> node
 val url : document -> string
 
 (** [create_element doc ~tag ~attrs] allocates a detached element. No
-    access is emitted — creation only becomes visible on insertion. *)
-val create_element : document -> tag:string -> attrs:(string * string) list -> node
+    access is emitted — creation only becomes visible on insertion. Tag
+    and attribute names are lowercased (the parser's already are, and are
+    kept without a copy); a repeated attribute keeps its last value. *)
+val create_element : document -> tag:string -> attrs:Wr_html.Html.attr list -> node
 
 (** [create_text doc s] allocates a detached text node. *)
 val create_text : document -> string -> node
@@ -84,6 +93,16 @@ val set_attr : document -> node -> string -> string -> unit
 (** [get_attr node name] reads a content attribute without instrumentation
     (markup inspection, not a §4 logical access). *)
 val get_attr : node -> string -> string option
+
+(** [iter_attrs f node] applies [f name value] to each content attribute,
+    in the order a [Hashtbl] fed the same insertions iterates: by bucket,
+    newest first within one. Handler registration and serialization
+    follow it, so op numbering and reports stay as they were. *)
+val iter_attrs : (string -> string -> unit) -> node -> unit
+
+(** [child_slot_name i] is ["childNodes.<i>"], one shared string per
+    index: the name of a parent's [i]-th child property cell. *)
+val child_slot_name : int -> string
 
 (** [class_list value] splits a [class] attribute value into its class
     names, on ASCII whitespace (space, tab, LF, FF, CR) as HTML does;

@@ -4,15 +4,15 @@ type node = Element of element | Text of string
 
 and element = { tag : string; attrs : attr list; children : node list }
 
-let void_tags =
-  [ "area"; "base"; "br"; "col"; "embed"; "hr"; "img"; "input"; "link"; "meta"; "param";
-    "source"; "track"; "wbr" ]
+(* String matches compile to a compare tree: no list walk, no
+   polymorphic compare per element. *)
+let is_void = function
+  | "area" | "base" | "br" | "col" | "embed" | "hr" | "img" | "input" | "link" | "meta"
+  | "param" | "source" | "track" | "wbr" ->
+      true
+  | _ -> false
 
-let raw_text_tags = [ "script"; "style" ]
-
-let is_void tag = List.mem tag void_tags
-
-let is_raw_text tag = List.mem tag raw_text_tags
+let is_raw_text = function "script" | "style" -> true | _ -> false
 
 let attr elem name = List.find_map (fun a -> if a.name = name then Some a.value else None) elem.attrs
 
@@ -101,6 +101,11 @@ let encode_attr s =
 (* Tokenizer                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The character loops test bytes in place: no [Some c] per character,
+   no substring per comparison. What a page costs the tokenizer is its
+   tokens, their text and attribute values, and one string per distinct
+   tag or attribute name (see [read_name]). *)
+
 type token =
   | T_open of string * attr list * bool  (* tag, attrs, self-closing *)
   | T_close of string
@@ -112,225 +117,302 @@ let is_name_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   || c = '-' || c = '_' || c = ':'
 
-let lowercase = String.lowercase_ascii
+(* [names] caches lowercased names by a hash of their bytes, so the
+   thousands of [div]s of a page share one ["div"]. *)
+type cursor = {
+  src : string;
+  mutable pos : int;
+  names : string array;
+  mutable self_closing : bool;  (* the last [read_attrs] ended with "/>" *)
+}
 
-type cursor = { src : string; mutable pos : int }
+let cursor src = { src; pos = 0; names = Array.make 64 ""; self_closing = false }
 
-let peek cur i = if cur.pos + i < String.length cur.src then Some cur.src.[cur.pos + i] else None
+let at_end cur = cur.pos >= String.length cur.src
 
-let starts_with cur s =
-  let n = String.length s in
-  cur.pos + n <= String.length cur.src
-  && lowercase (String.sub cur.src cur.pos n) = lowercase s
+(* The byte at [pos + i] is [c]; false past the end. *)
+let byte_is cur i c =
+  cur.pos + i < String.length cur.src && String.unsafe_get cur.src (cur.pos + i) = c
 
-let read_name cur =
-  let start = cur.pos in
-  while (match peek cur 0 with Some c -> is_name_char c | None -> false) do
-    cur.pos <- cur.pos + 1
-  done;
-  lowercase (String.sub cur.src start (cur.pos - start))
+(* [lower.[k ..]] is the lowercase of [src.[pos + k ..]], up to the end
+   of [lower]. Top-level loops: a local one would allocate its closure
+   on every call. *)
+let rec lower_matches src pos lower k =
+  k = String.length lower
+  || Char.lowercase_ascii (String.unsafe_get src (pos + k)) = String.unsafe_get lower k
+     && lower_matches src pos lower (k + 1)
 
-let skip_space cur =
-  while (match peek cur 0 with Some c -> is_space c | None -> false) do
+(* The source at [pos] starts with [s], ASCII case-insensitively; [s]
+   is lowercase. *)
+let matches_at src pos s = pos + String.length s <= String.length src && lower_matches src pos s 0
+
+let starts_with cur s = matches_at cur.src cur.pos s
+
+let skip_while cur f =
+  let src = cur.src in
+  let n = String.length src in
+  while cur.pos < n && f (String.unsafe_get src cur.pos) do
     cur.pos <- cur.pos + 1
   done
 
+(* Skip to and past the next '>' (or to the end). *)
+let skip_past_gt cur =
+  skip_while cur (fun c -> c <> '>');
+  if not (at_end cur) then cur.pos <- cur.pos + 1
+
+(* [cached] is the lowercase of [src.[start .. start + len)]. *)
+let same_name cached src start len =
+  String.length cached = len && lower_matches src start cached 0
+
+let read_name cur =
+  let src = cur.src in
+  let n = String.length src in
+  let start = cur.pos in
+  let h = ref 0 in
+  while cur.pos < n && is_name_char (String.unsafe_get src cur.pos) do
+    h := (!h lxor Char.code (Char.lowercase_ascii (String.unsafe_get src cur.pos))) * 0x01000193;
+    cur.pos <- cur.pos + 1
+  done;
+  let len = cur.pos - start in
+  if len = 0 then ""
+  else begin
+    let slot = (!h lxor (!h lsr 15)) land (Array.length cur.names - 1) in
+    let cached = Array.unsafe_get cur.names slot in
+    if same_name cached src start len then cached
+    else begin
+      let b = Bytes.create len in
+      for k = 0 to len - 1 do
+        Bytes.unsafe_set b k (Char.lowercase_ascii (String.unsafe_get src (start + k)))
+      done;
+      let name = Bytes.unsafe_to_string b in
+      Array.unsafe_set cur.names slot name;
+      name
+    end
+  end
+
+let skip_space cur = skip_while cur is_space
+
 let read_attr_value cur =
-  match peek cur 0 with
-  | Some (('"' | '\'') as q) ->
-      cur.pos <- cur.pos + 1;
-      let start = cur.pos in
-      while (match peek cur 0 with Some c -> c <> q | None -> false) do
-        cur.pos <- cur.pos + 1
-      done;
-      let v = String.sub cur.src start (cur.pos - start) in
-      if peek cur 0 <> None then cur.pos <- cur.pos + 1;
-      decode_entities v
-  | _ ->
-      let start = cur.pos in
-      while
-        match peek cur 0 with
-        | Some c -> (not (is_space c)) && c <> '>' && c <> '/'
-        | None -> false
-      do
-        cur.pos <- cur.pos + 1
-      done;
-      decode_entities (String.sub cur.src start (cur.pos - start))
+  let src = cur.src in
+  if byte_is cur 0 '"' || byte_is cur 0 '\'' then begin
+    let q = String.unsafe_get src cur.pos in
+    cur.pos <- cur.pos + 1;
+    let start = cur.pos in
+    while cur.pos < String.length src && String.unsafe_get src cur.pos <> q do
+      cur.pos <- cur.pos + 1
+    done;
+    let v = String.sub src start (cur.pos - start) in
+    if not (at_end cur) then cur.pos <- cur.pos + 1;
+    decode_entities v
+  end
+  else begin
+    let start = cur.pos in
+    skip_while cur (fun c -> (not (is_space c)) && c <> '>' && c <> '/');
+    decode_entities (String.sub src start (cur.pos - start))
+  end
 
 let read_attrs cur =
   let attrs = ref [] in
-  let self_closing = ref false in
+  cur.self_closing <- false;
   let continue = ref true in
   while !continue do
     skip_space cur;
-    match peek cur 0 with
-    | None -> continue := false
-    | Some '>' ->
-        cur.pos <- cur.pos + 1;
-        continue := false
-    | Some '/' ->
-        cur.pos <- cur.pos + 1;
-        (match peek cur 0 with
-        | Some '>' ->
+    if at_end cur then continue := false
+    else
+      match String.unsafe_get cur.src cur.pos with
+      | '>' ->
+          cur.pos <- cur.pos + 1;
+          continue := false
+      | '/' ->
+          cur.pos <- cur.pos + 1;
+          if byte_is cur 0 '>' then begin
             cur.pos <- cur.pos + 1;
-            self_closing := true;
+            cur.self_closing <- true;
             continue := false
-        | Some _ | None -> ())
-    | Some c when is_name_char c ->
-        let name = read_name cur in
-        skip_space cur;
-        let value =
-          if peek cur 0 = Some '=' then begin
-            cur.pos <- cur.pos + 1;
-            skip_space cur;
-            read_attr_value cur
           end
-          else ""
-        in
-        attrs := { name; value } :: !attrs
-    | Some _ -> cur.pos <- cur.pos + 1 (* skip stray character *)
+      | c when is_name_char c ->
+          let name = read_name cur in
+          skip_space cur;
+          let value =
+            if byte_is cur 0 '=' then begin
+              cur.pos <- cur.pos + 1;
+              skip_space cur;
+              read_attr_value cur
+            end
+            else ""
+          in
+          attrs := { name; value } :: !attrs
+      | _ -> cur.pos <- cur.pos + 1 (* skip stray character *)
   done;
-  (List.rev !attrs, !self_closing)
+  List.rev !attrs
 
 (* Raw-text elements: scan for the matching close tag without tokenizing. *)
 let read_raw_text cur tag =
-  let close = "</" ^ tag in
+  let src = cur.src in
+  let n = String.length src in
   let start = cur.pos in
-  let n = String.length cur.src in
-  let rec find i =
-    if i >= n then n
-    else if
-      i + String.length close <= n
-      && lowercase (String.sub cur.src i (String.length close)) = close
-    then i
-    else find (i + 1)
-  in
-  let stop = find cur.pos in
-  let body = String.sub cur.src start (stop - start) in
-  cur.pos <- stop;
+  (* The close tag is "</" ^ tag, matched in place. *)
+  let is_close i = i + 1 < n && src.[i] = '<' && src.[i + 1] = '/' && matches_at src (i + 2) tag in
+  let stop = ref start in
+  while !stop < n && not (is_close !stop) do
+    incr stop
+  done;
+  let body = String.sub src start (!stop - start) in
+  cur.pos <- !stop;
   (* Consume the close tag if present. *)
   if cur.pos < n then begin
-    cur.pos <- cur.pos + String.length close;
-    while (match peek cur 0 with Some c -> c <> '>' | None -> false) do
-      cur.pos <- cur.pos + 1
-    done;
-    if peek cur 0 = Some '>' then cur.pos <- cur.pos + 1
+    cur.pos <- cur.pos + 2 + String.length tag;
+    skip_past_gt cur
   end;
   body
 
-let tokenize src =
-  let cur = { src; pos = 0 } in
-  let out = ref [] in
+(* Feeds each token to [emit] in source order. *)
+let tokenize_into src emit =
+  let cur = cursor src in
   let n = String.length src in
   while cur.pos < n do
-    if peek cur 0 = Some '<' then begin
+    if String.unsafe_get src cur.pos = '<' then begin
       if starts_with cur "<!--" then begin
         (* Comment: skip to -->. *)
         cur.pos <- cur.pos + 4;
-        let rec find () =
-          if cur.pos >= n then ()
-          else if starts_with cur "-->" then cur.pos <- cur.pos + 3
-          else begin
-            cur.pos <- cur.pos + 1;
-            find ()
-          end
-        in
-        find ()
-      end
-      else if starts_with cur "<!" then begin
-        (* Doctype or other declaration: skip to >. *)
-        while (match peek cur 0 with Some c -> c <> '>' | None -> false) do
+        while cur.pos < n && not (starts_with cur "-->") do
           cur.pos <- cur.pos + 1
         done;
-        if peek cur 0 = Some '>' then cur.pos <- cur.pos + 1
+        if cur.pos < n then cur.pos <- cur.pos + 3
       end
-      else if peek cur 1 = Some '/' then begin
+      else if byte_is cur 1 '!' then
+        (* Doctype or other declaration: skip to >. *)
+        skip_past_gt cur
+      else if byte_is cur 1 '/' then begin
         cur.pos <- cur.pos + 2;
         let name = read_name cur in
-        while (match peek cur 0 with Some c -> c <> '>' | None -> false) do
-          cur.pos <- cur.pos + 1
-        done;
-        if peek cur 0 = Some '>' then cur.pos <- cur.pos + 1;
-        if name <> "" then out := T_close name :: !out
+        skip_past_gt cur;
+        if name <> "" then emit (T_close name)
       end
-      else if (match peek cur 1 with Some c -> is_name_char c | None -> false) then begin
+      else if cur.pos + 1 < n && is_name_char (String.unsafe_get src (cur.pos + 1)) then begin
         cur.pos <- cur.pos + 1;
         let name = read_name cur in
-        let attrs, self_closing = read_attrs cur in
-        out := T_open (name, attrs, self_closing) :: !out;
+        let attrs = read_attrs cur in
+        let self_closing = cur.self_closing in
+        emit (T_open (name, attrs, self_closing));
         if is_raw_text name && not self_closing then begin
           let body = read_raw_text cur name in
-          (* [out] is in reverse order: push text, then the close tag. *)
-          out := T_close name :: T_text body :: !out
+          emit (T_text body);
+          emit (T_close name)
         end
       end
       else begin
         (* A lone '<' in text. *)
-        out := T_text "<" :: !out;
+        emit (T_text "<");
         cur.pos <- cur.pos + 1
       end
     end
     else begin
       let start = cur.pos in
-      while (match peek cur 0 with Some c -> c <> '<' | None -> false) do
-        cur.pos <- cur.pos + 1
-      done;
-      let t = String.sub src start (cur.pos - start) in
-      out := T_text (decode_entities t) :: !out
+      skip_while cur (fun c -> c <> '<');
+      emit (T_text (decode_entities (String.sub src start (cur.pos - start))))
     end
-  done;
+  done
+
+let tokenize src =
+  let out = ref [] in
+  tokenize_into src (fun t -> out := t :: !out);
   List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* Tree builder                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type frame = { f_tag : string; f_attrs : attr list; mutable f_children : node list }
+(* [f_open] counts the open frames with this frame's tag. *)
+type frame = {
+  f_tag : string;
+  f_attrs : attr list;
+  mutable f_children : node list;
+  f_open : int ref;
+}
+
+(* The open elements, innermost first, above the document frame [root];
+   [depth] counts them and [open_by_tag] counts them per tag, so neither
+   closing nor a stray close tag walks the stack: every element costs
+   the same at any nesting. *)
+type builder = {
+  root : frame;
+  mutable stack : frame list;
+  mutable depth : int;
+  open_by_tag : (string, int ref) Hashtbl.t;
+}
+
+let builder () =
+  let root = { f_tag = "#root"; f_attrs = []; f_children = []; f_open = ref 1 } in
+  { root; stack = [ root ]; depth = 0; open_by_tag = Hashtbl.create 16 }
+
+let add_child b node =
+  let t = List.hd b.stack in
+  t.f_children <- node :: t.f_children
+
+let open_count b tag =
+  match Hashtbl.find b.open_by_tag tag with
+  | n -> n
+  | exception Not_found ->
+      let n = ref 0 in
+      Hashtbl.add b.open_by_tag tag n;
+      n
+
+let close_frame b =
+  match b.stack with
+  | f :: (parent :: _ as rest) ->
+      b.stack <- rest;
+      b.depth <- b.depth - 1;
+      decr f.f_open;
+      parent.f_children <-
+        Element { tag = f.f_tag; attrs = f.f_attrs; children = List.rev f.f_children }
+        :: parent.f_children
+  | [ _ ] | [] -> ()
+
+(* Close frames up to and including the innermost [tag]. *)
+let rec close_to b tag =
+  let was = (List.hd b.stack).f_tag in
+  close_frame b;
+  if was <> tag then close_to b tag
+
+let is_open b tag =
+  (List.hd b.stack).f_tag = tag
+  || match Hashtbl.find b.open_by_tag tag with n -> !n > 0 | exception Not_found -> false
+
+let feed b = function
+  | T_text "" -> ()
+  | T_text t -> add_child b (Text t)
+  | T_open (tag, attrs, self_closing) ->
+      if self_closing || is_void tag then add_child b (Element { tag; attrs; children = [] })
+      else begin
+        let f_open = open_count b tag in
+        incr f_open;
+        b.stack <- { f_tag = tag; f_attrs = attrs; f_children = []; f_open } :: b.stack;
+        b.depth <- b.depth + 1
+      end
+  | T_close tag ->
+      (* Close the matching open element if any; otherwise ignore. Names
+         never start with '#', so a match is never the root frame. *)
+      if is_open b tag then close_to b tag
+
+let finish b =
+  while b.depth > 0 do
+    close_frame b
+  done;
+  List.rev b.root.f_children
 
 let tree_build tokens =
-  let root = { f_tag = "#root"; f_attrs = []; f_children = [] } in
-  let stack = ref [ root ] in
-  let top () = List.hd !stack in
-  let add_child node =
-    let t = top () in
-    t.f_children <- node :: t.f_children
-  in
-  let close_frame () =
-    match !stack with
-    | f :: (parent :: _ as rest) ->
-        stack := rest;
-        parent.f_children <-
-          Element { tag = f.f_tag; attrs = f.f_attrs; children = List.rev f.f_children }
-          :: parent.f_children
-    | [ _ ] | [] -> ()
-  in
-  let handle = function
-    | T_text "" -> ()
-    | T_text t -> add_child (Text t)
-    | T_open (tag, attrs, self_closing) ->
-        if self_closing || is_void tag then
-          add_child (Element { tag; attrs; children = [] })
-        else stack := { f_tag = tag; f_attrs = attrs; f_children = [] } :: !stack
-    | T_close tag ->
-        (* Close the matching open element if any; otherwise ignore. *)
-        if List.exists (fun f -> f.f_tag = tag) !stack then begin
-          let rec pop () =
-            let was = (top ()).f_tag in
-            close_frame ();
-            if was <> tag then pop ()
-          in
-          if List.length !stack > 1 then pop ()
-        end
-  in
-  List.iter handle tokens;
-  while List.length !stack > 1 do
-    close_frame ()
-  done;
-  List.rev root.f_children
+  let b = builder () in
+  List.iter (feed b) tokens;
+  finish b
 
 let parse ?(tm = Wr_telemetry.Telemetry.disabled) src =
   let module T = Wr_telemetry.Telemetry in
-  if not (T.enabled tm) then tree_build (tokenize src)
+  if not (T.enabled tm) then begin
+    let b = builder () in
+    tokenize_into src (feed b);
+    finish b
+  end
   else begin
     let tokens = T.with_span tm ~cat:"parse" ~name:"tokenize" (fun () -> tokenize src) in
     T.incr tm ~by:(List.length tokens) "html.tokens";

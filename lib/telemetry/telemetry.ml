@@ -184,12 +184,29 @@ let push s sp =
   s.ring.(s.head) <- sp;
   s.head <- (s.head + 1) mod Array.length s.ring
 
-(* The newest [tail] entries, oldest first. Caller holds [s.sk_lock]. *)
+(* The newest [tail] entries, oldest first. GC slices do not count
+   against [tail]: the walk back goes on until [tail] other entries are
+   found, keeping at most [tail] GC slices beside them, so a domain whose
+   own collections crowd its ring still shows what it did. Caller holds
+   [s.sk_lock]. *)
 let ring_entries ~tail s =
   let cap = Array.length s.ring in
-  let n = min tail s.stored in
-  let first = s.head - n + cap in
-  List.init n (fun k -> s.ring.((first + k) mod cap))
+  let acc = ref [] and others = ref 0 and gcs = ref 0 and k = ref 0 in
+  while !others < tail && !k < s.stored do
+    let sp = s.ring.((s.head - 1 - !k + cap) mod cap) in
+    if String.equal sp.sp_cat "gc" then begin
+      if !gcs < tail then begin
+        incr gcs;
+        acc := sp :: !acc
+      end
+    end
+    else begin
+      incr others;
+      acc := sp :: !acc
+    end;
+    incr k
+  done;
+  !acc
 
 let find_or_add tbl key make =
   match Hashtbl.find_opt tbl key with

@@ -157,11 +157,16 @@ val phase_table : t -> string
     ("ph":"X") event per span the rings retain, carrying the recording
     domain's id as its [tid], a named thread row per domain, one instant
     per retained mark (its fields in [args]), and counter events. With
-    [tail], only the newest [tail] entries of each domain's ring. *)
+    [tail], only the newest [tail] entries of each domain's ring, counted
+    as {!tail_json} counts them. *)
 val to_chrome_trace : ?tail:int -> t -> Wr_support.Json.t
 
 (** [tail_json t ~tail] is the newest [tail] entries of each domain's
-    ring, merged oldest first by start time, one object per entry:
+    ring, merged oldest first by start time. GC slices (category ["gc"])
+    do not count against [tail]: each ring gives its newest [tail] other
+    entries and at most [tail] of the GC slices among or after them, so
+    a domain whose own collections crowd its ring still shows what it
+    did. One object per entry:
     [{ts, dom, kind, ...fields}] for a mark ([kind] is its name), and
     [{ts, dom, kind:"span", cat, name, dur_s}] for a span. [ts] is
     seconds since [t] was created. *)

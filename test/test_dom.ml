@@ -11,7 +11,9 @@ let with_doc f =
   let doc = Dom.create_document instr ~url:"http://example.test/" in
   f doc (fun () -> List.rev !log)
 
-let elem doc ?(attrs = []) tag = Dom.create_element doc ~tag ~attrs
+let elem doc ?(attrs = []) tag =
+  Dom.create_element doc ~tag
+    ~attrs:(List.map (fun (name, value) -> { Wr_html.Html.name; value }) attrs)
 
 let test_append_and_query () =
   with_doc (fun doc _log ->
@@ -164,8 +166,68 @@ let test_duplicate_id_first_wins () =
       | Some n -> Alcotest.(check string) "first wins" "div" n.Dom.tag
       | None -> Alcotest.fail "lookup failed")
 
+(* Attribute order: the node's short list iterates as the [Hashtbl] it
+   replaced did, and keeps doing so once it grows into a table. Names
+   repeat and change case; up to 40 distinct ones, past both the list
+   limit and a table resize. *)
+let gen_attr_ops =
+  let open QCheck.Gen in
+  let name =
+    map2
+      (fun i upper -> (if upper then "A" else "a") ^ string_of_int i)
+      (int_bound 39) bool
+  in
+  let op = pair name (string_size ~gen:(char_range 'a' 'c') (int_bound 2)) in
+  pair (list_size (int_bound 12) op) (list_size (int_bound 40) op)
+
+let prop_attr_order_matches_hashtbl =
+  QCheck.Test.make ~name:"dom: attribute order = Hashtbl order" ~count:500
+    (QCheck.make gen_attr_ops) (fun (initial, later) ->
+      with_doc (fun doc _log ->
+          let n = elem doc ~attrs:initial "div" in
+          List.iter (fun (k, v) -> Dom.set_attr doc n k v) later;
+          let table = Hashtbl.create 4 in
+          List.iter
+            (fun (k, v) -> Hashtbl.replace table (String.lowercase_ascii k) v)
+            (initial @ later);
+          let seen = ref [] in
+          Dom.iter_attrs (fun k v -> seen := (k, v) :: !seen) n;
+          let expected = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] in
+          !seen = expected
+          && Hashtbl.fold (fun k v ok -> ok && Dom.get_attr n (String.uppercase_ascii k) = Some v) table true))
+
+(* [is_attached] is a per-node field kept on insert and remove; it must
+   agree with walking up to the root after any sequence of moves. *)
+let prop_attached_matches_walk =
+  QCheck.Test.make ~name:"dom: is_attached = reaches the root" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(list (triple bool int int))
+        Gen.(list_size (int_bound 60) (triple bool (int_bound 11) (int_bound 11))))
+    (fun moves ->
+      with_doc (fun doc _log ->
+          let nodes = Array.init 12 (fun i -> elem doc ~attrs:[ ("id", string_of_int (i mod 5)) ] "div") in
+          let all = Array.append [| Dom.root doc |] nodes in
+          List.iter
+            (fun (insert, a, b) ->
+              if insert then (
+                try Dom.append doc ~parent:all.(a) ~child:nodes.(b) with Invalid_argument _ -> ())
+              else Dom.remove doc nodes.(b))
+            moves;
+          let rec reaches (n : Dom.node) =
+            n == Dom.root doc || match n.Dom.parent with Some p -> reaches p | None -> false
+          in
+          (* Only attached nodes are indexed by id. *)
+          Array.for_all (fun n -> Dom.is_attached doc n = reaches n) all
+          && List.for_all
+               (fun id ->
+                 match Dom.get_element_by_id doc id with Some n -> reaches n | None -> true)
+               [ "0"; "1"; "2"; "3"; "4" ]))
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_attr_order_matches_hashtbl;
+    QCheck_alcotest.to_alcotest prop_attached_matches_walk;
     Alcotest.test_case "append and query" `Quick test_append_and_query;
     Alcotest.test_case "miss read flags" `Quick test_miss_read_flags;
     Alcotest.test_case "miss/insert same location" `Quick test_miss_then_insert_same_location;

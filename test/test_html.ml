@@ -136,6 +136,62 @@ let prop_serialize_roundtrip =
       let s = Html.to_string forest in
       Html.to_string (Html.parse s) = s)
 
+(* Random markup for the tokenizer equivalence property: well-formed
+   pieces mixed with the malformed ones a browser must survive. *)
+let gen_markup =
+  let open QCheck.Gen in
+  let name = oneofl [ "div"; "DIV"; "Span"; "p"; "a"; "img"; "br"; "x-y"; "h1"; "ul"; "li" ] in
+  let raw = oneofl [ "script"; "SCRIPT"; "Style"; "style" ] in
+  let attr_name = oneofl [ "id"; "ID"; "class"; "onclick"; "data-x"; "src"; "a:b" ] in
+  let word = string_size ~gen:(oneofl [ 'a'; 'B'; 'z'; '1'; ' '; '&'; ';'; '#' ]) (int_bound 6) in
+  let entity = oneofl [ "&amp;"; "&lt;"; "&gt;"; "&quot;"; "&#65;"; "&#x41;"; "&#300;"; "&bogus;"; "&"; "&nbsp;" ] in
+  let value =
+    oneof
+      [
+        map (fun w -> "=\"" ^ w ^ "\"") word;
+        map (fun w -> "='" ^ w ^ "'") word;
+        map (fun w -> "=" ^ String.map (fun c -> if c = ' ' then 'u' else c) w) word;
+        map (fun e -> "=\"" ^ e ^ "\"") entity;
+        return "";
+        return " = \"spaced\"";
+        return "=\"unterminated";
+      ]
+  in
+  let attr = map2 (fun n v -> " " ^ n ^ v) attr_name value in
+  let attrs = map (String.concat "") (list_size (int_bound 3) attr) in
+  let open_tag =
+    map3 (fun n a close -> "<" ^ n ^ a ^ close) name attrs (oneofl [ ">"; "/>"; " >"; " / >"; "" ])
+  in
+  let close_tag = map (fun n -> "</" ^ n ^ ">") name in
+  let raw_body =
+    oneofl [ ""; "var a = 1 < 2;"; "<div>not a tag</div>"; "x </scr y"; "</SCRIPTX"; "a--b" ]
+  in
+  let raw_elem =
+    map3
+      (fun n body close -> "<" ^ n ^ ">" ^ body ^ close)
+      raw raw_body
+      (oneofl [ "</script>"; "</SCRIPT >"; "</Style>"; "</style"; ""; "</script x=1>" ])
+  in
+  let piece =
+    frequency
+      [
+        (4, open_tag);
+        (3, close_tag);
+        (3, word);
+        (2, entity);
+        (2, raw_elem);
+        (1, oneofl [ "<!-- c -->"; "<!---->"; "<!-- unterminated"; "<!DOCTYPE html>"; "<!x" ]);
+        (1, oneofl [ "<"; "< p"; "<3"; "</>"; "</ x>"; "<>"; ">"; "<a" ]);
+        (1, string_size ~gen:(oneofl [ '<'; '>'; '/'; '"'; '\''; '='; '!'; '-'; 'a'; 'S' ]) (int_bound 5));
+      ]
+  in
+  map (String.concat "") (list_size (int_bound 30) piece)
+
+let prop_tokenizer_matches_reference =
+  QCheck.Test.make ~name:"html: parse = reference parser, random markup" ~count:2_000
+    (QCheck.make ~print:Fun.id gen_markup)
+    (fun src -> Html.parse src = Html_reference.parse src)
+
 let suite =
   [
     Alcotest.test_case "basic tree" `Quick test_basic_tree;
@@ -151,4 +207,5 @@ let suite =
     Alcotest.test_case "case insensitivity" `Quick test_case_insensitive_tags;
     Alcotest.test_case "fixed roundtrip" `Quick test_roundtrip_fixed;
     QCheck_alcotest.to_alcotest prop_serialize_roundtrip;
+    QCheck_alcotest.to_alcotest prop_tokenizer_matches_reference;
   ]

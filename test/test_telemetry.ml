@@ -620,6 +620,27 @@ let test_tail_injected_on_own_ring () =
     (List.map Json.to_str (kinds other));
   Alcotest.(check int) "two rings" 2 (Telemetry.domains tm)
 
+(* GC slices on a domain's own ring do not push its marks out of the
+   postmortem tail: the budget counts the other entries, and the slices
+   kept beside them are bounded too. *)
+let test_tail_gc_apart () =
+  let tm = Telemetry.create ~clock:(ticker ()) () in
+  let self = (Domain.self () :> int) in
+  Telemetry.mark tm ~cat:"serve" "request.admit";
+  for k = 1 to 1_000 do
+    Telemetry.inject_span tm ~dom:self ~cat:"gc" ~name:"gc.minor" ~start_s:(float_of_int k)
+      ~dur_s:0.5
+  done;
+  let kinds =
+    List.map
+      (fun ev -> match ev with Json.Obj f -> Json.to_str (List.assoc "kind" f) | _ -> "")
+      (Telemetry.tail_json tm ~tail:256)
+  in
+  Alcotest.(check int) "the mark survives" 1
+    (List.length (List.filter (String.equal "request.admit") kinds));
+  Alcotest.(check int) "gc slices capped at the tail" 256
+    (List.length (List.filter (String.equal "span") kinds))
+
 (* The page lifecycle log lines are built only when info logging is on,
    so a daemon's recorder sees none of them on an unlogged analysis. *)
 let test_page_log_lines_guarded () =
@@ -668,6 +689,7 @@ let suite =
       Alcotest.test_case "tail: disabled records nothing" `Quick test_tail_disabled;
       Alcotest.test_case "tail: log tee with trace id" `Quick test_tail_log_tee;
       Alcotest.test_case "tail: chrome instants" `Quick test_tail_chrome_instants;
+      Alcotest.test_case "tail: gc slices counted apart" `Quick test_tail_gc_apart;
       Alcotest.test_case "tail: injected spans on their own ring" `Quick
         test_tail_injected_on_own_ring;
       Alcotest.test_case "tail: page log lines need info logging" `Quick

@@ -126,8 +126,56 @@ let test_analyze_many_merges () =
   Alcotest.(check int) "no races anywhere" 0 (List.length m.Webracer.merged);
   Alcotest.(check bool) "trivially stable" true m.Webracer.stable
 
+(* Allocation budget of the per-element path. Minor words per element
+   on a flat and on a nested page, measured on a second run (the first
+   sizes the domain-local tables), for [Html.parse] alone and for a full
+   [analyze]. The bounds sit about a quarter above what the path
+   allocates now (parse 60 on both pages, analyze 449 flat and 443
+   nested), where it used to allocate 253 / 263 and 888 / 896: a change
+   that puts per-element garbage back fails here. *)
+let flat_page n =
+  let b = Buffer.create (n * 40) in
+  for i = 0 to n - 1 do
+    Printf.bprintf b {|<div id="e%d" class="row col">text</div>|} i
+  done;
+  Buffer.contents b
+
+let nested_page n =
+  let b = Buffer.create (n * 40) in
+  for i = 0 to n - 1 do
+    Printf.bprintf b {|<section id="e%d" class="card">text|} i
+  done;
+  for _ = 1 to n do
+    Buffer.add_string b "</section>"
+  done;
+  Buffer.contents b
+
+let words_per_element ~elements f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  (Gc.minor_words () -. before) /. float_of_int elements
+
+let test_allocation_budget () =
+  let n = 2_000 in
+  List.iter
+    (fun (name, page, parse_bound, analyze_bound) ->
+      let parse = words_per_element ~elements:n (fun () -> Wr_html.Html.parse page) in
+      let analyze =
+        words_per_element ~elements:n (fun () ->
+            Webracer.analyze (Webracer.config ~page ~seed:1 ()))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: parse %.0f words/element (bound %.0f)" name parse parse_bound)
+        true (parse < parse_bound);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: analyze %.0f words/element (bound %.0f)" name analyze analyze_bound)
+        true (analyze < analyze_bound))
+    [ ("flat", flat_page n, 75., 560.); ("nested", nested_page n, 75., 560.) ]
+
 let more_suite =
   [
+    Alcotest.test_case "allocation budget per element" `Quick test_allocation_budget;
     Alcotest.test_case "analyze_many: stability" `Quick test_analyze_many_stable_site;
     Alcotest.test_case "analyze_many: quiet page" `Quick test_analyze_many_merges;
   ]
