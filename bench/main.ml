@@ -943,7 +943,7 @@ let ablation_detector () =
     let o3 = Graph.fresh g Op.Script ~label:"3" in
     Graph.add_edge g o1 o2;
     let d : Wr_detect.Detector.t = create g in
-    let loc = Wr_mem.Location.Js_var { cell = 1; name = "e" } in
+    let loc = Wr_mem.Location.Js_var { cell = 1; name = "e"; key = 0 } in
     let access kind op = { Wr_mem.Access.loc; kind; op; flags = []; context = "" } in
     d.Wr_detect.Detector.record (access `Read o3);
     d.Wr_detect.Detector.record (access `Read o1);
@@ -962,7 +962,7 @@ let ablation_detector () =
     let ops = Array.init 64 (fun _ -> Graph.fresh g Op.Script ~label:"op") in
     let d : Wr_detect.Detector.t = create g in
     for i = 0 to 4_999 do
-      let loc = Wr_mem.Location.Js_var { cell = i mod 97; name = "v" } in
+      let loc = Wr_mem.Location.Js_var { cell = i mod 97; name = "v"; key = i mod 97 } in
       let kind = if i mod 3 = 0 then `Write else `Read in
       d.Wr_detect.Detector.record
         { Wr_mem.Access.loc; kind; op = ops.(i mod 64); flags = []; context = "" }

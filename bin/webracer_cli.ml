@@ -453,7 +453,8 @@ let predict_cmd =
       value & flag
       & info [ "compare" ]
           ~doc:"Also run the dynamic detector and label predictions confirmed or \
-                unconfirmed, and dynamic races predicted or missed.")
+                unconfirmed, and dynamic races predicted or missed. Exits 2 when a \
+                dynamic race was missed.")
   in
   let corpus =
     Arg.(
@@ -506,6 +507,17 @@ let predict_cmd =
       let tm = if metrics then Telemetry.create () else Telemetry.disabled in
       let params = { Request.target = with_page ~params:target page; compare; lint } in
       let doc = Api.predict_json ~telemetry:tm params in
+      (* As for --corpus: a dynamic race the prediction missed fails the
+         run, whatever the output format. *)
+      let missed_dynamic =
+        let field name = function
+          | Wr_support.Json.Obj fields -> List.assoc_opt name fields
+          | _ -> None
+        in
+        match Option.bind (field "compare" doc) (field "missed") with
+        | Some (Wr_support.Json.List (_ :: _)) -> true
+        | _ -> false
+      in
       if json || lint then
         print_endline (Wr_support.Json.to_string doc)
       else begin
@@ -562,7 +574,8 @@ let predict_cmd =
         | None -> ());
         if metrics then
           print_endline (Wr_support.Json.to_string (Telemetry.metrics_json tm))
-      end
+      end;
+      if missed_dynamic then exit 2
     end
   in
   let doc =

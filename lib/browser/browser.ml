@@ -306,7 +306,8 @@ and dispatch_body t ?win ~target ~path ~event ~bubbles ~preds ~target_value ?def
   let anchor_final =
     within_op t anchor ~label (fun () ->
         List.iter
-          (fun uid -> Instr.emit t.instr (Events.container_location ~target:uid ~event) `Read)
+          (fun uid ->
+            Instr.emit t.instr (Events.container_location t.registry ~target:uid ~event) `Read)
           path)
   in
   let plan = Events.plan t.registry ~path ~event ~bubbles in
@@ -350,10 +351,7 @@ and dispatch_body t ?win ~target ~path ~event ~bubbles ~preds ~target_value ?def
       let final =
         span t ~cat:"dispatch" ~name:hlabel (fun () ->
             within_op t op ~label:hlabel (fun () ->
-                Instr.emit t.instr
-                  (Location.Event_handler
-                     { target = step.Events.current_target; event; slot = step.Events.slot })
-                  `Read;
+                Instr.emit t.instr step.Events.loc `Read;
                 ignore
                   (Interp.call t.vm step.Events.callback ~this:target_value
                      [ Value.Object event_obj ])))
@@ -1636,6 +1634,7 @@ let create (config : Config.t) =
       sink = det.Detector.record;
       cell_loc = (fun ~owner name -> Value.cell_loc vm ~owner name);
       fresh_id = (fun () -> Value.fresh_id vm);
+      fresh_key = (fun () -> Value.fresh_key vm);
     }
   in
   let init_op = Graph.fresh graph Op.Initial ~label:"browser start" in

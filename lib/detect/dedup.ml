@@ -73,26 +73,23 @@ let duplicate s (a : Access.t) =
   end;
   dup
 
-(* Domain-local high-water mark for the location-cache size: sites on one
-   corpus domain are alike, so pre-sizing each wrap's table to the largest
-   seen on this domain avoids the rehash-and-copy churn of growing from
-   256 on every site. A size *hint* is deliberately all we share: reusing
-   the table itself across wraps could alias stale epoch slots into the
-   next site's detector, and no verdict is worth that risk. *)
-let cache_size_hint : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 256)
+(* Slots by location key ({!Columns}); [absent] fills the keys not seen
+   yet and is never updated. *)
+let absent = slot ()
 
 let wrap (inner : Detector.t) =
-  let hint = Domain.DLS.get cache_size_hint in
-  let cache = Location.Tbl.create !hint in
+  let slots = ref (Array.make Columns.initial absent) in
   let seen = ref 0 and forwarded = ref 0 in
   let record (a : Access.t) =
     incr seen;
+    let k = Columns.key a in
+    if k >= Array.length !slots then slots := Columns.grow !slots absent k;
     let s =
-      match Location.Tbl.find cache a.Access.loc with
-      | s -> s
-      | exception Not_found ->
+      match !slots.(k) with
+      | s when s != absent -> s
+      | _ ->
           let s = slot () in
-          Location.Tbl.add cache a.Access.loc s;
+          !slots.(k) <- s;
           s
     in
     if not (duplicate s a) then begin
@@ -106,8 +103,4 @@ let wrap (inner : Detector.t) =
       record;
       accesses_seen = (fun () -> !seen);
     },
-    fun () ->
-      (* Reading the stats marks the end of a site's useful life, so fold
-         the observed table size into this domain's hint. *)
-      hint := max !hint (Location.Tbl.length cache);
-      { seen = !seen; forwarded = !forwarded } )
+    fun () -> { seen = !seen; forwarded = !forwarded } )

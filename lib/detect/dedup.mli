@@ -32,8 +32,9 @@
     {!Last_access.create_dedup} keeps a {!mark} in its own per-location
     record, whose last read and last write are the cached accesses, and
     {!Full_track.create_dedup} keeps a {!slot} there, so an access costs
-    one location lookup. {!wrap} applies the same rule in front of an
-    opaque detector, at the price of a second location table. *)
+    one index into their key-indexed {!Columns}. {!wrap} applies the same
+    rule in front of an opaque detector, at the price of a second column
+    of slots. *)
 
 type stats = {
   seen : int;  (** raw accesses entering the detector *)
@@ -78,7 +79,8 @@ val slot : unit -> slot
     Updates [s]: call it once per access to [s]'s location, in order. *)
 val duplicate : slot -> Wr_mem.Access.t -> bool
 
-(** [wrap d] is [d] behind a table of slots plus a live stats reader. The
+(** [wrap d] is [d] behind a column of slots, indexed by location key,
+    plus a live stats reader. The
     wrapper's [accesses_seen] reports {e raw} accesses (what the page did),
     keeping reports comparable with dedup off; [races] is untouched. *)
 val wrap : Detector.t -> Detector.t * (unit -> stats)

@@ -9,7 +9,7 @@ type history = {
 
 type state = {
   graph : Wr_hb.Graph.t;
-  table : history Location.Tbl.t;
+  mutable histories : history array;  (* by location key ({!Columns}) *)
   reported : unit Location.Tbl.t;
   dedup : bool;
   mutable races : Race.t list;
@@ -17,13 +17,19 @@ type state = {
   mutable forwarded : int;
 }
 
-let history_for st loc =
-  match Location.Tbl.find_opt st.table loc with
-  | Some h -> h
-  | None ->
-      let h = { reads = []; writes = []; read_ops = []; dedup = Dedup.slot () } in
-      Location.Tbl.add st.table loc h;
-      h
+(* Fills the keys not seen yet; never updated. *)
+let absent = { reads = []; writes = []; read_ops = []; dedup = Dedup.slot () }
+
+let history_for st (a : Access.t) =
+  let k = Columns.key a in
+  if k >= Array.length st.histories then st.histories <- Columns.grow st.histories absent k;
+  let h = st.histories.(k) in
+  if h != absent then h
+  else begin
+    let h = { reads = []; writes = []; read_ops = []; dedup = Dedup.slot () } in
+    st.histories.(k) <- h;
+    h
+  end
 
 let find_conflict st (prevs : Access.t list) (cur : Access.t) =
   List.find_opt (fun (p : Access.t) -> Wr_hb.Graph.chc st.graph p.Access.op cur.Access.op) prevs
@@ -39,7 +45,7 @@ let report st h ~first ~second =
 
 let record st (a : Access.t) =
   st.seen <- st.seen + 1;
-  let h = history_for st a.loc in
+  let h = history_for st a in
   if not (st.dedup && Dedup.duplicate h.dedup a) then begin
     st.forwarded <- st.forwarded + 1;
     if not (Location.Tbl.mem st.reported (Location.report_key a.loc)) then
@@ -67,7 +73,7 @@ let make ~dedup graph =
   let st =
     {
       graph;
-      table = Location.Tbl.create 1024;
+      histories = Array.make Columns.initial absent;
       reported = Location.Tbl.create 64;
       dedup;
       races = [];

@@ -1,26 +1,49 @@
 open Wr_mem
 
-(* One record per location: the last read and the last write, unboxed
-   (an op of [-1] means the slot is empty, and the flags and context are
+(* Columns indexed by location key ({!Columns}), one entry per location:
+   the last read and the last write, unboxed (the flags and context are
    the access's own), and the location's {!Dedup.mark}, whose cached
-   accesses are these same last read and last write. [write_checked]
-   records that the writing operation had read the location first; the
-   [Checked_read_first] flag is only put on an access that goes into a
-   report. Updating a slot allocates nothing. *)
-type slots = {
-  mutable read_op : Wr_hb.Op.id;
-  mutable read_flags : Access.flag list;
-  mutable read_context : string;
-  mutable write_op : Wr_hb.Op.id;
-  mutable write_flags : Access.flag list;
-  mutable write_context : string;
-  mutable write_checked : bool;
-  mutable mark : Dedup.mark;
+   accesses are these same last read and last write. An op of [-1] means
+   the slot is empty. The write column keeps the op shifted left by one,
+   its low bit set when the writing operation had read the location
+   first; the [Checked_read_first] flag is only put on an access that
+   goes into a report.
+
+   The columns are cut into chunks of [chunk_size] keys, allocated as
+   keys reach them: a location seen for the first time costs no
+   allocation, and growth copies only the short array of chunks, so no
+   outgrown column is left behind for the GC. *)
+type chunk = {
+  read_op : Wr_hb.Op.id array;
+  read_flags : Access.flag list array;
+  read_context : string array;
+  write_op : int array;  (* op lsl 1 lor read-first bit, or -1 *)
+  write_flags : Access.flag list array;
+  write_context : string array;
+  mark : Dedup.mark array;
 }
+
+let chunk_bits = 10
+
+let chunk_size = 1 lsl chunk_bits
+
+let make_chunk n =
+  {
+    read_op = Array.make n (-1);
+    read_flags = Array.make n [];
+    read_context = Array.make n "";
+    write_op = Array.make n (-1);
+    write_flags = Array.make n [];
+    write_context = Array.make n "";
+    mark = Array.make n Dedup.empty_mark;
+  }
+
+(* Fills the chunk slots not reached yet; never indexed. *)
+let no_chunk = make_chunk 0
 
 type state = {
   graph : Wr_hb.Graph.t;
-  table : slots Location.Tbl.t;
+  mutable chunks : chunk array;
   reported : unit Location.Tbl.t;  (* footnote 13: one race per location per run *)
   dedup : bool;
   mutable races : Race.t list;
@@ -28,95 +51,88 @@ type state = {
   mutable forwarded : int;
 }
 
+let chunk_for st k =
+  let i = k lsr chunk_bits in
+  if i >= Array.length st.chunks then st.chunks <- Columns.grow st.chunks no_chunk i;
+  let c = st.chunks.(i) in
+  if c != no_chunk then c
+  else begin
+    let c = make_chunk chunk_size in
+    st.chunks.(i) <- c;
+    c
+  end
+
 let checked (a : Access.t) = Access.add_flag a Checked_read_first
 
-(* [kind]'s slot of [s], rebuilt as the access it recorded. *)
-let prior s loc kind : Access.t =
+(* [kind]'s slot [j] of [c], rebuilt as the access it recorded. *)
+let prior c j loc kind : Access.t =
   match kind with
   | `Read ->
-      { loc; kind; op = s.read_op; flags = s.read_flags; context = s.read_context }
+      { loc; kind; op = c.read_op.(j); flags = c.read_flags.(j); context = c.read_context.(j) }
   | `Write ->
-      let w =
-        { Access.loc; kind; op = s.write_op; flags = s.write_flags; context = s.write_context }
+      let w = c.write_op.(j) in
+      let a =
+        {
+          Access.loc;
+          kind;
+          op = w asr 1;
+          flags = c.write_flags.(j);
+          context = c.write_context.(j);
+        }
       in
-      if s.write_checked then checked w else w
+      if w land 1 = 1 then checked a else a
 
-let report st s ~first ~(second : Access.t) =
+(* Reached only for a race, so the report table is off the record path. *)
+let report st c j ~first ~(second : Access.t) =
   let key = Location.report_key second.loc in
   if not (Location.Tbl.mem st.reported key) then begin
     Location.Tbl.add st.reported key ();
-    st.races <- Race.make ~first:(prior s second.loc first) ~second :: st.races
+    st.races <- Race.make ~first:(prior c j second.loc first) ~second :: st.races
   end
 
 (* CHC of a slot's operation and the current one; an empty slot races
    with nothing. *)
 let chc st prev_op (a : Access.t) = prev_op >= 0 && Wr_hb.Graph.chc st.graph prev_op a.op
 
-let slots_for st loc =
-  match Location.Tbl.find st.table loc with
-  | s -> s
-  | exception Not_found ->
-      let s =
-        {
-          read_op = -1;
-          read_flags = [];
-          read_context = "";
-          write_op = -1;
-          write_flags = [];
-          write_context = "";
-          write_checked = false;
-          mark = Dedup.empty_mark;
-        }
-      in
-      Location.Tbl.add st.table loc s;
-      s
-
-let duplicate s (a : Access.t) =
+let duplicate c j (a : Access.t) =
+  let m = c.mark.(j) in
   let dup =
     match a.kind with
-    | `Read -> Dedup.is_duplicate s.mark a ~flags:s.read_flags ~context:s.read_context
-    | `Write -> Dedup.is_duplicate s.mark a ~flags:s.write_flags ~context:s.write_context
+    | `Read -> Dedup.is_duplicate m a ~flags:c.read_flags.(j) ~context:c.read_context.(j)
+    | `Write -> Dedup.is_duplicate m a ~flags:c.write_flags.(j) ~context:c.write_context.(j)
   in
-  s.mark <- Dedup.after s.mark a;
+  c.mark.(j) <- Dedup.after m a;
   dup
 
 let record st (a : Access.t) =
   st.seen <- st.seen + 1;
-  let s = slots_for st a.loc in
-  if not (st.dedup && duplicate s a) then begin
+  let k = Columns.key a in
+  let c = chunk_for st k and j = k land (chunk_size - 1) in
+  if not (st.dedup && duplicate c j a) then begin
     st.forwarded <- st.forwarded + 1;
     match a.kind with
     | `Read ->
-        if chc st s.write_op a then report st s ~first:`Write ~second:a;
-        s.read_op <- a.op;
-        s.read_flags <- a.flags;
-        s.read_context <- a.context
+        if chc st (c.write_op.(j) asr 1) a then report st c j ~first:`Write ~second:a;
+        c.read_op.(j) <- a.op;
+        c.read_flags.(j) <- a.flags;
+        c.read_context.(j) <- a.context
     | `Write ->
-        let read_first = s.read_op = a.op in
+        let read_first = c.read_op.(j) = a.op in
         let ww_relevant = Location.conflict_relevant a.loc ~kind:`Write ~kind':`Write in
-        if ww_relevant && chc st s.write_op a then
-          report st s ~first:`Write ~second:(if read_first then checked a else a)
-        else if chc st s.read_op a then
-          report st s ~first:`Read ~second:(if read_first then checked a else a);
-        s.write_op <- a.op;
-        s.write_flags <- a.flags;
-        s.write_context <- a.context;
-        s.write_checked <- read_first
+        if ww_relevant && chc st (c.write_op.(j) asr 1) a then
+          report st c j ~first:`Write ~second:(if read_first then checked a else a)
+        else if chc st c.read_op.(j) a then
+          report st c j ~first:`Read ~second:(if read_first then checked a else a);
+        c.write_op.(j) <- (a.op lsl 1) lor Bool.to_int read_first;
+        c.write_flags.(j) <- a.flags;
+        c.write_context.(j) <- a.context
   end
 
-(* Same domain-local pre-sizing trick as [Dedup.cache_size_hint]: sites
-   analysed on one fleet domain have similar location counts, so seed
-   each new detector's table at this domain's high-water mark instead of
-   rehash-growing from 1024 every site. Only the *size* is shared —
-   sharing tables would alias one site's accesses into the next. *)
-let table_size_hint : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 1024)
-
 let make ~dedup graph =
-  let hint = Domain.DLS.get table_size_hint in
   let st =
     {
       graph;
-      table = Location.Tbl.create !hint;
+      chunks = Array.make 4 no_chunk;
       reported = Location.Tbl.create 64;
       dedup;
       races = [];
@@ -128,10 +144,7 @@ let make ~dedup graph =
     {
       Detector.name = (if dedup then "last-access+dedup" else "last-access");
       record = record st;
-      races =
-        (fun () ->
-          hint := max !hint (Location.Tbl.length st.table);
-          List.rev st.races);
+      races = (fun () -> List.rev st.races);
       accesses_seen = (fun () -> st.seen);
     } )
 

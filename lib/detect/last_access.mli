@@ -9,10 +9,13 @@
       [CHC(LastRead[e], op(A))], then [LastWrite[e] := A].
 
     [CHC] is {!Wr_hb.Graph.chc} lifted over the bottom value (empty slot →
-    no race). A slot keeps its access's operation, flags and context as
-    unboxed fields, and the earlier access of a race is rebuilt from them
-    only when the race is reported, so recording an access to a location
-    already seen allocates nothing. The single-slot design trades completeness for space: the
+    no race). The slots live in columns indexed by the location's dense
+    key ({!Wr_mem.Location.key}, see {!Columns}): a slot keeps its
+    access's operation,
+    flags and context unboxed, and the earlier access of a race is rebuilt
+    from them only when the race is reported, so recording an access
+    hashes nothing and allocates nothing, whether or not its location was
+    seen before. The single-slot design trades completeness for space: the
     §5.1 limitation example (schedule [3·1·2] with [1 -> 2]) is missed;
     {!Full_track} closes that gap at higher cost.
 
@@ -30,6 +33,6 @@ val create : Wr_hb.Graph.t -> Detector.t
 
 (** [create_dedup graph] is [create graph] with {!Dedup}'s per-operation
     rule applied in each location's own slot pair, so an access costs one
-    location lookup. Races and stats equal those of
+    index into the columns. Races and stats equal those of
     [Dedup.wrap (create graph)]. *)
 val create_dedup : Wr_hb.Graph.t -> Detector.t * (unit -> Dedup.stats)

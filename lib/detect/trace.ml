@@ -72,16 +72,16 @@ let slot_of_json = function
   | _ -> raise (Json.Parse_error "bad handler slot")
 
 let loc_to_json = function
-  | Location.Js_var { cell; name } ->
+  | Location.Js_var { cell; name; _ } ->
       Json.Obj [ ("t", Json.String "var"); ("cell", Json.Int cell); ("name", Json.String name) ]
-  | Location.Html_elem (Location.Node uid) ->
+  | Location.Html_elem (Location.Node { uid; _ }) ->
       Json.Obj [ ("t", Json.String "node"); ("uid", Json.Int uid) ]
-  | Location.Html_elem (Location.Id { doc; id }) ->
+  | Location.Html_elem (Location.Id { doc; id; _ }) ->
       Json.Obj [ ("t", Json.String "id"); ("doc", Json.Int doc); ("id", Json.String id) ]
-  | Location.Html_elem (Location.Collection { doc; name }) ->
+  | Location.Html_elem (Location.Collection { doc; name; _ }) ->
       Json.Obj
         [ ("t", Json.String "collection"); ("doc", Json.Int doc); ("name", Json.String name) ]
-  | Location.Event_handler { target; event; slot } ->
+  | Location.Event_handler { target; event; slot; _ } ->
       Json.Obj
         [
           ("t", Json.String "handler");
@@ -90,28 +90,47 @@ let loc_to_json = function
           ("slot", slot_to_json slot);
         ]
 
-let loc_of_json j =
-  match Json.to_str (Json.member "t" j) with
-  | "var" ->
-      Location.Js_var
-        { cell = Json.to_int (Json.member "cell" j); name = Json.to_str (Json.member "name" j) }
-  | "node" -> Location.Html_elem (Location.Node (Json.to_int (Json.member "uid" j)))
-  | "id" ->
-      Location.Html_elem
-        (Location.Id
-           { doc = Json.to_int (Json.member "doc" j); id = Json.to_str (Json.member "id" j) })
-  | "collection" ->
-      Location.Html_elem
-        (Location.Collection
-           { doc = Json.to_int (Json.member "doc" j); name = Json.to_str (Json.member "name" j) })
-  | "handler" ->
-      Location.Event_handler
-        {
-          target = Json.to_int (Json.member "target" j);
-          event = Json.to_str (Json.member "event" j);
-          slot = slot_of_json (Json.member "slot" j);
-        }
-  | other -> raise (Json.Parse_error ("unknown location tag " ^ other))
+(* Keys are per analysis and never serialized: a loaded location is
+   built without one and re-keyed through the loader's [keys] table. *)
+let loc_of_json keys j =
+  let key = Location.no_key in
+  let loc =
+    match Json.to_str (Json.member "t" j) with
+    | "var" ->
+        Location.Js_var
+          {
+            cell = Json.to_int (Json.member "cell" j);
+            name = Json.to_str (Json.member "name" j);
+            key;
+          }
+    | "node" -> Location.Html_elem (Location.Node { uid = Json.to_int (Json.member "uid" j); key })
+    | "id" ->
+        Location.Html_elem
+          (Location.Id
+             {
+               doc = Json.to_int (Json.member "doc" j);
+               id = Json.to_str (Json.member "id" j);
+               key;
+             })
+    | "collection" ->
+        Location.Html_elem
+          (Location.Collection
+             {
+               doc = Json.to_int (Json.member "doc" j);
+               name = Json.to_str (Json.member "name" j);
+               key;
+             })
+    | "handler" ->
+        Location.Event_handler
+          {
+            target = Json.to_int (Json.member "target" j);
+            event = Json.to_str (Json.member "event" j);
+            slot = slot_of_json (Json.member "slot" j);
+            key;
+          }
+    | other -> raise (Json.Parse_error ("unknown location tag " ^ other))
+  in
+  Location.Keys.intern keys loc
 
 let flag_names =
   [
@@ -141,7 +160,7 @@ let access_to_json (a : Access.t) =
       ("ctx", Json.String a.Access.context);
     ]
 
-let access_of_json j =
+let access_of_json keys j =
   let kind =
     match Json.to_str (Json.member "kind" j) with
     | "r" -> `Read
@@ -149,7 +168,7 @@ let access_of_json j =
     | _ -> raise (Json.Parse_error "bad access kind")
   in
   let op = Json.to_int (Json.member "op" j) in
-  let loc = loc_of_json (Json.member "loc" j) in
+  let loc = loc_of_json keys (Json.member "loc" j) in
   let context = Json.to_str (Json.member "ctx" j) in
   let flags = List.map flag_of_json (Json.to_list (Json.member "flags" j)) in
   { Access.loc; kind; op; flags; context }
@@ -191,7 +210,8 @@ let of_json j =
         | _ -> raise (Json.Parse_error "bad edge"))
       (Json.to_list (Json.member "edges" j))
   in
-  let accesses = List.map access_of_json (Json.to_list (Json.member "accesses" j)) in
+  let keys = Location.Keys.create () in
+  let accesses = List.map (access_of_json keys) (Json.to_list (Json.member "accesses" j)) in
   { ops; edges; accesses }
 
 let save t path =

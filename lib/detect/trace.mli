@@ -42,7 +42,9 @@ val replay :
   Race.t list
 
 (** JSON round trip ({!of_json} raises [Wr_support.Json.Parse_error] on
-    malformed documents). *)
+    malformed documents). Location keys are not serialized: {!of_json}
+    mints fresh ones through one {!Wr_mem.Location.Keys} table, so the
+    loaded accesses keep the key invariant. *)
 val to_json : t -> Wr_support.Json.t
 
 val of_json : Wr_support.Json.t -> t

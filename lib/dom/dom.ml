@@ -46,7 +46,9 @@ let id_location doc id =
   match Hashtbl.find doc.id_locs id with
   | loc -> loc
   | exception Not_found ->
-      let loc = Location.Html_elem (Location.Id { doc = doc.duid; id }) in
+      let loc =
+        Location.Html_elem (Location.Id { doc = doc.duid; id; key = doc.instr.Instr.fresh_key () })
+      in
       Hashtbl.add doc.id_locs id loc;
       loc
 
@@ -54,7 +56,10 @@ let collection_location doc name =
   match Hashtbl.find doc.collection_locs name with
   | loc -> loc
   | exception Not_found ->
-      let loc = Location.Html_elem (Location.Collection { doc = doc.duid; name }) in
+      let loc =
+        Location.Html_elem
+          (Location.Collection { doc = doc.duid; name; key = doc.instr.Instr.fresh_key () })
+      in
       Hashtbl.add doc.collection_locs name loc;
       loc
 
@@ -174,7 +179,7 @@ let mk_node instr ~tag ~attrs =
   let uid = instr.Instr.fresh_id () in
   {
     uid;
-    loc = Location.Html_elem (Location.Node uid);
+    loc = Location.Html_elem (Location.Node { uid; key = instr.Instr.fresh_key () });
     tag;
     parent = None;
     rev_children = [];

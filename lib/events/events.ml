@@ -5,9 +5,18 @@ type phase = Capture | At_target | Bubble
 
 let phase_name = function Capture -> "capture" | At_target -> "target" | Bubble -> "bubble"
 
-type 'h registration = { listener_uid : int; handler : 'h; capture : bool }
+type 'h registration = {
+  listener_uid : int;
+  handler : 'h;
+  capture : bool;
+  listener_loc : Location.t;
+}
 
+(* A (target, event) pair's handlers, with its interned container and
+   inline-slot locations; each registration carries its listener's. *)
 type 'h slot_state = {
+  container : Location.t;
+  attr : Location.t;
   mutable inline_handler : 'h option;
   mutable listener_list : 'h registration list;  (* registration order *)
   mutable dispatches : int;
@@ -22,28 +31,32 @@ type 'h t = {
 let create ?(tm = Wr_telemetry.Telemetry.disabled) instr =
   { instr; slots = Hashtbl.create 64; tm }
 
+let handler_location t ~target ~event slot =
+  Location.Event_handler { target; event; slot; key = t.instr.Instr.fresh_key () }
+
 let state t ~target ~event =
   match Hashtbl.find_opt t.slots (target, event) with
   | Some s -> s
   | None ->
-      let s = { inline_handler = None; listener_list = []; dispatches = 0 } in
+      let s =
+        {
+          container = handler_location t ~target ~event Location.Container;
+          attr = handler_location t ~target ~event Location.Attr;
+          inline_handler = None;
+          listener_list = [];
+          dispatches = 0;
+        }
+      in
       Hashtbl.add t.slots (target, event) s;
       s
 
-let container_location ~target ~event =
-  Location.Event_handler { target; event; slot = Location.Container }
-
-let inline_location ~target ~event =
-  Location.Event_handler { target; event; slot = Location.Attr }
-
-let listener_location ~target ~event ~uid =
-  Location.Event_handler { target; event; slot = Location.Listener uid }
+let container_location t ~target ~event = (state t ~target ~event).container
 
 let set_inline t ~target ~event h =
   let s = state t ~target ~event in
   s.inline_handler <- h;
-  Instr.emit t.instr (inline_location ~target ~event) `Write;
-  Instr.emit t.instr (container_location ~target ~event) `Write
+  Instr.emit t.instr s.attr `Write;
+  Instr.emit t.instr s.container `Write
 
 let inline t ~target ~event = (state t ~target ~event).inline_handler
 
@@ -51,26 +64,28 @@ let add_listener t ~target ~event ~capture h =
   Wr_telemetry.Telemetry.incr t.tm "events.listeners_registered";
   let s = state t ~target ~event in
   let uid = t.instr.Instr.fresh_id () in
-  s.listener_list <- s.listener_list @ [ { listener_uid = uid; handler = h; capture } ];
-  Instr.emit t.instr (listener_location ~target ~event ~uid) `Write;
-  Instr.emit t.instr (container_location ~target ~event) `Write;
+  let listener_loc = handler_location t ~target ~event (Location.Listener uid) in
+  s.listener_list <-
+    s.listener_list @ [ { listener_uid = uid; handler = h; capture; listener_loc } ];
+  Instr.emit t.instr listener_loc `Write;
+  Instr.emit t.instr s.container `Write;
   uid
 
 let remove_listener t ~target ~event ~uid =
   let s = state t ~target ~event in
-  let before = List.length s.listener_list in
-  s.listener_list <- List.filter (fun r -> r.listener_uid <> uid) s.listener_list;
-  if List.length s.listener_list <> before then begin
-    Instr.emit t.instr (listener_location ~target ~event ~uid) `Write;
-    Instr.emit t.instr (container_location ~target ~event) `Write
-  end
+  match List.partition (fun r -> r.listener_uid = uid) s.listener_list with
+  | [], _ -> ()
+  | removed :: _, kept ->
+      s.listener_list <- kept;
+      Instr.emit t.instr removed.listener_loc `Write;
+      Instr.emit t.instr s.container `Write
 
 let listeners t ~target ~event = (state t ~target ~event).listener_list
 
 type 'h step = {
   phase : phase;
   current_target : int;
-  slot : Wr_mem.Location.handler_slot;
+  loc : Location.t;
   callback : 'h;
 }
 
@@ -82,19 +97,14 @@ let steps_at t ~node ~event ~phase =
       (fun r ->
         if r.capture = want_capture then
           Some
-            {
-              phase;
-              current_target = node;
-              slot = Location.Listener r.listener_uid;
-              callback = r.handler;
-            }
+            { phase; current_target = node; loc = r.listener_loc; callback = r.handler }
         else None)
       s.listener_list
   in
   let inline_steps =
     match s.inline_handler with
     | Some h when not want_capture ->
-        [ { phase; current_target = node; slot = Location.Attr; callback = h } ]
+        [ { phase; current_target = node; loc = s.attr; callback = h } ]
     | Some _ | None -> []
   in
   (* Inline handler runs before listeners, as in browsers. *)
@@ -116,7 +126,7 @@ let plan t ~path ~event ~bubbles =
         let inline_steps =
           match s.inline_handler with
           | Some h ->
-              [ { phase = At_target; current_target = target; slot = Location.Attr; callback = h } ]
+              [ { phase = At_target; current_target = target; loc = s.attr; callback = h } ]
           | None -> []
         in
         inline_steps
@@ -125,7 +135,7 @@ let plan t ~path ~event ~bubbles =
               {
                 phase = At_target;
                 current_target = target;
-                slot = Location.Listener r.listener_uid;
+                loc = r.listener_loc;
                 callback = r.handler;
               })
             s.listener_list

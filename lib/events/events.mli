@@ -15,6 +15,10 @@
     a plan, because those reads belong to dispatch operations that only
     exist at dispatch time.
 
+    Each (target, event) pair's container and inline-slot locations, and
+    each listener's location, are built once, with their keys
+    ({!Wr_mem.Location.key}), and shared by every access to them.
+
     The handler payload type is abstract ('h is a JS function value in the
     browser), so this module stays independent of the interpreter and
     directly testable. *)
@@ -27,6 +31,7 @@ type 'h registration = {
   listener_uid : int;  (** identity for the [Listener] location *)
   handler : 'h;
   capture : bool;
+  listener_loc : Wr_mem.Location.t;  (** the interned [Listener] location *)
 }
 
 type 'h t
@@ -57,7 +62,7 @@ val listeners : 'h t -> target:int -> event:string -> 'h registration list
 type 'h step = {
   phase : phase;
   current_target : int;  (** the node whose handler runs *)
-  slot : Wr_mem.Location.handler_slot;  (** Attr or Listener for the §4.3 read *)
+  loc : Wr_mem.Location.t;  (** the Attr or Listener location of the §4.3 read *)
   callback : 'h;
 }
 
@@ -77,10 +82,10 @@ val record_dispatch : 'h t -> target:int -> event:string -> int
     recorded. *)
 val dispatch_count : 'h t -> target:int -> event:string -> int
 
-(** [container_location ~target ~event] builds the §4.3 logical location
-    of a target's handler container; exported for the browser's
+(** [container_location t ~target ~event] is the interned §4.3 logical
+    location of a target's handler container; exported for the browser's
     dispatch-side reads. *)
-val container_location : target:int -> event:string -> Wr_mem.Location.t
+val container_location : 'h t -> target:int -> event:string -> Wr_mem.Location.t
 
 (** [targets_with_handlers t] enumerates (target, event) pairs that
     currently have an inline handler or at least one listener — the

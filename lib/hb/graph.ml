@@ -1,13 +1,17 @@
 type strategy = Dfs | Chain_vc
 
-(* Edge keys hash and compare as two ints, with no polymorphic runtime
-   call. *)
+(* An edge's key is one int, [a lsl 31 lor b]: op ids stay below 2^31,
+   so keys are distinct, and a lookup allocates nothing. *)
 module Edge_set = Hashtbl.Make (struct
-  type t = int * int
+  type t = int
 
-  let equal ((a, b) : t) (c, d) = a = c && b = d
-  let hash (a, b) = Wr_support.Hash.mix ((a lsl 31) lxor b)
+  let equal (a : t) b = a = b
+  let hash = Wr_support.Hash.mix
 end)
+
+let edge_key a b =
+  if b >= 1 lsl 31 then invalid_arg "Hb.Graph: operation id beyond 2^31";
+  (a lsl 31) lor b
 
 type node = {
   info : Op.info;
@@ -170,21 +174,52 @@ let vc_join a b =
     out
   end
 
+(* [vc_join a [| chain; bound |]], without building the one-entry clock:
+   [a] itself when its entry for [chain] already reaches [bound]. *)
+let vc_join_entry a ~chain ~bound =
+  let la = Array.length a in
+  let i = ref 0 in
+  while !i < la && a.(!i) < chain do
+    i := !i + 2
+  done;
+  let i = !i in
+  if i < la && a.(i) = chain then
+    if a.(i + 1) >= bound then a
+    else begin
+      let out = Array.copy a in
+      out.(i + 1) <- bound;
+      out
+    end
+  else begin
+    let out = Array.make (la + 2) chain in
+    Array.blit a 0 out 0 i;
+    out.(i + 1) <- bound;
+    Array.blit a i out (i + 2) (la - i);
+    out
+  end
+
 (* Pointwise max of [src] plus the single entry (chain, bound) into
    [dst.vc]; returns true when anything grew. *)
 let merge_vc dst src ~chain ~bound =
   let vc = vc_join dst.vc src in
-  let vc = if chain >= 0 then vc_join vc [| chain; bound |] else vc in
+  let vc = if chain >= 0 then vc_join_entry vc ~chain ~bound else vc in
   if vc == dst.vc then false
   else begin
     dst.vc <- vc;
     true
   end
 
+(* The successors are walked by direct recursion: a partial application
+   handed to [List.iter] would allocate a closure per propagation. *)
 let rec vc_propagate t src ~chain ~bound n =
   let nn = t.nodes.(n) in
-  if merge_vc nn src ~chain ~bound then
-    List.iter (vc_propagate t nn.vc ~chain:(-1) ~bound:0) nn.succs
+  if merge_vc nn src ~chain ~bound then propagate_succs t nn.vc nn.succs
+
+and propagate_succs t vc = function
+  | [] -> ()
+  | s :: rest ->
+      vc_propagate t vc ~chain:(-1) ~bound:0 s;
+      propagate_succs t vc rest
 
 (* --- Edge insertion ------------------------------------------------------ *)
 
@@ -200,9 +235,10 @@ let add_edge t a b =
      same edge) and used to pay O(out-degree) in [List.mem]; the last-succ
      slot catches the consecutive-repeat pattern for free and the edge set
      answers the rest in O(1), so dense pages no longer go quadratic. *)
-  if na.last_succ <> b && not (Edge_set.mem t.edge_set (a, b)) then begin
+  let key = edge_key a b in
+  if na.last_succ <> b && not (Edge_set.mem t.edge_set key) then begin
     na.last_succ <- b;
-    Edge_set.add t.edge_set (a, b) ();
+    Edge_set.add t.edge_set key ();
     na.succs <- b :: na.succs;
     nb.preds <- a :: nb.preds;
     t.edges <- t.edges + 1;

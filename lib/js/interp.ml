@@ -47,13 +47,14 @@ let declare_global vm name =
   if not (Hashtbl.mem vm.global.vars name) then Hashtbl.add vm.global.vars name (ref Undefined)
 
 (* A slot's location is built on the slot's first access, minting its
-   cell id as [cell_loc] mints a property's, and cached in the frame. *)
+   cell id and key as [cell_loc] mints a property's, and cached in the
+   frame. *)
 let emit_slot vm ~flags env slot name kind =
   let loc =
     let loc = env.cells.(slot) in
     if loc != unset_cell then loc
     else begin
-      let loc = Location.Js_var { cell = fresh_id vm; name } in
+      let loc = Location.Js_var { cell = fresh_id vm; name; key = fresh_key vm } in
       env.cells.(slot) <- loc;
       loc
     end

@@ -44,6 +44,7 @@ and vm = {
   rng : Wr_support.Rng.t;
   cell_ids : Wr_mem.Location.Cells.t;
   mutable next_id : int;
+  mutable next_key : int;
   global : global_scope;
   object_proto : obj;
   array_proto : obj;
@@ -65,15 +66,20 @@ let fresh_id vm =
   vm.next_id <- id + 1;
   id
 
+let fresh_key vm =
+  let k = vm.next_key in
+  vm.next_key <- k + 1;
+  k
+
 let cell_loc vm ~owner name =
   match Wr_mem.Location.Cells.find vm.cell_ids ~owner name with
   | loc -> loc
   | exception Not_found ->
-      let loc = Wr_mem.Location.Js_var { cell = fresh_id vm; name } in
+      let loc = Wr_mem.Location.Js_var { cell = fresh_id vm; name; key = fresh_key vm } in
       Wr_mem.Location.Cells.add vm.cell_ids ~owner name loc;
       loc
 
-let unset_cell = Wr_mem.Location.Js_var { cell = -1; name = "" }
+let unset_cell = Wr_mem.Location.Js_var { cell = -1; name = ""; key = Wr_mem.Location.no_key }
 
 let mk_obj ~oid ?proto ?(class_name = "Object") () =
   { oid; class_name; proto; props = Hashtbl.create 8; call = None; host = None }
@@ -102,6 +108,7 @@ let create_vm ?(seed = 0) ?(fuel = 50_000_000) ~sink () =
     rng = Wr_support.Rng.of_int seed;
     cell_ids = Wr_mem.Location.Cells.create 1024;
     next_id = !counter;
+    next_key = 0;
     global;
     object_proto;
     array_proto;

@@ -80,6 +80,7 @@ and vm = {
   rng : Wr_support.Rng.t;
   cell_ids : Wr_mem.Location.Cells.t;
   mutable next_id : int;
+  mutable next_key : int;  (** the next dense location key *)
   global : global_scope;
   object_proto : obj;
   array_proto : obj;
@@ -109,9 +110,13 @@ val create_vm : ?seed:int -> ?fuel:int -> sink:(Wr_mem.Access.t -> unit) -> unit
 (** [fresh_id vm] mints an id unique across objects, scopes and cells. *)
 val fresh_id : vm -> int
 
+(** [fresh_key vm] mints the analysis's next dense location key
+    ({!Wr_mem.Location.key}), from a counter apart from [fresh_id]'s. *)
+val fresh_key : vm -> int
+
 (** [cell_loc vm ~owner name] is the interned logical location of
     property or binding [name] of the object or global scope identified
-    by [owner]; its cell id is minted on first use. Frame bindings keep
+    by [owner]; its cell id and key are minted on first use. Frame bindings keep
     theirs in [env.cells] instead. *)
 val cell_loc : vm -> owner:int -> string -> Wr_mem.Location.t
 

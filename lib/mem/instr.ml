@@ -4,6 +4,7 @@ type t = {
   sink : Access.t -> unit;
   cell_loc : owner:int -> string -> Location.t;
   fresh_id : unit -> int;
+  fresh_key : unit -> int;
 }
 
 let emit t ?(flags = []) loc kind =
@@ -15,6 +16,12 @@ let null () =
     incr counter;
     !counter
   in
+  let keys = ref 0 in
+  let fresh_key () =
+    let k = !keys in
+    incr keys;
+    k
+  in
   let cells = Location.Cells.create 64 in
   {
     op = 0;
@@ -25,8 +32,9 @@ let null () =
         match Location.Cells.find cells ~owner name with
         | loc -> loc
         | exception Not_found ->
-            let loc = Location.Js_var { cell = fresh_id (); name } in
+            let loc = Location.Js_var { cell = fresh_id (); name; key = fresh_key () } in
             Location.Cells.add cells ~owner name loc;
             loc);
     fresh_id;
+    fresh_key;
   }

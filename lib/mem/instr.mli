@@ -6,9 +6,10 @@
     operations, and hands the same [t] to the DOM, the event system and the
     JS VM so all accesses land in one stream with one id space.
 
-    [cell_loc] and [fresh_id] are wired to the JS VM's interning table, so
-    a DOM node's [parentNode] property and a JS read of the same property
-    resolve to the same logical cell, and to one shared location value. *)
+    [cell_loc], [fresh_id] and [fresh_key] are wired to the JS VM's
+    interning table and counters, so a DOM node's [parentNode] property
+    and a JS read of the same property resolve to the same logical cell,
+    and to one shared location value with one key. *)
 
 type t = {
   mutable op : Wr_hb.Op.id;  (** the operation currently executing *)
@@ -17,11 +18,15 @@ type t = {
   cell_loc : owner:int -> string -> Location.t;
       (** the interned [Js_var] of property [name] of [owner] *)
   fresh_id : unit -> int;
+  fresh_key : unit -> int;
+      (** the analysis's next dense location key ({!Location.key}), from a
+          counter of its own *)
 }
 
 (** [emit t ?flags loc kind] reports an access by the current operation. *)
 val emit : t -> ?flags:Access.flag list -> Location.t -> Access.kind -> unit
 
-(** [null ()] swallows accesses and mints ids from a private counter; for
+(** [null ()] swallows accesses and mints ids and keys from private
+    counters; for
     tests that exercise DOM structure without a detector. *)
 val null : unit -> t

@@ -1,14 +1,28 @@
 type elem_key =
-  | Node of int
-  | Id of { doc : int; id : string }
-  | Collection of { doc : int; name : string }
+  | Node of { uid : int; key : int }
+  | Id of { doc : int; id : string; key : int }
+  | Collection of { doc : int; name : string; key : int }
 
 type handler_slot = Attr | Listener of int | Container
 
 type t =
-  | Js_var of { cell : int; name : string }
+  | Js_var of { cell : int; name : string; key : int }
   | Html_elem of elem_key
-  | Event_handler of { target : int; event : string; slot : handler_slot }
+  | Event_handler of { target : int; event : string; slot : handler_slot; key : int }
+
+let no_key = -1
+
+let key = function
+  | Js_var { key; _ } | Event_handler { key; _ } -> key
+  | Html_elem (Node { key; _ } | Id { key; _ } | Collection { key; _ }) -> key
+
+let with_key loc key =
+  match loc with
+  | Js_var v -> Js_var { v with key }
+  | Html_elem (Node n) -> Html_elem (Node { n with key })
+  | Html_elem (Id i) -> Html_elem (Id { i with key })
+  | Html_elem (Collection c) -> Html_elem (Collection { c with key })
+  | Event_handler h -> Event_handler { h with key }
 
 let conflict_relevant loc ~kind ~kind' =
   let both_writes = kind = `Write && kind' = `Write in
@@ -18,12 +32,14 @@ let conflict_relevant loc ~kind ~kind' =
       true
 
 let report_key = function
-  | Event_handler { target; event; _ } -> Event_handler { target; event; slot = Container }
+  | Event_handler { target; event; _ } ->
+      Event_handler { target; event; slot = Container; key = no_key }
   | (Js_var _ | Html_elem _) as loc -> loc
 
 (* Explicit definitions so [Js_var] name changes for reporting purposes
-   never silently change identity semantics. Interned locations are
-   physically shared, so the first test usually decides. *)
+   never silently change identity semantics, and keys never take part.
+   Interned locations are physically shared, so the first test usually
+   decides. *)
 let equal_slot a b =
   match a, b with
   | Attr, Attr | Container, Container -> true
@@ -32,9 +48,9 @@ let equal_slot a b =
 
 let equal_elem a b =
   match a, b with
-  | Node u, Node u' -> u = u'
-  | Id { doc; id }, Id { doc = doc'; id = id' } -> doc = doc' && String.equal id id'
-  | Collection { doc; name }, Collection { doc = doc'; name = name' } ->
+  | Node { uid; _ }, Node { uid = uid'; _ } -> uid = uid'
+  | Id { doc; id; _ }, Id { doc = doc'; id = id'; _ } -> doc = doc' && String.equal id id'
+  | Collection { doc; name; _ }, Collection { doc = doc'; name = name'; _ } ->
       doc = doc' && String.equal name name'
   | (Node _ | Id _ | Collection _), _ -> false
 
@@ -55,18 +71,18 @@ let mix = Wr_support.Hash.mix
 
 let hash = function
   | Js_var { cell; _ } -> mix (cell lsl 3)
-  | Html_elem (Node uid) -> mix ((uid lsl 3) lor 1)
-  | Html_elem (Id { doc; id }) -> mix ((Hashtbl.hash id lsl 3) lxor (doc lsl 35) lor 2)
-  | Html_elem (Collection { doc; name }) ->
+  | Html_elem (Node { uid; _ }) -> mix ((uid lsl 3) lor 1)
+  | Html_elem (Id { doc; id; _ }) -> mix ((Hashtbl.hash id lsl 3) lxor (doc lsl 35) lor 2)
+  | Html_elem (Collection { doc; name; _ }) ->
       mix ((Hashtbl.hash name lsl 3) lxor (doc lsl 35) lor 3)
-  | Event_handler { target; event; slot } ->
+  | Event_handler { target; event; slot; _ } ->
       let slot = match slot with Attr -> 0 | Container -> 1 | Listener uid -> uid + 2 in
       mix ((mix ((target lsl 3) lor 4) + Hashtbl.hash event) lxor (slot lsl 20))
 
 let pp_elem_key ppf = function
-  | Node uid -> Format.fprintf ppf "node#%d" uid
-  | Id { doc; id } -> Format.fprintf ppf "doc%d#%s" doc id
-  | Collection { doc; name } -> Format.fprintf ppf "doc%d[%s]" doc name
+  | Node { uid; _ } -> Format.fprintf ppf "node#%d" uid
+  | Id { doc; id; _ } -> Format.fprintf ppf "doc%d#%s" doc id
+  | Collection { doc; name; _ } -> Format.fprintf ppf "doc%d[%s]" doc name
 
 let pp_slot ppf = function
   | Attr -> Format.pp_print_string ppf "attr"
@@ -74,9 +90,9 @@ let pp_slot ppf = function
   | Container -> Format.pp_print_string ppf "handlers"
 
 let pp ppf = function
-  | Js_var { cell; name } -> Format.fprintf ppf "var %s@%d" name cell
+  | Js_var { cell; name; _ } -> Format.fprintf ppf "var %s@%d" name cell
   | Html_elem k -> Format.fprintf ppf "elem %a" pp_elem_key k
-  | Event_handler { target; event; slot } ->
+  | Event_handler { target; event; slot; _ } ->
       Format.fprintf ppf "handler (node#%d, %s, %a)" target event pp_slot slot
 
 let to_string t = Format.asprintf "%a" pp t
@@ -87,6 +103,20 @@ module Tbl = Hashtbl.Make (struct
   let equal = equal
   let hash = hash
 end)
+
+module Keys = struct
+  type nonrec t = int Tbl.t
+
+  let create () = Tbl.create 256
+
+  let intern t loc =
+    match Tbl.find t loc with
+    | k -> if key loc = k then loc else with_key loc k
+    | exception Not_found ->
+        let k = Tbl.length t in
+        Tbl.add t loc k;
+        with_key loc k
+end
 
 module Cells = struct
   type loc = t

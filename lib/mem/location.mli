@@ -27,9 +27,9 @@
       handlers. *)
 
 type elem_key =
-  | Node of int  (** a concrete element, by node uid *)
-  | Id of { doc : int; id : string }  (** the per-document id-lookup cell *)
-  | Collection of { doc : int; name : string }
+  | Node of { uid : int; key : int }  (** a concrete element, by node uid *)
+  | Id of { doc : int; id : string; key : int }  (** the per-document id-lookup cell *)
+  | Collection of { doc : int; name : string; key : int }
       (** a document-level collection accessor cell, e.g. "tag:div",
           "images", "forms" *)
 
@@ -38,12 +38,38 @@ type handler_slot =
   | Listener of int  (** an [addEventListener] handler, keyed by function uid *)
   | Container  (** the per-(element, event) handler container *)
 
+(** Every constructor carries a [key]: the location's dense integer key
+    within one analysis (see {!key}). It is not part of the location's
+    identity: {!equal}, {!hash} and {!pp} ignore it. *)
 type t =
-  | Js_var of { cell : int; name : string }
+  | Js_var of { cell : int; name : string; key : int }
       (** a runtime binding cell or object property slot; [cell] uniquely
           identifies the heap cell, [name] is for reports *)
   | Html_elem of elem_key
-  | Event_handler of { target : int; event : string; slot : handler_slot }
+  | Event_handler of { target : int; event : string; slot : handler_slot; key : int }
+
+(** {2 Dense keys}
+
+    The detectors keep their per-location state in columns indexed by
+    key, so recording an access hashes nothing. The key invariant: within
+    one analysis, two locations have equal keys iff {!equal} holds for
+    them, and keys are small non-negative ints, minted in order from a
+    per-analysis counter (apart from the counter of node, object and cell
+    ids, so no id or printed name depends on them).
+
+    Each location value is built once, where it is interned, and takes
+    its key there: the JS VM's {!Cells} and frame cells, the DOM's node
+    constructor and its id and collection tables, and the event registry.
+    A trace loaded from JSON re-mints its keys through one {!Keys} table.
+    Locations built elsewhere (report keys, hand-built test values) carry
+    {!no_key} until interned through {!Keys}. *)
+
+(** [no_key] ([-1]) marks a location that has no key yet; the detectors
+    reject it. *)
+val no_key : int
+
+(** [key loc] is [loc]'s dense key, or {!no_key}. *)
+val key : t -> int
 
 (** [conflict_relevant loc ~kind ~kind'] decides whether two accesses of the
     given kinds on [loc] may constitute a race. Write-write pairs on
@@ -59,11 +85,12 @@ val conflict_relevant : t -> kind:[ `Read | `Write ] -> kind':[ `Read | `Write ]
     races with a single dispatch through both the handler slot and the
     container, and reporting that twice would double-count what the paper
     counts as one event dispatch race. Other locations are their own
-    key. *)
+    key. A collapsed handler location carries {!no_key}. *)
 val report_key : t -> t
 
 (** [equal a b] is location identity: [Js_var]s by cell alone, the rest
-    structurally. Physically equal locations are equal at once. *)
+    structurally, keys aside. Physically equal locations are equal at
+    once. *)
 val equal : t -> t -> bool
 
 (** [hash t] is compatible with {!equal}. It mixes ints in OCaml
@@ -76,6 +103,22 @@ val to_string : t -> string
 
 (** Hash tables keyed by location, used by the detectors. *)
 module Tbl : Hashtbl.S with type key = t
+
+(** Key minting by identity, for locations that were not built at an
+    interning site: a trace read back from JSON, or hand-built values. *)
+module Keys : sig
+  type loc := t
+
+  type t
+
+  (** [create ()] is an empty table; its keys start at 0. *)
+  val create : unit -> t
+
+  (** [intern t loc] is [loc] carrying the key [t] gave the first location
+      {!equal} to it, or the next unused key when there was none. It is
+      [loc] itself when that already carries the key. *)
+  val intern : t -> loc -> loc
+end
 
 (** An interning table from (owner, name) to a cell's [Js_var]: object
     properties, globals and the DOM's structural properties each resolve

@@ -6,7 +6,9 @@ open Wr_hb
 open Wr_mem
 open Wr_detect
 
-let var ?(name = "x") cell = Location.Js_var { cell; name }
+let key = Location.no_key
+
+let var ?(name = "x") cell = Location.Js_var { cell; name; key }
 
 (* A probe detector that remembers every access it is fed, so tests can
    assert exactly what the dedup front-end forwarded. *)
@@ -20,7 +22,11 @@ let probe () =
     },
     fun () -> List.rev !log )
 
-let access ?(flags = []) ?(context = "test") loc kind op = { Access.loc; kind; op; flags; context }
+(* Hand-built locations take their keys as a loaded trace's do. *)
+let keys = Location.Keys.create ()
+
+let access ?(flags = []) ?(context = "test") loc kind op =
+  { Access.loc = Location.Keys.intern keys loc; kind; op; flags; context }
 
 let wrapped () =
   let inner, forwarded = probe () in
@@ -190,9 +196,9 @@ let pool =
     var 0;
     var 1;
     var 2;
-    Location.Event_handler { target = 1; event = "click"; slot = Location.Attr };
-    Location.Event_handler { target = 1; event = "click"; slot = Location.Container };
-    Location.Html_elem (Location.Collection { doc = 0; name = "tag:div" });
+    Location.Event_handler { target = 1; event = "click"; slot = Location.Attr; key };
+    Location.Event_handler { target = 1; event = "click"; slot = Location.Container; key };
+    Location.Html_elem (Location.Collection { doc = 0; name = "tag:div"; key });
   |]
 
 (* The third context equals the first but is a distinct string, so the
@@ -290,6 +296,30 @@ let test_seen_location_allocates_nothing () =
   check "wrap, forwarded" (wrapped ()) forwarded ~forwarded:n;
   check "wrap, deduplicated" (wrapped ()) repeated ~forwarded:1
 
+(* A location the detector has not seen yet costs no allocation either:
+   its state is a column entry indexed by the location's key, and the
+   columns grow by doubling outside the minor heap. The accesses are
+   built (and keyed) before the measurement. *)
+let test_unseen_location_allocates_nothing () =
+  let g = Graph.create () in
+  let a = Graph.fresh g Op.Script ~label:"a" in
+  let n = 10_000 in
+  let stream =
+    Array.init n (fun i ->
+        let loc = Location.Js_var { cell = i; name = "fresh"; key = i } in
+        let kind = if i land 1 = 0 then `Read else `Write in
+        { Access.loc; kind; op = a; flags = []; context = "t" })
+  in
+  let det, stats = Last_access.create_dedup g in
+  let before = Gc.minor_words () in
+  Array.iter det.Detector.record stream;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for %d unseen locations" words n)
+    true
+    (words < float_of_int n);
+  Alcotest.(check int) "all forwarded" n (stats ()).Dedup.forwarded
+
 let suite =
   [
     Alcotest.test_case "duplicate read swallowed" `Quick test_duplicate_read_swallowed;
@@ -314,4 +344,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_fused_equals_wrap;
     Alcotest.test_case "seen location allocates nothing" `Quick
       test_seen_location_allocates_nothing;
+    Alcotest.test_case "unseen location allocates nothing" `Quick
+      test_unseen_location_allocates_nothing;
   ]

@@ -4,14 +4,20 @@ open Wr_hb
 open Wr_mem
 open Wr_detect
 
-let var ?(name = "x") cell = Location.Js_var { cell; name }
+let key = Location.no_key
+
+let var ?(name = "x") cell = Location.Js_var { cell; name; key }
 
 let setup ?(strategy = Graph.Chain_vc) () =
   let g = Graph.create ~strategy () in
   let d = Last_access.create g in
   (g, d)
 
-let access ?(flags = []) loc kind op = { Access.loc; kind; op; flags; context = "test" }
+(* Hand-built locations take their keys as a loaded trace's do. *)
+let keys = Location.Keys.create ()
+
+let access ?(flags = []) loc kind op =
+  { Access.loc = Location.Keys.intern keys loc; kind; op; flags; context = "test" }
 
 let test_no_race_when_ordered () =
   let g, d = setup () in
@@ -100,7 +106,7 @@ let test_paper_limitation_example () =
 let test_container_write_write_suppressed () =
   let g, d = setup () in
   let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
-  let container = Location.Event_handler { target = 5; event = "load"; slot = Container } in
+  let container = Location.Event_handler { target = 5; event = "load"; slot = Container; key } in
   d.Detector.record (access container `Write a);
   d.Detector.record (access container `Write b);
   Alcotest.(check int) "disjoint registrations do not race" 0
@@ -141,10 +147,10 @@ let test_race_classification () =
   Alcotest.(check string) "function" "function"
     (Race.type_name (mk_race [ Access.Function_decl ] (var 1)));
   Alcotest.(check string) "html" "html"
-    (Race.type_name (mk_race [] (Location.Html_elem (Location.Id { doc = 0; id = "dw" }))));
+    (Race.type_name (mk_race [] (Location.Html_elem (Location.Id { doc = 0; id = "dw"; key }))));
   Alcotest.(check string) "event dispatch" "event-dispatch"
     (Race.type_name
-       (mk_race [] (Location.Event_handler { target = 3; event = "load"; slot = Attr })))
+       (mk_race [] (Location.Event_handler { target = 3; event = "load"; slot = Attr; key })))
 
 let make_race ?(first_flags = []) ?(second_flags = []) ?(loc = var 1) ?(first_kind = `Write)
     ?(second_kind = `Read) () =
@@ -166,13 +172,13 @@ let test_form_filter () =
       ~first_flags:[ Access.Form_field; Access.Checked_read_first ]
       ~second_flags:[ Access.Form_field ] ()
   in
-  let html = make_race ~loc:(Location.Html_elem (Location.Node 3)) () in
+  let html = make_race ~loc:(Location.Html_elem (Location.Node { uid = 3; key })) () in
   let kept = Filters.form_field [ plain_var; form; checked; html ] in
   Alcotest.(check int) "keeps form race and html race" 2 (List.length kept)
 
 let test_single_dispatch_filter () =
-  let loc1 = Location.Event_handler { target = 1; event = "load"; slot = Location.Attr } in
-  let loc2 = Location.Event_handler { target = 2; event = "click"; slot = Location.Attr } in
+  let loc1 = Location.Event_handler { target = 1; event = "load"; slot = Location.Attr; key } in
+  let loc2 = Location.Event_handler { target = 2; event = "click"; slot = Location.Attr; key } in
   let r1 = make_race ~loc:loc1 () and r2 = make_race ~loc:loc2 () in
   let info =
     {

@@ -8,7 +8,8 @@ let mk () = Graph.create ~strategy:Graph.Chain_vc ()
 
 let op g label = Graph.fresh g Op.Script ~label
 
-let race_between g ?(loc = Wr_mem.Location.Js_var { cell = 1; name = "x" }) a b =
+let race_between g
+    ?(loc = Wr_mem.Location.Js_var { cell = 1; name = "x"; key = Wr_mem.Location.no_key }) a b =
   ignore g;
   Wr_detect.Race.make
     ~first:{ Wr_mem.Access.loc; kind = `Write; op = a; flags = []; context = "w" }

@@ -340,6 +340,39 @@ let prop_chc_pairs =
     (QCheck.make QCheck.Gen.(oneof [ random_dag_gen; fan_gen; leafy_gen ]))
     chc_pairs_match
 
+(* A parse chain: each op is minted and joined to the one before it, as
+   the browser builds one for every parsed element. Besides the op's
+   node and info records and the two list cells of the edge, an edge
+   costs its edge-set bucket and a clock of one entry: the edge key is
+   one int, the chain entry is folded into the clock without a temporary
+   array, and propagation builds no closure (25 words per op; 39 with
+   tuple keys, the temporary and the closure). Measured over a second
+   build, so the first warms the runtime. *)
+let chain_words n =
+  let build () =
+    let g = Graph.create ~strategy:Graph.Chain_vc () in
+    let prev = ref (Graph.fresh g Op.Parse ~label:"p") in
+    for _ = 2 to n do
+      let b = Graph.fresh g Op.Parse ~label:"p" in
+      Graph.add_edge g !prev b;
+      prev := b
+    done;
+    g
+  in
+  ignore (Sys.opaque_identity (build ()));
+  let before = Gc.minor_words () in
+  let g = build () in
+  let words = Gc.minor_words () -. before in
+  (g, words /. float_of_int n)
+
+let test_chain_allocation () =
+  let n = 10_000 in
+  let g, per_op = chain_words n in
+  Alcotest.(check bool) "chain is ordered" true (Graph.happens_before g 0 (n - 1));
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per op" per_op)
+    true (per_op < 27.)
+
 let suite =
   suite
   @ [
@@ -347,4 +380,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_strategies_agree_on_fans;
       Alcotest.test_case "reports agree across strategies" `Quick test_reports_agree;
       QCheck_alcotest.to_alcotest prop_chc_pairs;
+      Alcotest.test_case "parse chain allocation" `Quick test_chain_allocation;
     ]

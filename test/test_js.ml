@@ -331,7 +331,7 @@ let test_instrument_property_miss_identity () =
     List.filter_map
       (fun (a : Wr_mem.Access.t) ->
         match a.loc with
-        | Wr_mem.Location.Js_var { cell; name = "f" } -> Some (cell, a.kind)
+        | Wr_mem.Location.Js_var { cell; name = "f"; _ } -> Some (cell, a.kind)
         | _ -> None)
       acc
   in
@@ -350,7 +350,7 @@ let test_closure_shared_cell_identity () =
     List.filter_map
       (fun (a : Wr_mem.Access.t) ->
         match a.loc with
-        | Wr_mem.Location.Js_var { cell; name = "shared" } -> Some cell
+        | Wr_mem.Location.Js_var { cell; name = "shared"; _ } -> Some cell
         | _ -> None)
       acc
   in

@@ -2,16 +2,18 @@
 
 open Wr_mem
 
-let var cell = Location.Js_var { cell; name = "v" }
+let key = Location.no_key
 
-let node uid = Location.Html_elem (Location.Node uid)
+let var cell = Location.Js_var { cell; name = "v"; key }
 
-let idl ~doc ~id = Location.Html_elem (Location.Id { doc; id })
+let node uid = Location.Html_elem (Location.Node { uid; key })
 
-let coll ~doc ~name = Location.Html_elem (Location.Collection { doc; name })
+let idl ~doc ~id = Location.Html_elem (Location.Id { doc; id; key })
+
+let coll ~doc ~name = Location.Html_elem (Location.Collection { doc; name; key })
 
 let handler ?(slot = Location.Attr) ~target ~event () =
-  Location.Event_handler { target; event; slot }
+  Location.Event_handler { target; event; slot; key }
 
 let test_conflict_policy_matrix () =
   let ww loc = Location.conflict_relevant loc ~kind:`Write ~kind':`Write in
@@ -50,9 +52,9 @@ let test_report_key_canonicalization () =
     (Location.equal (Location.report_key (idl ~doc:1 ~id:"z")) (idl ~doc:1 ~id:"z"))
 
 let test_js_var_identity_by_cell () =
-  let a = Location.Js_var { cell = 7; name = "x" } in
-  let b = Location.Js_var { cell = 7; name = "renamed" } in
-  let c = Location.Js_var { cell = 8; name = "x" } in
+  let a = Location.Js_var { cell = 7; name = "x"; key } in
+  let b = Location.Js_var { cell = 7; name = "renamed"; key } in
+  let c = Location.Js_var { cell = 8; name = "x"; key } in
   Alcotest.(check bool) "same cell equal" true (Location.equal a b);
   Alcotest.(check bool) "same hash" true (Location.hash a = Location.hash b);
   Alcotest.(check bool) "different cell" false (Location.equal a c)
@@ -76,7 +78,7 @@ let gen_location =
               | _ -> Location.Listener s
             in
             Location.Event_handler
-              { target = t; event = (if e then "load" else "click"); slot })
+              { target = t; event = (if e then "load" else "click"); slot; key })
           (int_bound 50) bool (int_bound 20);
       ])
 
@@ -85,25 +87,27 @@ let prop_equal_hash_consistent =
     (QCheck.make (QCheck.Gen.pair gen_location gen_location)) (fun (a, b) ->
       (not (Location.equal a b)) || Location.hash a = Location.hash b)
 
-(* A physically distinct copy of [loc]: fresh strings, and a [Js_var]
-   renamed, since a cell's identity is its id alone. *)
+(* A physically distinct copy of [loc]: fresh strings, a [Js_var]
+   renamed, since a cell's identity is its id alone, and another key,
+   which is no part of identity either. *)
 let copy_location loc =
   let fresh s = Bytes.to_string (Bytes.of_string s) in
+  let key = Location.key loc + 1000 in
   match loc with
-  | Location.Js_var { cell; name } -> Location.Js_var { cell; name = name ^ "'" }
-  | Location.Html_elem (Location.Node u) -> Location.Html_elem (Location.Node u)
-  | Location.Html_elem (Location.Id { doc; id }) ->
-      Location.Html_elem (Location.Id { doc; id = fresh id })
-  | Location.Html_elem (Location.Collection { doc; name }) ->
-      Location.Html_elem (Location.Collection { doc; name = fresh name })
-  | Location.Event_handler { target; event; slot } ->
+  | Location.Js_var { cell; name; _ } -> Location.Js_var { cell; name = name ^ "'"; key }
+  | Location.Html_elem (Location.Node { uid; _ }) -> Location.Html_elem (Location.Node { uid; key })
+  | Location.Html_elem (Location.Id { doc; id; _ }) ->
+      Location.Html_elem (Location.Id { doc; id = fresh id; key })
+  | Location.Html_elem (Location.Collection { doc; name; _ }) ->
+      Location.Html_elem (Location.Collection { doc; name = fresh name; key })
+  | Location.Event_handler { target; event; slot; _ } ->
       let slot =
         match slot with
         | Location.Listener u -> Location.Listener u
         | Location.Attr -> Location.Attr
         | Location.Container -> Location.Container
       in
-      Location.Event_handler { target; event = fresh event; slot }
+      Location.Event_handler { target; event = fresh event; slot; key }
 
 let prop_copies_equal_and_hash_equally =
   QCheck.Test.make ~name:"mem: equal copies hash equally, every constructor" ~count:500
@@ -124,6 +128,30 @@ let prop_tbl_respects_equality =
       let tbl = Location.Tbl.create 16 in
       List.iteri (fun i loc -> Location.Tbl.replace tbl loc i) locs;
       List.for_all (fun loc -> Location.Tbl.mem tbl loc) locs)
+
+(* [Keys.intern] over a random stream, copies mixed in: equal keys iff
+   equal locations, and the keys are 0 .. n-1 for n distinct locations. *)
+let prop_keys_intern_dense =
+  QCheck.Test.make ~name:"mem: Keys.intern keys equal iff locations equal, densely"
+    ~count:300
+    (QCheck.make QCheck.Gen.(small_list (pair gen_location bool)))
+    (fun stream ->
+      let keys = Location.Keys.create () in
+      let interned =
+        List.map
+          (fun (loc, copy) ->
+            let loc = if copy then copy_location loc else loc in
+            Location.Keys.intern keys loc)
+          stream
+      in
+      let distinct = List.sort_uniq compare (List.map Location.key interned) in
+      distinct = List.init (List.length distinct) Fun.id
+      && List.for_all
+           (fun a ->
+             List.for_all
+               (fun b -> Location.equal a b = (Location.key a = Location.key b))
+               interned)
+           interned)
 
 let test_access_flags () =
   let a = { Access.loc = var 1; kind = `Read; op = 3; flags = []; context = "" } in
@@ -155,6 +183,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_copies_equal_and_hash_equally;
     QCheck_alcotest.to_alcotest prop_report_key_idempotent;
     QCheck_alcotest.to_alcotest prop_tbl_respects_equality;
+    QCheck_alcotest.to_alcotest prop_keys_intern_dense;
     Alcotest.test_case "access flags" `Quick test_access_flags;
     Alcotest.test_case "instr context" `Quick test_instr_emit_carries_context;
   ]

@@ -217,7 +217,7 @@ let build_execution (n, edges, accesses) =
   let feed (d : Wr_detect.Detector.t) =
     List.iter
       (fun (op, cell, is_write) ->
-        let loc = Location.Js_var { cell; name = "v" ^ string_of_int cell } in
+        let loc = Location.Js_var { cell; name = "v" ^ string_of_int cell; key = cell } in
         d.Wr_detect.Detector.record
           { Access.loc; kind = (if is_write then `Write else `Read); op; flags = []; context = "" })
       sorted

@@ -201,10 +201,10 @@ let test_computed_member_widening_sound () =
     (E.conflicts pw (mk_eff E.Read (E.S_prop { target; prop = E.Lit "other" })));
   check_eff "prefix covers any concrete tmp_* cell"
     (Compare.loc_covers widened
-       (Wr_mem.Location.Js_var { cell = 9; name = "tmp_7" }));
+       (Wr_mem.Location.Js_var { cell = 9; name = "tmp_7"; key = Wr_mem.Location.no_key }));
   check_no_eff "prefix does not cover foreign cells"
     (Compare.loc_covers widened
-       (Wr_mem.Location.Js_var { cell = 9; name = "other" }))
+       (Wr_mem.Location.Js_var { cell = 9; name = "other"; key = Wr_mem.Location.no_key }))
 
 let test_dynamic_eval_widening_sound () =
   let a = analyze_src "var c = \"adv_mark\"; eval(c + \" = 1;\");" in
@@ -216,14 +216,21 @@ let test_dynamic_eval_widening_sound () =
   check_eff "top write conflicts with any id read"
     (E.conflicts w (mk_eff E.Read (E.S_id { doc = 0; id = E.Lit "panel" })));
   check_eff "top covers any variable cell"
-    (Compare.loc_covers E.S_top (Wr_mem.Location.Js_var { cell = 1; name = "x" }));
+    (Compare.loc_covers E.S_top
+       (Wr_mem.Location.Js_var { cell = 1; name = "x"; key = Wr_mem.Location.no_key }));
   check_eff "top covers any html cell"
     (Compare.loc_covers E.S_top
-       (Wr_mem.Location.Html_elem (Wr_mem.Location.Id { doc = 0; id = "p" })));
+       (Wr_mem.Location.Html_elem
+          (Wr_mem.Location.Id { doc = 0; id = "p"; key = Wr_mem.Location.no_key })));
   check_eff "top covers any handler cell"
     (Compare.loc_covers E.S_top
        (Wr_mem.Location.Event_handler
-          { target = 3; event = "click"; slot = Wr_mem.Location.Container }))
+          {
+            target = 3;
+            event = "click";
+            slot = Wr_mem.Location.Container;
+            key = Wr_mem.Location.no_key;
+          }))
 
 let test_wildcard_sstr_sound () =
   check_eff "Any_str matches every literal"

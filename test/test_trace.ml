@@ -6,7 +6,13 @@ module Access = Wr_mem.Access
 module Location = Wr_mem.Location
 open Wr_detect
 
-let mk_access ?(flags = []) ?(kind = `Read) ~op loc = { Access.loc; kind; op; flags; context = "t" }
+let key = Location.no_key
+
+(* Hand-built locations take their keys as a loaded trace's do. *)
+let keys = Location.Keys.create ()
+
+let mk_access ?(flags = []) ?(kind = `Read) ~op loc =
+  { Access.loc = Location.Keys.intern keys loc; kind; op; flags; context = "t" }
 
 let sample_trace () =
   let g = Graph.create () in
@@ -14,9 +20,9 @@ let sample_trace () =
   let b = Graph.fresh g Op.Timeout_callback ~label:"b" in
   let c = Graph.fresh g Op.Parse ~label:"c" in
   Graph.add_edge g a b;
-  let var = Location.Js_var { cell = 7; name = "x" } in
-  let elem = Location.Html_elem (Location.Id { doc = 1; id = "dw" }) in
-  let handler = Location.Event_handler { target = 3; event = "load"; slot = Location.Attr } in
+  let var = Location.Js_var { cell = 7; name = "x"; key } in
+  let elem = Location.Html_elem (Location.Id { doc = 1; id = "dw"; key }) in
+  let handler = Location.Event_handler { target = 3; event = "load"; slot = Location.Attr; key } in
   let accesses =
     [
       mk_access ~kind:`Write ~op:a var;
@@ -61,7 +67,7 @@ let test_recorder_tees () =
   let inner = Last_access.create g in
   let d, read = Trace.recorder inner in
   let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
-  let loc = Location.Js_var { cell = 1; name = "x" } in
+  let loc = Location.Js_var { cell = 1; name = "x"; key } in
   d.Detector.record (mk_access ~kind:`Write ~op:a loc);
   d.Detector.record (mk_access ~kind:`Write ~op:b loc);
   Alcotest.(check int) "recorded both" 2 (List.length (read ()));
@@ -91,6 +97,101 @@ let test_replay_matches_live_run () =
   Alcotest.(check bool) "replay reproduces the live run" true
     (describe replayed = describe report.Webracer.races)
 
+(* --- location keys over whole pages ---------------------------------- *)
+
+(* Equal keys iff equal locations, over an access stream: every key is
+   set, a key never names two different locations, and a location never
+   carries two keys. *)
+let keys_follow_identity (accesses : Access.t list) =
+  let by_key = Hashtbl.create 1024 and by_loc = Location.Tbl.create 1024 in
+  List.for_all
+    (fun (a : Access.t) ->
+      let k = Location.key a.loc in
+      k >= 0
+      && (match Hashtbl.find_opt by_key k with
+         | None ->
+             Hashtbl.add by_key k a.loc;
+             true
+         | Some loc -> Location.equal loc a.loc)
+      &&
+      match Location.Tbl.find_opt by_loc a.loc with
+      | None ->
+          Location.Tbl.add by_loc a.loc k;
+          true
+      | Some k' -> k = k')
+    accesses
+
+(* A corpus site, or a random profile realized by the site generator. *)
+let site_gen =
+  let corpus = Array.of_list (Wr_sitegen.Profile.corpus ()) in
+  let small = QCheck.Gen.int_bound 2 in
+  QCheck.Gen.(
+    pair
+      (oneof
+         [
+           map (fun i -> corpus.(i)) (int_bound (Array.length corpus - 1));
+           map
+             (fun ((hh, hb, fh, fb), (vh, vb, dh, db), (bv, bd, aj)) ->
+               {
+                 (Wr_sitegen.Profile.base "random") with
+                 html_harmful = hh;
+                 html_benign = hb;
+                 func_harmful = fh;
+                 func_benign = fb;
+                 var_harmful = vh;
+                 var_benign = vb;
+                 disp_harmful = dh;
+                 disp_benign = db;
+                 bulk_var = bv;
+                 bulk_disp = bd;
+                 ajax = aj;
+               })
+             (triple (quad small small small small) (quad small small small small)
+                (triple small small small));
+         ])
+      (int_bound 1000))
+
+let describe_races races =
+  List.map
+    (fun (r : Race.t) ->
+      ( Race.type_name r.Race.race_type,
+        Location.to_string r.Race.loc,
+        r.Race.first.Access.op,
+        r.Race.second.Access.op ))
+    races
+
+(* Within one analysis the keys follow location identity, and a trace
+   saved to disk and loaded back (keys re-minted by the loader) follows
+   it too and replays to the live run's races, in order. *)
+let prop_keys_and_saved_replay =
+  QCheck.Test.make ~name:"trace: keys follow identity; saved trace replays the live run"
+    ~count:30
+    (QCheck.make
+       ~print:(fun (p, seed) -> Printf.sprintf "%s seed %d" p.Wr_sitegen.Profile.name seed)
+       site_gen)
+    (fun (profile, seed) ->
+      let site = Wr_sitegen.Gen.generate profile in
+      let report =
+        Webracer.analyze
+          (Webracer.config ~page:site.Wr_sitegen.Gen.page
+             ~resources:site.Wr_sitegen.Gen.resources ~seed ~trace:true ())
+      in
+      let trace = Option.get report.Webracer.trace in
+      let path = Filename.temp_file "webracer_trace" ".json" in
+      let loaded =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Trace.save trace path;
+            Trace.load path)
+      in
+      let replayed =
+        Trace.replay loaded ~detector:(fun g -> fst (Last_access.create_dedup g))
+      in
+      keys_follow_identity trace.Trace.accesses
+      && keys_follow_identity loaded.Trace.accesses
+      && describe_races replayed = describe_races report.Webracer.races)
+
 (* --- atomicity ----------------------------------------------------- *)
 
 let triple ~k1 ~kc ~k2 ~order_c =
@@ -102,7 +203,7 @@ let triple ~k1 ~kc ~k2 ~order_c =
   let b = Graph.fresh g Op.Script ~label:"B" in
   Graph.add_edge g a b;
   if order_c then Graph.add_edge g a c;
-  let loc = Location.Js_var { cell = 5; name = "shared" } in
+  let loc = Location.Js_var { cell = 5; name = "shared"; key } in
   let accesses =
     [ mk_access ~kind:k1 ~op:a loc; mk_access ~kind:kc ~op:c loc; mk_access ~kind:k2 ~op:b loc ]
   in
@@ -136,7 +237,7 @@ let test_atomicity_requires_transaction () =
   let a = Graph.fresh g Op.Script ~label:"A" in
   let c = Graph.fresh g Op.Script ~label:"C" in
   let b = Graph.fresh g Op.Script ~label:"B" in
-  let loc = Location.Js_var { cell = 5; name = "shared" } in
+  let loc = Location.Js_var { cell = 5; name = "shared"; key } in
   let accesses =
     [
       mk_access ~kind:`Read ~op:a loc; mk_access ~kind:`Write ~op:c loc;
@@ -155,9 +256,9 @@ let test_atomicity_order () =
   let c = Graph.fresh g Op.Script ~label:"C" in
   let b = Graph.fresh g Op.Script ~label:"B" in
   Graph.add_edge g a b;
-  let z = Location.Js_var { cell = 30; name = "z" } in
-  let x = Location.Html_elem (Location.Id { doc = 1; id = "x" }) in
-  let y = Location.Js_var { cell = 10; name = "y" } in
+  let z = Location.Js_var { cell = 30; name = "z"; key } in
+  let x = Location.Html_elem (Location.Id { doc = 1; id = "x"; key }) in
+  let y = Location.Js_var { cell = 10; name = "y"; key } in
   let rwr loc =
     [ mk_access ~op:a loc; mk_access ~kind:`Write ~op:c loc; mk_access ~op:b loc ]
   in
@@ -209,6 +310,7 @@ let suite =
     Alcotest.test_case "trace graph rebuild" `Quick test_rebuild_graph_reachability;
     Alcotest.test_case "recorder tees" `Quick test_recorder_tees;
     Alcotest.test_case "replay = live run" `Quick test_replay_matches_live_run;
+    QCheck_alcotest.to_alcotest prop_keys_and_saved_replay;
     Alcotest.test_case "atomicity patterns" `Quick test_atomicity_patterns;
     Alcotest.test_case "atomicity serializable" `Quick test_atomicity_serializable_cases;
     Alcotest.test_case "atomicity needs transaction" `Quick test_atomicity_requires_transaction;
