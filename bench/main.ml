@@ -945,9 +945,9 @@ let ablation_detector () =
     let d : Wr_detect.Detector.t = create g in
     let loc = Wr_mem.Location.Js_var { cell = 1; name = "e"; key = 0 } in
     let access kind op = { Wr_mem.Access.loc; kind; op; flags = []; context = "" } in
-    d.Wr_detect.Detector.record (access `Read o3);
-    d.Wr_detect.Detector.record (access `Read o1);
-    d.Wr_detect.Detector.record (access `Write o2);
+    Wr_detect.Detector.record_access d (access `Read o3);
+    Wr_detect.Detector.record_access d (access `Read o1);
+    Wr_detect.Detector.record_access d (access `Write o2);
     List.length (d.Wr_detect.Detector.races ())
   in
   Table.print ~header:[ "detector"; "races found on the 3.1.2 schedule" ]
@@ -964,7 +964,7 @@ let ablation_detector () =
     for i = 0 to 4_999 do
       let loc = Wr_mem.Location.Js_var { cell = i mod 97; name = "v"; key = i mod 97 } in
       let kind = if i mod 3 = 0 then `Write else `Read in
-      d.Wr_detect.Detector.record
+      Wr_detect.Detector.record_access d
         { Wr_mem.Access.loc; kind; op = ops.(i mod 64); flags = []; context = "" }
     done
   in

@@ -1,7 +1,7 @@
 let initial = 256
 
-let key (a : Wr_mem.Access.t) =
-  let k = Wr_mem.Location.key a.loc in
+let key loc =
+  let k = Wr_mem.Location.key loc in
   if k < 0 then invalid_arg "Columns.key: location without a key";
   k
 

@@ -9,9 +9,9 @@
 (** [initial] is the starting length of every column. *)
 val initial : int
 
-(** [key a] is the key of [a]'s location. Raises [Invalid_argument] when
-    the location has none ({!Wr_mem.Location.no_key}). *)
-val key : Wr_mem.Access.t -> int
+(** [key loc] is [loc]'s key. Raises [Invalid_argument] when the
+    location has none ({!Wr_mem.Location.no_key}). *)
+val key : Wr_mem.Location.t -> int
 
 (** [grow col fill k] is a copy of [col], at least twice as long and
     long enough to index [k], padded with [fill]. Callers grow a column

@@ -26,23 +26,24 @@ let empty_mark = -4 (* epoch -1, nothing cached *)
 let kind_bit = function `Read -> 1 | `Write -> 2
 
 (* A cached entry comes from the same epoch (same op) and the same
-   location/kind slot as [a], so only flags and context can distinguish
-   them. Flag lists and context strings are shared per site and per
-   operation by the emitters, so the physical checks almost always
-   decide. *)
-let same_record flags context (a : Access.t) =
-  (flags == a.Access.flags || flags = a.Access.flags)
-  && (context == a.Access.context || String.equal context a.Access.context)
+   location/kind slot as the access, so only flags and context can
+   distinguish them. Flag lists and context strings are shared per site
+   and per operation by the emitters, so the physical checks almost
+   always decide. *)
+let same_record flags context ~cached_flags ~cached_context =
+  (cached_flags == flags || cached_flags = flags)
+  && (cached_context == context || String.equal cached_context context)
 
-let is_duplicate m (a : Access.t) ~flags ~context =
-  m asr 2 = a.Access.op && m land kind_bit a.Access.kind <> 0 && same_record flags context a
+let is_duplicate m kind op flags context ~cached_flags ~cached_context =
+  m asr 2 = op && m land kind_bit kind <> 0
+  && same_record flags context ~cached_flags ~cached_context
 
 (* A read arms the Checked_read_first transition for the op's next
    write, so it drops the cached write: that write is no longer a
    faithful duplicate. *)
-let after m (a : Access.t) =
-  let m = if m asr 2 = a.Access.op then m else a.Access.op lsl 2 in
-  match a.Access.kind with `Read -> (m lor 1) land lnot 2 | `Write -> m lor 2
+let after m kind op =
+  let m = if m asr 2 = op then m else op lsl 2 in
+  match kind with `Read -> (m lor 1) land lnot 2 | `Write -> m lor 2
 
 type slot = {
   mutable mark : mark;
@@ -55,21 +56,25 @@ type slot = {
 let slot () =
   { mark = empty_mark; read_flags = []; read_context = ""; wrote_flags = []; wrote_context = "" }
 
-let duplicate s (a : Access.t) =
+let duplicate s kind op flags context =
   let dup =
-    match a.Access.kind with
-    | `Read -> is_duplicate s.mark a ~flags:s.read_flags ~context:s.read_context
-    | `Write -> is_duplicate s.mark a ~flags:s.wrote_flags ~context:s.wrote_context
-  in
-  s.mark <- after s.mark a;
-  if not dup then begin
-    match a.Access.kind with
+    match kind with
     | `Read ->
-        s.read_flags <- a.Access.flags;
-        s.read_context <- a.Access.context
+        is_duplicate s.mark kind op flags context ~cached_flags:s.read_flags
+          ~cached_context:s.read_context
     | `Write ->
-        s.wrote_flags <- a.Access.flags;
-        s.wrote_context <- a.Access.context
+        is_duplicate s.mark kind op flags context ~cached_flags:s.wrote_flags
+          ~cached_context:s.wrote_context
+  in
+  s.mark <- after s.mark kind op;
+  if not dup then begin
+    match kind with
+    | `Read ->
+        s.read_flags <- flags;
+        s.read_context <- context
+    | `Write ->
+        s.wrote_flags <- flags;
+        s.wrote_context <- context
   end;
   dup
 
@@ -80,9 +85,9 @@ let absent = slot ()
 let wrap (inner : Detector.t) =
   let slots = ref (Array.make Columns.initial absent) in
   let seen = ref 0 and forwarded = ref 0 in
-  let record (a : Access.t) =
+  let record loc kind op flags context =
     incr seen;
-    let k = Columns.key a in
+    let k = Columns.key loc in
     if k >= Array.length !slots then slots := Columns.grow !slots absent k;
     let s =
       match !slots.(k) with
@@ -92,9 +97,9 @@ let wrap (inner : Detector.t) =
           !slots.(k) <- s;
           s
     in
-    if not (duplicate s a) then begin
+    if not (duplicate s kind op flags context) then begin
       incr forwarded;
-      inner.Detector.record a
+      inner.Detector.record loc kind op flags context
     end
   in
   ( {

@@ -56,15 +56,25 @@ type mark = private int
 (** [empty_mark] has no epoch and nothing cached. *)
 val empty_mark : mark
 
-(** [is_duplicate m a ~flags ~context] — [a] repeats the access of its
-    kind cached under [m]; [flags] and [context] are that cached access's
-    (its owner's record of the last forwarded access of [a]'s kind). *)
-val is_duplicate : mark -> Wr_mem.Access.t -> flags:Wr_mem.Access.flag list -> context:string -> bool
+(** [is_duplicate m kind op flags context ~cached_flags ~cached_context]
+    — the access of [kind] by [op] with [flags] and [context] repeats the
+    access of its kind cached under [m]; [cached_flags] and
+    [cached_context] are that cached access's (its owner's record of the
+    last forwarded access of [kind]). *)
+val is_duplicate :
+  mark ->
+  Wr_mem.Access.kind ->
+  Wr_hb.Op.id ->
+  Wr_mem.Access.flag list ->
+  string ->
+  cached_flags:Wr_mem.Access.flag list ->
+  cached_context:string ->
+  bool
 
-(** [after m a] is the mark once [a] is seen (forwarded or not). The
-    owner then keeps a forwarded [a]'s flags and context as the cached
-    access of its kind. *)
-val after : mark -> Wr_mem.Access.t -> mark
+(** [after m kind op] is the mark once an access of [kind] by [op] is
+    seen (forwarded or not). The owner then keeps a forwarded access's
+    flags and context as the cached access of its kind. *)
+val after : mark -> Wr_mem.Access.kind -> Wr_hb.Op.id -> mark
 
 (** One location's dedup state with its own cache: a mark plus the
     operation's cached read and write, kept unboxed, so updating a slot
@@ -74,13 +84,16 @@ type slot
 (** [slot ()] is an empty slot. *)
 val slot : unit -> slot
 
-(** [duplicate s a] — [a] repeats the access of the same kind that [a]'s
-    operation last forwarded through [s], so the detector may skip it.
-    Updates [s]: call it once per access to [s]'s location, in order. *)
-val duplicate : slot -> Wr_mem.Access.t -> bool
+(** [duplicate s kind op flags context] — the access repeats the access
+    of the same kind that [op] last forwarded through [s], so the
+    detector may skip it. Updates [s]: call it once per access to [s]'s
+    location, in order. *)
+val duplicate :
+  slot -> Wr_mem.Access.kind -> Wr_hb.Op.id -> Wr_mem.Access.flag list -> string -> bool
 
 (** [wrap d] is [d] behind a column of slots, indexed by location key,
-    plus a live stats reader. The
+    plus a live stats reader. It forwards an access's fields as it
+    received them and builds no record. The
     wrapper's [accesses_seen] reports {e raw} accesses (what the page did),
     keeping reports comparable with dedup off; [races] is untouched. *)
 val wrap : Detector.t -> Detector.t * (unit -> stats)

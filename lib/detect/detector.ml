@@ -1,11 +1,13 @@
 type t = {
   name : string;
-  record : Wr_mem.Access.t -> unit;
+  record : Wr_mem.Access.sink;
   races : unit -> Race.t list;
   accesses_seen : unit -> int;
 }
 
-let null = { name = "null"; record = ignore; races = (fun () -> []); accesses_seen = (fun () -> 0) }
+let record_access d (a : Wr_mem.Access.t) = d.record a.loc a.kind a.op a.flags a.context
+
+let null = { name = "null"; record = Wr_mem.Access.discard; races = (fun () -> []); accesses_seen = (fun () -> 0) }
 
 (* The record path is far too hot for per-access events; a power-of-two
    batch counter emits one line per 1024 accesses. Applied only when
@@ -19,7 +21,7 @@ let with_logging d =
   {
     d with
     record =
-      (fun a ->
+      (fun loc kind op flags context ->
         incr seen;
         if !seen land batch_mask = 0 && L.enabled L.Debug then
           L.debug "detect.batch"
@@ -27,7 +29,7 @@ let with_logging d =
               ("detector", Wr_support.Json.String d.name);
               ("accesses", Wr_support.Json.Int !seen);
             ];
-        d.record a);
+        d.record loc kind op flags context);
     races =
       (fun () ->
         let rs = d.races () in
@@ -49,4 +51,10 @@ let with_telemetry tm d =
   let module L = Wr_support.Log in
   let d = if L.enabled L.Debug then with_logging d else d in
   if not (T.enabled tm) then d
-  else { d with record = (fun a -> T.account tm ~cat:"detect" (fun () -> d.record a)) }
+  else
+    {
+      d with
+      record =
+        (fun loc kind op flags context ->
+          T.account tm ~cat:"detect" (fun () -> d.record loc kind op flags context));
+    }

@@ -7,12 +7,21 @@
 
 type t = {
   name : string;
-  record : Wr_mem.Access.t -> unit;  (** called on every instrumented access *)
+  record : Wr_mem.Access.sink;
+      (** called on every instrumented access, with the access's fields
+          ([record loc kind op flags context]) rather than a record. The
+          arguments are borrowed: a detector that keeps an access (a race
+          report, a history, a trace) builds its own {!Wr_mem.Access.t}
+          from them, and one that keeps nothing allocates nothing. *)
   races : unit -> Race.t list;
       (** reported races so far, in discovery order; at most one per
           location per run (paper footnote 13) *)
   accesses_seen : unit -> int;
 }
+
+(** [record_access d a] feeds a saved access to [d] (trace replay,
+    hand-built streams). *)
+val record_access : t -> Wr_mem.Access.t -> unit
 
 (** [null] discards every access and reports nothing — the "instrumentation
     disabled" baseline of the §6.3 performance comparison. *)

@@ -20,8 +20,8 @@ type state = {
 (* Fills the keys not seen yet; never updated. *)
 let absent = { reads = []; writes = []; read_ops = []; dedup = Dedup.slot () }
 
-let history_for st (a : Access.t) =
-  let k = Columns.key a in
+let history_for st loc =
+  let k = Columns.key loc in
   if k >= Array.length st.histories then st.histories <- Columns.grow st.histories absent k;
   let h = st.histories.(k) in
   if h != absent then h
@@ -43,13 +43,16 @@ let report st h ~first ~second =
   h.read_ops <- [];
   st.races <- Race.make ~first ~second :: st.races
 
-let record st (a : Access.t) =
+(* Histories keep accesses, so a forwarded access is built as a record
+   here, from the borrowed fields. *)
+let record st loc kind op flags context =
   st.seen <- st.seen + 1;
-  let h = history_for st a in
-  if not (st.dedup && Dedup.duplicate h.dedup a) then begin
+  let h = history_for st loc in
+  if not (st.dedup && Dedup.duplicate h.dedup kind op flags context) then begin
     st.forwarded <- st.forwarded + 1;
-    if not (Location.Tbl.mem st.reported (Location.report_key a.loc)) then
-      match a.kind with
+    if not (Location.Tbl.mem st.reported (Location.report_key loc)) then
+      let a = { Access.loc; kind; op; flags; context } in
+      match kind with
       | `Read -> (
           match find_conflict st h.writes a with
           | Some w -> report st h ~first:w ~second:a

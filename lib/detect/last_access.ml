@@ -82,50 +82,61 @@ let prior c j loc kind : Access.t =
       in
       if w land 1 = 1 then checked a else a
 
-(* Reached only for a race, so the report table is off the record path. *)
-let report st c j ~first ~(second : Access.t) =
-  let key = Location.report_key second.loc in
+(* Reached only for a race, so the report table and the records of both
+   accesses are off the record path. *)
+let report st c j ~first loc kind op flags context ~read_first =
+  let key = Location.report_key loc in
   if not (Location.Tbl.mem st.reported key) then begin
     Location.Tbl.add st.reported key ();
-    st.races <- Race.make ~first:(prior c j second.loc first) ~second :: st.races
+    let second = { Access.loc; kind; op; flags; context } in
+    let second = if read_first then checked second else second in
+    st.races <- Race.make ~first:(prior c j loc first) ~second :: st.races
   end
 
 (* CHC of a slot's operation and the current one; an empty slot races
    with nothing. *)
-let chc st prev_op (a : Access.t) = prev_op >= 0 && Wr_hb.Graph.chc st.graph prev_op a.op
+let chc st prev_op op = prev_op >= 0 && Wr_hb.Graph.chc st.graph prev_op op
 
-let duplicate c j (a : Access.t) =
+let duplicate c j kind op flags context =
   let m = c.mark.(j) in
   let dup =
-    match a.kind with
-    | `Read -> Dedup.is_duplicate m a ~flags:c.read_flags.(j) ~context:c.read_context.(j)
-    | `Write -> Dedup.is_duplicate m a ~flags:c.write_flags.(j) ~context:c.write_context.(j)
+    match kind with
+    | `Read ->
+        Dedup.is_duplicate m kind op flags context ~cached_flags:c.read_flags.(j)
+          ~cached_context:c.read_context.(j)
+    | `Write ->
+        Dedup.is_duplicate m kind op flags context ~cached_flags:c.write_flags.(j)
+          ~cached_context:c.write_context.(j)
   in
-  c.mark.(j) <- Dedup.after m a;
+  c.mark.(j) <- Dedup.after m kind op;
   dup
 
-let record st (a : Access.t) =
+(* The flags and context columns hold pointers, so each store goes
+   through the write barrier; emitters share both per site and per
+   operation, so a repeat store of the same value is skipped. *)
+let record st loc kind op flags context =
   st.seen <- st.seen + 1;
-  let k = Columns.key a in
+  let k = Columns.key loc in
   let c = chunk_for st k and j = k land (chunk_size - 1) in
-  if not (st.dedup && duplicate c j a) then begin
+  if not (st.dedup && duplicate c j kind op flags context) then begin
     st.forwarded <- st.forwarded + 1;
-    match a.kind with
+    match kind with
     | `Read ->
-        if chc st (c.write_op.(j) asr 1) a then report st c j ~first:`Write ~second:a;
-        c.read_op.(j) <- a.op;
-        c.read_flags.(j) <- a.flags;
-        c.read_context.(j) <- a.context
+        if chc st (c.write_op.(j) asr 1) op then
+          report st c j ~first:`Write loc kind op flags context ~read_first:false;
+        c.read_op.(j) <- op;
+        if c.read_flags.(j) != flags then c.read_flags.(j) <- flags;
+        if c.read_context.(j) != context then c.read_context.(j) <- context
     | `Write ->
-        let read_first = c.read_op.(j) = a.op in
-        let ww_relevant = Location.conflict_relevant a.loc ~kind:`Write ~kind':`Write in
-        if ww_relevant && chc st (c.write_op.(j) asr 1) a then
-          report st c j ~first:`Write ~second:(if read_first then checked a else a)
-        else if chc st c.read_op.(j) a then
-          report st c j ~first:`Read ~second:(if read_first then checked a else a);
-        c.write_op.(j) <- (a.op lsl 1) lor Bool.to_int read_first;
-        c.write_flags.(j) <- a.flags;
-        c.write_context.(j) <- a.context
+        let read_first = c.read_op.(j) = op in
+        let ww_relevant = Location.conflict_relevant loc ~kind:`Write ~kind':`Write in
+        if ww_relevant && chc st (c.write_op.(j) asr 1) op then
+          report st c j ~first:`Write loc kind op flags context ~read_first
+        else if chc st c.read_op.(j) op then
+          report st c j ~first:`Read loc kind op flags context ~read_first;
+        c.write_op.(j) <- (op lsl 1) lor Bool.to_int read_first;
+        if c.write_flags.(j) != flags then c.write_flags.(j) <- flags;
+        if c.write_context.(j) != context then c.write_context.(j) <- context
   end
 
 let make ~dedup graph =

@@ -33,9 +33,9 @@ let recorder (inner : Detector.t) =
     {
       Detector.name = inner.Detector.name ^ "+recorder";
       record =
-        (fun a ->
-          log := a :: !log;
-          inner.Detector.record a);
+        (fun loc kind op flags context ->
+          log := { Access.loc; kind; op; flags; context } :: !log;
+          inner.Detector.record loc kind op flags context);
       races = inner.Detector.races;
       accesses_seen = inner.Detector.accesses_seen;
     }
@@ -55,7 +55,7 @@ let rebuild_graph ?strategy t =
 let replay ?strategy t ~detector =
   let g = rebuild_graph ?strategy t in
   let d = detector g in
-  List.iter d.Detector.record t.accesses;
+  List.iter (Detector.record_access d) t.accesses;
   d.Detector.races ()
 
 (* --- serialization ------------------------------------------------- *)

@@ -337,31 +337,32 @@ let this_obj vm this =
 let array_set_length obj n = set_prop_raw obj "length" (Number (float_of_int n))
 
 let array_get obj i =
-  match Hashtbl.find_opt obj.props (string_of_int i) with Some c -> !c | None -> Undefined
+  match Hashtbl.find_opt obj.props (Pretty.int_to_string i) with Some c -> !c | None -> Undefined
+
+let rec append obj len = function
+  | [] -> len
+  | v :: rest ->
+      set_prop_raw obj (Pretty.int_to_string len) v;
+      append obj (len + 1) rest
 
 let install_array_proto vm =
   let proto = vm.array_proto in
   method_ vm proto "push" (fun vm ~this args ->
       let o = this_obj vm this in
       (* Append at the stored length, as [pop] reads it: constant time per
-         element, and a sparse array keeps its holes. *)
-      let len =
-        ref (match get_prop_raw o "length" with Some (Number n) -> int_of_float n | _ -> 0)
-      in
-      List.iter
-        (fun v ->
-          set_prop_raw o (string_of_int !len) v;
-          incr len)
-        args;
-      array_set_length o !len;
-      Number (float_of_int !len));
+         element, and a sparse array keeps its holes. The new length is
+         both stored and returned. *)
+      let len = match get_prop_raw o "length" with Some (Number n) -> int_of_float n | _ -> 0 in
+      let len = Number (float_of_int (append o len args)) in
+      set_prop_raw o "length" len;
+      len);
   method_ vm proto "pop" (fun vm ~this _ ->
       let o = this_obj vm this in
       let len = match get_prop_raw o "length" with Some (Number n) -> int_of_float n | _ -> 0 in
       if len = 0 then Undefined
       else begin
         let v = array_get o (len - 1) in
-        Hashtbl.remove o.props (string_of_int (len - 1));
+        Hashtbl.remove o.props (Pretty.int_to_string (len - 1));
         array_set_length o (len - 1);
         v
       end);
@@ -372,9 +373,9 @@ let install_array_proto vm =
       else begin
         let v = array_get o 0 in
         for i = 1 to len - 1 do
-          set_prop_raw o (string_of_int (i - 1)) (array_get o i)
+          set_prop_raw o (Pretty.int_to_string (i - 1)) (array_get o i)
         done;
-        Hashtbl.remove o.props (string_of_int (len - 1));
+        Hashtbl.remove o.props (Pretty.int_to_string (len - 1));
         array_set_length o (len - 1);
         v
       end);
@@ -458,12 +459,12 @@ let install_array_proto vm =
             if r < 0. then -1 else if r > 0. then 1 else 0
       in
       let sorted = List.stable_sort compare_js elems in
-      List.iteri (fun i v -> set_prop_raw o (string_of_int i) v) sorted;
+      List.iteri (fun i v -> set_prop_raw o (Pretty.int_to_string i) v) sorted;
       this);
   method_ vm proto "reverse" (fun vm ~this _ ->
       let o = this_obj vm this in
       let elems = List.rev (array_elements o) in
-      List.iteri (fun i v -> set_prop_raw o (string_of_int i) v) elems;
+      List.iteri (fun i v -> set_prop_raw o (Pretty.int_to_string i) v) elems;
       this);
   method_ vm proto "toString" (fun vm ~this _ ->
       let o = this_obj vm this in

@@ -33,7 +33,7 @@
 
 (** [create ?seed ?fuel ~sink ()] builds a VM with builtins installed and
     the call hook tied. [fuel] bounds evaluation steps per {!refuel}. *)
-val create : ?seed:int -> ?fuel:int -> sink:(Wr_mem.Access.t -> unit) -> unit -> Value.vm
+val create : ?seed:int -> ?fuel:int -> sink:Wr_mem.Access.sink -> unit -> Value.vm
 
 (** [refuel vm] resets the step budget; the browser calls it at the start
     of every operation. *)
@@ -53,11 +53,6 @@ val global_function :
 (** [call vm f ~this args] invokes a function value, raising a [TypeError]
     ([Value.Js_throw]) if [f] is not callable. *)
 val call : Value.vm -> Value.t -> this:Value.t -> Value.t list -> Value.t
-
-(** [member vm base name] is the full member-read semantics including
-    primitive methods (["abc".length], number formatting); raises
-    [TypeError] on [undefined]/[null] bases. *)
-val member : Value.vm -> ?flags:Wr_mem.Access.flag list -> Value.t -> string -> Value.t
 
 (** [read_global vm name] reads a global binding with instrumentation,
     [None] when unbound (a miss read is still emitted). Used by the

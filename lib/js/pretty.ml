@@ -1,10 +1,33 @@
 open Ast
 
+(* Integers print without a format string: small non-negative ones
+   (array indices, counters) come from a shared table, the others are
+   written digit by digit. *)
+let small_ints = Array.init 1024 string_of_int
+
+let rec put_digits b n k =
+  Bytes.unsafe_set b k (Char.unsafe_chr (48 + (n mod 10)));
+  if n >= 10 then put_digits b (n / 10) (k - 1)
+
+let rec count_digits n acc = if n < 10 then acc else count_digits (n / 10) (acc + 1)
+
+let int_to_string i =
+  if i >= 0 && i < Array.length small_ints then Array.unsafe_get small_ints i
+  else if i = min_int then string_of_int i
+  else begin
+    let a = abs i in
+    let len = count_digits a 1 + Bool.to_int (i < 0) in
+    let b = Bytes.create len in
+    if i < 0 then Bytes.unsafe_set b 0 '-';
+    put_digits b a (len - 1);
+    Bytes.unsafe_to_string b
+  end
+
 let number_to_string n =
   if Float.is_integer n && Float.abs n < 1e15 && not (Float.sign_bit n && n = 0.) then
     (* Array indices and counters: exact in an int, no format string. -0.
        takes the general path, which renders it "-0". *)
-    string_of_int (int_of_float n)
+    int_to_string (int_of_float n)
   else if Float.is_nan n then "NaN"
   else if n = Float.infinity then "Infinity"
   else if n = Float.neg_infinity then "-Infinity"

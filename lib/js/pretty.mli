@@ -10,6 +10,11 @@
     [NaN], [Infinity]. *)
 val number_to_string : float -> string
 
+(** [int_to_string i] is [string_of_int i]; the strings of small
+    non-negative [i] (array indices) are shared, and no format string is
+    interpreted. *)
+val int_to_string : int -> string
+
 val expr_to_string : Ast.expr -> string
 
 val program_to_string : Ast.program -> string

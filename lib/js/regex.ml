@@ -299,35 +299,35 @@ type match_result = {
 let is_word_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
 
-let try_match t s at =
+(* The matcher for one subject string. Its functions and group arrays
+   are built once per scan and reused at every start position; per step
+   it allocates only the continuations of sequences, groups and
+   repeats. *)
+let matcher t s =
   let n = String.length s in
-  let fold_case c = if t.ignore_case then Char.lowercase_ascii c else c in
-  let char_eq a b = fold_case a = fold_case b in
-  let in_ranges ranges c =
-    let c' = fold_case c in
-    List.exists
-      (fun (lo, hi) ->
-        (c >= lo && c <= hi)
-        || (t.ignore_case && c' >= fold_case lo && c' <= fold_case hi))
-      ranges
+  let ic = t.ignore_case in
+  let fold_case c = if ic then Char.lowercase_ascii c else c in
+  let rec in_ranges ranges c c' =
+    match ranges with
+    | [] -> false
+    | (lo, hi) :: rest ->
+        (c >= lo && c <= hi) || (ic && c' >= fold_case lo && c' <= fold_case hi)
+        || in_ranges rest c c'
   in
   let gstart = Array.make (t.n_groups + 1) (-1) in
   let gstop = Array.make (t.n_groups + 1) (-1) in
   let rec m node pos (k : int -> bool) =
     match node with
-    | Char c -> pos < n && char_eq s.[pos] c && k (pos + 1)
+    | Char c -> pos < n && fold_case s.[pos] = fold_case c && k (pos + 1)
     | Any -> pos < n && s.[pos] <> '\n' && k (pos + 1)
     | Class { negated; ranges } ->
         pos < n
-        && (let inside = in_ranges ranges s.[pos] in
+        && (let c = s.[pos] in
+            let inside = in_ranges ranges c (fold_case c) in
             if negated then not inside else inside)
         && k (pos + 1)
-    | Seq items ->
-        let rec chain items pos =
-          match items with [] -> k pos | x :: rest -> m x pos (fun p -> chain rest p)
-        in
-        chain items pos
-    | Alt branches -> List.exists (fun b -> m b pos k) branches
+    | Seq items -> seq items pos k
+    | Alt branches -> alt branches pos k
     | Group (capture, inner) -> (
         match capture with
         | None -> m inner pos k
@@ -348,19 +348,7 @@ let try_match t s at =
               gstop.(i) <- saved_stop
             end;
             ok)
-    | Repeat { node; min; max; greedy } ->
-        let within count = match max with None -> true | Some mx -> count < mx in
-        let rec go count pos =
-          let try_more () =
-            within count
-            && m node pos (fun p ->
-                   (* An empty iteration can never make progress. *)
-                   if p = pos then false else go (count + 1) p)
-          in
-          let try_stop () = count >= min && k pos in
-          if greedy then try_more () || try_stop () else try_stop () || try_more ()
-        in
-        go 0 pos
+    | Repeat { node; min; max; greedy } -> repeat node min max greedy 0 pos k
     | Bol ->
         (pos = 0 || (t.multiline && pos > 0 && s.[pos - 1] = '\n')) && k pos
     | Eol -> (pos = n || (t.multiline && s.[pos] = '\n')) && k pos
@@ -369,38 +357,58 @@ let try_match t s at =
         let after = pos < n && is_word_char s.[pos] in
         let boundary = before <> after in
         (if positive then boundary else not boundary) && k pos
+  and seq items pos k =
+    match items with
+    | [] -> k pos
+    | [ x ] -> m x pos k
+    | x :: rest -> m x pos (fun p -> seq rest p k)
+  and alt branches pos k =
+    match branches with [] -> false | b :: rest -> m b pos k || alt rest pos k
+  and repeat node min max greedy count pos k =
+    let more () =
+      (match max with None -> true | Some mx -> count < mx)
+      && m node pos (fun p ->
+             (* An empty iteration can never make progress. *)
+             if p = pos then false else repeat node min max greedy (count + 1) p k)
+    in
+    if greedy then more () || (count >= min && k pos) else (count >= min && k pos) || more ()
   in
   let final = ref (-1) in
-  if
-    m t.root at (fun p ->
-        final := p;
-        true)
-  then begin
-    let groups = Array.make (t.n_groups + 1) None in
-    groups.(0) <- Some (at, !final);
-    for i = 1 to t.n_groups do
-      if gstart.(i) >= 0 && gstop.(i) >= gstart.(i) then
-        groups.(i) <- Some (gstart.(i), gstop.(i))
-    done;
-    Some { start = at; stop = !final; groups }
-  end
-  else None
-
-let exec t s ~start =
-  let n = String.length s in
-  let rec scan at = if at > n then None else
-    match try_match t s at with Some r -> Some r | None -> scan (at + 1)
+  let accept p =
+    final := p;
+    true
   in
-  scan (max 0 start)
+  fun at ->
+    for i = 0 to t.n_groups do
+      gstart.(i) <- -1;
+      gstop.(i) <- -1
+    done;
+    if m t.root at accept then begin
+      let groups = Array.make (t.n_groups + 1) None in
+      groups.(0) <- Some (at, !final);
+      for i = 1 to t.n_groups do
+        if gstart.(i) >= 0 && gstop.(i) >= gstart.(i) then
+          groups.(i) <- Some (gstart.(i), gstop.(i))
+      done;
+      Some { start = at; stop = !final; groups }
+    end
+    else None
+
+(* The leftmost match of [try_at] at or after [at]. *)
+let rec scan try_at n at =
+  if at > n then None else match try_at at with None -> scan try_at n (at + 1) | r -> r
+
+let exec t s ~start = scan (matcher t s) (String.length s) (max 0 start)
 
 let test t s = exec t s ~start:0 <> None
 
 let match_all t s =
   let n = String.length s in
+  let try_at = matcher t s in
   let rec loop at acc =
     if at > n then List.rev acc
     else
-      match exec t s ~start:at with
+      match scan try_at n at with
       | None -> List.rev acc
       | Some r ->
           let next = if r.stop = r.start then r.stop + 1 else r.stop in

@@ -23,7 +23,7 @@ and closure = { params : string list; env : env; func_name : string; code : code
 
 and code = { mutable enter : env -> this:t -> t list -> t }
 
-and env = { slots : t array; cells : Wr_mem.Location.t array; this : t; parent : env option }
+and env = { slots : t array; cells : Wr_mem.Location.t array; this : t; parent : env }
 
 and global_scope = { scope_id : int; vars : (string, t ref) Hashtbl.t }
 
@@ -35,7 +35,7 @@ and host = {
 }
 
 and vm = {
-  mutable sink : Wr_mem.Access.t -> unit;
+  mutable sink : Wr_mem.Access.sink;
   mutable instrument : bool;
   mutable current_op : Wr_hb.Op.id;
   mutable context : string;
@@ -154,7 +154,7 @@ let new_builtin vm name fn =
 
 let new_array vm elems =
   let obj = new_object vm ~proto:vm.array_proto ~class_name:"Array" () in
-  List.iteri (fun i v -> set_prop_raw obj (string_of_int i) v) elems;
+  List.iteri (fun i v -> set_prop_raw obj (Pretty.int_to_string i) v) elems;
   set_prop_raw obj "length" (Number (float_of_int (List.length elems)));
   obj
 
@@ -165,7 +165,7 @@ let array_length obj =
 
 let array_elements obj =
   List.init (array_length obj) (fun i ->
-      match Hashtbl.find_opt obj.props (string_of_int i) with
+      match Hashtbl.find_opt obj.props (Pretty.int_to_string i) with
       | Some cell -> !cell
       | None -> Undefined)
 

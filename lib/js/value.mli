@@ -49,8 +49,9 @@ and code = { mutable enter : env -> this:t -> t list -> t }
 (** A function or catch frame. Bindings live in [slots] at indices the
     compiler resolved; [cells] caches each slot's logical location, built
     on the first access ({!unset_cell} until then). [parent] is the
-    lexically enclosing frame, [None] at the global scope. *)
-and env = { slots : t array; cells : Wr_mem.Location.t array; this : t; parent : env option }
+    lexically enclosing frame; a top-level frame is its own parent, so a
+    call links its frame without an option block. *)
+and env = { slots : t array; cells : Wr_mem.Location.t array; this : t; parent : env }
 
 (** The global scope stays a table: the browser installs [document],
     [window] and the timer functions into it by name, and [window.x]
@@ -68,7 +69,11 @@ and host = {
 }
 
 and vm = {
-  mutable sink : Wr_mem.Access.t -> unit;
+  mutable sink : Wr_mem.Access.sink;
+      (** the detector's record path ({!Wr_mem.Access.sink}); the
+          interpreter passes each access's fields without building a
+          record, so the arguments are borrowed and a sink that keeps an
+          access builds its own {!Wr_mem.Access.t} *)
   mutable instrument : bool;
       (** when false, the interpreter skips access emission entirely — the
           "uninstrumented engine" baseline of the §6.3 overhead
@@ -105,7 +110,7 @@ exception Fuel_exhausted
 
 (** [create_vm ?seed ?fuel ~sink ()] builds a VM with fresh prototypes and
     an empty global scope. [Interp.create] is the usual entry point. *)
-val create_vm : ?seed:int -> ?fuel:int -> sink:(Wr_mem.Access.t -> unit) -> unit -> vm
+val create_vm : ?seed:int -> ?fuel:int -> sink:Wr_mem.Access.sink -> unit -> vm
 
 (** [fresh_id vm] mints an id unique across objects, scopes and cells. *)
 val fresh_id : vm -> int

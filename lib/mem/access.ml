@@ -16,6 +16,10 @@ type t = {
   context : string;
 }
 
+type sink = Location.t -> kind -> Wr_hb.Op.id -> flag list -> string -> unit
+
+let discard _ _ _ _ _ = ()
+
 let has_flag t f = List.mem f t.flags
 
 (* Emission sites build flags and context deterministically, so a repeat of

@@ -30,6 +30,17 @@ type t = {
   context : string;  (** human-readable source context for reports *)
 }
 
+(** The record path from instrumentation to a detector: one access as
+    its fields, [sink loc kind op flags context]. No record is built on
+    the way. The arguments are borrowed: a sink that keeps an access past
+    the call (a history, a trace, a race report) builds its own [t] from
+    them. Emission sites share their flag lists and context strings
+    between calls, so a sink may compare them physically first. *)
+type sink = Location.t -> kind -> Wr_hb.Op.id -> flag list -> string -> unit
+
+(** [discard] is the sink that drops every access. *)
+val discard : sink
+
 val has_flag : t -> flag -> bool
 
 (** [same_shape a b] — the two records are indistinguishable to a detector:

@@ -16,7 +16,9 @@ let probe () =
   let log = ref [] in
   ( {
       Detector.name = "probe";
-      record = (fun a -> log := a :: !log);
+      record =
+        (fun loc kind op flags context ->
+          log := { Access.loc; kind; op; flags; context } :: !log);
       races = (fun () -> []);
       accesses_seen = (fun () -> List.length !log);
     },
@@ -36,7 +38,7 @@ let wrapped () =
 let test_duplicate_read_swallowed () =
   let det, stats, forwarded = wrapped () in
   for _ = 1 to 500 do
-    det.Detector.record (access (var 1) `Read 7)
+    Detector.record_access det (access (var 1) `Read 7)
   done;
   Alcotest.(check int) "forwarded once" 1 (List.length (forwarded ()));
   let s = stats () in
@@ -48,14 +50,14 @@ let test_duplicate_read_swallowed () =
 let test_duplicate_write_swallowed () =
   let det, _, forwarded = wrapped () in
   for _ = 1 to 10 do
-    det.Detector.record (access (var 1) `Write 7)
+    Detector.record_access det (access (var 1) `Write 7)
   done;
   Alcotest.(check int) "forwarded once" 1 (List.length (forwarded ()))
 
 let test_distinct_locations_all_forwarded () =
   let det, _, forwarded = wrapped () in
   for cell = 1 to 50 do
-    det.Detector.record (access (var cell) `Read 7)
+    Detector.record_access det (access (var cell) `Read 7)
   done;
   Alcotest.(check int) "no false sharing" 50 (List.length (forwarded ()))
 
@@ -63,9 +65,9 @@ let test_read_then_write_forwarded () =
   (* The Checked_read_first transition needs the op's first write to reach
      the detector even though the op already accessed the location. *)
   let det, _, forwarded = wrapped () in
-  det.Detector.record (access (var 1) `Read 7);
-  det.Detector.record (access (var 1) `Read 7);
-  det.Detector.record (access (var 1) `Write 7);
+  Detector.record_access det (access (var 1) `Read 7);
+  Detector.record_access det (access (var 1) `Read 7);
+  Detector.record_access det (access (var 1) `Write 7);
   match forwarded () with
   | [ r; w ] ->
       Alcotest.(check bool) "read first" true (r.Access.kind = `Read);
@@ -77,37 +79,37 @@ let test_write_read_write_all_forwarded () =
      would acquire Checked_read_first inside the detector, so it must not
      be treated as a duplicate of the first. *)
   let det, _, forwarded = wrapped () in
-  det.Detector.record (access (var 1) `Write 7);
-  det.Detector.record (access (var 1) `Read 7);
-  det.Detector.record (access (var 1) `Write 7);
+  Detector.record_access det (access (var 1) `Write 7);
+  Detector.record_access det (access (var 1) `Read 7);
+  Detector.record_access det (access (var 1) `Write 7);
   Alcotest.(check int) "all three forwarded" 3 (List.length (forwarded ()))
 
 let test_flush_on_op_switch () =
   let det, _, forwarded = wrapped () in
-  det.Detector.record (access (var 1) `Read 1);
-  det.Detector.record (access (var 1) `Read 2);
-  det.Detector.record (access (var 1) `Read 1);
+  Detector.record_access det (access (var 1) `Read 1);
+  Detector.record_access det (access (var 1) `Read 2);
+  Detector.record_access det (access (var 1) `Read 1);
   Alcotest.(check int) "each op switch re-forwards" 3 (List.length (forwarded ()))
 
 let test_interleaved_op_other_location_keeps_cache () =
   (* Per-location epochs: an interleaved op touching a *different*
      location must not force re-forwarding of the outer op's repeats. *)
   let det, _, forwarded = wrapped () in
-  det.Detector.record (access (var 1) `Read 1);
-  det.Detector.record (access (var 2) `Read 2);
-  det.Detector.record (access (var 1) `Read 1);
+  Detector.record_access det (access (var 1) `Read 1);
+  Detector.record_access det (access (var 2) `Read 2);
+  Detector.record_access det (access (var 1) `Read 1);
   Alcotest.(check int) "outer repeat still swallowed" 2 (List.length (forwarded ()))
 
 let test_flag_mismatch_not_swallowed () =
   let det, _, forwarded = wrapped () in
-  det.Detector.record (access (var 1) `Read 7);
-  det.Detector.record (access ~flags:[ Access.Observed_miss ] (var 1) `Read 7);
+  Detector.record_access det (access (var 1) `Read 7);
+  Detector.record_access det (access ~flags:[ Access.Observed_miss ] (var 1) `Read 7);
   Alcotest.(check int) "differing flags forwarded" 2 (List.length (forwarded ()))
 
 let test_context_mismatch_not_swallowed () =
   let det, _, forwarded = wrapped () in
-  det.Detector.record (access ~context:"a" (var 1) `Read 7);
-  det.Detector.record (access ~context:"b" (var 1) `Read 7);
+  Detector.record_access det (access ~context:"a" (var 1) `Read 7);
+  Detector.record_access det (access ~context:"b" (var 1) `Read 7);
   Alcotest.(check int) "differing context forwarded" 2 (List.length (forwarded ()))
 
 (* --- semantics end-to-end against the real detector ------------------- *)
@@ -127,10 +129,10 @@ let test_checked_read_first_preserved () =
     let det = create g in
     let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
     let loc = var 1 in
-    det.Detector.record (access ~context:"t" loc `Read a);
-    det.Detector.record (access ~context:"t" loc `Read a);
-    det.Detector.record (access ~context:"t" loc `Write a);
-    det.Detector.record (access ~context:"t" loc `Read b);
+    Detector.record_access det (access ~context:"t" loc `Read a);
+    Detector.record_access det (access ~context:"t" loc `Read a);
+    Detector.record_access det (access ~context:"t" loc `Write a);
+    Detector.record_access det (access ~context:"t" loc `Read b);
     List.map
       (fun (r : Race.t) ->
         ( r.Race.first.Access.op,
@@ -148,9 +150,9 @@ let test_checked_read_first_preserved () =
 let test_race_still_detected_through_dedup () =
   let g, det = last_access_with_dedup () in
   let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
-  det.Detector.record (access (var 1) `Write a);
-  det.Detector.record (access (var 1) `Write a);
-  det.Detector.record (access (var 1) `Read b);
+  Detector.record_access det (access (var 1) `Write a);
+  Detector.record_access det (access (var 1) `Write a);
+  Detector.record_access det (access (var 1) `Read b);
   Alcotest.(check int) "race survives dedup" 1 (List.length (det.Detector.races ()))
 
 let test_full_track_equivalence () =
@@ -161,7 +163,7 @@ let test_full_track_equivalence () =
     for i = 0 to 999 do
       let loc = var (i mod 13) in
       let kind = if i mod 3 = 0 then `Write else `Read in
-      det.Detector.record (access loc kind ops.(i mod 8))
+      Detector.record_access det (access loc kind ops.(i mod 8))
     done;
     List.map
       (fun (r : Race.t) -> (Race.type_name r.Race.race_type, Location.to_string r.Race.loc))
@@ -223,7 +225,7 @@ let run_stream stream (det, stats) =
     (fun (op, burst) ->
       List.iter
         (fun (l, write, f, c) ->
-          det.Detector.record
+          Detector.record_access det
             (access ~flags:flag_sets.(f) ~context:contexts.(c) pool.(l)
                (if write then `Write else `Read)
                op))
@@ -251,10 +253,11 @@ let prop_fused_equals_wrap =
    swallowed as a duplicate: the slots keep op, flags and context
    unboxed. [stream] runs 4,000 times after one warm-up pass. *)
 let minor_words det stream =
-  List.iter det.Detector.record stream;
+  let feed = Detector.record_access det in
+  List.iter feed stream;
   let before = Gc.minor_words () in
   for _ = 1 to 4_000 do
-    List.iter det.Detector.record stream
+    List.iter feed stream
   done;
   Gc.minor_words () -. before
 
@@ -312,7 +315,7 @@ let test_unseen_location_allocates_nothing () =
   in
   let det, stats = Last_access.create_dedup g in
   let before = Gc.minor_words () in
-  Array.iter det.Detector.record stream;
+  Array.iter (Detector.record_access det) stream;
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words for %d unseen locations" words n)

@@ -23,15 +23,15 @@ let test_no_race_when_ordered () =
   let g, d = setup () in
   let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
   Graph.add_edge g a b;
-  d.Detector.record (access (var 1) `Write a);
-  d.Detector.record (access (var 1) `Read b);
+  Detector.record_access d (access (var 1) `Write a);
+  Detector.record_access d (access (var 1) `Read b);
   Alcotest.(check int) "no race" 0 (List.length (d.Detector.races ()))
 
 let test_write_read_race () =
   let g, d = setup () in
   let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
-  d.Detector.record (access (var 1) `Write a);
-  d.Detector.record (access (var 1) `Read b);
+  Detector.record_access d (access (var 1) `Write a);
+  Detector.record_access d (access (var 1) `Read b);
   match d.Detector.races () with
   | [ r ] ->
       Alcotest.(check string) "type" "variable" (Race.type_name r.Race.race_type);
@@ -42,37 +42,37 @@ let test_write_read_race () =
 let test_read_write_race () =
   let g, d = setup () in
   let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
-  d.Detector.record (access (var 1) `Read a);
-  d.Detector.record (access (var 1) `Write b);
+  Detector.record_access d (access (var 1) `Read a);
+  Detector.record_access d (access (var 1) `Write b);
   Alcotest.(check int) "one race" 1 (List.length (d.Detector.races ()))
 
 let test_write_write_race () =
   let g, d = setup () in
   let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
-  d.Detector.record (access (var 1) `Write a);
-  d.Detector.record (access (var 1) `Write b);
+  Detector.record_access d (access (var 1) `Write a);
+  Detector.record_access d (access (var 1) `Write b);
   Alcotest.(check int) "one race" 1 (List.length (d.Detector.races ()))
 
 let test_read_read_no_race () =
   let g, d = setup () in
   let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
-  d.Detector.record (access (var 1) `Read a);
-  d.Detector.record (access (var 1) `Read b);
+  Detector.record_access d (access (var 1) `Read a);
+  Detector.record_access d (access (var 1) `Read b);
   Alcotest.(check int) "no race" 0 (List.length (d.Detector.races ()))
 
 let test_same_op_no_race () =
   let g, d = setup () in
   let a = Graph.fresh g Op.Script ~label:"a" in
-  d.Detector.record (access (var 1) `Write a);
-  d.Detector.record (access (var 1) `Write a);
-  d.Detector.record (access (var 1) `Read a);
+  Detector.record_access d (access (var 1) `Write a);
+  Detector.record_access d (access (var 1) `Write a);
+  Detector.record_access d (access (var 1) `Read a);
   Alcotest.(check int) "no race" 0 (List.length (d.Detector.races ()))
 
 let test_distinct_locations_independent () =
   let g, d = setup () in
   let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
-  d.Detector.record (access (var 1) `Write a);
-  d.Detector.record (access (var 2) `Write b);
+  Detector.record_access d (access (var 1) `Write a);
+  Detector.record_access d (access (var 2) `Write b);
   Alcotest.(check int) "no race" 0 (List.length (d.Detector.races ()))
 
 let test_one_report_per_location () =
@@ -80,9 +80,9 @@ let test_one_report_per_location () =
   let a = Graph.fresh g Op.Script ~label:"a" in
   let b = Graph.fresh g Op.Script ~label:"b" in
   let c = Graph.fresh g Op.Script ~label:"c" in
-  d.Detector.record (access (var 1) `Write a);
-  d.Detector.record (access (var 1) `Write b);
-  d.Detector.record (access (var 1) `Write c);
+  Detector.record_access d (access (var 1) `Write a);
+  Detector.record_access d (access (var 1) `Write b);
+  Detector.record_access d (access (var 1) `Write c);
   Alcotest.(check int) "deduplicated" 1 (List.length (d.Detector.races ()))
 
 let test_paper_limitation_example () =
@@ -95,9 +95,9 @@ let test_paper_limitation_example () =
     let o3 = Graph.fresh g Op.Script ~label:"3" in
     Graph.add_edge g o1 o2;
     let d : Detector.t = detector_of g in
-    d.Detector.record (access (var 1) `Read o3);
-    d.Detector.record (access (var 1) `Read o1);
-    d.Detector.record (access (var 1) `Write o2);
+    Detector.record_access d (access (var 1) `Read o3);
+    Detector.record_access d (access (var 1) `Read o1);
+    Detector.record_access d (access (var 1) `Write o2);
     List.length (d.Detector.races ())
   in
   Alcotest.(check int) "single-slot misses" 0 (run Last_access.create);
@@ -107,13 +107,13 @@ let test_container_write_write_suppressed () =
   let g, d = setup () in
   let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
   let container = Location.Event_handler { target = 5; event = "load"; slot = Container; key } in
-  d.Detector.record (access container `Write a);
-  d.Detector.record (access container `Write b);
+  Detector.record_access d (access container `Write a);
+  Detector.record_access d (access container `Write b);
   Alcotest.(check int) "disjoint registrations do not race" 0
     (List.length (d.Detector.races ()));
   (* But dispatch (read) racing with registration (write) is reported. *)
   let c = Graph.fresh g Op.Script ~label:"c" in
-  d.Detector.record (access container `Read c);
+  Detector.record_access d (access container `Read c);
   Alcotest.(check int) "read vs write still races" 1 (List.length (d.Detector.races ()))
 
 let test_checked_read_first_flag () =
@@ -121,10 +121,10 @@ let test_checked_read_first_flag () =
      annotated, which the form filter later uses (§5.3 refinement). *)
   let g, d = setup () in
   let b = Graph.fresh g Op.Script ~label:"b" in
-  d.Detector.record (access (var 1) `Read b);
-  d.Detector.record (access ~flags:[ Access.Form_field ] (var 1) `Write b);
+  Detector.record_access d (access (var 1) `Read b);
+  Detector.record_access d (access ~flags:[ Access.Form_field ] (var 1) `Write b);
   let c = Graph.fresh g Op.Script ~label:"c" in
-  d.Detector.record (access (var 1) `Read c);
+  Detector.record_access d (access (var 1) `Read c);
   match d.Detector.races () with
   | [ r ] ->
       Alcotest.(check bool) "write carries Checked_read_first" true
@@ -136,8 +136,8 @@ let test_race_classification () =
     let g = Graph.create () in
     let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
     let d = Last_access.create g in
-    d.Detector.record (access ~flags:first_flags loc `Write a);
-    d.Detector.record (access loc `Read b);
+    Detector.record_access d (access ~flags:first_flags loc `Write a);
+    Detector.record_access d (access loc `Read b);
     match d.Detector.races () with
     | [ r ] -> r.Race.race_type
     | _ -> Alcotest.fail "expected a race"
@@ -213,9 +213,9 @@ let test_full_track_agrees_on_simple_cases () =
     Graph.add_edge g a b;
     let c = Graph.fresh g Op.Script ~label:"c" in
     let d : Detector.t = create g in
-    d.Detector.record (access (var 1) `Write a);
-    d.Detector.record (access (var 1) `Read b);
-    d.Detector.record (access (var 1) `Write c);
+    Detector.record_access d (access (var 1) `Write a);
+    Detector.record_access d (access (var 1) `Read b);
+    Detector.record_access d (access (var 1) `Write c);
     List.length (d.Detector.races ())
   in
   Alcotest.(check int) "same verdict" (run Last_access.create) (run Full_track.create)

@@ -7,7 +7,9 @@ module Access = Wr_mem.Access
 let with_doc f =
   let log = ref [] in
   let base = Wr_mem.Instr.null () in
-  let instr = { base with Wr_mem.Instr.sink = (fun a -> log := a :: !log) } in
+  let instr = { base with Wr_mem.Instr.sink =
+        (fun loc kind op flags context ->
+          log := { Wr_mem.Access.loc; kind; op; flags; context } :: !log) } in
   let doc = Dom.create_document instr ~url:"http://example.test/" in
   f doc (fun () -> List.rev !log)
 

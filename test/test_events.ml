@@ -7,7 +7,9 @@ module Access = Wr_mem.Access
 let with_registry f =
   let log = ref [] in
   let base = Wr_mem.Instr.null () in
-  let instr = { base with Wr_mem.Instr.sink = (fun a -> log := a :: !log) } in
+  let instr = { base with Wr_mem.Instr.sink =
+        (fun loc kind op flags context ->
+          log := { Wr_mem.Access.loc; kind; op; flags; context } :: !log) } in
   let reg : string Events.t = Events.create instr in
   f reg (fun () -> List.rev !log)
 

@@ -164,7 +164,9 @@ let test_access_flags () =
 let test_instr_emit_carries_context () =
   let got = ref [] in
   let base = Instr.null () in
-  let instr = { base with Instr.sink = (fun a -> got := a :: !got) } in
+  let instr = { base with Instr.sink =
+        (fun loc kind op flags context ->
+          got := { Access.loc; kind; op; flags; context } :: !got) } in
   instr.Instr.op <- 42;
   instr.Instr.context <- "parse <div>";
   Instr.emit instr (var 1) `Write;

@@ -182,7 +182,7 @@ let gen_arith =
 let prop_arithmetic_reference =
   QCheck.Test.make ~name:"minijs: arithmetic matches reference" ~count:500
     (QCheck.make gen_arith) (fun a ->
-      let vm = Interp.create ~sink:ignore () in
+      let vm = Interp.create ~sink:Wr_mem.Access.discard () in
       let prog = [ Ast.Var_decl [ ("r", Some (arith_to_expr a)) ] ] in
       Interp.run_in_global vm prog;
       match Hashtbl.find_opt vm.Value.global.Value.vars "r" with
@@ -218,7 +218,7 @@ let build_execution (n, edges, accesses) =
     List.iter
       (fun (op, cell, is_write) ->
         let loc = Location.Js_var { cell; name = "v" ^ string_of_int cell; key = cell } in
-        d.Wr_detect.Detector.record
+        Wr_detect.Detector.record_access d
           { Access.loc; kind = (if is_write then `Write else `Read); op; flags = []; context = "" })
       sorted
   in

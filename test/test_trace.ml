@@ -68,8 +68,8 @@ let test_recorder_tees () =
   let d, read = Trace.recorder inner in
   let a = Graph.fresh g Op.Script ~label:"a" and b = Graph.fresh g Op.Script ~label:"b" in
   let loc = Location.Js_var { cell = 1; name = "x"; key } in
-  d.Detector.record (mk_access ~kind:`Write ~op:a loc);
-  d.Detector.record (mk_access ~kind:`Write ~op:b loc);
+  Detector.record_access d (mk_access ~kind:`Write ~op:a loc);
+  Detector.record_access d (mk_access ~kind:`Write ~op:b loc);
   Alcotest.(check int) "recorded both" 2 (List.length (read ()));
   Alcotest.(check int) "forwarded to detector" 1 (List.length (d.Detector.races ()))
 
