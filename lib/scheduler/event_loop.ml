@@ -1,7 +1,5 @@
 type handle = int
 
-type task = { due : float; seq : int; run : unit -> unit }
-
 type cls = Parse | Timer | Net | Xhr | User
 
 type speed = Fast | Slow
@@ -45,43 +43,66 @@ let apply_bias bias cls delay =
   | Some Fast -> delay *. 0.01
   | Some Slow -> delay +. slow_extra cls
 
-(* Binary min-heap on (due, seq). *)
+(* Binary min-heap on (due, seq), kept as three columns: the due times
+   unboxed in a float array, their sequence numbers and the tasks'
+   closures. Scheduling and running a task then allocate nothing in the
+   loop, and the clock is an unboxed float too. *)
+type clock = { mutable now : float }
+
 type t = {
-  mutable heap : task array;
+  mutable due : Float.Array.t;
+  mutable seq : int array;
+  mutable run : (unit -> unit) array;
   mutable size : int;
-  mutable clock : float;
+  clock : clock;
   mutable next_seq : int;
   cancelled : (int, unit) Hashtbl.t;
   tm : Wr_telemetry.Telemetry.t;
   bias : bias;
 }
 
-let dummy = { due = 0.; seq = -1; run = ignore }
+let initial = 64
 
 let create ?(tm = Wr_telemetry.Telemetry.disabled) ?(bias = neutral) () =
   {
-    heap = Array.make 64 dummy;
+    due = Float.Array.make initial 0.;
+    seq = Array.make initial (-1);
+    run = Array.make initial ignore;
     size = 0;
-    clock = 0.;
+    clock = { now = 0. };
     next_seq = 0;
     cancelled = Hashtbl.create 16;
     tm;
     bias;
   }
 
-let now t = t.clock
+let now t = t.clock.now
 
-let earlier a b = a.due < b.due || (a.due = b.due && a.seq < b.seq)
+(* [Float.max], inlined so its result stays unboxed. *)
+let[@inline] fmax (x : float) y =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then if Float.is_nan x then x else y
+  else if Float.is_nan y then y
+  else x
+
+let earlier t i j =
+  let di = Float.Array.get t.due i and dj = Float.Array.get t.due j in
+  di < dj || (di = dj && t.seq.(i) < t.seq.(j))
 
 let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
+  let d = Float.Array.get t.due i in
+  Float.Array.set t.due i (Float.Array.get t.due j);
+  Float.Array.set t.due j d;
+  let q = t.seq.(i) in
+  t.seq.(i) <- t.seq.(j);
+  t.seq.(j) <- q;
+  let r = t.run.(i) in
+  t.run.(i) <- t.run.(j);
+  t.run.(j) <- r
 
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if earlier t.heap.(i) t.heap.(parent) then begin
+    if earlier t i parent then begin
       swap t i parent;
       sift_up t parent
     end
@@ -90,35 +111,42 @@ let rec sift_up t i =
 let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let smallest = ref i in
-  if l < t.size && earlier t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && earlier t.heap.(r) t.heap.(!smallest) then smallest := r;
+  if l < t.size && earlier t l !smallest then smallest := l;
+  if r < t.size && earlier t r !smallest then smallest := r;
   if !smallest <> i then begin
     swap t i !smallest;
     sift_down t !smallest
   end
 
-let push t task =
-  if t.size = Array.length t.heap then begin
-    let heap = Array.make (2 * t.size) dummy in
-    Array.blit t.heap 0 heap 0 t.size;
-    t.heap <- heap
-  end;
-  t.heap.(t.size) <- task;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+let grow t =
+  let n = 2 * t.size in
+  let due = Float.Array.make n 0. and seq = Array.make n (-1) and run = Array.make n ignore in
+  Float.Array.blit t.due 0 due 0 t.size;
+  Array.blit t.seq 0 seq 0 t.size;
+  Array.blit t.run 0 run 0 t.size;
+  t.due <- due;
+  t.seq <- seq;
+  t.run <- run
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    t.heap.(0) <- t.heap.(t.size);
-    t.heap.(t.size) <- dummy;
-    if t.size > 0 then sift_down t 0;
-    Some top
-  end
+(* Inlined, so [due] reaches its column unboxed. *)
+let[@inline] push t due seq run =
+  if t.size = Array.length t.seq then grow t;
+  let i = t.size in
+  Float.Array.set t.due i due;
+  t.seq.(i) <- seq;
+  t.run.(i) <- run;
+  t.size <- i + 1;
+  sift_up t i
 
-let peek t = if t.size = 0 then None else Some t.heap.(0)
+(* Drops the earliest task; the caller has read its columns first. *)
+let remove_top t =
+  let last = t.size - 1 in
+  t.size <- last;
+  Float.Array.set t.due 0 (Float.Array.get t.due last);
+  t.seq.(0) <- t.seq.(last);
+  t.run.(0) <- t.run.(last);
+  t.run.(last) <- ignore;
+  if last > 0 then sift_down t 0
 
 let schedule ?cls t ~delay run =
   let delay =
@@ -126,7 +154,7 @@ let schedule ?cls t ~delay run =
   in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  push t { due = t.clock +. Float.max 0. delay; seq; run };
+  push t (t.clock.now +. fmax 0. delay) seq run;
   seq
 
 let cancel t h =
@@ -135,52 +163,45 @@ let cancel t h =
 
 (* Run a task under telemetry: a ["task"] span plus a queue-depth sample.
    The guard keeps the disabled path allocation-free. *)
-let run_task t task =
+let run_task t run =
   let module T = Wr_telemetry.Telemetry in
   if T.enabled t.tm then begin
     T.incr t.tm "scheduler.tasks";
     T.observe t.tm "scheduler.queue_depth" (float_of_int (t.size + 1));
-    T.with_span t.tm ~cat:"scheduler" ~name:"task" task.run
+    T.with_span t.tm ~cat:"scheduler" ~name:"task" run
   end
-  else task.run ()
+  else run ()
 
-let rec run_one t =
-  match pop t with
-  | None -> false
-  | Some task ->
-      if Hashtbl.mem t.cancelled task.seq then begin
-        Hashtbl.remove t.cancelled task.seq;
-        run_one t
-      end
-      else begin
-        t.clock <- Float.max t.clock task.due;
-        run_task t task;
-        true
-      end
+(* The earliest task leaves the queue. A cancelled one is dropped and
+   [false] returned; otherwise the clock advances to its due time and it
+   runs. *)
+let run_top t =
+  let due = Float.Array.get t.due 0 and seq = t.seq.(0) and run = t.run.(0) in
+  remove_top t;
+  if Hashtbl.mem t.cancelled seq then begin
+    Hashtbl.remove t.cancelled seq;
+    false
+  end
+  else begin
+    t.clock.now <- fmax t.clock.now due;
+    run_task t run;
+    true
+  end
+
+let rec run_one t = t.size > 0 && (run_top t || run_one t)
 
 let run_until t ~deadline =
   let rec loop n =
-    match peek t with
-    | None -> n
-    | Some task ->
-        if Hashtbl.mem t.cancelled task.seq then begin
-          ignore (pop t);
-          Hashtbl.remove t.cancelled task.seq;
-          loop n
-        end
-        else if task.due > deadline then n
-        else begin
-          ignore (pop t);
-          t.clock <- Float.max t.clock task.due;
-          run_task t task;
-          loop (n + 1)
-        end
+    if t.size = 0 then n
+    else if Float.Array.get t.due 0 > deadline && not (Hashtbl.mem t.cancelled t.seq.(0)) then n
+    else if run_top t then loop (n + 1)
+    else loop n
   in
   loop 0
 
 let pending t =
   let n = ref 0 in
   for i = 0 to t.size - 1 do
-    if not (Hashtbl.mem t.cancelled t.heap.(i).seq) then incr n
+    if not (Hashtbl.mem t.cancelled t.seq.(i)) then incr n
   done;
   !n

@@ -128,6 +128,31 @@ let prop_heap_orders_any_schedule =
       let sorted = List.stable_sort (fun (d1, _) (d2, _) -> compare d1 d2) result in
       result = sorted && List.length result = List.length delays)
 
+(* A chain of tasks, each scheduling the next from inside the loop, as
+   a page's timers and parse steps do: the loop's own bookkeeping
+   (queue columns, clock) allocates nothing per task. The chained
+   closure is built once, and the constant delay is a shared float. *)
+let test_chained_task_allocation () =
+  let loop = Event_loop.create () in
+  let n = 10_000 in
+  let left = ref n in
+  let rec step () =
+    decr left;
+    if !left > 0 then ignore (Event_loop.schedule loop ~delay:1. step)
+  in
+  ignore (Event_loop.schedule loop ~delay:1. step);
+  let before = Gc.minor_words () in
+  while Event_loop.run_one loop do
+    ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all ran" 0 !left;
+  Alcotest.(check (float 0.)) "clock" (float_of_int n) (Event_loop.now loop);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for %d chained tasks" words n)
+    true
+    (words < float_of_int n /. 10.)
+
 let suite =
   [
     Alcotest.test_case "time order" `Quick test_time_order;
@@ -142,4 +167,5 @@ let suite =
     Alcotest.test_case "network pinned latency" `Quick test_network_pinned_latency_orders_fetches;
     Alcotest.test_case "network determinism" `Quick test_network_determinism;
     QCheck_alcotest.to_alcotest prop_heap_orders_any_schedule;
+    Alcotest.test_case "chained tasks allocate nothing" `Quick test_chained_task_allocation;
   ]
