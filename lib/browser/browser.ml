@@ -1311,7 +1311,7 @@ and make_window_object t w =
           Instr.emit t.instr (prop_cell t ~owner:storage_uid key) `Read;
           Value.String v
       | None ->
-          Instr.emit t.instr ~flags:[ Access.Observed_miss ]
+          Instr.emit_flagged t.instr [ Access.Observed_miss ]
             (prop_cell t ~owner:storage_uid key)
             `Read;
           Value.Null));

@@ -248,7 +248,7 @@ let child_slot_name i =
       name
   | name -> name
 
-let emit doc ?flags loc kind = Instr.emit doc.instr ?flags loc kind
+let emit doc loc kind = Instr.emit doc.instr loc kind
 
 let rec write_all doc = function
   | [] -> ()
@@ -376,7 +376,7 @@ let get_element_by_id doc id =
       emit doc (id_location doc id) `Read;
       Some n
   | None ->
-      emit doc ~flags:[ Access.Observed_miss ] (id_location doc id) `Read;
+      Instr.emit_flagged doc.instr [ Access.Observed_miss ] (id_location doc id) `Read;
       None
 
 let elements_in_order doc =
@@ -442,11 +442,15 @@ let idl_flags node name flags =
   else flags
 
 let set_idl doc node ?(flags = []) name v =
-  emit doc ~flags:(idl_flags node name flags) (prop_cell doc ~owner:node.uid name) `Write;
+  Instr.emit_flagged doc.instr (idl_flags node name flags)
+    (prop_cell doc ~owner:node.uid name)
+    `Write;
   node.idl <- (name, v) :: List.remove_assoc name node.idl
 
 let get_idl doc node ?(flags = []) name =
-  emit doc ~flags:(idl_flags node name flags) (prop_cell doc ~owner:node.uid name) `Read;
+  Instr.emit_flagged doc.instr (idl_flags node name flags)
+    (prop_cell doc ~owner:node.uid name)
+    `Read;
   match List.assoc_opt name node.idl with
   | Some v -> Some v
   | None -> get_attr node name (* IDL reflects the content attribute initially *)
