@@ -131,7 +131,8 @@ let test_analyze_many_merges () =
    sizes the domain-local tables), for [Html.parse] alone and for a full
    [analyze]. The parse bound sits about a quarter above what the path
    allocates now (60 on both pages; it used to allocate 253 / 263). The
-   analyze bound sits about a tenth above it (364 flat and 358 nested),
+   analyze bound was set about a tenth above 364 flat and 358 nested
+   (the interpreter's allocation budget has since brought both lower),
    below the 449 / 443 of a detector that kept its per-location state in
    a hash table (and the 888 / 896 before the lean parse path): a change
    that puts per-element garbage back fails here. *)
