@@ -11,9 +11,8 @@ module Graph = Wr_hb.Graph
 module Op = Wr_hb.Op
 module Table = Wr_support.Table
 
-(* --quick: a CI-sized pass — truncated corpus and a smaller bechamel
-   quota, but the same BENCH_results.json schema, so scripts/bench_trend
-   can compare quick runs against each other. *)
+(* --quick: a CI-sized pass — Tables 1-2 over a truncated corpus and a
+   smaller bechamel quota; Perf-4b still runs the full corpus. *)
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let corpus_limit = if quick then Some 12 else None
 
@@ -393,8 +392,7 @@ let perf_telemetry () =
   | Some off, Some on_ ->
       Printf.printf "\ntelemetry-on / telemetry-off: %.3fx\n" (on_ /. off)
   | _ -> ());
-  (* One instrumented run's headline numbers go into BENCH_results.json
-     (which superseded the old free-standing bench_metrics.json dump). *)
+  (* One instrumented run's headline numbers go into BENCH_results.json. *)
   let tm = Wr_telemetry.Telemetry.create () in
   ignore
     (Webracer.analyze
@@ -405,85 +403,20 @@ let perf_telemetry () =
   record_float "perf3" "instrumented_ford_wall_s" (Wr_telemetry.Telemetry.total_wall tm)
 
 (* ------------------------------------------------------------------ *)
-(* Perf-4: access dedup ratio + domain-parallel corpus analysis        *)
+(* Perf-4b: domain-parallel corpus analysis                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The §6.3 motivating pattern for dedup: loops that re-touch the *same*
-   cells every iteration (polling a flag, re-reading a[0]/a.length, an
-   accumulator read-modify-write). Perf-2's kernels mostly touch fresh
-   cells; these are the op-granular worst case the front-end targets. *)
-let loop_kernels =
-  [
-    ( "poll-flag",
-      "var ready = 0; var ticks = 0; var i = 0;\n\
-       for (i = 0; i < 500; i++) { if (ready === 0) { ticks = ticks + 1; } }" );
-    ( "hot-read",
-      "var a = []; var i = 0;\n\
-       for (i = 0; i < 8; i++) { a.push(i); }\n\
-       var first = 0; var j = 0;\n\
-       for (j = 0; j < 500; j++) { first = first + a[0] + a.length; }" );
-  ]
+(* Jobs:4 must beat sequential by at least this factor over the full
+   corpus on hardware with 4 or more domains. *)
+let speedup_floor = 1.5
 
-(* Feed a kernel's access stream through last-access twice — raw, and
-   behind the dedup front-end — and compare how many records the detector
-   processed and what it found. *)
-let kernel_dedup (_, source) =
-  let run ~dedup =
-    let graph = Graph.create () in
-    let inner = Wr_detect.Last_access.create graph in
-    let det, stats =
-      if dedup then Wr_detect.Dedup.wrap inner
-      else (inner, fun () -> { Wr_detect.Dedup.seen = 0; forwarded = 0 })
-    in
-    let vm = Wr_js.Interp.create ~sink:det.Wr_detect.Detector.record () in
-    vm.Wr_js.Value.current_op <- Graph.fresh graph Op.Script ~label:"kernel";
-    Wr_js.Interp.run_in_global vm (Wr_js.Parser.parse source);
-    (inner.Wr_detect.Detector.accesses_seen (), List.length (inner.Wr_detect.Detector.races ()),
-     stats ())
-  in
-  let raw_records, raw_races, _ = run ~dedup:false in
-  let fwd_records, dedup_races, stats = run ~dedup:true in
-  (raw_records, fwd_records, raw_races, dedup_races, stats)
+(* Perf-4b's checks; any entry makes the run exit 1 once every section
+   has printed. *)
+let failures = ref []
 
-let perf_dedup () =
-  section "Perf-4a — per-operation access dedup on the detector hot path";
-  let rows =
-    List.map
-      (fun (name, src) ->
-        let raw, fwd, raw_races, dedup_races, stats = kernel_dedup (name, src) in
-        record_float "perf4" (name ^ "_dedup_ratio") (Wr_detect.Dedup.ratio stats);
-        [
-          name;
-          string_of_int raw;
-          string_of_int fwd;
-          Printf.sprintf "%.1fx" (Wr_detect.Dedup.ratio stats);
-          (if raw_races = dedup_races then "identical" else "DIFFERS");
-        ])
-      (kernels @ loop_kernels)
-  in
-  Table.print
-    ~header:[ "kernel"; "record calls (raw)"; "record calls (dedup)"; "ratio"; "races" ]
-    rows;
-  print_newline ();
-  (* Wall-clock effect on the loop-heavy kernels. *)
-  let tests =
-    List.concat_map
-      (fun (name, src) ->
-        let run ~dedup () =
-          let graph = Graph.create () in
-          let inner = Wr_detect.Last_access.create graph in
-          let det = if dedup then fst (Wr_detect.Dedup.wrap inner) else inner in
-          let vm = Wr_js.Interp.create ~sink:det.Wr_detect.Detector.record () in
-          vm.Wr_js.Value.current_op <- Graph.fresh graph Op.Script ~label:"kernel";
-          Wr_js.Interp.run_in_global vm (Wr_js.Parser.parse src)
-        in
-        [
-          Test.make ~name:(name ^ "/raw") (Staged.stage (run ~dedup:false));
-          Test.make ~name:(name ^ "/dedup") (Staged.stage (run ~dedup:true));
-        ])
-      loop_kernels
-  in
-  print_bench_results (run_bench_group ~name:"perf4-kernels" tests)
+let fail msg =
+  Printf.printf "FAIL: %s\n" msg;
+  failures := !failures @ [ msg ]
 
 (* Outcomes projected onto their deterministic components: everything but
    the wall clock must be invariant under both [jobs] and [dedup]. *)
@@ -491,18 +424,16 @@ let outcome_signature (o : Eval.outcome) =
   (o.Eval.profile.Profile.name, o.Eval.raw, o.Eval.filtered, o.Eval.ops, o.Eval.accesses,
    o.Eval.crashes)
 
+(* Always the full corpus, --quick included: on a dozen sites the pool's
+   start-up outweighs the work and the speedup floor measures nothing. *)
 let perf_parallel () =
   section "Perf-4b — domain-parallel corpus analysis (domain fleet)";
   let hw = Wr_support.Pool.hardware_domains () in
   Printf.printf "hardware parallelism (Domain.recommended_domain_count): %d\n\n" hw;
-  (* The speedup gate in scripts/bench_trend.ml reads this to know
-     whether the runner can physically show parallel speedup (the pool
-     caps its fleet at the hardware, so jobs:4 on one core is just the
-     sequential baseline). *)
   record_result "perf4" "hardware_domains" (Wr_support.Json.Int hw);
   (* Corpus-wide dedup effect and race-count identity, dedup on vs off. *)
-  let on = Eval.run_corpus ~seed:42 ?limit:corpus_limit ~dedup:true () in
-  let off = Eval.run_corpus ~seed:42 ?limit:corpus_limit ~dedup:false () in
+  let on = Eval.run_corpus ~seed:42 ~dedup:true () in
+  let off = Eval.run_corpus ~seed:42 ~dedup:false () in
   let sum f xs = List.fold_left (fun acc o -> acc + f o) 0 xs in
   let records xs = sum (fun o -> o.Eval.detector_records) xs in
   let identical =
@@ -513,35 +444,18 @@ let perf_parallel () =
     "corpus detector records: %d raw -> %d after dedup (%.2fx); race counts %s\n\n"
     (records off) (records on) corpus_ratio
     (if identical then "identical across all sites" else "DIFFER (fidelity regression!)");
+  if not identical then fail "corpus race counts differ with dedup on and off";
   record_float "perf4" "corpus_dedup_ratio" corpus_ratio;
-  record_result "perf4" "corpus_races_identical" (Wr_support.Json.Bool identical);
   (* Speedup curve: same corpus, growing worker fleets. *)
   let reference = List.map outcome_signature on in
   let timings =
     List.map
       (fun jobs ->
         let started = Wr_support.Clock.now () in
-        let outcomes, fleet =
-          Eval.run_corpus_stats ~seed:42 ?limit:corpus_limit ~jobs ()
-        in
+        let outcomes = Eval.run_corpus ~seed:42 ~jobs () in
         let dt = Wr_support.Clock.now () -. started in
-        let same = List.map outcome_signature outcomes = reference in
         record_float "perf4" (Printf.sprintf "corpus_jobs%d_s" jobs) dt;
-        (* Fleet health behind the speedup number, so the trend gate
-           sees queue contention or idle-domain regressions directly. *)
-        let fsum f =
-          List.fold_left (fun acc d -> acc +. f d) 0. fleet.Wr_support.Pool.per_domain
-        in
-        record_float "perf4"
-          (Printf.sprintf "corpus_jobs%d_queue_wait_s" jobs)
-          (fsum (fun d -> d.Wr_support.Pool.queue_wait_s));
-        record_float "perf4"
-          (Printf.sprintf "corpus_jobs%d_idle_s" jobs)
-          (fsum (fun d -> d.Wr_support.Pool.idle_s));
-        record_float "perf4"
-          (Printf.sprintf "corpus_jobs%d_gc_minor" jobs)
-          (fsum (fun d -> float_of_int d.Wr_support.Pool.gc_minor));
-        (jobs, dt, same))
+        (jobs, dt, List.map outcome_signature outcomes = reference))
       [ 1; 2; 4; 8 ]
   in
   let base = match timings with (_, dt, _) :: _ -> dt | [] -> 1. in
@@ -557,79 +471,26 @@ let perf_parallel () =
            (if same then "identical" else "DIFFER (determinism regression!)");
          ])
        timings);
+  List.iter
+    (fun (jobs, _, same) ->
+      if not same then fail (Printf.sprintf "jobs:%d outcomes differ from sequential" jobs))
+    timings;
   print_endline
     "\n(Per-worker graphs, detectors and VMs are domain-local; the fleet\n\
      shares only its task queue and an item cursor, so outcomes are\n\
      input-ordered and identical whatever the job count or which lane ran\n\
      which item. Speedup tracks the hardware's core count — the pool\n\
      spawns no more domains than cores, so oversubscribed job counts\n\
-     degrade to the hardware's best.)"
-
-(* ------------------------------------------------------------------ *)
-(* Perf-5: the serve API hot path — wire decode, dispatch, cache hit    *)
-(* ------------------------------------------------------------------ *)
-
-(* The daemon's per-request cost splits into (a) decoding the wire line
-   into a Request.t, (b) hashing the params into a cache key, and (c) on
-   a hit, splicing the stored bytes into a response envelope. All three must stay far below a
-   page analysis for the service to amortize; this group pins them. *)
-let perf_serve () =
-  section "Perf-5 — serve API: request decode / cache key / cache-hit service";
-  let module Request = Wr_serve.Request in
-  let module Api = Wr_serve.Api in
-  let module Cache = Wr_serve.Cache in
-  let site = Gen.generate (List.nth (Profile.corpus ()) 20) in
-  let params =
-    Request.analyze_params ~page:site.Gen.page ~resources:site.Gen.resources ()
-  in
-  let line =
-    Request.to_line
-      (Request.make ~id:(Wr_support.Json.Int 1) (Request.analyze params))
-  in
-  (* The cache holds the page's real report, encoded once as a worker
-     would, so a hit pays for copying bytes of a realistic size. *)
-  let report = Wr_support.Json.to_string (Webracer.report_to_json (Api.analyze params)) in
-  Printf.printf
-    "wire request: %d bytes (page %d bytes, %d resources); cached report: %d bytes\n\n"
-    (String.length line) (String.length site.Gen.page)
-    (List.length site.Gen.resources) (String.length report);
-  let warm = Cache.create ~cap:8 in
-  Cache.store warm (Cache.key params) report;
-  let tests =
-    [
-      Test.make ~name:"decode-analyze-line"
-        (Staged.stage (fun () ->
-             match Request.of_line line with Ok r -> r | Error _ -> assert false));
-      Test.make ~name:"cache-key"
-        (Staged.stage (fun () -> Cache.key params));
-      Test.make ~name:"cache-hit-service"
-        (Staged.stage (fun () ->
-             (* what the daemon does per hit: key, find, splice the cached
-                bytes into an envelope *)
-             match Cache.find warm (Cache.key params) with
-             | Some bytes ->
-                 Wr_serve.Response.to_line
-                   (Wr_serve.Response.ok ~id:(Wr_support.Json.Int 1)
-                      (Wr_support.Json.Raw bytes))
-             | None -> assert false));
-      Test.make ~name:"dispatch-ping"
-        (Staged.stage (fun () ->
-             Api.dispatch (Request.make ~id:(Wr_support.Json.Int 1) Request.Ping)));
-    ]
-  in
-  let results = run_bench_group ~name:"perf5" tests in
-  print_bench_results results;
-  (match
-     ( List.assoc_opt "perf5/cache-hit-service" results,
-       List.assoc_opt "perf5/decode-analyze-line" results )
-   with
-  | Some hit, Some decode ->
-      Printf.printf
-        "\n(A cache hit costs decode + %s of service — vs a full re-analysis; the\n\
-         daemon answers it on the accept loop without waking a worker.)\n"
-        (pp_ns hit);
-      record_float "perf5" "hit_over_decode_ratio" (hit /. decode)
-  | _ -> ())
+     degrade to the hardware's best.)";
+  let _, dt4, _ = List.find (fun (jobs, _, _) -> jobs = 4) timings in
+  let speedup = base /. dt4 in
+  if hw < 4 then
+    Printf.printf "\nspeedup floor skipped: %d hardware domain(s), the %.1fx floor needs 4\n"
+      hw speedup_floor
+  else if speedup < speedup_floor then
+    fail (Printf.sprintf "corpus_jobs4_speedup %.2fx is below the %.1fx floor" speedup
+            speedup_floor)
+  else Printf.printf "\njobs:4 speedup %.2fx meets the %.1fx floor\n" speedup speedup_floor
 
 (* ------------------------------------------------------------------ *)
 (* Perf-6: static predictor throughput (DESIGN.md §8)                  *)
@@ -675,110 +536,6 @@ let perf_static () =
   | None -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Perf-7: the serve event loop under concurrent load                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Boot an in-process daemon (TCP, kernel-chosen port) and blast it with
-   the barrier-synchronized load generator in two phases. Cache hits
-   never touch a worker, so the hit phase measures the event loop alone;
-   the overload phase sheds most requests inline and its p999 is the
-   responsiveness of a deliberately saturated daemon. The trend gate
-   reads cachehit_rps and the p999 tails. *)
-let perf_serve_loop () =
-  section "Perf-7 — serve event loop: cache-hit throughput and overload tails";
-  let module Daemon = Wr_serve.Daemon in
-  let module Request = Wr_serve.Request in
-  let module L = Wr_serve.Loadgen in
-  let module H = Wr_support.Stats.Histo in
-  let tiny_page =
-    "<html><body><script>var x = 1; x = x + 1;</script></body></html>"
-  in
-  let analyze_verb = Request.analyze (Request.analyze_params ~page:tiny_page ()) in
-  let with_daemon ~queue_cap ~cache_cap f =
-    let stop = Atomic.make false in
-    let addr = Atomic.make None in
-    let cfg =
-      {
-        (Daemon.default_config (Daemon.Tcp 0)) with
-        Daemon.jobs = 2;
-        queue_cap;
-        cache_cap;
-        wall_limit = 30.;
-      }
-    in
-    let d =
-      Domain.spawn (fun () ->
-          Daemon.run
-            ~stop:(fun () -> Atomic.get stop)
-            ~on_ready:(fun a -> Atomic.set addr (Some a))
-            cfg)
-    in
-    let rec wait n =
-      match Atomic.get addr with
-      | Some a -> a
-      | None ->
-          if n > 2_000 then failwith "perf7: daemon never came up"
-          else begin
-            Unix.sleepf 0.005;
-            wait (n + 1)
-          end
-    in
-    let bound = wait 0 in
-    let r = f bound in
-    Atomic.set stop true;
-    ignore (Domain.join d);
-    r
-  in
-  let blast addr ~pipeline ~duration =
-    L.run
-      {
-        L.address = addr;
-        conns = 4;
-        pipeline;
-        duration;
-        verb = analyze_verb;
-        surface = L.Raw;
-        schema = 1;
-      }
-  in
-  let p999_ms r = 1000. *. H.percentile r.L.latency 99.9 in
-  (* Cache-hit phase: warm once, then every request replays the cached
-     document. *)
-  let hit =
-    with_daemon ~queue_cap:64 ~cache_cap:8 (fun addr ->
-        let c = Wr_serve.Client.connect ~retry_for:5. addr in
-        (match
-           Wr_serve.Client.request c
-             (Request.make ~id:(Wr_support.Json.Int 0) analyze_verb)
-         with
-        | Ok _ -> ()
-        | Error msg -> failwith ("perf7 warmup: " ^ msg));
-        Wr_serve.Client.close c;
-        blast addr ~pipeline:8 ~duration:1.0)
-  in
-  record_float "perf7" "cachehit_rps" hit.L.throughput_rps;
-  record_float "perf7" "cachehit_p999" (p999_ms hit);
-  (* Overload phase: no cache, a tiny queue — most requests shed with an
-     inline overload error. *)
-  let ovl =
-    with_daemon ~queue_cap:2 ~cache_cap:0 (fun addr ->
-        blast addr ~pipeline:16 ~duration:1.0)
-  in
-  let shed = Option.value ~default:0 (List.assoc_opt "overload" ovl.L.classes) in
-  record_float "perf7" "overload_p999" (p999_ms ovl);
-  record_result "perf7" "overload_shed" (Wr_support.Json.Int shed);
-  Table.print
-    ~header:[ "cache-hit rps"; "hit p999"; "overload p999"; "shed" ]
-    [
-      [
-        Printf.sprintf "%.0f" hit.L.throughput_rps;
-        Printf.sprintf "%.2f ms" (p999_ms hit);
-        Printf.sprintf "%.2f ms" (p999_ms ovl);
-        string_of_int shed;
-      ];
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Perf-8: prediction-guided triage vs blind schedule enumeration      *)
 (* ------------------------------------------------------------------ *)
 
@@ -789,10 +546,8 @@ let perf_serve_loop () =
    schedule that produced the last new confirmation); the schedules a
    guided run spends *refuting* false positives buy certificates blind
    enumeration cannot produce at any cost, so they are reported
-   alongside but not gated. The trend gate reads
-   blind_over_guided_confirmation_ratio (higher is better) and the two
-   raw schedule counts (lower is better); config_budget / config_sites
-   are experiment configuration, excluded from trend comparison. *)
+   alongside. test/test_triage.ml "guided beats blind on the pack"
+   holds the claim; this section prints the per-site counts. *)
 let perf_triage () =
   section "Perf-8 — guided triage vs blind schedule enumeration";
   let module T = Wr_static.Triage in
@@ -1027,15 +782,16 @@ let () =
   perf_pages ();
   perf_overhead ();
   perf_telemetry ();
-  perf_dedup ();
   perf_parallel ();
-  perf_serve ();
   perf_static ();
-  perf_serve_loop ();
   perf_triage ();
   ablation_hb ();
   ablation_detector ();
   stability ();
   Printf.printf "\nTotal bench time: %.1f s\n" (Wr_support.Clock.now () -. t0);
   record_float "total" "bench_s" (Wr_support.Clock.now () -. t0);
-  write_bench_results "BENCH_results.json"
+  write_bench_results "BENCH_results.json";
+  if !failures <> [] then begin
+    List.iter (Printf.printf "FAIL: %s\n") !failures;
+    exit 1
+  end

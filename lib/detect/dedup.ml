@@ -4,8 +4,6 @@ type stats = { seen : int; forwarded : int }
 
 let swallowed s = s.seen - s.forwarded
 
-let ratio s = if s.forwarded = 0 then 1.0 else float_of_int s.seen /. float_of_int s.forwarded
-
 (* One location's dedup state, valid only for the operation in its
    epoch: a location whose epoch differs from the incoming access's op
    is logically empty. Epochs make the op-switch flush free (an

@@ -41,11 +41,9 @@ type stats = {
   forwarded : int;  (** accesses that reached the detector's state machine *)
 }
 
-(** [swallowed s] and [ratio s] summarize a run: [ratio] is raw accesses
-    per forwarded access (1.0 = nothing deduplicated). *)
+(** [swallowed s] is how many raw accesses the rule kept from the
+    detector's state machine. *)
 val swallowed : stats -> int
-
-val ratio : stats -> float
 
 (** The rule's per-location state as one immediate int: the epoch (the
     op of the location's latest access) and whether that op's read and

@@ -14,17 +14,6 @@ type config = {
   schema : int;
 }
 
-let default_config address =
-  {
-    address;
-    conns = 4;
-    pipeline = 8;
-    duration = 2.;
-    verb = Request.Ping;
-    surface = Raw;
-    schema = Wr_support.Schema.version;
-  }
-
 type result = {
   duration_s : float;
   conns_run : int;

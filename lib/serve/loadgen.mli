@@ -1,5 +1,5 @@
 (** Barrier-synchronized load generation against a running daemon —
-    the [webracer bench-serve] engine and Perf-7's measuring stick.
+    the [webracer bench-serve] engine.
 
     [run cfg] opens [conns] connections (one OS thread each — the
     clients spend their lives blocked in socket I/O, so threads beat
@@ -34,9 +34,6 @@ type config = {
   schema : int;  (** wire generation for raw requests *)
 }
 
-(** 4 connections, pipeline 8, 2 s, raw [ping], schema v1. *)
-val default_config : Daemon.address -> config
-
 type result = {
   duration_s : float;  (** measured window (barrier release to join) *)
   conns_run : int;
@@ -50,6 +47,6 @@ type result = {
 
 val run : config -> result
 
-(** The Perf-7 / [--json-out] document: duration, counts, throughput,
+(** The [--json-out] document: duration, counts, throughput,
     latency summary and the class distribution. *)
 val to_json : result -> Wr_support.Json.t
