@@ -407,8 +407,11 @@ let perf_telemetry () =
 (* ------------------------------------------------------------------ *)
 
 (* Jobs:4 must beat sequential by at least this factor over the full
-   corpus on hardware with 4 or more domains. *)
+   corpus on hardware with 4 or more domains, judged on the median ratio
+   of [floor_pairs] alternating jobs:1 / jobs:4 passes: one pair's ratio
+   moves with host noise (1.35x to 1.68x over three runs on one box). *)
 let speedup_floor = 1.5
+let floor_pairs = 3
 
 (* Perf-4b's checks; any entry makes the run exit 1 once every section
    has printed. *)
@@ -448,14 +451,19 @@ let perf_parallel () =
   record_float "perf4" "corpus_dedup_ratio" corpus_ratio;
   (* Speedup curve: same corpus, growing worker fleets. *)
   let reference = List.map outcome_signature on in
+  (* One timed full-corpus pass: wall seconds, and whether its outcomes
+     match the sequential reference. *)
+  let pass jobs =
+    let started = Wr_support.Clock.now () in
+    let outcomes = Eval.run_corpus ~seed:42 ~jobs () in
+    (Wr_support.Clock.now () -. started, List.map outcome_signature outcomes = reference)
+  in
   let timings =
     List.map
       (fun jobs ->
-        let started = Wr_support.Clock.now () in
-        let outcomes = Eval.run_corpus ~seed:42 ~jobs () in
-        let dt = Wr_support.Clock.now () -. started in
+        let dt, same = pass jobs in
         record_float "perf4" (Printf.sprintf "corpus_jobs%d_s" jobs) dt;
-        (jobs, dt, List.map outcome_signature outcomes = reference))
+        (jobs, dt, same))
       [ 1; 2; 4; 8 ]
   in
   let base = match timings with (_, dt, _) :: _ -> dt | [] -> 1. in
@@ -482,15 +490,29 @@ let perf_parallel () =
      which item. Speedup tracks the hardware's core count — the pool\n\
      spawns no more domains than cores, so oversubscribed job counts\n\
      degrade to the hardware's best.)";
-  let _, dt4, _ = List.find (fun (jobs, _, _) -> jobs = 4) timings in
-  let speedup = base /. dt4 in
   if hw < 4 then
     Printf.printf "\nspeedup floor skipped: %d hardware domain(s), the %.1fx floor needs 4\n"
       hw speedup_floor
-  else if speedup < speedup_floor then
-    fail (Printf.sprintf "corpus_jobs4_speedup %.2fx is below the %.1fx floor" speedup
-            speedup_floor)
-  else Printf.printf "\njobs:4 speedup %.2fx meets the %.1fx floor\n" speedup speedup_floor
+  else begin
+    let ratios =
+      List.init floor_pairs (fun _ ->
+          let dt1, same1 = pass 1 in
+          let dt4, same4 = pass 4 in
+          if not (same1 && same4) then fail "floor pass outcomes differ from sequential";
+          dt1 /. dt4)
+    in
+    let speedup = Wr_support.Stats.fpercentile ratios 50. in
+    record_float "perf4" "corpus_jobs4_speedup_median" speedup;
+    Printf.printf "\njobs:4 speedup over %d alternating pairs: %s; median %.2fx\n"
+      floor_pairs
+      (String.concat ", " (List.map (Printf.sprintf "%.2fx") ratios))
+      speedup;
+    if speedup < speedup_floor then
+      fail
+        (Printf.sprintf "median corpus_jobs4_speedup %.2fx is below the %.1fx floor" speedup
+           speedup_floor)
+    else Printf.printf "meets the %.1fx floor\n" speedup_floor
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Perf-6: static predictor throughput (DESIGN.md §8)                  *)

@@ -723,7 +723,8 @@ let corpus_cmd =
     let n_ok =
       List.length (List.filter Wr_sitegen.Eval.fidelity outcomes)
     in
-    let regex_hits, regex_misses = Wr_js.Builtins.regex_cache_stats () in
+    let regex_hits = Telemetry.counter_value tm "js.regex_cache_hits" in
+    let regex_misses = Telemetry.counter_value tm "js.regex_cache_misses" in
     if json then begin
       let fields =
         [

@@ -64,22 +64,17 @@ let install_math vm =
 let regex_cache : (string * string, Regex.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
-(* Lifetime tallies for the fleet profile, still process-wide (summed
-   over domains). *)
-let regex_hits = Atomic.make 0
-let regex_misses = Atomic.make 0
-
-let regex_cache_stats () = (Atomic.get regex_hits, Atomic.get regex_misses)
-
+(* Lookups count into the VM's telemetry context, so the fleet profile
+   reads them beside the run's other counters. *)
 let compile_regex vm ~pattern ~flags =
   let key = (pattern, flags) in
   let cache = Domain.DLS.get regex_cache in
   match Hashtbl.find_opt cache key with
   | Some t ->
-      Atomic.incr regex_hits;
+      Wr_telemetry.Telemetry.incr vm.tm "js.regex_cache_hits";
       t
   | None -> (
-      Atomic.incr regex_misses;
+      Wr_telemetry.Telemetry.incr vm.tm "js.regex_cache_misses";
       match Regex.compile ~pattern ~flags with
       | Ok t ->
           Hashtbl.add cache key t;

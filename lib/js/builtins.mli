@@ -5,7 +5,9 @@
     simulator's virtual clock), [console], [parseInt]/[parseFloat]/[isNaN]
     — and populates [Object.prototype], [Array.prototype] and
     [Function.prototype] ([call]/[apply]). [Math.random] draws from the
-    VM's seeded generator so runs stay reproducible. *)
+    VM's seeded generator so runs stay reproducible. Compiled regexes
+    are memoized per domain; each lookup counts into the VM's telemetry
+    context as [js.regex_cache_hits] or [js.regex_cache_misses]. *)
 
 (** [install vm] defines the globals in [vm]'s global scope. Idempotent per
     VM only in the sense that re-installation overwrites; call once. *)
@@ -24,8 +26,3 @@ val number_member : Value.vm -> float -> string -> Value.t option
     SyntaxError ([Value.Js_throw]) on malformed patterns. Used for regex
     literals and the [RegExp] constructor. *)
 val make_regexp : Value.vm -> pattern:string -> flags:string -> Value.t
-
-(** [regex_cache_stats ()] is [(hits, misses)] for the per-domain
-    compiled-regex caches, summed over domains for the process lifetime.
-    The fleet profile reports them next to the pool's figures. *)
-val regex_cache_stats : unit -> int * int

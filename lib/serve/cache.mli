@@ -13,6 +13,10 @@
     times larger. Analyze results only: explain and replay are
     rare, and their documents dominate the memory a slot is worth.
 
+    The cache keeps no tallies: the daemon counts its hits and misses
+    in its telemetry context ([serve.cache_hit], [serve.cache_miss]),
+    beside every other served number.
+
     Not thread-safe: the daemon's event loop is its only user. *)
 
 type t
@@ -24,12 +28,10 @@ val create : cap:int -> t
 (** [key p] — 32 hex chars over the canonical params JSON. *)
 val key : Request.analyze_params -> string
 
-(** [find t k] bumps the hit or miss counter. *)
+(** [find t k] is the stored bytes, and marks [k] most recently used. *)
 val find : t -> string -> string option
 
 (** [store t k bytes] keeps the encoded report [bytes]. *)
 val store : t -> string -> string -> unit
-val hits : t -> int
-val misses : t -> int
 val length : t -> int
 val cap : t -> int

@@ -97,7 +97,9 @@ type watcher = {
 
 (* The daemon's state. The event loop is its only reader and writer;
    the sole cross-domain traffic is workers pushing completions under
-   [completions_lock] and waking the loop through the self-pipe. *)
+   [completions_lock] and waking the loop through the self-pipe. Every
+   number the daemon serves is counted in [tm] (see the registry below);
+   [in_flight] is admission state, not a metric. *)
 type state = {
   cfg : config;
   cache : Cache.t;
@@ -114,21 +116,9 @@ type state = {
   mutable next_cid : int;
   mutable next_jid : int;
   mutable next_trace : int;
-  requests : (string, int) Hashtbl.t;  (** per verb, plus ["invalid"] *)
-  responses : (string, int) Hashtbl.t;  (** ["ok"] or an error code name *)
-  mutable analyses_run : int;
-  mutable timeouts : int;
   mutable in_flight : int;  (** admitted jobs not yet completed *)
-  mutable queue_hwm : int;
   mutable pm_seq : int;
   mutable watchers : watcher list;
-  (* per-stage latency histograms; workers ship raw timestamps with each
-     completion and the loop records them *)
-  lat_decode : Histo.t;
-  lat_queue : Histo.t;
-  lat_run : Histo.t;
-  lat_encode : Histo.t;
-  lat_total : Histo.t;
 }
 
 let mint_trace st =
@@ -136,35 +126,45 @@ let mint_trace st =
   st.next_trace <- n + 1;
   Printf.sprintf "t-%d" n
 
-let count tbl name = Option.value ~default:0 (Hashtbl.find_opt tbl name)
-let bump tbl name = Hashtbl.replace tbl name (count tbl name + 1)
-
-(* A counter table as (name, count) pairs, sorted by name. *)
-let sorted_counts tbl =
-  List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
-
 let resp_outcome = function
   | Response.Ok _ -> "ok"
   | Response.Error { code; _ } -> Response.code_name code
 
-let latency_stages st =
-  [
-    ("decode", st.lat_decode);
-    ("queue", st.lat_queue);
-    ("run", st.lat_run);
-    ("encode", st.lat_encode);
-    ("total", st.lat_total);
-  ]
+(* --- the registry -------------------------------------------------------- *)
+
+(* Every served number is a counter or histogram in [st.tm] with a name
+   from the closed sets below, never from client bytes. Only the loop
+   records them, and every document reads them through [count] and
+   [latency]. *)
+
+let request_kinds =
+  [ "ping"; "stats"; "metrics"; "watch"; "analyze"; "explain"; "predict";
+    "triage"; "replay"; "invalid" ]
+
+let outcomes = "ok" :: List.map Response.code_name Response.codes
+let stages = [ "decode"; "queue"; "run"; "encode"; "total" ]
+let requests_c kind = "serve.requests." ^ kind
+let responses_c outcome = "serve.responses." ^ outcome
+let latency_h stage = "serve.latency." ^ stage
+let count st name = Telemetry.counter_value st.tm name
+
+let latency st stage =
+  Option.value (Telemetry.histogram st.tm (latency_h stage)) ~default:(Histo.create ())
+
+let requests_total st =
+  List.fold_left (fun acc k -> acc + count st (requests_c k)) 0 request_kinds
+
+let shed st = count st (responses_c "overload")
 
 let cache_hit_ratio st =
-  let hits = Cache.hits st.cache and misses = Cache.misses st.cache in
+  let hits = count st "serve.cache_hit" and misses = count st "serve.cache_miss" in
   if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses)
 
 let queue_json st =
   Json.Obj
     [
       ("depth", Json.Int st.in_flight);
-      ("high_water", Json.Int st.queue_hwm);
+      ("high_water", Json.Int (count st "serve.queue_high_water"));
       ("cap", Json.Int st.cfg.queue_cap);
     ]
 
@@ -172,21 +172,16 @@ let cache_json st =
   Json.Obj
     [
       ("hit_ratio", Json.Float (cache_hit_ratio st));
-      ("hits", Json.Int (Cache.hits st.cache));
-      ("misses", Json.Int (Cache.misses st.cache));
+      ("hits", Json.Int (count st "serve.cache_hit"));
+      ("misses", Json.Int (count st "serve.cache_miss"));
       ("entries", Json.Int (Cache.length st.cache));
     ]
 
 let latency_json st =
-  Json.Obj
-    (List.map (fun (stage, h) -> (stage, Histo.summary_json h)) (latency_stages st))
+  Json.Obj (List.map (fun stage -> (stage, Histo.summary_json (latency st stage))) stages)
 
 let stats_json st =
-  let verbs =
-    [ "ping"; "stats"; "metrics"; "watch"; "analyze"; "explain"; "predict";
-      "triage"; "replay" ]
-  in
-  let total = List.fold_left (fun acc v -> acc + count st.requests v) 0 verbs in
+  let counts name kinds = List.map (fun k -> (k, Json.Int (count st (name k)))) kinds in
   Json.Obj
     [
       Schema.tag;
@@ -197,28 +192,22 @@ let stats_json st =
           [
             ("cap", Json.Int st.cfg.queue_cap);
             ("in_flight", Json.Int st.in_flight);
-            ("high_water", Json.Int st.queue_hwm);
+            ("high_water", Json.Int (count st "serve.queue_high_water"));
           ] );
       ( "requests",
-        Json.Obj
-          (("total", Json.Int total)
-          :: List.map (fun v -> (v, Json.Int (count st.requests v))) verbs) );
-      ( "responses",
-        Json.Obj
-          (List.map
-             (fun name -> (name, Json.Int (count st.responses name)))
-             ("ok" :: List.map Response.code_name Response.codes)) );
+        Json.Obj (("total", Json.Int (requests_total st)) :: counts requests_c request_kinds) );
+      ("responses", Json.Obj (counts responses_c outcomes));
       ( "cache",
         Json.Obj
           [
             ("cap", Json.Int (Cache.cap st.cache));
             ("entries", Json.Int (Cache.length st.cache));
-            ("hits", Json.Int (Cache.hits st.cache));
-            ("misses", Json.Int (Cache.misses st.cache));
+            ("hits", Json.Int (count st "serve.cache_hit"));
+            ("misses", Json.Int (count st "serve.cache_miss"));
             ("hit_ratio", Json.Float (cache_hit_ratio st));
           ] );
-      ("analyses_run", Json.Int st.analyses_run);
-      ("timeouts", Json.Int st.timeouts);
+      ("analyses_run", Json.Int (count st "serve.analyses_run"));
+      ("timeouts", Json.Int (count st "serve.timeouts"));
     ]
 
 (* --- metrics exposition ------------------------------------------------ *)
@@ -232,18 +221,21 @@ let prometheus_text st =
   let typ name kind = line "# TYPE %s %s" name kind in
   typ "webracer_uptime_seconds" "gauge";
   line "webracer_uptime_seconds %.3f" (Clock.now () -. st.started);
-  typ "webracer_requests_total" "counter";
-  List.iter
-    (fun (verb, n) -> line "webracer_requests_total{verb=%S} %d" verb n)
-    (sorted_counts st.requests);
-  typ "webracer_responses_total" "counter";
-  List.iter
-    (fun (code, n) -> line "webracer_responses_total{outcome=%S} %d" code n)
-    (sorted_counts st.responses);
+  (* The labelled series that have been bumped, sorted by label. *)
+  let series metric label name kinds =
+    typ metric "counter";
+    List.iter
+      (fun k ->
+        let n = count st (name k) in
+        if n > 0 then line "%s{%s=%S} %d" metric label k n)
+      (List.sort compare kinds)
+  in
+  series "webracer_requests_total" "verb" requests_c request_kinds;
+  series "webracer_responses_total" "outcome" responses_c outcomes;
   typ "webracer_queue_depth" "gauge";
   line "webracer_queue_depth %d" st.in_flight;
   typ "webracer_queue_depth_high_water" "gauge";
-  line "webracer_queue_depth_high_water %d" st.queue_hwm;
+  line "webracer_queue_depth_high_water %d" (count st "serve.queue_high_water");
   typ "webracer_queue_cap" "gauge";
   line "webracer_queue_cap %d" st.cfg.queue_cap;
   typ "webracer_cache_hit_ratio" "gauge";
@@ -251,14 +243,15 @@ let prometheus_text st =
   typ "webracer_cache_entries" "gauge";
   line "webracer_cache_entries %d" (Cache.length st.cache);
   typ "webracer_analyses_total" "counter";
-  line "webracer_analyses_total %d" st.analyses_run;
+  line "webracer_analyses_total %d" (count st "serve.analyses_run");
   typ "webracer_timeouts_total" "counter";
-  line "webracer_timeouts_total %d" st.timeouts;
+  line "webracer_timeouts_total %d" (count st "serve.timeouts");
   typ "webracer_shed_total" "counter";
-  line "webracer_shed_total %d" (count st.responses "overload");
+  line "webracer_shed_total %d" (shed st);
   typ "webracer_request_latency_seconds" "summary";
   List.iter
-    (fun (stage, h) ->
+    (fun stage ->
+      let h = latency st stage in
       List.iter
         (fun (q, p) ->
           line "webracer_request_latency_seconds{stage=%S,quantile=%S} %.6f"
@@ -268,7 +261,7 @@ let prometheus_text st =
         (Histo.count h);
       line "webracer_request_latency_seconds_sum{stage=%S} %.6f" stage
         (Histo.sum h))
-    (latency_stages st);
+    stages;
   Buffer.contents b
 
 (* One [watch] tick: everything [webracer top] renders, in one object.
@@ -282,13 +275,13 @@ let watch_snapshot st seq =
       ("seq", Json.Int seq);
       ("ts", Json.Float now);
       ("uptime_s", Json.Float (now -. st.started));
-      ("requests_total", Json.Int (Hashtbl.fold (fun _ n acc -> acc + n) st.requests 0));
+      ("requests_total", Json.Int (requests_total st));
       ("queue", queue_json st);
       ("cache", cache_json st);
       ("latency", latency_json st);
-      ("timeouts", Json.Int st.timeouts);
-      ("shed", Json.Int (count st.responses "overload"));
-      ("analyses_run", Json.Int st.analyses_run);
+      ("timeouts", Json.Int (count st "serve.timeouts"));
+      ("shed", Json.Int (shed st));
+      ("analyses_run", Json.Int (count st "serve.analyses_run"));
       ("fleet", Pool.stats_json (Pool.stats st.pool));
       ( "gc",
         match Runtime_probe.current () with
@@ -304,9 +297,9 @@ let metrics_json st =
       ("latency", latency_json st);
       ("queue", queue_json st);
       ("cache", cache_json st);
-      ("timeouts", Json.Int st.timeouts);
-      ("shed", Json.Int (count st.responses "overload"));
-      ("analyses_run", Json.Int st.analyses_run);
+      ("timeouts", Json.Int (count st "serve.timeouts"));
+      ("shed", Json.Int (shed st));
+      ("analyses_run", Json.Int (count st "serve.analyses_run"));
       ("prometheus", Json.String (prometheus_text st));
     ]
 
@@ -389,7 +382,7 @@ let write_postmortem st ~reason =
    stage. The envelope and its framing are queued as separate chunks:
    nothing is copied to be sent. *)
 let respond ?http_status ?(encode_s = 0.) st conn (resp : Response.t) =
-  bump st.responses (resp_outcome resp);
+  Telemetry.incr st.tm (responses_c (resp_outcome resp));
   if conn.alive then begin
     let t0 = Clock.now () in
     let body = Response.to_line resp in
@@ -402,7 +395,7 @@ let respond ?http_status ?(encode_s = 0.) st conn (resp : Response.t) =
     | P_line | P_unknown ->
         Queue.push body conn.out;
         Queue.push "\n" conn.out);
-    Histo.add st.lat_encode (encode_s +. Clock.now () -. t0)
+    Telemetry.observe st.tm (latency_h "encode") (encode_s +. Clock.now () -. t0)
   end
 
 let respond_cid ?encode_s st cid resp =
@@ -410,7 +403,7 @@ let respond_cid ?encode_s st cid resp =
   | Some conn -> respond ?encode_s st conn resp
   | None ->
       (* The client vanished before its answer; still tally the outcome. *)
-      bump st.responses (resp_outcome resp)
+      Telemetry.incr st.tm (responses_c (resp_outcome resp))
 
 (* --- job submission ---------------------------------------------------- *)
 
@@ -450,7 +443,8 @@ let submit_job st conn ~verb ~trace ~wire_trace ~schema ~cache_key
       answered = false;
     };
   st.in_flight <- st.in_flight + 1;
-  st.queue_hwm <- max st.queue_hwm st.in_flight;
+  if st.in_flight > count st "serve.queue_high_water" then
+    Telemetry.set_counter st.tm "serve.queue_high_water" st.in_flight;
   let tm = st.tm in
   (* Test hook: [WEBRACER_FAULT_INJECT=<verb>] makes matching requests
      blow up inside the worker — the way to rehearse a worker crash
@@ -526,9 +520,9 @@ let drain_completions st =
           let queue_wait = t_start -. job.t_admit in
           let run_time = t_end -. t_start in
           let total = Clock.now () -. job.t_admit in
-          Histo.add st.lat_queue queue_wait;
-          Histo.add st.lat_run run_time;
-          Histo.add st.lat_total total;
+          Telemetry.observe st.tm (latency_h "queue") queue_wait;
+          Telemetry.observe st.tm (latency_h "run") run_time;
+          Telemetry.observe st.tm (latency_h "total") total;
           if Log.enabled Log.Debug then
             Log.with_trace ~trace_id:job.trace ~span_id:(string_of_int jid)
               (fun () ->
@@ -541,7 +535,7 @@ let drain_completions st =
                   ]);
           (match (job.cache_key, resp) with
           | Some key, Response.Ok { result = Json.Raw bytes; _ } ->
-              st.analyses_run <- st.analyses_run + 1;
+              Telemetry.incr st.tm "serve.analyses_run";
               Cache.store st.cache key bytes
           | _ -> ());
           let resp = Response.stamp ~schema:job.schema resp in
@@ -554,7 +548,7 @@ let sweep_deadlines st now =
       match job.deadline with
       | Some d when (not job.answered) && d <= now ->
           job.answered <- true;
-          st.timeouts <- st.timeouts + 1;
+          Telemetry.incr st.tm "serve.timeouts";
           milestone st.tm "request.deadline" ~trace:job.trace
             [ ("jid", Json.Int job.jid); ("verb", Json.String job.verb) ];
           write_postmortem st ~reason:"deadline";
@@ -598,7 +592,7 @@ let clamp_target st (p : Request.analyze_params) =
 
 let handle_request st conn (req : Request.t) =
   let id = req.Request.id in
-  bump st.requests (Request.verb_name req.Request.verb);
+  Telemetry.incr st.tm (requests_c (Request.verb_name req.Request.verb));
   (* [wire_trace] is echoed on the wire iff the client supplied one;
      [trace] (supplied or minted) tags logs, spans and debug output
      either way, so every request is traceable server-side. *)
@@ -645,8 +639,11 @@ let handle_request st conn (req : Request.t) =
       let p = clamp_target st p in
       let key = Cache.key p in
       match Cache.find st.cache key with
-      | Some bytes -> reply (Response.ok ?trace:wire_trace ~id (Json.Raw bytes))
+      | Some bytes ->
+          Telemetry.incr st.tm "serve.cache_hit";
+          reply (Response.ok ?trace:wire_trace ~id (Json.Raw bytes))
       | None ->
+          Telemetry.incr st.tm "serve.cache_miss";
           admit ~verb:"analyze" ~cache_key:(Some key) (fun () ->
               Api.dispatch { req with Request.verb = Request.Analyze p }))
   | Request.Explain e ->
@@ -689,17 +686,17 @@ let handle_line st conn line =
         [ ("conn", Json.Int conn.cid); ("bytes", Json.Int (String.length line)) ];
     let t0 = Clock.now () in
     let decoded = Request.of_line line in
-    Histo.add st.lat_decode (Clock.now () -. t0);
+    Telemetry.observe st.tm (latency_h "decode") (Clock.now () -. t0);
     match decoded with
     | Ok req -> handle_request st conn req
     | Error (id, msg) ->
-        bump st.requests "invalid";
+        Telemetry.incr st.tm (requests_c "invalid");
         respond st conn (Response.error ~id Response.Bad_request msg)
   end
 
 (* A v2 bad_request for the HTTP surface, which is v2-native. *)
 let http_bad_request ?http_status st conn ~id msg =
-  bump st.requests "invalid";
+  Telemetry.incr st.tm (requests_c "invalid");
   respond ?http_status st conn
     (Response.stamp ~schema:Schema.v2 (Response.error ~id Response.Bad_request msg))
 
@@ -707,11 +704,11 @@ let handle_http st conn (r : Http.req) =
   let t0 = Clock.now () in
   match Http.route r with
   | Error (status, msg) ->
-      Histo.add st.lat_decode (Clock.now () -. t0);
+      Telemetry.observe st.tm (latency_h "decode") (Clock.now () -. t0);
       http_bad_request ~http_status:status st conn ~id:Json.Null msg
   | Ok wire -> (
       let decoded = Request.of_json wire in
-      Histo.add st.lat_decode (Clock.now () -. t0);
+      Telemetry.observe st.tm (latency_h "decode") (Clock.now () -. t0);
       match decoded with
       | Error (id, msg) -> http_bad_request st conn ~id msg
       | Ok req ->
@@ -989,6 +986,8 @@ let event_loop st ~stop ~dump =
 
 let run ?(stop = fun () -> false) ?(dump = fun () -> false) ?on_ready ?on_stop
     ?(telemetry = Telemetry.create ()) cfg =
+  if not (Telemetry.enabled telemetry) then
+    invalid_arg "Daemon.run: the telemetry context must be enabled";
   let jobs = max 1 cfg.jobs in
   (* [jobs + 1] because the event loop never helps the pool: the +1
      "submitter slot" stays idle, leaving [jobs] worker domains.
@@ -1018,19 +1017,9 @@ let run ?(stop = fun () -> false) ?(dump = fun () -> false) ?on_ready ?on_stop
       next_cid = 0;
       next_jid = 0;
       next_trace = 0;
-      requests = Hashtbl.create 16;
-      responses = Hashtbl.create 8;
-      analyses_run = 0;
-      timeouts = 0;
       in_flight = 0;
-      queue_hwm = 0;
       pm_seq = 0;
       watchers = [];
-      lat_decode = Histo.create ();
-      lat_queue = Histo.create ();
-      lat_run = Histo.create ();
-      lat_encode = Histo.create ();
-      lat_total = Histo.create ();
     }
   in
   (match on_ready with Some f -> f bound | None -> ());

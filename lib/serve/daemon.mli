@@ -37,7 +37,13 @@
       latency, fleet profile and GC rows) — what [webracer top]
       renders.
 
-    The daemon's telemetry context is its flight recorder: request
+    The daemon's telemetry context is its one metrics registry: the
+    loop counts [serve.requests.<verb>] (or [.invalid]),
+    [serve.responses.<outcome>], [serve.cache_hit]/[_miss],
+    [serve.analyses_run], [serve.timeouts], [serve.queue_high_water]
+    and the histograms [serve.latency.<stage>] there, and [stats],
+    [metrics], [watch] and the Prometheus text all read them. It is
+    also the flight recorder: request
     milestones ([request.admit], [.start], [.end], [.crash],
     [.deadline], each with its [trace_id]) and every log line (teed
     through {!Wr_support.Log.with_recorder}, whatever the log level)
@@ -78,10 +84,11 @@ val default_config : address -> config
     the drain with the final [metrics] document (per-stage latency
     histograms, queue high-water, cache hit ratio, Prometheus text) —
     the CLI's [--metrics-out] hook.
-    [telemetry] (default a fresh context: recording is always on)
-    receives one span per job, named [<verb> [<trace id>]], the request
-    milestones and the teed log lines; its rings keep each domain's most
-    recent entries.
+    [telemetry] (default a fresh context) holds the daemon's counters
+    and latency histograms and receives one span per job, named
+    [<verb> [<trace id>]], the request milestones and the teed log
+    lines; its rings keep each domain's most recent entries. Raises
+    [Invalid_argument] if [telemetry] is not enabled.
 
     Every request is traced: a client-supplied ["trace"] id is echoed
     on the response and used verbatim; otherwise a [t-<n>] id is

@@ -395,7 +395,16 @@ let histograms t =
   Hashtbl.fold (fun name h acc -> (name, h) :: acc) merged []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let histogram t name = List.assoc_opt name (histograms t)
+let histogram t name =
+  let into = Histo.create () in
+  let found s =
+    match Hashtbl.find_opt s.histos name with
+    | Some h -> Histo.merge_into ~into h; true
+    | None -> false
+  in
+  if List.exists Fun.id (List.map (fun s -> locked s (fun () -> found s)) (all_sinks t))
+  then Some into
+  else None
 
 let sum_sinks t f =
   List.fold_left (fun acc s -> acc + locked s (fun () -> f s)) 0 (all_sinks t)

@@ -173,8 +173,6 @@ let test_cache_lru () =
   Cache.store c "c" {|{"r":3}|};
   check bool_c "b evicted" true (Cache.find c "b" = None);
   check bool_c "a kept" true (Cache.find c "a" = Some {|{"r":1}|});
-  check int_c "hits" 2 (Cache.hits c);
-  check int_c "misses" 1 (Cache.misses c);
   check int_c "length" 2 (Cache.length c)
 
 (* --- Api dispatch ------------------------------------------------------ *)
@@ -226,7 +224,7 @@ let test_dispatch_stats_default () =
 (* --- the daemon, end to end -------------------------------------------- *)
 
 let spawn_daemon ?(jobs = 2) ?(queue_cap = 4) ?(cache_cap = 8)
-    ?(address = Daemon.Tcp 0) ?postmortem_dir ?(dump = fun () -> false) () =
+    ?(address = Daemon.Tcp 0) ?postmortem_dir ?(dump = fun () -> false) ?telemetry () =
   let stop = Atomic.make false in
   let ready : Daemon.address option Atomic.t = Atomic.make None in
   let cfg =
@@ -244,7 +242,7 @@ let spawn_daemon ?(jobs = 2) ?(queue_cap = 4) ?(cache_cap = 8)
           ~stop:(fun () -> Atomic.get stop)
           ~dump
           ~on_ready:(fun addr -> Atomic.set ready (Some addr))
-          cfg)
+          ?telemetry cfg)
   in
   let deadline = Unix.gettimeofday () +. 10. in
   while Atomic.get ready = None && Unix.gettimeofday () < deadline do
@@ -467,6 +465,220 @@ let test_daemon_trace_and_metrics () =
       | _ -> Alcotest.fail "stats lacks cache");
       Client.close c)
 
+(* --- one registry ------------------------------------------------------- *)
+
+let json_int path j =
+  match List.fold_left (fun j k -> Json.member k j) j path with
+  | Json.Int n -> n
+  | _ -> Alcotest.failf "no integer at %s" (String.concat "." path)
+
+(* The labelled series of a Prometheus [metric] as (label value, count). *)
+let prom_series text metric =
+  List.filter_map
+    (fun l ->
+      match String.index_opt l '"' with
+      | Some i when String.starts_with ~prefix:(metric ^ "{") l ->
+          let j = String.index_from l (i + 1) '"' in
+          let sp = String.rindex l ' ' in
+          Some
+            ( String.sub l (i + 1) (j - i - 1),
+              int_of_string (String.sub l (sp + 1) (String.length l - sp - 1)) )
+      | _ -> None)
+    (String.split_on_char '\n' text)
+
+(* The value of an unlabelled Prometheus line. *)
+let prom_value text metric =
+  match
+    List.find_opt
+      (fun l -> String.starts_with ~prefix:(metric ^ " ") l)
+      (String.split_on_char '\n' text)
+  with
+  | Some l -> String.sub l (String.length metric + 1) (String.length l - String.length metric - 1)
+  | None -> Alcotest.failf "prometheus text lacks %s" metric
+
+(* Every shared count in [stats], [metrics], [watch] and the Prometheus
+   text comes from one counter. The session holds malformed lines, an
+   unknown verb, a cache miss then a hit, and a shed request. The three
+   reads are requests too, so each later document also counts the reads
+   before it: [metrics] sees the [stats] request and its ok response,
+   [watch] sees [metrics] as well. *)
+let test_daemon_documents_agree () =
+  let d, stop, addr = spawn_daemon ~jobs:1 ~queue_cap:1 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      ignore (Domain.join d))
+    (fun () ->
+      let c = Client.connect ~retry_for:5. addr in
+      List.iter (Client.send_line c) [ "not json"; {|{"verb":|}; {|{"id":1,"verb":"frobnicate"}|} ];
+      for _ = 1 to 3 do
+        match Client.recv c with
+        | Ok (Response.Error { code = Response.Bad_request; _ }) -> ()
+        | _ -> Alcotest.fail "a bad line must answer bad_request"
+      done;
+      let analyze ?(seed = 42) page =
+        Request.make ~id:Json.Null
+          (Request.Analyze (Request.analyze_params ~page ~seed ~explore:false ()))
+      in
+      let fast = {|<script>var x = 1;</script>|} in
+      ignore (request_ok c (analyze fast));
+      ignore (request_ok c (analyze fast));
+      (* One slot: while the first slow analysis holds it, the rest are shed. *)
+      let slow =
+        {|<script>var s = 0; var i = 0; for (i = 0; i < 60000; i++) { s = s + i; }</script>|}
+      in
+      List.iter (fun seed -> Client.send c (analyze ~seed slow)) [ 1; 2; 3 ];
+      let shed = ref 0 in
+      for _ = 1 to 3 do
+        match Client.recv c with
+        | Ok (Response.Ok _) -> ()
+        | Ok (Response.Error { code = Response.Overload; _ }) -> incr shed
+        | _ -> Alcotest.fail "a slow analyze must answer ok or overload"
+      done;
+      check bool_c "a request was shed" true (!shed >= 1);
+      let stats = request_ok c (Request.make ~id:Json.Null Request.Stats) in
+      let metrics = request_ok c (Request.make ~id:Json.Null Request.Metrics) in
+      Client.send c (Request.make ~id:Json.Null (Request.watch ~interval_s:0.05 ~count:1 ()));
+      let watch =
+        match Client.recv c with
+        | Ok (Response.Ok { result; _ }) -> result
+        | _ -> Alcotest.fail "watch tick"
+      in
+      let prom =
+        match Json.member "prometheus" metrics with
+        | Json.String t -> t
+        | _ -> Alcotest.fail "metrics lacks prometheus text"
+      in
+      let prom_int m = int_of_string (prom_value prom m) in
+      let series m k = Option.value ~default:0 (List.assoc_opt k (prom_series prom m)) in
+      (* requests *)
+      let total = json_int [ "requests"; "total" ] stats in
+      let kinds =
+        [ "ping"; "stats"; "metrics"; "watch"; "analyze"; "explain"; "predict"; "triage";
+          "replay"; "invalid" ]
+      in
+      check int_c "stats total sums its kinds" total
+        (List.fold_left (fun acc k -> acc + json_int [ "requests"; k ] stats) 0 kinds);
+      check int_c "invalid requests" 3 (json_int [ "requests"; "invalid" ] stats);
+      check int_c "prometheus requests sum" (total + 1)
+        (List.fold_left (fun acc (_, n) -> acc + n) 0 (prom_series prom "webracer_requests_total"));
+      check int_c "watch requests_total" (total + 2) (json_int [ "requests_total" ] watch);
+      List.iter
+        (fun k ->
+          let extra = if k = "metrics" then 1 else 0 in
+          check int_c ("prometheus verb " ^ k)
+            (json_int [ "requests"; k ] stats + extra)
+            (series "webracer_requests_total" k))
+        kinds;
+      (* responses *)
+      List.iter
+        (fun o ->
+          let extra = if o = "ok" then 1 else 0 in
+          check int_c ("prometheus outcome " ^ o)
+            (json_int [ "responses"; o ] stats + extra)
+            (series "webracer_responses_total" o))
+        [ "ok"; "bad_request"; "timeout"; "overload"; "internal" ];
+      let shed_n = json_int [ "responses"; "overload" ] stats in
+      check int_c "stats overload = wire" !shed shed_n;
+      check int_c "metrics shed" shed_n (json_int [ "shed" ] metrics);
+      check int_c "watch shed" shed_n (json_int [ "shed" ] watch);
+      check int_c "prometheus shed" shed_n (prom_int "webracer_shed_total");
+      (* cache, analyses, timeouts, queue *)
+      check int_c "one cache hit" 1 (json_int [ "cache"; "hits" ] stats);
+      check int_c "analyze = hits + misses"
+        (json_int [ "requests"; "analyze" ] stats)
+        (json_int [ "cache"; "hits" ] stats + json_int [ "cache"; "misses" ] stats);
+      List.iter
+        (fun path ->
+          let v = json_int path stats in
+          let name = String.concat "." path in
+          check int_c ("metrics " ^ name) v (json_int path metrics);
+          check int_c ("watch " ^ name) v (json_int path watch))
+        [ [ "cache"; "hits" ]; [ "cache"; "misses" ]; [ "analyses_run" ]; [ "timeouts" ];
+          [ "queue"; "high_water" ] ];
+      check bool_c "hit ratio" true
+        (Json.member "hit_ratio" (Json.member "cache" stats)
+         = Json.member "hit_ratio" (Json.member "cache" metrics)
+        && Json.member "hit_ratio" (Json.member "cache" stats)
+           = Json.member "hit_ratio" (Json.member "cache" watch));
+      (match Json.member "hit_ratio" (Json.member "cache" stats) with
+      | Json.Float r ->
+          check string_c "prometheus hit ratio" (Printf.sprintf "%.4f" r)
+            (prom_value prom "webracer_cache_hit_ratio")
+      | _ -> Alcotest.fail "hit_ratio not a float");
+      check int_c "prometheus analyses" (json_int [ "analyses_run" ] stats)
+        (prom_int "webracer_analyses_total");
+      check int_c "prometheus timeouts" (json_int [ "timeouts" ] stats)
+        (prom_int "webracer_timeouts_total");
+      check int_c "one slot at peak" 1 (json_int [ "queue"; "high_water" ] stats);
+      check int_c "prometheus high water" 1 (prom_int "webracer_queue_depth_high_water");
+      (* latency: [watch] also saw the [watch] line decoded and the
+         [metrics] answer encoded *)
+      List.iter
+        (fun stage ->
+          let n = json_int [ "latency"; stage; "count" ] metrics in
+          check int_c ("prometheus count " ^ stage) n
+            (series "webracer_request_latency_seconds_count" stage);
+          let extra = if stage = "decode" || stage = "encode" then 1 else 0 in
+          check int_c ("watch count " ^ stage) (n + extra)
+            (json_int [ "latency"; stage; "count" ] watch))
+        [ "decode"; "queue"; "run"; "encode"; "total" ];
+      Client.close c)
+
+(* Counter and histogram names come from closed sets (verbs, "invalid",
+   response outcomes, latency stages), never from client bytes: 200
+   distinct bogus verbs and 200 distinct trace ids add no name. *)
+let test_daemon_registry_bounded () =
+  let tm = Wr_telemetry.Telemetry.create () in
+  let d, stop, addr = spawn_daemon ~telemetry:tm () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      ignore (Domain.join d))
+    (fun () ->
+      let c = Client.connect ~retry_for:5. addr in
+      for i = 1 to 200 do
+        Client.send_line c (Printf.sprintf {|{"id":%d,"verb":"bogus-%d"}|} i i);
+        Client.send c
+          (Request.make ~trace:(Printf.sprintf "trace-%d" i) ~id:(Json.Int i) Request.Ping)
+      done;
+      for _ = 1 to 400 do
+        match Client.recv c with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "transport failed: %s" e
+      done;
+      Client.close c);
+  let counters = Wr_telemetry.Telemetry.counters tm in
+  let allowed =
+    List.map (( ^ ) "serve.requests.")
+      [ "ping"; "stats"; "metrics"; "watch"; "analyze"; "explain"; "predict"; "triage";
+        "replay"; "invalid" ]
+    @ List.map (( ^ ) "serve.responses.")
+        [ "ok"; "bad_request"; "timeout"; "overload"; "internal" ]
+    @ [ "serve.cache_hit"; "serve.cache_miss"; "serve.analyses_run"; "serve.timeouts";
+        "serve.queue_high_water" ]
+  in
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem name allowed) then Alcotest.failf "counter %S is not a fixed name" name)
+    counters;
+  List.iter
+    (fun (name, _) ->
+      let stages = [ "decode"; "queue"; "run"; "encode"; "total" ] in
+      if not (List.mem name (List.map (( ^ ) "serve.latency.") stages)) then
+        Alcotest.failf "histogram %S is not a fixed name" name)
+    (Wr_telemetry.Telemetry.histograms tm);
+  check int_c "bogus verbs are invalid" 200 (List.assoc "serve.requests.invalid" counters);
+  check int_c "traced pings" 200 (List.assoc "serve.requests.ping" counters)
+
+let test_daemon_needs_telemetry () =
+  match
+    Daemon.run ~telemetry:Wr_telemetry.Telemetry.disabled
+      (Daemon.default_config (Daemon.Tcp 0))
+  with
+  | _ -> Alcotest.fail "a disabled context must be refused"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     Alcotest.test_case "request: ping round-trip" `Quick test_request_ping_roundtrip;
@@ -478,7 +690,7 @@ let suite =
     Alcotest.test_case "response: round-trip" `Quick test_response_roundtrip;
     Alcotest.test_case "response: error taxonomy" `Quick test_error_codes;
     Alcotest.test_case "cache: key covers the whole config" `Quick test_cache_key;
-    Alcotest.test_case "cache: LRU eviction + counters" `Quick test_cache_lru;
+    Alcotest.test_case "cache: LRU eviction" `Quick test_cache_lru;
     Alcotest.test_case "api: ping" `Quick test_dispatch_ping;
     Alcotest.test_case "api: analyze = report_to_json" `Quick
       test_dispatch_analyze_matches_report;
@@ -1361,4 +1573,10 @@ let suite =
   @ [
       QCheck_alcotest.to_alcotest prop_of_line_total;
       QCheck_alcotest.to_alcotest prop_http_parse_total;
+      Alcotest.test_case "daemon: documents read one registry" `Quick
+        test_daemon_documents_agree;
+      Alcotest.test_case "daemon: registry names are fixed" `Quick
+        test_daemon_registry_bounded;
+      Alcotest.test_case "daemon: refuses disabled telemetry" `Quick
+        test_daemon_needs_telemetry;
     ]

@@ -188,6 +188,26 @@ let test_pipeline_phases () =
   Alcotest.(check bool) "tokens counted" true
     (Telemetry.counter_value tm "html.tokens" > 0)
 
+(* Regex-cache lookups count into the analysing VM's context. The memo
+   is per domain and outlives one analysis, so a second run of the same
+   page compiles nothing. The pattern appears in no other test. *)
+let test_regex_cache_counters () =
+  let page =
+    {|<script>var n = 0; var i = 0; for (i = 0; i < 5; i++) { if (/tm-count-[0-9]+/.test("tm-count-7")) { n = n + 1; } }</script>|}
+  in
+  let run () =
+    let tm = Telemetry.create () in
+    ignore (Webracer.analyze (Webracer.config ~page ~telemetry:tm ()));
+    (Telemetry.counter_value tm "js.regex_cache_hits",
+     Telemetry.counter_value tm "js.regex_cache_misses")
+  in
+  let hits1, misses1 = run () in
+  let hits2, misses2 = run () in
+  Alcotest.(check int) "first run compiles the pattern once" 1 misses1;
+  Alcotest.(check bool) "every test() looks it up" true (hits1 + misses1 >= 5);
+  Alcotest.(check int) "second run compiles nothing" 0 misses2;
+  Alcotest.(check int) "same lookups in both runs" (hits1 + misses1) hits2
+
 let suite =
   [
     Alcotest.test_case "span nesting and self time" `Quick test_span_nesting_self_time;
@@ -696,4 +716,5 @@ let suite =
         test_page_log_lines_guarded;
       Alcotest.test_case "counters match the report" `Quick
         test_detect_counters_match_report;
+      Alcotest.test_case "regex-cache lookups counted" `Quick test_regex_cache_counters;
     ]
